@@ -11,7 +11,6 @@ of the error term S(H) - c*H^2.
 from .ntcore import (
     BudgetError,
     factorize,
-    gcd_many,
     is_prime,
     jacobi,
     mobius,
@@ -80,7 +79,6 @@ __all__ = [
     "gauss_closed_odd",
     "gauss_direct",
     "gauss_reduce",
-    "gcd_many",
     "harmonic_lambda_sums",
     "is_prime",
     "jacobi",

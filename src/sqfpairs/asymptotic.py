@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntcore import factorize, is_prime, mobius_sieve, primes_upto, tau
+from .ntcore import BudgetError, factorize, is_prime, mobius_sieve, primes_upto, tau
 from .counting import PairCountReport, build_sieve, count_pairs_direct
-from .lambdasums import lambda_any, lambda_any_table, solve_circle
+from .lambdasums import lambda_any_table, solve_circle
 
 __all__ = [
     "EulerProductEstimate",
@@ -42,8 +42,8 @@ __all__ = [
 # to this prime and trusted beyond it.
 _ENUMERATION_LIMIT = 47
 
-# Above this modulus harmonic_lambda_sums falls back from the batched
-# (q, q) table to memoized scalar evaluation.
+# harmonic_lambda_sums rejects moduli above this: its (q, q) table of
+# circle sums would take more than 256 MiB.
 _TABLE_LIMIT = 4096
 
 
@@ -196,26 +196,19 @@ def harmonic_lambda_sums(q: int, D: int) -> tuple[float, float]:
 
     lam is q-periodic in both arguments, so the weights 1/n collapse
     onto residues and the sums need one |lam| value per residue pair,
-    taken from the batched evaluator (scalar fallback for large q).
+    taken from the batched evaluator.  Moduli above 4096 raise
+    BudgetError before the table is allocated.
     """
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
+    if q > _TABLE_LIMIT:
+        raise BudgetError(f"harmonic_lambda_sums({q}) exceeds the table limit {_TABLE_LIMIT}")
     n = np.arange(1, D + 1)
     weights = np.zeros(q)
     np.add.at(weights, n % q, 1.0 / n)
-    if q <= _TABLE_LIMIT:
-        mags = np.abs(lambda_any_table(q))
-    else:
-        mags = np.empty((q, q))
-        cache: dict[tuple[int, int], float] = {}
-        for a in range(q):
-            for b in range(q):
-                key = (a, b) if a <= b else (b, a)
-                if key not in cache:
-                    cache[key] = abs(lambda_any(q, key[0], key[1]))
-                mags[a, b] = cache[key]
+    mags = np.abs(lambda_any_table(q))
     U = float(mags[:, 0] @ weights)
     V = float(weights @ mags @ weights)
     return U, V

@@ -27,23 +27,6 @@ EXIT_BUDGET = 2
 EXIT_VERIFICATION = 3
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    H: int | None = None
-    q: int | None = None
-    n: int | None = None
-    m: int | None = None
-    P: int | None = None
-    H_ladder: list[int] | None = None
-    method: str = "both"
-    output_format: str = "text"
-    threads: int = 1
-    memory_budget: int | None = None
-    seed: int = verify.DEFAULT_SEED
-    suites: list[str] | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; remap to 1 so that 2
     # stays reserved for budget exhaustion.
@@ -98,47 +81,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    return RunConfig(
-        command=args.command,
-        H=getattr(args, "H", None),
-        q=getattr(args, "q", None),
-        n=getattr(args, "n", None),
-        m=getattr(args, "m", None),
-        P=getattr(args, "P", None),
-        H_ladder=getattr(args, "H_ladder", None),
-        method=getattr(args, "method", "both"),
-        output_format=args.output_format,
-        threads=threads,
-        memory_budget=getattr(args, "memory_budget", None),
-        seed=getattr(args, "seed", verify.DEFAULT_SEED),
-        suites=getattr(args, "suites", None),
-    )
-
-
 def _emit_reports_csv(reports):
     print("H,S,method,elapsed_seconds")
     for r in reports:
         print(f"{r.H},{r.S},{r.method},{r.elapsed!r}")
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    methods = ("value-sieve", "mobius-identity") if cfg.method == "both" else (cfg.method,)
+def _cmd_count(args) -> int:
+    methods = ("value-sieve", "mobius-identity") if args.method == "both" else (args.method,)
     reports = []
     for method in methods:
         if method == "value-sieve":
             reports.append(counting.count_pairs_direct(
-                cfg.H, threads=cfg.threads, memory_budget=cfg.memory_budget))
+                args.H, threads=args.threads, memory_budget=args.memory_budget))
         else:
-            reports.append(counting.count_pairs_mobius(cfg.H))
-    if cfg.output_format == "json":
+            reports.append(counting.count_pairs_mobius(args.H))
+    if args.output_format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in reports]))
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         _emit_reports_csv(reports)
     else:
         for r in reports:
@@ -150,8 +110,8 @@ def _cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_lambda(cfg: RunConfig) -> int:
-    q, n, m = cfg.q, cfg.n, cfg.m
+def _cmd_lambda(args) -> int:
+    q, n, m = args.q, args.n, args.m
     values = [("direct", lambdasums.lambda_direct(q, n, m))]
     if q % 2 == 1:
         values.append(("fast-odd", lambdasums.lambda_fast_odd(q, n, m)))
@@ -159,14 +119,14 @@ def _cmd_lambda(cfg: RunConfig) -> int:
         values.append(("any", lambdasums.lambda_any(q, n, m)))
     ref = values[0][1]
     agree = all(abs(v - ref) <= LAMBDA_TOLERANCE * q for _, v in values)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({
             "q": q, "n": n, "m": m,
             "evaluations": [{"evaluator": name, "re": v.real, "im": v.imag}
                             for name, v in values],
             "agree": agree,
         }))
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         print("evaluator,re,im")
         for name, v in values:
             print(f"{name},{v.real!r},{v.imag!r}")
@@ -178,11 +138,11 @@ def _cmd_lambda(cfg: RunConfig) -> int:
     return EXIT_OK if agree else EXIT_VERIFICATION
 
 
-def _cmd_constant(cfg: RunConfig) -> int:
-    est = asymptotic.constant_c(cfg.P)
-    if cfg.output_format == "json":
+def _cmd_constant(args) -> int:
+    est = asymptotic.constant_c(args.P)
+    if args.output_format == "json":
         print(json.dumps(dataclasses.asdict(est)))
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         print("cutoff,value,tail_bound")
         print(f"{est.cutoff},{est.value!r},{est.tail_bound!r}")
     else:
@@ -191,11 +151,11 @@ def _cmd_constant(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    result = asymptotic.error_scan(cfg.H_ladder, cfg.P, threads=cfg.threads,
-                                   memory_budget=cfg.memory_budget)
+def _cmd_scan(args) -> int:
+    result = asymptotic.error_scan(args.H_ladder, args.P, threads=args.threads,
+                                   memory_budget=args.memory_budget)
     alpha = result.alpha
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({
             "rows": [dataclasses.asdict(r) for r in result.rows],
             "alpha": alpha,
@@ -203,7 +163,7 @@ def _cmd_scan(cfg: RunConfig) -> int:
             "P": result.cutoff,
             "excluded": result.excluded,
         }))
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         print("H,S,E,elapsed_seconds")
         for r in result.rows:
             print(f"{r.H},{r.S},{r.E!r},{r.elapsed!r}")
@@ -219,15 +179,15 @@ def _cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig, list_only=False) -> int:
-    if list_only:
+def _cmd_verify(args) -> int:
+    if args.list:
         for name in verify.ALL_SUITES:
             print(name)
         return EXIT_OK
-    results = verify.run_suites(cfg.suites, seed=cfg.seed, threads=cfg.threads)
-    if cfg.output_format == "json":
+    results = verify.run_suites(args.suites, seed=args.seed, threads=args.threads)
+    if args.output_format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in results]))
-    elif cfg.output_format == "csv":
+    elif args.output_format == "csv":
         print("suite,ok,checked,elapsed_seconds")
         for r in results:
             print(f"{r.name},{str(r.ok).lower()},{r.checked},{r.elapsed!r}")
@@ -247,16 +207,19 @@ def main(argv=None) -> int:
         code = exc.code
         return EXIT_OK if code in (None, 0) else EXIT_USAGE
     try:
-        cfg = _config_from_args(args)
+        if args.threads is None:
+            args.threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
+        if args.threads < 1:
+            raise ValueError(f"threads must be positive, got {args.threads}")
         if args.command == "count":
-            return _cmd_count(cfg)
+            return _cmd_count(args)
         if args.command == "lambda":
-            return _cmd_lambda(cfg)
+            return _cmd_lambda(args)
         if args.command == "constant":
-            return _cmd_constant(cfg)
+            return _cmd_constant(args)
         if args.command == "scan":
-            return _cmd_scan(cfg)
-        return _cmd_verify(cfg, list_only=getattr(args, "list", False))
+            return _cmd_scan(args)
+        return _cmd_verify(args)
     except BudgetError as exc:
         print(f"sqfpairs: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -100,7 +100,7 @@ def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
         raise BudgetError(f"sieve of {N} needs {nbytes} bytes, budget is {budget}")
     base = primes_upto(math.isqrt(N))
     squares = (base * base).tolist()
-    chunks = []
+    packed = np.empty(nbytes, dtype=np.uint8)
     for lo in range(0, nbits, _SEGMENT_BITS):
         hi = min(lo + _SEGMENT_BITS, nbits)
         pad = (-(hi - lo)) % 8
@@ -115,8 +115,8 @@ def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
             start = ((lo + sq - 1) // sq) * sq
             if start < hi:
                 seg[start - lo :: sq] = False
-        chunks.append(np.packbits(seg, bitorder="little"))
-    return SquarefreeSieve(N, np.concatenate(chunks))
+        packed[lo // 8 : lo // 8 + seg.size // 8] = np.packbits(seg, bitorder="little")
+    return SquarefreeSieve(N, packed)
 
 
 @dataclass(frozen=True)

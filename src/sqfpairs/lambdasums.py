@@ -7,22 +7,20 @@ decomposition, and `lambda_multiplicative` through the coprime-splitting
 identity.  `lambda_any` combines the fast odd path with direct handling
 of the 2-part for any modulus not divisible by 8.
 
-Solution sets are memoized in a module-level cache: they are immutable,
-reads need no lock, and writes are guarded so concurrent callers are
-safe (at worst a set is computed twice with identical results).
+Solution sets are read-only and memoized in a bounded `lru_cache`,
+which concurrent callers may share safely (at worst a set is computed
+twice with identical results).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .ntcore import BudgetError, divisors, factorize, mod_inverse, sqrt_mod
+from .ntcore import BudgetError, divisors, mod_inverse
 from .expsums import kloosterman_direct, kloosterman_row, phase_table
 
 __all__ = [
@@ -40,8 +38,9 @@ __all__ = [
 # Moduli above this are rejected by solve_circle to bound memory.
 DEFAULT_SOLVE_CEILING = 10**8
 
-# Exhaustive q*q scanning below this; per-x modular square roots above.
-_EXHAUSTIVE_LIMIT = 100
+# Solution sets kept by solve_circle; verify re-reads each modulus many
+# times, and the bound keeps memory from growing with the moduli seen.
+_SOLVE_CACHE_SIZE = 1024
 
 # Oracle-equality tolerance for the lambda evaluators is LAMBDA_TOLERANCE
 # scaled by q: the divisor-sum route multiplies by q, amplifying rounding.
@@ -67,89 +66,31 @@ class SolutionSet:
         return list(zip(self.xs.tolist(), self.ys.tolist()))
 
 
-_CACHE: dict[int, SolutionSet] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def _solve_exhaustive(q: int) -> SolutionSet:
+@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _solve(q: int) -> SolutionSet:
+    # Counting sort of the squares r^2 mod q: the y with y^2 = -x^2 - 1
+    # (mod q) form one run of the stably sorted order, so each x reads
+    # its run and the pairs come out sorted by (x, y).
     r = np.arange(1, q + 1, dtype=np.int64)
-    sq = r * r
-    hit = (sq[:, None] + sq[None, :] + 1) % q == 0
-    xi, yi = np.nonzero(hit)
-    return SolutionSet(q, (xi + 1).astype(np.int64), (yi + 1).astype(np.int64))
+    sq = r * r % q
+    order = np.argsort(sq, kind="stable")
+    count = np.bincount(sq, minlength=q)
+    start = np.cumsum(count) - count
+    want = (-sq - 1) % q
+    n = count[want]
+    xs = np.repeat(r, n)
+    ys = r[order[np.repeat(start[want] - (np.cumsum(n) - n), n) + np.arange(xs.size)]]
+    return SolutionSet(q, xs, ys)
 
 
-@lru_cache(maxsize=4096)
-def _root_table(pe: int, p: int, e: int) -> tuple[tuple[int, ...], ...]:
-    """table[r] = the y in [0, pe) with y^2 = -r^2 - 1 (mod pe = p**e)."""
-    if p == 2:
-        # 2-power moduli are tiny here (8 never divides the moduli we
-        # enumerate); scan the at most 4 residues directly.
-        table = []
-        for r in range(pe):
-            a = (-r * r - 1) % pe
-            table.append(tuple(y for y in range(pe) if y * y % pe == a))
-        return tuple(table)
-    return tuple(tuple(sqrt_mod(-r * r - 1, p, e)) for r in range(pe))
-
-
-def _solve_general(q: int) -> SolutionSet:
-    """Per-x enumeration: for each x, CRT-combine the square roots of
-    -x^2 - 1 over the prime-power components of q."""
-    empty = SolutionSet(q, np.empty(0, np.int64), np.empty(0, np.int64))
-    if q % 4 == 0:
-        # x^2 + y^2 + 1 is 1, 2 or 3 mod 4, never 0.
-        return empty
-    comps = []
-    for p, e in factorize(q):
-        comps.append((p**e, p, e))
-    tables = [_root_table(pe, p, e) for pe, p, e in comps]
-    xs: list[int] = []
-    ys: list[int] = []
-    if len(comps) == 1:
-        pe = comps[0][0]
-        table = tables[0]
-        for x in range(1, q + 1):
-            for y in table[x % pe]:
-                xs.append(x)
-                ys.append(y if y else q)
-    else:
-        mods = [pe for pe, _, _ in comps]
-        basis = [(q // pe) * mod_inverse(q // pe, pe) % q for pe in mods]
-        for x in range(1, q + 1):
-            local = []
-            for table, pe in zip(tables, mods):
-                roots = table[x % pe]
-                if not roots:
-                    break
-                local.append(roots)
-            else:
-                for combo in product(*local):
-                    y = sum(r * b for r, b in zip(combo, basis)) % q
-                    xs.append(x)
-                    ys.append(y if y else q)
-    if not xs:
-        return empty
-    ax = np.array(xs, dtype=np.int64)
-    ay = np.array(ys, dtype=np.int64)
-    order = np.lexsort((ay, ax))
-    return SolutionSet(q, ax[order], ay[order])
-
-
-def solve_circle(q: int, ceiling: int = DEFAULT_SOLVE_CEILING) -> SolutionSet:
+def solve_circle(q: int) -> SolutionSet:
     """Complete solution set of x^2 + y^2 + 1 = 0 (mod q) in [1, q]^2."""
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
         raise ValueError(f"modulus must be a positive integer, got {q!r}")
     q = int(q)
-    if q > ceiling:
-        raise BudgetError(f"solve_circle({q}) exceeds the ceiling {ceiling}")
-    cached = _CACHE.get(q)
-    if cached is not None:
-        return cached
-    sols = _solve_exhaustive(q) if q <= _EXHAUSTIVE_LIMIT else _solve_general(q)
-    with _CACHE_LOCK:
-        _CACHE.setdefault(q, sols)
-    return _CACHE[q]
+    if q > DEFAULT_SOLVE_CEILING:
+        raise BudgetError(f"solve_circle({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}")
+    return _solve(q)
 
 
 def lambda_direct(q: int, n: int, m: int) -> complex:

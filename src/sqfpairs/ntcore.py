@@ -21,7 +21,6 @@ __all__ = [
     "mobius",
     "mobius_sieve",
     "tau",
-    "gcd_many",
     "mod_inverse",
     "jacobi",
     "sqrt_mod",
@@ -194,14 +193,6 @@ def tau(n: int) -> int:
     for _, e in factorize(n):
         result *= e + 1
     return result
-
-
-def gcd_many(values) -> int:
-    """Nonnegative gcd of one or more integers; all-zero input gives 0."""
-    values = list(values)
-    if not values:
-        raise ValueError("gcd_many needs at least one value")
-    return math.gcd(*values)
 
 
 def mod_inverse(k: int, q: int) -> int:

@@ -32,6 +32,7 @@ class SuiteResult:
     name: str
     ok: bool
     checked: int
+    failed: int  # all failing checks; `failures` keeps the first 1000
     elapsed: float
     failures: list[str] = field(default_factory=list)
     notes: str = ""
@@ -41,10 +42,11 @@ class SuiteResult:
         msg = f"{self.name}: {status} ({self.checked} checks, {self.elapsed:.2f}s)"
         if self.notes:
             msg += f" {self.notes}"
-        for f in self.failures[:_MAX_REPORTED_FAILURES]:
+        shown = self.failures[:_MAX_REPORTED_FAILURES]
+        for f in shown:
             msg += f"\n    {f}"
-        if len(self.failures) > _MAX_REPORTED_FAILURES:
-            msg += f"\n    ... {len(self.failures) - _MAX_REPORTED_FAILURES} more"
+        if self.failed > len(shown):
+            msg += f"\n    ... {self.failed - len(shown)} more"
         return msg
 
 
@@ -52,19 +54,23 @@ class _Recorder:
     def __init__(self, name):
         self.name = name
         self.checked = 0
+        self.failed = 0
         self.failures = []
         self.start = time.perf_counter()
 
     def check(self, ok, describe):
         self.checked += 1
-        if not ok and len(self.failures) < 1000:
-            self.failures.append(describe() if callable(describe) else describe)
+        if not ok:
+            self.failed += 1
+            if self.failed <= 1000:
+                self.failures.append(describe() if callable(describe) else describe)
 
     def result(self, notes="") -> SuiteResult:
         return SuiteResult(
             self.name,
-            not self.failures,
+            self.failed == 0,
             self.checked,
+            self.failed,
             time.perf_counter() - self.start,
             self.failures,
             notes,
@@ -186,7 +192,7 @@ def suite_weil_bound(seed=DEFAULT_SEED, qmax=2000, per_q=20) -> SuiteResult:
         for _ in range(per_q):
             n = rng.randrange(-3 * q, 3 * q + 1)
             m = rng.randrange(-3 * q, 3 * q + 1)
-            bound = tq * math.sqrt(q) * math.sqrt(ntcore.gcd_many([q, n, m]))
+            bound = tq * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
             val = abs(expsums.kloosterman_direct(q, n, m))
             rec.check(
                 val <= bound + 1e-7,
@@ -306,7 +312,7 @@ def suite_lambda_bound(seed=DEFAULT_SEED, qmax=1500, per_q=20) -> SuiteResult:
         tq = ntcore.tau(q)
         for _ in range(per_q):
             n, m = _random_nm(rng, q)
-            bound = 16 * tq * tq * math.sqrt(q) * math.sqrt(ntcore.gcd_many([q, n, m]))
+            bound = 16 * tq * tq * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
             val = abs(lambdasums.lambda_direct(q, n, m))
             rec.check(
                 val <= bound + 1e-7,

@@ -18,7 +18,7 @@ from sqfpairs.asymptotic import (
 )
 from sqfpairs.counting import count_pairs_direct
 from sqfpairs.lambdasums import solve_circle
-from sqfpairs.ntcore import primes_upto
+from sqfpairs.ntcore import BudgetError, primes_upto
 
 
 class TestLambdaPSquared:
@@ -169,13 +169,9 @@ class TestHarmonicSums:
         with pytest.raises(ValueError):
             harmonic_lambda_sums(3, 1)
 
-    def test_scalar_fallback_matches_table_path(self, monkeypatch):
-        from sqfpairs import asymptotic as mod
-        want = harmonic_lambda_sums(15, 40)
-        monkeypatch.setattr(mod, "_TABLE_LIMIT", 1)
-        got = harmonic_lambda_sums(15, 40)
-        assert abs(got[0] - want[0]) < 1e-9 * max(1, want[0])
-        assert abs(got[1] - want[1]) < 1e-9 * max(1, want[1])
+    def test_rejects_modulus_above_table_limit(self):
+        with pytest.raises(BudgetError):
+            harmonic_lambda_sums(4099, 10)
 
 
 class TestErrorScan:

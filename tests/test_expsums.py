@@ -15,7 +15,7 @@ from sqfpairs.expsums import (
     phase_table,
     unit_table,
 )
-from sqfpairs.ntcore import gcd_many, tau
+from sqfpairs.ntcore import tau
 
 
 def gauss_oracle(q, n, m):
@@ -145,7 +145,7 @@ class TestKloosterman:
         for _ in range(300):
             q = rng.randrange(1, 500)
             n, m = rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-2 * q, 2 * q + 1)
-            bound = tau(q) * math.sqrt(q) * math.sqrt(gcd_many([q, n, m]))
+            bound = tau(q) * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
             assert abs(kloosterman_direct(q, n, m)) <= bound + 1e-7
 
     def test_diagonal_is_real(self):

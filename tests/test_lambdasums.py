@@ -8,7 +8,6 @@ import pytest
 from sqfpairs.expsums import complex_close
 from sqfpairs.lambdasums import (
     LAMBDA_TOLERANCE,
-    _solve_general,
     lambda_any,
     lambda_any_table,
     lambda_direct,
@@ -17,7 +16,7 @@ from sqfpairs.lambdasums import (
     lambda_multiplicative,
     solve_circle,
 )
-from sqfpairs.ntcore import BudgetError
+from sqfpairs.ntcore import BudgetError, factorize
 
 
 def brute_solutions(q):
@@ -48,12 +47,27 @@ class TestSolveCircle:
 
     @pytest.mark.parametrize("q", [101, 113, 121, 125, 147, 169, 242, 245, 330, 361, 490])
     def test_general_path_matches_oracle(self, q):
-        # q > 100 exercises the per-x square-root route
+        # prime powers, products of them, and even moduli 2 (mod 4)
         assert solve_circle(q).pairs() == brute_solutions(q)
 
-    def test_general_equals_exhaustive_below_cutoff(self):
-        for q in (9, 25, 45, 50, 98, 99, 100):
-            assert _solve_general(q).pairs() == solve_circle(q).pairs()
+    def test_counts_at_identity_moduli(self):
+        # count_pairs_mobius(200) solves mod d^2 for squarefree d <= 283.
+        # Valid, unique pairs in the right number are the whole solution
+        # set; the count is prod over p | d of p * (p - (-1)**((p-1)/2)).
+        for d in range(1, 284):
+            factors = factorize(d)
+            if any(e > 1 for _, e in factors):
+                continue
+            q = d * d
+            want = 0 if d % 2 == 0 else math.prod(
+                p * (p - (-1) ** ((p - 1) // 2)) for p, _ in factors)
+            sols = solve_circle(q)
+            xs, ys = sols.xs, sols.ys
+            assert len(sols) == want, d
+            assert ((xs * xs + ys * ys + 1) % q == 0).all(), d
+            assert ((xs >= 1) & (xs <= q) & (ys >= 1) & (ys <= q)).all(), d
+            dx, dy = np.diff(xs), np.diff(ys)
+            assert ((dx > 0) | ((dx == 0) & (dy > 0))).all(), d  # sorted, no repeats
 
     def test_invariants(self):
         for q in (3, 5, 50, 65, 101, 325):
@@ -237,14 +251,14 @@ class TestBatchTables:
 
 class TestBounds:
     def test_divisor_bound_sample(self):
-        from sqfpairs.ntcore import gcd_many, tau
+        from sqfpairs.ntcore import tau
         rng = random.Random(121)
         for _ in range(300):
             q = rng.randrange(1, 400)
             if q % 8 == 0:
                 continue
             n, m = rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-2 * q, 2 * q + 1)
-            bound = 16 * tau(q) ** 2 * math.sqrt(q) * math.sqrt(gcd_many([q, n, m]))
+            bound = 16 * tau(q) ** 2 * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
             assert abs(lambda_direct(q, n, m)) <= bound + 1e-7
 
     def test_prime_square_lift(self):

@@ -9,7 +9,6 @@ from sqfpairs.ntcore import (
     BudgetError,
     divisors,
     factorize,
-    gcd_many,
     is_prime,
     jacobi,
     mobius,
@@ -122,15 +121,6 @@ class TestMobiusTau:
 
 
 class TestGcdInverse:
-    @pytest.mark.parametrize("values,expect", [([12, 18], 6), ([5, 0, 0], 5), ([0, 0], 0),
-                                               ([-4, 6], 2), ([7], 7)])
-    def test_gcd_many(self, values, expect):
-        assert gcd_many(values) == expect
-
-    def test_gcd_many_rejects_empty(self):
-        with pytest.raises(ValueError):
-            gcd_many([])
-
     @pytest.mark.parametrize("k,q,expect", [(3, 7, 5), (1, 2, 1), (1, 97, 1), (4, 25, 19)])
     def test_mod_inverse_values(self, k, q, expect):
         assert mod_inverse(k, q) == expect

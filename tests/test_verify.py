@@ -1,0 +1,15 @@
+from sqfpairs.verify import _Recorder
+
+
+def test_failure_count_beyond_stored_samples():
+    rec = _Recorder("many-failures")
+    for i in range(5000):
+        rec.check(False, f"failure {i}")
+    result = rec.result()
+    assert not result.ok
+    assert result.checked == 5000
+    assert result.failed == 5000
+    assert len(result.failures) == 1000
+    lines = result.line().splitlines()
+    assert lines[1:11] == [f"    failure {i}" for i in range(10)]
+    assert lines[-1] == "    ... 4990 more"
