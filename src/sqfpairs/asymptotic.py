@@ -2,10 +2,11 @@
 
 The density of pairs with x^2 + y^2 + 1 squarefree is the Euler product
 c = prod_p (1 - lam(p^2)/p^4), where lam(q) counts solutions of
-x^2 + y^2 + 1 = 0 (mod q).  `constant_c` evaluates the product up to a
-cutoff together with an explicit bound on the log-deviation from the
-infinite product.  `error_scan` measures E(H) = S(H) - c*H^2 on a
-ladder of H values and fits the growth exponent of |E|.
+x^2 + y^2 + 1 = 0 (mod q).  lam(p^2) has one closed form, applied to
+whole prime arrays; enumeration is only its oracle.  `constant_c`
+evaluates the product up to a cutoff with an explicit bound on the
+log-deviation from the infinite product.  `error_scan` measures
+E(H) = S(H) - c*H^2 on a ladder of H values and fits the exponent of |E|.
 
 Also here: the sawtooth 1/2 - {t}, its truncated Fourier series, and
 the harmonic-weighted absolute sums of the circle exponential sums that
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntcore import BudgetError, factorize, is_prime, mobius_sieve, primes_upto, tau
-from .counting import PairCountReport, build_sieve, count_pairs_direct
-from .lambdasums import lambda_any_table, solve_circle
+from .ntcore import BudgetError, is_prime, mobius_sieve, primes_upto
+from .counting import build_sieve, count_pairs_direct
+from .lambdasums import lambda_any_table
 
 __all__ = [
     "EulerProductEstimate",
@@ -38,28 +39,28 @@ __all__ = [
     "dirichlet_tail_bound",
 ]
 
-# The closed form for lam(p^2) is cross-checked against enumeration up
-# to this prime and trusted beyond it.
-_ENUMERATION_LIMIT = 47
-
 # harmonic_lambda_sums rejects moduli above this: its (q, q) table of
 # circle sums would take more than 256 MiB.
 _TABLE_LIMIT = 4096
 
 
+def _lambda_p2(p):
+    """lam(p^2) for a prime or an int64 array of primes, elementwise:
+    0 at p = 2, else p * (p - (-1)**((p-1)/2))."""
+    return p * (p - 1 + 2 * (p % 4 == 3)) * (p != 2)
+
+
 def lambda_p_squared(p: int) -> int:
     """Number of solutions of x^2 + y^2 + 1 = 0 (mod p^2) for prime p.
 
-    Enumerated outright for p <= 47; larger odd p use the lift law
-    lam(p^2) = p * (p - (-1)**((p-1)/2)), which the enumeration range
-    certifies (each solution mod p lifts to exactly p solutions mod p^2
-    because the gradient (2x, 2y) never vanishes on the solution set).
+    One closed form: 0 for p = 2, else p * (p - (-1)**((p-1)/2)), since
+    each solution mod p lifts to exactly p solutions mod p^2 (the gradient
+    (2x, 2y) never vanishes on the solution set).  Enumerating solution
+    sets is only the oracle that checks it, in the tests and verify suites.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p <= _ENUMERATION_LIMIT:
-        return len(solve_circle(p * p))
-    return p * (p - 1) if p % 4 == 1 else p * (p + 1)
+    return int(_lambda_p2(p))
 
 
 @dataclass(frozen=True)
@@ -84,20 +85,17 @@ def constant_c(P: int) -> EulerProductEstimate:
     """
     if P < 2:
         raise ValueError(f"cutoff must be >= 2, got {P}")
-    value = 1.0
-    for p in primes_upto(P).tolist():
-        value *= 1.0 - lambda_p_squared(p) / p**4
+    primes = primes_upto(10 * P)
+    head = primes[: np.searchsorted(primes, P, side="right")]
+    # Python-int quotients are exact, so each factor is correctly rounded.
+    value = math.prod(1.0 - lam / p**4 for p, lam in zip(head.tolist(), _lambda_p2(head).tolist()))
     if not 0.0 < value <= 1.0:
         raise ArithmeticError(f"product escaped (0, 1]: {value}")
-    tail = 0.0
-    for p in primes_upto(10 * P).tolist():
-        if p <= P:
-            continue
-        u = (p * p + p) / p**4
-        tail += u / (1.0 - u)
+    p = primes[head.size :].astype(float)
+    u = (p * p + p) / p**4
     N = 10 * P
     u_n = (N * N + N) / N**4
-    tail += (1.0 / N + 0.5 / (N * N)) / (1.0 - u_n)
+    tail = float(np.sum(u / (1.0 - u))) + (1.0 / N + 0.5 / (N * N)) / (1.0 - u_n)
     return EulerProductEstimate(P, value, tail)
 
 
@@ -118,10 +116,6 @@ class ScanResult:
     c: float
     cutoff: int
     excluded: list[int]  # H values dropped from the fit because E = 0
-
-    @property
-    def reports(self) -> list[PairCountReport]:
-        return [PairCountReport(r.H, r.S, "value-sieve", r.elapsed) for r in self.rows]
 
 
 # A meaningful slope needs at least this many usable (E != 0) rows.
@@ -214,25 +208,27 @@ def harmonic_lambda_sums(q: int, D: int) -> tuple[float, float]:
     return U, V
 
 
+def _prime_divisor_product(N: int, f) -> np.ndarray:
+    """g[d] = prod over primes p | d of f(p), by a sieve; f maps a prime array."""
+    g = np.ones(N + 1)
+    primes = primes_upto(N)
+    for p, fp in zip(primes.tolist(), f(primes).tolist()):
+        g[p::p] *= fp
+    return g
+
+
 def dirichlet_partial_sum(dmax: int) -> float:
     """sum_{d <= dmax} mu(d) * lam(d^2) / d^4, the series form of c.
 
     For squarefree d the solution count mod d^2 is multiplicative, so
-    lam(d^2) is assembled from lambda_p_squared over d's prime factors.
+    lam(d^2) is the product of lam(p^2) over d's prime factors.
     """
     if dmax < 1:
         raise ValueError(f"dmax must be positive, got {dmax}")
-    mu = mobius_sieve(dmax)
-    total = 0.0
-    for d in range(1, dmax + 1):
-        sign = int(mu[d])
-        if not sign:
-            continue
-        lam = 1
-        for p, _ in factorize(d):
-            lam *= lambda_p_squared(p)
-        total += sign * lam / d**4
-    return total
+    mu = mobius_sieve(dmax)[1:]
+    lam = _prime_divisor_product(dmax, _lambda_p2)[1:]
+    d = np.arange(1, dmax + 1, dtype=float)
+    return float(np.sum(mu * lam / d**4))
 
 
 def dirichlet_tail_bound(dmax: int) -> float:
@@ -245,6 +241,7 @@ def dirichlet_tail_bound(dmax: int) -> float:
     if dmax < 1:
         raise ValueError(f"dmax must be positive, got {dmax}")
     M = 20 * dmax
-    mu = mobius_sieve(M)
-    total = sum(tau(d) / (d * d) for d in range(dmax + 1, M + 1) if mu[d])
-    return total + 4.0 / math.sqrt(M)
+    squarefree = mobius_sieve(M)[dmax + 1 :] != 0
+    tau = _prime_divisor_product(M, lambda p: np.full(p.size, 2.0))[dmax + 1 :]  # 2^omega(d)
+    d = np.arange(dmax + 1, M + 1, dtype=float)
+    return float(np.sum(tau[squarefree] / d[squarefree] ** 2)) + 4.0 / math.sqrt(M)

@@ -27,15 +27,6 @@ EXIT_BUDGET = 2
 EXIT_VERIFICATION = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; remap to 1 so that 2
-    # stays reserved for budget exhaustion.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -44,7 +35,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sqfpairs", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="sqfpairs", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-format", choices=("text", "csv", "json"), default="text")
     common.add_argument("--threads", type=int, default=None,
@@ -52,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--memory-budget", type=int, default=None,
                         help="sieve budget in bytes (default: SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
 
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", parents=[common], help="exact S(H)")
     p_count.add_argument("--H", type=int, required=True)
@@ -203,7 +194,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse raises on usage errors and --help
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         code = exc.code
         return EXIT_OK if code in (None, 0) else EXIT_USAGE
     try:

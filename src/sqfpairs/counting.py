@@ -181,6 +181,7 @@ def residue_count(H: int, q: int, x: int) -> int:
     """M(H, q, x): how many h in [1, H] have h = x (mod q).
 
     Computed as floor((H - x)/q) - floor(-x/q); always within 1 of H/q.
+    x may also be an integer array, which is counted elementwise.
     """
     if H < 1:
         raise ValueError(f"H must be positive, got {H}")
@@ -200,11 +201,7 @@ def congruent_pair_count(H: int, q: int) -> int:
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
     sols = solve_circle(q)
-    if len(sols) == 0:
-        return 0
-    mx = (H - sols.xs) // q - (-sols.xs) // q
-    my = (H - sols.ys) // q - (-sols.ys) // q
-    return int((mx * my).sum())
+    return int((residue_count(H, q, sols.xs) * residue_count(H, q, sols.ys)).sum())
 
 
 def _mobius_sum(H: int, dmax: int) -> int:

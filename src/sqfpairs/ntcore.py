@@ -49,9 +49,15 @@ class BudgetError(Exception):
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (empty for limit < 2)."""
+    """All primes <= limit as an int64 array (empty for limit < 2).
+
+    Sieves one byte per value, within DEFAULT_SIEVE_BUDGET bytes.
+    """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
+    if limit + 1 > DEFAULT_SIEVE_BUDGET:
+        raise BudgetError(
+            f"primes_upto({limit}) needs {limit + 1} bytes, budget is {DEFAULT_SIEVE_BUDGET}")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

@@ -536,17 +536,24 @@ def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6) -> SuiteResult:
 
 
 def suite_truncation_report(seed=DEFAULT_SEED, H_values=(50, 100, 150, 200), epsilon=0.1) -> SuiteResult:
-    """Report (never assert) the tail dropped by truncating at z = H^(2/3)."""
+    """Report the tail dropped by truncating at z = H^(2/3), and check it
+    equals the dropped terms mu(d) * T(H, d^2), int(z) < d <= sqrt(2H^2 + 1)."""
     rec = _Recorder("truncation-report")
     lines = []
     for H in H_values:
         z = H ** (2.0 / 3.0)
         exact = counting.count_pairs_mobius(H).S
         trunc = counting.count_pairs_mobius_truncated(H, z)
+        dropped = 0
+        for d in range(int(z) + 1, math.isqrt(2 * H * H + 1) + 1):
+            sign = ntcore.mobius(d)
+            if sign:  # 8 | d^2 only when mu(d) = 0
+                dropped += sign * counting.congruent_pair_count(H, d * d)
+        rec.check(exact - trunc == dropped,
+                  lambda H=H, a=exact - trunc, b=dropped: f"H={H}: S - S_z = {a} != dropped {b}")
         dev = abs(exact - trunc)
         c_fit = dev * z / H ** (2 + epsilon)
         lines.append(f"H={H} z={int(z)} |S - S_z|={dev} C={c_fit:.4f}")
-        rec.check(True, "")
     return rec.result(notes="; ".join(lines))
 
 

@@ -18,7 +18,7 @@ from sqfpairs.asymptotic import (
 )
 from sqfpairs.counting import count_pairs_direct
 from sqfpairs.lambdasums import solve_circle
-from sqfpairs.ntcore import BudgetError, primes_upto
+from sqfpairs.ntcore import BudgetError, factorize, mobius, primes_upto, tau
 
 
 class TestLambdaPSquared:
@@ -34,7 +34,8 @@ class TestLambdaPSquared:
         assert len(solve_circle(25)) == 20
 
     def test_closed_form_matches_enumeration(self):
-        for p in primes_upto(47).tolist():
+        # the enumerated solution sets are the oracle for the closed form
+        for p in primes_upto(101).tolist():
             if p == 2:
                 continue
             closed = p * (p - 1) if p % 4 == 1 else p * (p + 1)
@@ -43,6 +44,10 @@ class TestLambdaPSquared:
     def test_beyond_enumeration_range(self):
         assert lambda_p_squared(53) == 53 * 52   # 53 = 1 (mod 4)
         assert lambda_p_squared(59) == 59 * 60   # 59 = 3 (mod 4)
+
+    def test_large_prime_is_exact(self):
+        p = 2**61 - 1  # = 3 (mod 4); p * (p + 1) overflows 64 bits
+        assert lambda_p_squared(p) == p * (p + 1)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -85,6 +90,50 @@ class TestConstantC:
         series = dirichlet_partial_sum(500)
         prod = constant_c(10_000)
         assert abs(series - prod.value) <= dirichlet_tail_bound(500) + prod.tail_bound
+
+    def test_matches_scalar_loop(self):
+        # one prime at a time, exact integer quotients, enumerated lam(p^2)
+        # for small p: the value must agree to the last bit
+        P = 2000
+        value = 1.0
+        for p in primes_upto(P).tolist():
+            lam = len(solve_circle(p * p)) if p < 50 else p * (p - 1) if p % 4 == 1 else p * (p + 1)
+            value *= 1.0 - lam / p**4
+        tail = 0.0
+        for p in primes_upto(10 * P).tolist():
+            if p > P:
+                u = (p * p + p) / p**4
+                tail += u / (1.0 - u)
+        N = 10 * P
+        tail += (1.0 / N + 0.5 / (N * N)) / (1.0 - (N * N + N) / N**4)
+        est = constant_c(P)
+        assert est.value == value
+        assert abs(est.tail_bound - tail) <= 1e-12 * tail
+
+
+class TestDirichletSums:
+    @pytest.mark.parametrize("dmax", [1, 10, 300])
+    def test_partial_sum_matches_factorization(self, dmax):
+        want = 0.0
+        for d in range(1, dmax + 1):
+            lam = 1
+            for p, _ in factorize(d):
+                lam *= p * (p - 1) if p % 4 == 1 else p * (p + 1) if p > 2 else 0
+            want += mobius(d) * lam / d**4
+        assert abs(dirichlet_partial_sum(dmax) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("dmax", [1, 10, 300])
+    def test_tail_bound_matches_divisor_count(self, dmax):
+        M = 20 * dmax
+        want = sum(tau(d) / (d * d) for d in range(dmax + 1, M + 1) if mobius(d))
+        want += 4.0 / math.sqrt(M)
+        assert abs(dirichlet_tail_bound(dmax) - want) <= 1e-12 * want
+
+    def test_rejects_nonpositive_dmax(self):
+        with pytest.raises(ValueError):
+            dirichlet_partial_sum(0)
+        with pytest.raises(ValueError):
+            dirichlet_tail_bound(0)
 
 
 class TestRho:

@@ -105,6 +105,12 @@ class TestConstant:
         code, _, err = run(capsys, "constant", "--P", "1")
         assert code == EXIT_USAGE
 
+    def test_budget_exit_before_prime_sieve(self, capsys):
+        # primes_upto(10P) would need 10 GB; it must refuse before allocating
+        code, _, err = run(capsys, "constant", "--P", "1000000000")
+        assert code == EXIT_BUDGET
+        assert "budget" in err
+
 
 class TestScan:
     def test_csv_schema_and_round_trip(self, capsys):

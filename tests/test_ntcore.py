@@ -232,6 +232,10 @@ class TestPrimesAndDivisors:
         assert primes_upto(1).size == 0
         assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
+    def test_primes_upto_rejects_limit_beyond_budget(self):
+        with pytest.raises(BudgetError):
+            primes_upto(ntcore.DEFAULT_SIEVE_BUDGET)
+
     def test_is_prime_against_sieve(self):
         flags = set(primes_upto(10**4).tolist())
         for n in range(10**4 + 1):
