@@ -41,6 +41,7 @@ from .counting import (
     build_sieve,
     congruent_pair_count,
     count_pairs_direct,
+    count_pairs_ladder,
     count_pairs_mobius,
     count_pairs_mobius_truncated,
     residue_count,
@@ -72,6 +73,7 @@ __all__ = [
     "congruent_pair_count",
     "constant_c",
     "count_pairs_direct",
+    "count_pairs_ladder",
     "count_pairs_mobius",
     "count_pairs_mobius_truncated",
     "error_scan",

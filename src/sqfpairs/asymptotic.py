@@ -17,12 +17,13 @@ counting pipeline never consumes them.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ntcore import BudgetError, is_prime, mobius_sieve, primes_upto
-from .counting import build_sieve, count_pairs_direct
+from .counting import _check_ladder, build_sieve, count_pairs_ladder
 from .lambdasums import lambda_any_table
 
 __all__ = [
@@ -101,7 +102,8 @@ def constant_c(P: int) -> EulerProductEstimate:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One ladder step: exact count, error against c*H^2, timing."""
+    """One ladder step: exact count, error against c*H^2, and the probe
+    time from the start of the scan's probe until this S was known."""
 
     H: int
     S: int
@@ -116,6 +118,7 @@ class ScanResult:
     c: float
     cutoff: int
     excluded: list[int]  # H values dropped from the fit because E = 0
+    sieve_elapsed: float  # seconds spent building the value sieve
 
 
 # A meaningful slope needs at least this many usable (E != 0) rows.
@@ -130,24 +133,21 @@ def error_scan(
 ) -> ScanResult:
     """Measure E(H) = S(H) - c*H^2 over a ladder of H values.
 
-    S(H) comes from the value sieve (built once, at the largest H) and
-    c from `constant_c(P)`.  The fitted exponent is the least-squares
+    S(H) comes from the value sieve (built once, at the largest H, and
+    timed apart) by one `count_pairs_ladder` probe, and c from
+    `constant_c(P)`.  The fitted exponent is the least-squares
     slope of log|E| against log H; rows with E = 0 are excluded and
     reported, and the fit is skipped (alpha None) below 4 usable rows.
     """
-    H_values = [int(h) for h in H_values]
-    if not H_values:
-        raise ValueError("need at least one H value")
-    if any(h < 1 for h in H_values):
-        raise ValueError(f"H values must be positive: {H_values}")
-    if any(b <= a for a, b in zip(H_values, H_values[1:])):
-        raise ValueError(f"H values must be strictly increasing: {H_values}")
+    H_values = _check_ladder(H_values)
     c = constant_c(P).value
+    start = time.perf_counter()
     sieve = build_sieve(2 * H_values[-1] ** 2 + 1, memory_budget)
-    rows = []
-    for H in H_values:
-        rep = count_pairs_direct(H, sieve=sieve, threads=threads)
-        rows.append(ScanRow(H, rep.S, rep.S - c * H * H, rep.elapsed))
+    sieve_elapsed = time.perf_counter() - start
+    rows = [
+        ScanRow(rep.H, rep.S, rep.S - c * rep.H * rep.H, rep.elapsed)
+        for rep in count_pairs_ladder(H_values, sieve=sieve, threads=threads)
+    ]
     usable = [r for r in rows if r.E != 0.0]
     excluded = [r.H for r in rows if r.E == 0.0]
     if len(usable) >= _MIN_FIT_ROWS:
@@ -156,7 +156,7 @@ def error_scan(
         alpha = float(np.polyfit(logs_h, logs_e, 1)[0])
     else:
         alpha = None
-    return ScanResult(rows, alpha, c, P, excluded)
+    return ScanResult(rows, alpha, c, P, excluded, sieve_elapsed)
 
 
 def rho(t: float) -> float:

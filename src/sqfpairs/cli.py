@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-format", choices=("text", "csv", "json"), default="text")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SQFPAIRS_THREADS or 1)")
+                        help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
     common.add_argument("--memory-budget", type=int, default=None,
                         help="sieve budget in bytes (default: SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
 
@@ -153,6 +153,7 @@ def _cmd_scan(args) -> int:
             "c": result.c,
             "P": result.cutoff,
             "excluded": result.excluded,
+            "sieve_seconds": result.sieve_elapsed,
         }))
     elif args.output_format == "csv":
         print("H,S,E,elapsed_seconds")
@@ -160,6 +161,7 @@ def _cmd_scan(args) -> int:
             print(f"{r.H},{r.S},{r.E!r},{r.elapsed!r}")
         print(f"# alpha={alpha!r},c={result.c!r},P={result.cutoff}")
     else:
+        print(f"sieve build {result.sieve_elapsed:.2f}s; elapsed is the probe time to each row")
         print(f"{'H':>8} {'S':>14} {'E':>14} {'elapsed':>9}")
         for r in result.rows:
             print(f"{r.H:>8} {r.S:>14} {r.E:>14.1f} {r.elapsed:>8.2f}s")

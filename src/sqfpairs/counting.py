@@ -2,8 +2,11 @@
 
 Two independent routes compute the same integer:
 
-* the value sieve (`count_pairs_direct`): a packed squarefree bit array
-  over [1, 2*H^2 + 1] probed for every pair, and
+* the value sieve (`count_pairs_direct`, `count_pairs_ladder`): a packed
+  squarefree bit array over [1, 2*H^2 + 1] probed for the pairs x <= y
+  only (x^2 + y^2 + 1 is symmetric, so an off-diagonal pair counts
+  twice); a ladder of heights is probed once, up to its top, and each
+  S(H) is read off as the running sum over the bands between heights, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
   sum over d of the number of pairs with d^2 | x^2 + y^2 + 1, where the
   per-modulus count comes from the circle solution set and the
@@ -32,6 +35,7 @@ __all__ = [
     "PairCountReport",
     "build_sieve",
     "count_pairs_direct",
+    "count_pairs_ladder",
     "count_pairs_mobius",
     "count_pairs_mobius_truncated",
     "residue_count",
@@ -66,9 +70,10 @@ class SquarefreeSieve:
         return bool((self._bytes[n >> 3] >> (n & 7)) & 1)
 
     def lookup(self, values: np.ndarray) -> np.ndarray:
-        """0/1 flags for an array of values in [1, limit] (uint64)."""
-        v = values.astype(np.uint64, copy=False)
-        return (self._bytes[v >> np.uint64(3)] >> (v & np.uint64(7)).astype(np.uint8)) & np.uint8(1)
+        """0/1 flags for an array of values in [1, limit] (uint32 is kept,
+        any other integer dtype is read as uint64)."""
+        v = values if values.dtype == np.uint32 else values.astype(np.uint64, copy=False)
+        return (self._bytes[v >> 3] >> (v & 7).astype(np.uint8)) & np.uint8(1)
 
     def count_squarefree(self, upto: int | None = None) -> int:
         """Number of squarefree n with 1 <= n <= upto (default: limit)."""
@@ -121,7 +126,13 @@ def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
 
 @dataclass(frozen=True)
 class PairCountReport:
-    """One exact count: S pairs among x, y <= H, with route and timing."""
+    """One exact count: S pairs among x, y <= H, with route and timing.
+
+    `elapsed` is the time from the start of the call that made the report
+    until its S was known.  For the value sieve that includes building the
+    sieve when the call built it (sieve=None), and only the probe when a
+    sieve was passed in; along a ladder it grows from row to row.
+    """
 
     H: int
     S: int
@@ -129,16 +140,86 @@ class PairCountReport:
     elapsed: float
 
 
-_X_BLOCK = 64  # x rows probed per vectorized lookup
+_BLOCK_ROWS = 256  # y rows per block of the probe
+_PROBE_VALUES = 1 << 18  # values looked up per vectorized probe
+# Weights of the square tile on a block's diagonal, indexed [x - lo, y - lo]:
+# 2 where x < y, 1 on the diagonal, 0 where x > y.
+_TILE = np.triu(np.full((_BLOCK_ROWS, _BLOCK_ROWS), 2, dtype=np.uint8), 1)
+_TILE += np.eye(_BLOCK_ROWS, dtype=np.uint8)
 
 
-def _count_range(sieve: SquarefreeSieve, x_lo: int, x_hi: int, y_sq: np.ndarray) -> int:
+def _count_rows(sieve: SquarefreeSieve, y_lo: int, y_hi: int) -> int:
+    """Sum over y in [y_lo, y_hi) of 2 * #{x < y : x^2 + y^2 + 1 squarefree}
+    plus the flag at x = y: these rows' share of S for the square.
+
+    Rows go in blocks of _BLOCK_ROWS.  The columns x below a block's first
+    row count whole; they are probed x-major, about _PROBE_VALUES values
+    at a time, so that successive lookups fall close together in the
+    sieve (x^2 + y^2 moves little from one row of the block to the next).
+    Only the square tile on the block's diagonal is weighted by _TILE.
+    """
+    dtype = np.uint32 if sieve.limit < 2**32 else np.uint64
+    sq = np.arange(y_hi, dtype=dtype) ** 2
     total = 0
-    for lo in range(x_lo, x_hi, _X_BLOCK):
-        xs = np.arange(lo, min(lo + _X_BLOCK, x_hi), dtype=np.uint64)
-        v = (xs * xs + np.uint64(1))[:, None] + y_sq[None, :]
-        total += int(sieve.lookup(v.ravel()).sum())
+    for lo in range(y_lo, y_hi, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, y_hi)
+        rows = sq[lo:hi] + dtype(1)
+        step = _PROBE_VALUES // rows.size
+        for x in range(1, lo, step):
+            flags = sieve.lookup(sq[x : min(x + step, lo), None] + rows)
+            total += 2 * int(np.count_nonzero(flags))
+        n = hi - lo
+        total += int((sieve.lookup(sq[lo:hi, None] + rows) * _TILE[:n, :n]).sum())
     return total
+
+
+def _check_ladder(H_values) -> list[int]:
+    """The ladder as ints: non-empty, positive and strictly increasing."""
+    H_values = [int(h) for h in H_values]
+    if not H_values:
+        raise ValueError("need at least one H value")
+    if any(h < 1 for h in H_values):
+        raise ValueError(f"H values must be positive: {H_values}")
+    if any(b <= a for a, b in zip(H_values, H_values[1:])):
+        raise ValueError(f"H values must be strictly increasing: {H_values}")
+    return H_values
+
+
+def count_pairs_ladder(
+    H_values,
+    sieve: SquarefreeSieve | None = None,
+    threads: int = 1,
+    memory_budget: int | None = None,
+) -> list[PairCountReport]:
+    """Exact S(H) for every H of a strictly increasing ladder, by one probe
+    of the value sieve over the pairs x <= y up to the largest H.
+
+    The sieve is built once, for the largest H, unless one is given.  The
+    bands H_{k-1} < y <= H_k are probed in order and S(H_k) is S(H_{k-1})
+    plus its band.  Each band is cut into 4 chunks per worker at
+    sqrt-spaced rows (a row's work grows like y); the pool has
+    min(threads, cpu count) workers.  Integer subtotals are summed, so the
+    result does not depend on the worker count.
+    """
+    H_values = _check_ladder(H_values)
+    start = time.perf_counter()
+    N = 2 * H_values[-1] ** 2 + 1
+    if sieve is None:
+        sieve = build_sieve(N, memory_budget)
+    elif sieve.limit < N:
+        raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
+    workers = min(max(1, int(threads)), os.cpu_count() or 1)
+    reports = []
+    S, y_lo = 0, 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for H in H_values:
+            cuts = np.sqrt(np.linspace(y_lo**2, (H + 1) ** 2, 4 * workers + 1)).astype(int)
+            cuts = np.unique(cuts).tolist()  # a short band has fewer rows than chunks
+            futures = [pool.submit(_count_rows, sieve, a, b) for a, b in zip(cuts, cuts[1:])]
+            S += sum(f.result() for f in futures)
+            y_lo = H + 1
+            reports.append(PairCountReport(H, S, "value-sieve", time.perf_counter() - start))
+    return reports
 
 
 def count_pairs_direct(
@@ -147,34 +228,8 @@ def count_pairs_direct(
     threads: int = 1,
     memory_budget: int | None = None,
 ) -> PairCountReport:
-    """Exact S(H) by probing the value sieve for every pair x, y <= H.
-
-    The x range is partitioned across `threads` workers; the per-worker
-    integer subtotals are summed, so the result does not depend on the
-    worker count.
-    """
-    if H < 1:
-        raise ValueError(f"H must be positive, got {H}")
-    start = time.perf_counter()
-    N = 2 * H * H + 1
-    if sieve is None:
-        sieve = build_sieve(N, memory_budget)
-    elif sieve.limit < N:
-        raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
-    y_sq = (np.arange(1, H + 1, dtype=np.uint64)) ** 2
-    threads = max(1, int(threads))
-    if threads == 1 or H < 64:
-        total = _count_range(sieve, 1, H + 1, y_sq)
-    else:
-        bounds = np.linspace(1, H + 1, 4 * threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_count_range, sieve, int(a), int(b), y_sq)
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if a < b
-            ]
-            total = sum(f.result() for f in futures)
-    return PairCountReport(H, total, "value-sieve", time.perf_counter() - start)
+    """Exact S(H) by the value sieve: `count_pairs_ladder` on the ladder [H]."""
+    return count_pairs_ladder([H], sieve, threads, memory_budget)[0]
 
 
 def residue_count(H: int, q: int, x: int) -> int:

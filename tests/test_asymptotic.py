@@ -16,7 +16,7 @@ from sqfpairs.asymptotic import (
     rho,
     rho_fourier,
 )
-from sqfpairs.counting import count_pairs_direct
+from sqfpairs.counting import count_pairs_direct, count_pairs_ladder
 from sqfpairs.lambdasums import solve_circle
 from sqfpairs.ntcore import BudgetError, factorize, mobius, primes_upto, tau
 
@@ -250,6 +250,14 @@ class TestErrorScan:
         assert len(res.rows) == 5
         for row in res.rows:
             assert abs(row.E) < row.H**2
+
+    def test_rows_come_from_one_ladder_probe(self):
+        ladder = [30, 64, 65, 300]
+        res = error_scan(ladder, 1000)
+        assert [(r.H, r.S) for r in res.rows] == [(r.H, r.S) for r in count_pairs_ladder(ladder)]
+        assert res.sieve_elapsed >= 0
+        times = [r.elapsed for r in res.rows]
+        assert times == sorted(times)
 
     def test_rejects_bad_ladders(self):
         with pytest.raises(ValueError):

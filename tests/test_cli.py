@@ -139,6 +139,12 @@ class TestScan:
         assert [r["H"] for r in payload["rows"]] == [20, 40]
         assert payload["P"] == 100
         assert payload["alpha"] is None  # two rows cannot support a fit
+        assert payload["sieve_seconds"] >= 0
+
+    def test_text_reports_sieve_build(self, capsys):
+        code, out, _ = run(capsys, "scan", "--H-ladder", "20,40", "--P", "100")
+        assert code == EXIT_OK
+        assert out.startswith("sieve build ")
 
     def test_bad_ladder(self, capsys):
         code, _, err = run(capsys, "scan", "--H-ladder", "100,50")

@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from sqfpairs.counting import (
     DEFAULT_MEMORY_BUDGET,
     PairCountReport,
+    SquarefreeSieve,
     build_sieve,
     congruent_pair_count,
     count_pairs_direct,
+    count_pairs_ladder,
     count_pairs_mobius,
     count_pairs_mobius_truncated,
     residue_count,
@@ -113,6 +116,110 @@ class TestCountPairsDirect:
     def test_rejects_bad_H(self):
         with pytest.raises(ValueError):
             count_pairs_direct(0)
+
+
+def full_square_counts(H_values):
+    """S(H) for each H from every pair of the square, flagged by a plain
+    sieve that strikes multiples of every k^2 (not only prime squares)."""
+    N = 2 * H_values[-1] ** 2 + 1
+    flags = np.ones(N + 1, dtype=bool)
+    for k in range(2, math.isqrt(N) + 1):
+        flags[k * k :: k * k] = False
+    out = []
+    for H in H_values:
+        h = np.arange(1, H + 1, dtype=np.int64)
+        out.append(int(flags[(h * h)[:, None] + (h * h)[None, :] + 1].sum()))
+    return out
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replaces the probe's thread pool by a stub that starts no thread,
+    runs each task at submit time and records the pool size and task count."""
+    from sqfpairs import counting
+    pools = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            self.tasks += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", RecordingExecutor)
+    return pools
+
+
+class TestCountPairsLadder:
+    def test_matches_brute_force(self):
+        # H = 1 and 2: the diagonal counts once, an off-diagonal pair twice
+        ladder = [1, 2, 7, 30, 61]
+        assert [r.S for r in count_pairs_ladder(ladder)] == [brute_pair_count(H) for H in ladder]
+
+    def test_rows_match_direct(self):
+        for rep in count_pairs_ladder([3, 10, 64, 65, 200]):
+            assert rep.S == count_pairs_direct(rep.H).S
+            assert rep.method == "value-sieve"
+
+    def test_crosses_row_blocks_and_column_chunks(self):
+        # rows past 256 start new blocks; columns past 1024 split a block's probe
+        ladder = [255, 256, 257, 700, 1300]
+        assert [r.S for r in count_pairs_ladder(ladder)] == full_square_counts(ladder)
+
+    def test_uint64_values_above_two_to_the_32(self):
+        # a sieve whose limit reaches 2**32 makes the probe use uint64 values
+        ladder = [7, 300]
+        sieve = build_sieve(2 * 300 * 300 + 1)
+        wide = SquarefreeSieve(2**32, sieve._bytes)
+        assert [r.S for r in count_pairs_ladder(ladder, sieve=wide)] == full_square_counts(ladder)
+
+    def test_threads_do_not_change_result(self, monkeypatch):
+        # bands of 1 to 3 rows are shorter than the 4 chunks per worker
+        from sqfpairs import counting
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+        ladder = [1, 2, 3, 6, 7, 40, 41, 300]
+        sieve = build_sieve(2 * 300 * 300 + 1)
+        runs = [[r.S for r in count_pairs_ladder(ladder, sieve=sieve, threads=t)]
+                for t in (1, 3, 8)]
+        assert runs[0] == runs[1] == runs[2] == full_square_counts(ladder)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch, recorded_pools):
+        from sqfpairs import counting
+        want = [r.S for r in count_pairs_ladder([20, 90])]
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
+        assert [r.S for r in count_pairs_ladder([20, 90], threads=100_000)] == want
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
+        assert count_pairs_direct(90, threads=64).S == want[-1]
+        assert [p.max_workers for p in recorded_pools] == [1, 3, 1]
+        # 4 chunks per worker of the capped pool, in each of the two bands
+        assert recorded_pools[1].tasks == 2 * 4 * 3
+
+    def test_elapsed_non_decreasing(self):
+        reps = count_pairs_ladder([5, 50, 100, 400])
+        times = [r.elapsed for r in reps]
+        assert times[0] >= 0 and times == sorted(times)
+
+    def test_rejects_bad_ladders(self):
+        for ladder in ([], [5, 5], [10, 3], [0, 4], [-2]):
+            with pytest.raises(ValueError):
+                count_pairs_ladder(ladder)
+
+    def test_sieve_must_cover_top_of_ladder(self):
+        sieve = build_sieve(2 * 30 * 30 + 1)
+        assert count_pairs_ladder([10, 30], sieve=sieve)[-1].S == count_pairs_direct(30).S
+        with pytest.raises(ValueError):
+            count_pairs_ladder([10, 31], sieve=sieve)
 
 
 class TestResidueCount:
