@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ntcore import BudgetError, is_prime, mobius_sieve, primes_upto
-from .counting import _check_ladder, build_sieve, count_pairs_ladder
+from .counting import _check_ladder, _check_sieve_budget, build_sieve, count_pairs_ladder
 from .lambdasums import lambda_any_table
 
 __all__ = [
@@ -138,11 +138,15 @@ def error_scan(
     `constant_c(P)`.  The fitted exponent is the least-squares
     slope of log|E| against log H; rows with E = 0 are excluded and
     reported, and the fit is skipped (alpha None) below 4 usable rows.
+    The sieve's byte budget is checked first, before `constant_c` sieves
+    its primes.
     """
     H_values = _check_ladder(H_values)
+    N = 2 * H_values[-1] ** 2 + 1
+    _check_sieve_budget(N, memory_budget)
     c = constant_c(P).value
     start = time.perf_counter()
-    sieve = build_sieve(2 * H_values[-1] ** 2 + 1, memory_budget)
+    sieve = build_sieve(N, memory_budget)
     sieve_elapsed = time.perf_counter() - start
     rows = [
         ScanRow(rep.H, rep.S, rep.S - c * rep.H * rep.H, rep.elapsed)

@@ -47,14 +47,38 @@ __all__ = [
 # 2**34 bits, enough for H = 3e4 (about 1.8e9 flags, 225 MB packed).
 DEFAULT_MEMORY_BUDGET = 2**31
 
-_SEGMENT_BITS = 1 << 24  # flags sieved per segment (2 MiB packed)
+_SEGMENT_BITS = 1 << 20  # flags sieved per segment (a multiple of 8)
+# Squares whose multiples are struck once, into a pattern each segment is
+# copied from; the pattern repeats with their product, 44100.
+_WHEEL_SQUARES = (4, 9, 25, 49)
+_WHEEL_PERIOD = math.prod(_WHEEL_SQUARES)
+_COUNT_CHUNK = 1 << 20  # packed bytes popcounted at a time
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _memory_budget(override=None) -> int:
+    """The byte budget: the override, else SQFPAIRS_MEMORY_BUDGET, else
+    DEFAULT_MEMORY_BUDGET.  A budget <= 0 is a usage error."""
     if override is not None:
-        return int(override)
-    env = os.environ.get("SQFPAIRS_MEMORY_BUDGET")
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
+        budget = int(override)
+    else:
+        env = os.environ.get("SQFPAIRS_MEMORY_BUDGET")
+        budget = int(env) if env else DEFAULT_MEMORY_BUDGET
+    if budget <= 0:
+        raise ValueError(f"memory budget must be positive, got {budget}")
+    return budget
+
+
+def _check_sieve_budget(N: int, memory_budget: int | None = None) -> int:
+    """Bytes of the packed sieve over [0, N], checked against the budget
+    without allocating anything (BudgetError beyond it)."""
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    budget = _memory_budget(memory_budget)
+    nbytes = (N + 8) // 8
+    if nbytes > budget:
+        raise BudgetError(f"sieve of {N} needs {nbytes} bytes, budget is {budget}")
+    return nbytes
 
 
 class SquarefreeSieve:
@@ -76,12 +100,18 @@ class SquarefreeSieve:
         return (self._bytes[v >> 3] >> (v & 7).astype(np.uint8)) & np.uint8(1)
 
     def count_squarefree(self, upto: int | None = None) -> int:
-        """Number of squarefree n with 1 <= n <= upto (default: limit)."""
+        """Number of squarefree n with 1 <= n <= upto (default: limit).
+
+        Whole bytes are popcounted by table, _COUNT_CHUNK bytes at a time,
+        so the scratch memory stays bounded for any prefix.
+        """
         upto = self.limit if upto is None else upto
         if not 1 <= upto <= self.limit:
             raise ValueError(f"upto must be in [1, {self.limit}], got {upto}")
         full, rest = divmod(upto + 1, 8)
-        total = int(np.unpackbits(self._bytes[:full]).sum())
+        total = 0
+        for lo in range(0, full, _COUNT_CHUNK):
+            total += int(_POPCOUNT[self._bytes[lo : min(lo + _COUNT_CHUNK, full)]].sum())
         if rest:
             tail = np.unpackbits(self._bytes[full : full + 1], bitorder="little")
             total += int(tail[:rest].sum())
@@ -91,35 +121,45 @@ class SquarefreeSieve:
 def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
     """Squarefree flags for [1, N] by striking multiples of p^2.
 
-    Builds segment by segment so peak scratch memory stays small, then
-    packs 8 flags per byte.  Rejects N whose packed array would exceed
-    the byte budget (default 2 GiB, overridable via the argument or the
-    SQFPAIRS_MEMORY_BUDGET environment variable).
+    Works one segment of _SEGMENT_BITS flags at a time, small enough to
+    stay in cache, and packs each into 8 flags per byte.  A segment starts
+    as a copy of a pattern with 0 and every multiple of 4, 9, 25 and 49
+    already struck.  The other squares below one segment strike their
+    multiples by strided slices; every larger square has at most one
+    multiple per segment, so all of those multiples are listed once,
+    sorted, and each segment clears its own slice of the list by index.
+    Scratch memory beyond the packed result is one segment of bools, plus
+    the pattern (one segment and 44100 more bools), plus 8 bytes per
+    multiple of a large square (about 7e4 of them at N = 5e8).
+
+    Rejects N whose packed array would exceed the byte budget (default
+    2 GiB, overridable via the argument or the SQFPAIRS_MEMORY_BUDGET
+    environment variable) before allocating.
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    budget = _memory_budget(memory_budget)
+    nbytes = _check_sieve_budget(N, memory_budget)
     nbits = N + 1
-    nbytes = (nbits + 7) // 8
-    if nbytes > budget:
-        raise BudgetError(f"sieve of {N} needs {nbytes} bytes, budget is {budget}")
-    base = primes_upto(math.isqrt(N))
-    squares = (base * base).tolist()
+    squares = primes_upto(math.isqrt(N)) ** 2
+    squares = squares[squares > _WHEEL_SQUARES[-1]]
+    small = squares[squares < _SEGMENT_BITS].tolist()
+    large = [np.arange(sq, N + 1, sq) for sq in squares[squares >= _SEGMENT_BITS].tolist()]
+    large = np.sort(np.concatenate(large)) if large else np.empty(0, dtype=np.int64)
+    pattern = np.ones(min(_WHEEL_PERIOD, nbits) + _SEGMENT_BITS, dtype=bool)
+    for sq in _WHEEL_SQUARES:
+        pattern[::sq] = False
     packed = np.empty(nbytes, dtype=np.uint8)
+    buffer = np.empty(_SEGMENT_BITS, dtype=bool)
     for lo in range(0, nbits, _SEGMENT_BITS):
         hi = min(lo + _SEGMENT_BITS, nbits)
-        pad = (-(hi - lo)) % 8
-        seg = np.ones(hi - lo + pad, dtype=bool)
-        if pad:
-            seg[hi - lo :] = False
-        if lo == 0:
-            seg[0] = False  # index 0 is unused
-        for sq in squares:
+        seg = buffer[: -(-(hi - lo) // 8) * 8]  # whole bytes; the pad is past N
+        offset = lo % _WHEEL_PERIOD
+        seg[:] = pattern[offset : offset + seg.size]
+        seg[hi - lo :] = False
+        for sq in small:
             if sq >= hi:
                 break
             start = ((lo + sq - 1) // sq) * sq
-            if start < hi:
-                seg[start - lo :: sq] = False
+            seg[start - lo :: sq] = False
+        seg[large[np.searchsorted(large, lo) : np.searchsorted(large, hi)] - lo] = False
         packed[lo // 8 : lo // 8 + seg.size // 8] = np.packbits(seg, bitorder="little")
     return SquarefreeSieve(N, packed)
 

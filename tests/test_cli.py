@@ -146,6 +146,18 @@ class TestScan:
         assert code == EXIT_OK
         assert out.startswith("sieve build ")
 
+    def test_budget_exit_before_constant(self, capsys, monkeypatch):
+        from sqfpairs import asymptotic
+
+        def refuse(P):
+            raise AssertionError("constant_c called before the budget check")
+
+        monkeypatch.setattr(asymptotic, "constant_c", refuse)
+        code, _, err = run(capsys, "scan", "--H-ladder", "100000", "--P", "1000",
+                           "--memory-budget", "1000")
+        assert code == EXIT_BUDGET
+        assert "budget" in err
+
     def test_bad_ladder(self, capsys):
         code, _, err = run(capsys, "scan", "--H-ladder", "100,50")
         assert code == EXIT_USAGE
@@ -204,3 +216,14 @@ class TestUsage:
         monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "1000")
         code, _, err = run(capsys, "count", "--H", "100000", "--method", "value-sieve")
         assert code == EXIT_BUDGET
+
+    def test_non_positive_budget_flag_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "count", "--H", "10", "--memory-budget", "0")
+        assert code == EXIT_USAGE
+        assert "memory budget must be positive" in err
+
+    def test_non_positive_env_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "-5")
+        code, _, err = run(capsys, "count", "--H", "10", "--method", "value-sieve")
+        assert code == EXIT_USAGE
+        assert "memory budget must be positive" in err

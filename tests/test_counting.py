@@ -39,6 +39,17 @@ def brute_pair_count(H):
     )
 
 
+def oracle_flags(N):
+    """Squarefree flags for [0, N] (index 0 False) by plain strikes of
+    p*p over trial-division primes."""
+    flags = np.ones(N + 1, dtype=bool)
+    flags[0] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            flags[p * p :: p * p] = False
+    return flags
+
+
 class TestBuildSieve:
     def test_small(self):
         sieve = build_sieve(10)
@@ -62,6 +73,8 @@ class TestBuildSieve:
             build_sieve(10**7, memory_budget=100)
         with pytest.raises(ValueError):
             build_sieve(0)
+        with pytest.raises(ValueError):
+            build_sieve(10, memory_budget=0)  # a budget <= 0 is a usage error
 
     def test_lookup_vectorized(self):
         sieve = build_sieve(5000)
@@ -84,6 +97,35 @@ class TestBuildSieve:
         sieve = build_sieve(n)
         for probe in (n, n - 1, counting._SEGMENT_BITS, counting._SEGMENT_BITS + 1, 12345):
             assert sieve.is_squarefree(probe) == is_squarefree_oracle(probe)
+
+    @pytest.mark.parametrize("segment", [None, 64, 1024])
+    def test_packed_bytes_match_oracle(self, segment, monkeypatch):
+        # At 64 and 1024 flags per segment the wheel copy, the strided
+        # squares (121..961 at 1024) and the indexed large squares (121 and
+        # up at 64) all run across many segments.
+        from sqfpairs import counting
+        if segment is not None:
+            monkeypatch.setattr(counting, "_SEGMENT_BITS", segment)
+        past_boundary = 2 * counting._SEGMENT_BITS + 8
+        limits = list(range(1, 201)) + [44099, 44100, 44101, 88201]
+        limits += [past_boundary + r for r in range(8)]  # every N mod 8
+        want_all = oracle_flags(max(limits))
+        for N in limits:
+            got = np.unpackbits(build_sieve(N)._bytes, bitorder="little")
+            want = np.zeros(got.size, dtype=np.uint8)
+            want[: N + 1] = want_all[: N + 1]
+            assert got.size == (N + 8) // 8 * 8
+            assert np.array_equal(got, want), N
+
+    def test_count_prefix_across_chunks(self, monkeypatch):
+        from sqfpairs import counting
+        N = 1000
+        prefix = np.cumsum(oracle_flags(N))
+        sieve = build_sieve(N)
+        monkeypatch.setattr(counting, "_COUNT_CHUNK", 3)  # 24 flags per chunk
+        for upto in [1, 2, 22, 23, 24, 25, 47, 48, 49, 71, 72, 73, 999, 1000]:
+            assert sieve.count_squarefree(upto) == prefix[upto], upto
+        assert sieve.count_squarefree() == prefix[N]
 
 
 class TestCountPairsDirect:
