@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
     common.add_argument("--memory-budget", type=int, default=None,
-                        help="sieve budget in bytes (default: SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
+                        help="value-sieve budget in bytes, a positive integer (default: "
+                             "SQFPAIRS_MEMORY_BUDGET or 2 GiB); verify does not apply it")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,7 +125,9 @@ def _cmd_lambda(args) -> int:
         print(f"# agree={str(agree).lower()}")
     else:
         for name, v in values:
-            print(f"lambda({q};{n},{m}) = {v.real:.9f} + {v.imag:.9f}i  [{name}]")
+            im = round(v.imag, 9)  # a rounded -0.0 prints as + 0
+            print(f"lambda({q};{n},{m}) = {v.real:.9f} {'-' if im < 0 else '+'} "
+                  f"{abs(im):.9f}i  [{name}]")
         print(f"agreement: {'yes' if agree else 'NO'}")
     return EXIT_OK if agree else EXIT_VERIFICATION
 
@@ -204,6 +207,7 @@ def main(argv=None) -> int:
             args.threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
         if args.threads < 1:
             raise ValueError(f"threads must be positive, got {args.threads}")
+        args.memory_budget = counting._memory_budget(args.memory_budget)
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "lambda":

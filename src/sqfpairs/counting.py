@@ -8,9 +8,9 @@ Two independent routes compute the same integer:
   twice); a ladder of heights is probed once, up to its top, and each
   S(H) is read off as the running sum over the bands between heights, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
-  sum over d of the number of pairs with d^2 | x^2 + y^2 + 1, where the
-  per-modulus count comes from the circle solution set and the
-  floor-difference residue counter.
+  sum over squarefree d of T(H, d^2), the number of pairs with
+  d^2 | x^2 + y^2 + 1, each T counted by matching the squares x^2 mod d^2
+  against -y^2 - 1 in one sorted array.
 
 Summed over the full d-range the identity is exact, so the two routes
 must agree as integers; a truncated d <= z variant is exposed
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ntcore import BudgetError, mobius_sieve, primes_upto
-from .lambdasums import solve_circle
 
 __all__ = [
     "SquarefreeSieve",
@@ -288,25 +287,24 @@ def residue_count(H: int, q: int, x: int) -> int:
 def congruent_pair_count(H: int, q: int) -> int:
     """T(H, q): pairs x, y <= H with q | x^2 + y^2 + 1.
 
-    Sums residue_count(H, q, x) * residue_count(H, q, y) over the
-    solution set mod q.  Requires 8 to not divide q.
+    The squares r = x^2 mod q for x = 1..H are sorted once; each x pairs
+    with the run of y whose r equals -x^2 - 1 mod q, found by two binary
+    searches.  O(H log H) time and O(H) memory for any q.  Requires 8 to
+    not divide q.
     """
     if H < 1:
         raise ValueError(f"H must be positive, got {H}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    sols = solve_circle(q)
-    return int((residue_count(H, q, sols.xs) * residue_count(H, q, sols.ys)).sum())
+    x = np.arange(1, H + 1, dtype=np.int64)
+    r = np.sort(x * x % q)
+    want = (-r - 1) % q  # over all x, the sorted r are the same multiset
+    return int((np.searchsorted(r, want, "right") - np.searchsorted(r, want, "left")).sum())
 
 
 def _mobius_sum(H: int, dmax: int) -> int:
     mu = mobius_sieve(dmax)
-    total = 0
-    for d in range(1, dmax + 1):
-        sign = int(mu[d])
-        if sign:
-            total += sign * congruent_pair_count(H, d * d)
-    return total
+    return sum(int(mu[d]) * congruent_pair_count(H, d * d) for d in np.flatnonzero(mu).tolist())
 
 
 def count_pairs_mobius(H: int) -> PairCountReport:

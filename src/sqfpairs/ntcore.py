@@ -36,7 +36,7 @@ MAX_INPUT = (1 << 63) - 1
 # deterministic Miller-Rabin and, if composite, Brent's rho.
 _TRIAL_LIMIT = 10**6
 
-# Default memory budget for mobius_sieve, in bytes (one int8 per value).
+# Memory budget of primes_upto and mobius_sieve, in bytes.
 DEFAULT_SIEVE_BUDGET = 2**28
 
 # Witnesses that make Miller-Rabin deterministic for all n < 3.3e24,
@@ -174,15 +174,17 @@ def mobius(n: int) -> int:
     return -1 if len(facs) % 2 else 1
 
 
-def mobius_sieve(N: int, budget: int = DEFAULT_SIEVE_BUDGET) -> np.ndarray:
+def mobius_sieve(N: int) -> np.ndarray:
     """Array a with a[n] = mobius(n) for 1 <= n <= N (a[0] is 0).
 
-    Needs about 2N bytes of scratch; rejects N beyond the byte budget.
+    Needs about 2N bytes of scratch; rejects N beyond DEFAULT_SIEVE_BUDGET
+    bytes before allocating.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    if 2 * (N + 1) > budget:
-        raise BudgetError(f"mobius_sieve({N}) needs ~{2 * (N + 1)} bytes, budget is {budget}")
+    if 2 * (N + 1) > DEFAULT_SIEVE_BUDGET:
+        raise BudgetError(
+            f"mobius_sieve({N}) needs ~{2 * (N + 1)} bytes, budget is {DEFAULT_SIEVE_BUDGET}")
     mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes_upto(N):

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from sqfpairs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 
 
@@ -65,6 +67,13 @@ class TestLambda:
         code, out, _ = run(capsys, "lambda", "--q", "50", "--n", "3", "--m", "4")
         assert code == EXIT_OK
         assert "fast-odd" not in out and "any" in out
+
+    def test_text_prints_one_sign_per_imaginary_part(self, capsys):
+        # two of the imaginary parts here round to -0.000000000
+        code, out, _ = run(capsys, "lambda", "--q", "7", "--n", "1", "--m", "2")
+        assert code == EXIT_OK
+        assert out.count(" + 0.000000000i") == 3
+        assert not any("+ -" in line for line in out.splitlines())
 
     def test_csv_output(self, capsys):
         code, out, _ = run(capsys, "lambda", "--q", "9", "--n", "1", "--m", "2",
@@ -219,6 +228,18 @@ class TestUsage:
 
     def test_non_positive_budget_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "count", "--H", "10", "--memory-budget", "0")
+        assert code == EXIT_USAGE
+        assert "memory budget must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--H", "10", "--method", "mobius-identity", "--memory-budget", "0"),
+        ("verify", "--suite", "squarefree-density", "--memory-budget", "0"),
+        ("constant", "--P", "100", "--memory-budget", "-3"),
+        ("lambda", "--q", "15", "--n", "0", "--m", "0", "--memory-budget", "0"),
+    ])
+    def test_budget_checked_by_every_command(self, capsys, argv):
+        # also where no value sieve is built
+        code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "memory budget must be positive" in err
 

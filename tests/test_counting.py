@@ -17,6 +17,7 @@ from sqfpairs.counting import (
     count_pairs_mobius_truncated,
     residue_count,
 )
+from sqfpairs import lambdasums
 from sqfpairs.lambdasums import solve_circle
 from sqfpairs.ntcore import BudgetError, mobius
 
@@ -37,6 +38,13 @@ def brute_pair_count(H):
         for y in range(1, H + 1)
         if is_squarefree_oracle(x * x + y * y + 1)
     )
+
+
+def construction_count(H, q):
+    """T(H, q) by the paper's construction: the sum over the solution set
+    (x, y) mod q of M(H, q, x) * M(H, q, y)."""
+    sols = solve_circle(q)
+    return int((residue_count(H, q, sols.xs) * residue_count(H, q, sols.ys)).sum())
 
 
 def oracle_flags(N):
@@ -318,6 +326,13 @@ class TestCongruentPairCount:
                 t = congruent_pair_count(H, q)
                 assert 0 <= t <= len(solve_circle(q)) * (H / q + 1) ** 2
 
+    def test_matches_solution_set_construction(self):
+        for q in range(1, 2001):
+            if q % 8 == 0:
+                continue
+            for H in (1, 50, q, 2 * q + 1):
+                assert congruent_pair_count(H, q) == construction_count(H, q), (H, q)
+
     def test_rejects_multiple_of_eight(self):
         with pytest.raises(ValueError):
             congruent_pair_count(10, 8)
@@ -340,6 +355,16 @@ class TestCountPairsMobius:
 
     def test_fifty(self):
         assert count_pairs_mobius(50).S == count_pairs_direct(50).S
+
+    def test_two_thousand(self):
+        # S(2000) of the scan ladder, there found by the value sieve
+        assert count_pairs_mobius(2000).S == 3122183
+
+    def test_builds_no_solution_set(self):
+        before = lambdasums._solve.cache_info()
+        count_pairs_mobius(300)
+        after = lambdasums._solve.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_truncated_variant(self):
         H = 60

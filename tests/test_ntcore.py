@@ -109,7 +109,7 @@ class TestMobiusTau:
 
     def test_mobius_sieve_budget(self):
         with pytest.raises(BudgetError):
-            mobius_sieve(10**6, budget=1000)
+            mobius_sieve(2**27)  # 2**28 + 2 bytes: rejected before allocating
         with pytest.raises(ValueError):
             mobius_sieve(0)
 
