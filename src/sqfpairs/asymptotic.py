@@ -186,7 +186,7 @@ def rho_fourier(D: float, t: float) -> float:
     return float(total.real)
 
 
-def harmonic_lambda_sums(q: int, D: int) -> tuple[float, float]:
+def harmonic_lambda_sums(q: int, D):
     """The harmonic-weighted absolute sums of the circle sums:
 
         U = sum_{1 <= n <= D}      |lam(q; n, 0)| / n
@@ -194,21 +194,27 @@ def harmonic_lambda_sums(q: int, D: int) -> tuple[float, float]:
 
     lam is q-periodic in both arguments, so the weights 1/n collapse
     onto residues and the sums need one |lam| value per residue pair,
-    taken from the batched evaluator.  Moduli above 4096 raise
+    taken from the batched evaluator.  D is an int, giving floats U and
+    V, or a 1-D integer array, giving arrays with one entry per D; the
+    table is built once for all of them.  Moduli above 4096 raise
     BudgetError before the table is allocated.
     """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
+    Ds = np.asarray(D)
+    if Ds.ndim > 1 or np.any(Ds < 2):
+        raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
     if q > _TABLE_LIMIT:
         raise BudgetError(f"harmonic_lambda_sums({q}) exceeds the table limit {_TABLE_LIMIT}")
-    n = np.arange(1, D + 1)
-    weights = np.zeros(q)
-    np.add.at(weights, n % q, 1.0 / n)
+    weights = np.zeros((Ds.size, q))
+    for row, d in zip(weights, Ds.ravel().tolist()):
+        n = np.arange(1, d + 1)
+        np.add.at(row, n % q, 1.0 / n)
     mags = np.abs(lambda_any_table(q))
-    U = float(mags[:, 0] @ weights)
-    V = float(weights @ mags @ weights)
+    U = weights @ mags[:, 0]
+    V = np.einsum("iu,uv,iv->i", weights, mags, weights)
+    if Ds.ndim == 0:
+        return float(U[0]), float(V[0])
     return U, V
 
 

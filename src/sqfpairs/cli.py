@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
     common.add_argument("--memory-budget", type=int, default=None,
                         help="value-sieve budget in bytes, a positive integer (default: "
-                             "SQFPAIRS_MEMORY_BUDGET or 2 GiB); verify does not apply it")
+                             "SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -180,7 +180,8 @@ def _cmd_verify(args) -> int:
         for name in verify.ALL_SUITES:
             print(name)
         return EXIT_OK
-    results = verify.run_suites(args.suites, seed=args.seed, threads=args.threads)
+    results = verify.run_suites(args.suites, seed=args.seed, threads=args.threads,
+                                memory_budget=args.memory_budget)
     if args.output_format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in results]))
     elif args.output_format == "csv":

@@ -6,9 +6,12 @@ reproduce it and are tested against it.  Sums are accumulated by numpy,
 whose pairwise summation keeps rounding error orders of magnitude below
 the 1e-6 comparison tolerance for every modulus in scope.
 
-The batch helpers (`gauss_direct_table`, `kloosterman_row`) evaluate the
-same direct sums for a whole grid of arguments at once via an FFT; they
-exist because several verification sweeps range over all (n, m) pairs.
+`kloosterman_direct` broadcasts over its arguments: n and m may be ints
+or integer arrays, and one call sums every (n, m) pair against the same
+unit and phase tables, so a sweep over many arguments costs one call per
+modulus.  The FFT helpers (`gauss_direct_table`, `kloosterman_row`)
+evaluate the direct sums for the whole residue grid at once; they exist
+because several verification sweeps range over all (n, m) pairs.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ def phase_table(q: int) -> np.ndarray:
 def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, inverses): the x in [1, q] coprime to q and their inverses mod q.
 
+    The inverses come from Euler's theorem, inv(u) = u**(phi(q) - 1) mod q
+    with phi(q) = units.size, by int64 square-and-multiply over the whole
+    array; products stay below q**2, which fits int64 for any q whose
+    q-long table can be allocated.
+
     For q = 1 the single residue is x = 1 with inverse 0, matching the
     convention that a sum over units mod 1 has exactly one term.
     """
@@ -69,7 +77,14 @@ def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         x = np.arange(1, q + 1, dtype=np.int64)
         units = x[np.gcd(x, q) == 1]
-        invs = np.array([pow(int(u), -1, q) for u in units], dtype=np.int64)
+        invs = np.ones_like(units)
+        power = units.copy()
+        e = units.size - 1
+        while e:
+            if e & 1:
+                invs = invs * power % q
+            power = power * power % q
+            e >>= 1
     units.setflags(write=False)
     invs.setflags(write=False)
     return units, invs
@@ -132,16 +147,22 @@ def gauss_closed_odd(q: int, n: int, m: int) -> complex:
     return complex(phase_table(q)[t] * jacobi(n, q) * _gauss_unit(q))
 
 
-def kloosterman_direct(q: int, n: int, m: int) -> complex:
-    """Sum of exp(2*pi*i*(n*x + m*inv(x))/q) over the units x mod q."""
+def kloosterman_direct(q: int, n, m):
+    """Sum of exp(2*pi*i*(n*x + m*inv(x))/q) over the units x mod q.
+
+    n and m are ints or integer arrays that broadcast together.  Scalar
+    arguments give a complex; otherwise the result is a complex array of
+    the broadcast shape, one sum per (n, m) pair.  The arguments are
+    reduced mod q first (the caller's arrays are not modified), so ints
+    beyond int64 are accepted.
+    """
     q = _check_modulus(q)
-    n %= q
-    m %= q
-    if q == 1:
-        return 1 + 0j
+    n = np.asarray(n % q, dtype=np.int64)
+    m = np.asarray(m % q, dtype=np.int64)
     units, invs = unit_table(q)
-    t = (n * units + m * invs) % q
-    return complex(phase_table(q)[t].sum())
+    t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
+    total = phase_table(q)[t].sum(axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def gauss_direct_table(q: int) -> np.ndarray:

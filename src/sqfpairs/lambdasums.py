@@ -5,7 +5,9 @@
 `lambda_fast_odd` evaluates the same sum through its Kloosterman-sum
 decomposition, and `lambda_multiplicative` through the coprime-splitting
 identity.  `lambda_any` combines the fast odd path with direct handling
-of the 2-part for any modulus not divisible by 8.
+of the 2-part for any modulus not divisible by 8.  `lambda_direct`,
+`lambda_fast_odd` and `lambda_any` broadcast over their arguments: n and
+m may be ints or integer arrays, and one call evaluates every pair.
 
 Solution sets are read-only and memoized in a bounded `lru_cache`,
 which concurrent callers may share safely (at worst a set is computed
@@ -93,16 +95,20 @@ def solve_circle(q: int) -> SolutionSet:
     return _solve(q)
 
 
-def lambda_direct(q: int, n: int, m: int) -> complex:
+def lambda_direct(q: int, n, m):
     """Sum of exp(2*pi*i*(n*x + m*y)/q) over the solution set mod q.
 
     At (n, m) = (0, 0) this is real and equals the solution count.
+    n and m are ints or integer arrays that broadcast together, reduced
+    mod q without modifying the caller's arrays.  Scalar arguments give a
+    complex, array arguments a complex array of the broadcast shape.
     """
     sols = solve_circle(q)
-    n %= q
-    m %= q
-    t = (n * sols.xs + m * sols.ys) % q
-    return complex(phase_table(q)[t].sum())
+    n = np.asarray(n % q, dtype=np.int64)
+    m = np.asarray(m % q, dtype=np.int64)
+    t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
+    total = phase_table(q)[t].sum(axis=-1)
+    return complex(total) if total.ndim == 0 else total
 
 
 def _sign(l: int) -> float:
@@ -110,31 +116,35 @@ def _sign(l: int) -> float:
     return -1.0 if l % 4 == 3 else 1.0
 
 
-def lambda_fast_odd(q: int, n: int, m: int) -> complex:
+def lambda_fast_odd(q: int, n, m):
     """The circle sum for odd q via its Kloosterman-sum decomposition.
 
     Over the divisors l of q with (q/l) | gcd(n, m), with n' = n*l/q and
     m' = m*l/q, the sum equals
 
         q * sum_l (-1)**((l-1)/2) / l * K(l; 1, -inv(4)*(n'^2 + m'^2)).
+
+    Broadcasts over n and m like `lambda_direct`: each divisor costs one
+    `kloosterman_direct` call for all the pairs it serves.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"modulus must be odd and positive, got {q}")
-    n %= q
-    m %= q
-    g = math.gcd(n, m)  # 0 when n = m = 0: every divisor contributes
-    total = 0j
+    n, m = np.broadcast_arrays(np.asarray(n % q, dtype=np.int64),
+                               np.asarray(m % q, dtype=np.int64))
+    g = np.gcd(n, m)  # 0 when n = m = 0: every divisor contributes
+    total = np.zeros(g.shape, dtype=complex)
     for l in divisors(q):
         r = q // l
-        if g % r:
+        served = g % r == 0
+        if not served.any():
             continue
-        np_, mp_ = n // r, m // r
         if l == 1:
-            total += 1.0
+            total += served
             continue
-        c = (-pow(4, -1, l) * (np_ * np_ + mp_ * mp_)) % l
-        total += _sign(l) / l * kloosterman_direct(l, 1, c)
-    return complex(q * total)
+        np_, mp_ = n[served] // r, m[served] // r
+        c = -pow(4, -1, l) * ((np_ * np_ + mp_ * mp_) % l)
+        total[served] += _sign(l) / l * kloosterman_direct(l, 1, c)
+    return complex(q * total) if total.ndim == 0 else q * total
 
 
 def lambda_multiplicative(q1: int, q2: int, n: int, m: int) -> complex:
@@ -150,12 +160,13 @@ def lambda_multiplicative(q1: int, q2: int, n: int, m: int) -> complex:
     return lambda_direct(q1, n * c1, m * c1) * lambda_direct(q2, n * c2, m * c2)
 
 
-def lambda_any(q: int, n: int, m: int) -> complex:
+def lambda_any(q: int, n, m):
     """The circle sum for any q with 8 not dividing q.
 
     Splits q = 2**h * q1 (h <= 2), evaluates the 2-part by direct
     enumeration (at most 16 candidate pairs) and the odd part by
-    `lambda_fast_odd`, and recombines multiplicatively.
+    `lambda_fast_odd`, and recombines multiplicatively.  Broadcasts over
+    n and m like `lambda_direct`.
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
@@ -164,6 +175,7 @@ def lambda_any(q: int, n: int, m: int) -> complex:
     h = (q & -q).bit_length() - 1  # 2-adic valuation, here 0, 1 or 2
     if h == 0:
         return lambda_fast_odd(q, n, m)
+    n, m = n % q, m % q  # keeps the twisted arguments below q**2
     t2 = 1 << h
     q1 = q >> h
     c2 = mod_inverse(q1, t2)

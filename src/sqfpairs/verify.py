@@ -183,17 +183,23 @@ def suite_tau_growth(seed=DEFAULT_SEED, lo=10_000, hi=100_000) -> SuiteResult:
 # Gauss and Kloosterman sums
 # ---------------------------------------------------------------------------
 
+def _columns(pairs):
+    """The n and m of a list of (n, m) pairs as two int64 arrays, so that
+    one evaluator call covers every pair drawn for a modulus."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
 def suite_weil_bound(seed=DEFAULT_SEED, qmax=2000, per_q=20) -> SuiteResult:
     """|K(q;n,m)| <= tau(q) sqrt(q) sqrt(gcd(q,n,m)), random arguments."""
     rec = _Recorder("weil-bound")
     rng = random.Random(seed)
     for q in range(1, qmax + 1):
         tq = ntcore.tau(q)
-        for _ in range(per_q):
-            n = rng.randrange(-3 * q, 3 * q + 1)
-            m = rng.randrange(-3 * q, 3 * q + 1)
+        pairs = [(rng.randrange(-3 * q, 3 * q + 1), rng.randrange(-3 * q, 3 * q + 1))
+                 for _ in range(per_q)]
+        vals = np.abs(expsums.kloosterman_direct(q, *_columns(pairs))).tolist()
+        for (n, m), val in zip(pairs, vals):
             bound = tq * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
-            val = abs(expsums.kloosterman_direct(q, n, m))
             rec.check(
                 val <= bound + 1e-7,
                 lambda q=q, n=n, m=m, v=val, b=bound: f"|K({q};{n},{m})|={v:.6f} > {b:.6f}",
@@ -218,23 +224,26 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
     """gcd-reduction evaluator equals direct summation for all (n, m)."""
     rec = _Recorder("gauss-reduce-vs-direct")
     rng = random.Random(seed)
-    # only quotients q/d with d >= 2 are re-read later, so caching the
-    # grids up to qmax/2 bounds memory at a few million entries
+    # the class d = 1 reads q's own grid; every other class reads the
+    # grid of q/d <= q/2, so caching the grids up to qmax/2 serves them
+    # all, and a grid is dropped once the last multiple of its modulus
+    # up to qmax is done; memory stays at a few million entries
     tables: dict[int, np.ndarray] = {}
     for q in range(1, qmax + 1):
+        for k in [k for k in tables if k * (qmax // k) < q]:
+            del tables[k]
         direct = expsums.gauss_direct_table(q)
         if 2 * q <= qmax:
             tables[q] = direct
         reduced = np.zeros((q, q), dtype=complex)
+        gcds = np.gcd(np.arange(q), q)
         for d in ntcore.divisors(q):
-            qd = q // d
-            ns = [n for n in range(q) if math.gcd(q, n) == d]
-            if not ns:
+            ns = np.flatnonzero(gcds == d)
+            if not ns.size:
                 continue
             ms = np.arange(0, q, d)
-            sub = tables[qd] if qd in tables else expsums.gauss_direct_table(qd)
-            for n in ns:
-                reduced[n, ms] = d * sub[(n // d) % qd, (ms // d) % qd]
+            sub = direct if d == 1 else tables[q // d]
+            reduced[np.ix_(ns, ms)] = d * sub[np.ix_(ns // d, ms // d)]
         err = np.abs(direct - reduced) / np.maximum(1.0, np.abs(direct))
         rec.check(float(err.max()) <= 1e-6, lambda q=q, e=err.max(): f"q={q} max err {e:.2e}")
         # tie the batched grid back to the scalar operations
@@ -285,8 +294,10 @@ def suite_kloosterman_real(seed=DEFAULT_SEED, qmax=500) -> SuiteResult:
     rec = _Recorder("kloosterman-diagonal-real")
     rng = random.Random(seed)
     for q in range(1, qmax + 1):
-        for n in (0, 1, rng.randrange(q) if q > 1 else 0):
-            val = expsums.kloosterman_direct(q, n, n)
+        ns = (0, 1, rng.randrange(q) if q > 1 else 0)
+        diagonal = np.array(ns)
+        vals = expsums.kloosterman_direct(q, diagonal, diagonal).tolist()
+        for n, val in zip(ns, vals):
             rec.check(
                 abs(val.imag) <= 1e-7 * max(1.0, abs(val)),
                 lambda q=q, n=n, v=val: f"K({q};{n},{n}) = {v}",
@@ -310,10 +321,10 @@ def suite_lambda_bound(seed=DEFAULT_SEED, qmax=1500, per_q=20) -> SuiteResult:
         if q % 8 == 0:
             continue
         tq = ntcore.tau(q)
-        for _ in range(per_q):
-            n, m = _random_nm(rng, q)
+        pairs = [_random_nm(rng, q) for _ in range(per_q)]
+        vals = np.abs(lambdasums.lambda_direct(q, *_columns(pairs))).tolist()
+        for (n, m), val in zip(pairs, vals):
             bound = 16 * tq * tq * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
-            val = abs(lambdasums.lambda_direct(q, n, m))
             rec.check(
                 val <= bound + 1e-7,
                 lambda q=q, n=n, m=m, v=val, b=bound: f"|lam({q};{n},{m})|={v:.4f} > {b:.4f}",
@@ -340,9 +351,10 @@ def suite_lambda_fast(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     rng = random.Random(seed)
     for q in range(1, qmax + 1, 2):
         pairs = [(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)]
-        for n, m in pairs:
-            a = lambdasums.lambda_fast_odd(q, n, m)
-            b = lambdasums.lambda_direct(q, n, m)
+        ns, ms = _columns(pairs)
+        fast = lambdasums.lambda_fast_odd(q, ns, ms).tolist()
+        direct = lambdasums.lambda_direct(q, ns, ms).tolist()
+        for (n, m), a, b in zip(pairs, fast, direct):
             rec.check(
                 abs(a - b) <= LAMBDA_TOLERANCE * q,
                 lambda q=q, n=n, m=m, a=a, b=b: f"fast({q};{n},{m})={a:.6f} direct={b:.6f}",
@@ -358,9 +370,10 @@ def suite_lambda_any(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
         if q % 8 == 0:
             continue
         pairs = [(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)]
-        for n, m in pairs:
-            a = lambdasums.lambda_any(q, n, m)
-            b = lambdasums.lambda_direct(q, n, m)
+        ns, ms = _columns(pairs)
+        composite = lambdasums.lambda_any(q, ns, ms).tolist()
+        direct = lambdasums.lambda_direct(q, ns, ms).tolist()
+        for (n, m), a, b in zip(pairs, composite, direct):
             rec.check(
                 abs(a - b) <= LAMBDA_TOLERANCE * q,
                 lambda q=q, n=n, m=m, a=a, b=b: f"any({q};{n},{m})={a:.6f} direct={b:.6f}",
@@ -376,10 +389,11 @@ def suite_lambda_triple(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
         if q % 8 == 0:
             continue
         pairs = [(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)]
-        for n, m in pairs:
-            vals = [lambdasums.lambda_direct(q, n, m), lambdasums.lambda_any(q, n, m)]
-            if q % 2 == 1:
-                vals.append(lambdasums.lambda_fast_odd(q, n, m))
+        ns, ms = _columns(pairs)
+        columns = [lambdasums.lambda_direct(q, ns, ms), lambdasums.lambda_any(q, ns, ms)]
+        if q % 2 == 1:
+            columns.append(lambdasums.lambda_fast_odd(q, ns, ms))
+        for (n, m), vals in zip(pairs, zip(*(c.tolist() for c in columns))):
             spread = max(abs(a - b) for a in vals for b in vals)
             rec.check(
                 spread <= LAMBDA_TOLERANCE * q,
@@ -477,13 +491,14 @@ def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
 # counting
 # ---------------------------------------------------------------------------
 
-def suite_count_oracle(seed=DEFAULT_SEED, H_values=None, threads=1) -> SuiteResult:
+def suite_count_oracle(seed=DEFAULT_SEED, H_values=None, threads=1,
+                       memory_budget=None) -> SuiteResult:
     """Value sieve and congruence identity give the same exact S(H)."""
     rec = _Recorder("count-oracle-equivalence")
     if H_values is None:
         H_values = list(range(1, 51)) + [100, 150, 200]
     hmax = max(H_values)
-    sieve = counting.build_sieve(2 * hmax * hmax + 1)
+    sieve = counting.build_sieve(2 * hmax * hmax + 1, memory_budget)
     for H in H_values:
         direct = counting.count_pairs_direct(H, sieve=sieve, threads=threads)
         ident = counting.count_pairs_mobius(H)
@@ -526,10 +541,10 @@ def suite_congruent_bound(seed=DEFAULT_SEED, qmax=200) -> SuiteResult:
     return rec.result()
 
 
-def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6) -> SuiteResult:
+def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6, memory_budget=None) -> SuiteResult:
     """Squarefree density over [1, N] approaches 6/pi^2."""
     rec = _Recorder("squarefree-density")
-    sieve = counting.build_sieve(N)
+    sieve = counting.build_sieve(N, memory_budget)
     density = sieve.count_squarefree(N) / N
     rec.check(abs(density - 0.607927) <= 0.01, f"density {density:.6f}")
     return rec.result(notes=f"density = {density:.6f}")
@@ -628,8 +643,8 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> Suit
     D_grid = ENVELOPE_D_GRID if D_grid is None else D_grid
     worst_u = worst_v = 0.0
     for q in q_grid:
-        for D in D_grid:
-            U, V = asymptotic.harmonic_lambda_sums(q, D)
+        Us, Vs = asymptotic.harmonic_lambda_sums(q, np.array(D_grid))
+        for D, U, V in zip(D_grid, Us.tolist(), Vs.tolist()):
             scale = q**0.7 * D**0.2
             worst_u = max(worst_u, U / scale)
             worst_v = max(worst_v, V / scale)
@@ -643,10 +658,11 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> Suit
 SCAN_LADDER = (250, 500, 1000, 2000, 4000)
 
 
-def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5, threads=1) -> SuiteResult:
+def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5, threads=1,
+                        memory_budget=None) -> SuiteResult:
     """Every |E(H)| under 5 * H^1.5 and the fitted exponent at most 1.6."""
     rec = _Recorder("scan-envelope")
-    result = asymptotic.error_scan(ladder, P, threads=threads)
+    result = asymptotic.error_scan(ladder, P, threads=threads, memory_budget=memory_budget)
     for row in result.rows:
         cap = 5.0 * row.H**1.5
         rec.check(
@@ -693,8 +709,12 @@ ALL_SUITES = {
 }
 
 
-def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
-    """Run the named suites (all, in registry order, when names is None)."""
+def run_suites(names=None, seed=DEFAULT_SEED, threads=1, memory_budget=None) -> list[SuiteResult]:
+    """Run the named suites (all, in registry order, when names is None).
+
+    `threads` and `memory_budget` go to the suites that take them: the
+    ones that probe pairs and build a value sieve.
+    """
     import inspect
 
     if names is None:
@@ -706,7 +726,10 @@ def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
     for name in names:
         fn = ALL_SUITES[name]
         kwargs = {"seed": seed}
-        if "threads" in inspect.signature(fn).parameters:
+        params = inspect.signature(fn).parameters
+        if "threads" in params:
             kwargs["threads"] = threads
+        if "memory_budget" in params:
+            kwargs["memory_budget"] = memory_budget
         results.append(fn(**kwargs))
     return results

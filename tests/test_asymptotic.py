@@ -222,6 +222,34 @@ class TestHarmonicSums:
         with pytest.raises(BudgetError):
             harmonic_lambda_sums(4099, 10)
 
+    def test_array_of_D_equals_loop(self):
+        Ds = np.array([2, 7, 10, 100, 1000])
+        for q in (1, 3, 10, 12, 25, 77):
+            U, V = harmonic_lambda_sums(q, Ds)
+            assert U.shape == V.shape == (5,)
+            for D, u, v in zip(Ds.tolist(), U.tolist(), V.tolist()):
+                u_want, v_want = harmonic_lambda_sums(q, D)
+                assert abs(u - u_want) <= 1e-12 * max(1.0, u_want)
+                assert abs(v - v_want) <= 1e-12 * max(1.0, v_want)
+
+    def test_int_D_gives_floats(self):
+        U, V = harmonic_lambda_sums(9, 12)
+        assert type(U) is float and type(V) is float
+
+    def test_array_D_containing_one_rejected(self):
+        with pytest.raises(ValueError):
+            harmonic_lambda_sums(3, np.array([10, 1, 100]))
+
+    def test_array_D_budget_checked_before_table(self, monkeypatch):
+        from sqfpairs import asymptotic
+
+        def refuse(q):
+            raise AssertionError("table built before the budget check")
+
+        monkeypatch.setattr(asymptotic, "lambda_any_table", refuse)
+        with pytest.raises(BudgetError):
+            harmonic_lambda_sums(4099, np.array([2, 10, 100]))
+
 
 class TestErrorScan:
     def test_single_row(self):

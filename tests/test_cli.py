@@ -195,6 +195,13 @@ class TestVerify:
         assert rows[0]["suite"] == "inverse-involution"
         assert rows[0]["ok"] == "true"
 
+    @pytest.mark.parametrize("suite", ["scan-envelope", "squarefree-density",
+                                       "count-oracle-equivalence"])
+    def test_budget_applies_to_sieve_suites(self, capsys, suite):
+        code, _, err = run(capsys, "verify", "--suite", suite, "--memory-budget", "1000")
+        assert code == EXIT_BUDGET
+        assert "budget" in err
+
     def test_seed_changes_nothing_for_deterministic_suite(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--suite", "residue-count", "--seed", "1",
                              "--output-format", "csv")

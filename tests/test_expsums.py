@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sqfpairs.expsums import (
@@ -153,6 +154,75 @@ class TestKloosterman:
             for n in (0, 1, q // 2):
                 v = kloosterman_direct(q, n, n)
                 assert abs(v.imag) <= 1e-9 * max(1.0, abs(v))
+
+
+class TestUnitTable:
+    def test_inverses_for_every_modulus_to_3000(self):
+        for q in range(2, 3001):
+            units, invs = unit_table(q)
+            x = np.arange(1, q)
+            assert np.array_equal(units, x[np.gcd(x, q) == 1]), q
+            assert (units * invs % q == 1).all(), q
+            want = [pow(u, -1, q) for u in units.tolist()]
+            assert invs.tolist() == want, q
+
+    def test_modulus_one_convention(self):
+        units, invs = unit_table(1)
+        assert units.tolist() == [1]
+        assert invs.tolist() == [0]
+
+
+def assert_close_elementwise(got, want):
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
+
+
+class TestKloostermanBroadcast:
+    @pytest.mark.parametrize("q", [1, 2, 7, 12, 45, 97])
+    def test_array_equals_scalar_loop(self, q):
+        rng = np.random.default_rng(q)
+        n = rng.integers(-3 * q, 3 * q + 1, size=17)
+        m = rng.integers(-3 * q, 3 * q + 1, size=17)
+        got = kloosterman_direct(q, n, m)
+        assert got.shape == (17,)
+        want = [kloosterman_direct(q, a, b) for a, b in zip(n.tolist(), m.tolist())]
+        assert_close_elementwise(got, want)
+
+    def test_two_dimensional_arguments_keep_their_shape(self):
+        n = np.arange(12).reshape(3, 4)
+        got = kloosterman_direct(11, n, 5)
+        assert got.shape == (3, 4)
+        assert_close_elementwise(got, [[kloosterman_direct(11, a, 5) for a in row]
+                                       for row in n.tolist()])
+        outer = kloosterman_direct(11, np.arange(3)[:, None], np.arange(4))
+        assert outer.shape == (3, 4)
+        assert_close_elementwise(outer, [[kloosterman_direct(11, a, b) for b in range(4)]
+                                         for a in range(3)])
+
+    def test_scalar_input_returns_complex(self):
+        assert type(kloosterman_direct(13, 2, 3)) is complex
+        assert type(kloosterman_direct(13, np.int64(2), np.int64(3))) is complex
+
+    @pytest.mark.parametrize("big", [10**30, -10**30])
+    def test_huge_arguments_reduce_first(self, big):
+        for q in (5, 12, 97):
+            assert kloosterman_direct(q, big, 3) == kloosterman_direct(q, big % q, 3)
+            assert kloosterman_direct(q, 2, big) == kloosterman_direct(q, 2, big % q)
+
+    def test_int64_extremes_reduce_first(self):
+        n = np.array([2**62, -(2**62), 2**63 - 1, -(2**63)])
+        for q in (5, 12, 97):
+            got = kloosterman_direct(q, n, n[::-1])
+            want = [kloosterman_direct(q, a % q, b % q)
+                    for a, b in zip(n.tolist(), n[::-1].tolist())]
+            assert_close_elementwise(got, want)
+
+    def test_caller_arrays_unchanged(self):
+        n = np.array([-40, 3, 100, 7])
+        m = np.array([[55], [-9]])
+        kloosterman_direct(9, n, m)
+        assert n.tolist() == [-40, 3, 100, 7]
+        assert m.tolist() == [[55], [-9]]
 
 
 class TestBatchHelpers:

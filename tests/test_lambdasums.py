@@ -232,6 +232,81 @@ class TestLambdaAny:
                 lambda_any(q, 0, 0)
 
 
+# (evaluator, moduli in its contract): odd moduli for the fast path,
+# 8 not dividing q for the composite one
+BROADCAST_CASES = [
+    (lambda_direct, [1, 2, 4, 9, 12, 45, 50, 97]),
+    (lambda_fast_odd, [1, 3, 9, 15, 45, 225]),
+    (lambda_any, [1, 2, 4, 6, 12, 45, 50, 90]),
+]
+
+
+def assert_close_elementwise(got, want):
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
+
+
+def sample_arguments(q, size, seed):
+    """Random n, m in [-2q, 2q], with multiples of q's divisors mixed in
+    so that every divisor class of the fast path is served."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([d for d in range(1, q + 1) if q % d == 0], size=(2, size))
+    return scale * (rng.integers(-2 * q, 2 * q + 1, size=(2, size)) // scale)
+
+
+class TestBroadcast:
+    @pytest.mark.parametrize("fn,moduli", BROADCAST_CASES)
+    def test_array_equals_scalar_loop(self, fn, moduli):
+        for q in moduli:
+            n, m = sample_arguments(q, 25, q)
+            n[0] = m[0] = 0
+            got = fn(q, n, m)
+            assert got.shape == (25,)
+            want = [fn(q, a, b) for a, b in zip(n.tolist(), m.tolist())]
+            assert_close_elementwise(got, want)
+
+    @pytest.mark.parametrize("fn,moduli", BROADCAST_CASES)
+    def test_two_dimensional_arguments_keep_their_shape(self, fn, moduli):
+        q = moduli[-1]
+        n = np.arange(-6, 6).reshape(3, 4) * 5
+        got = fn(q, n, 15)
+        assert got.shape == (3, 4)
+        assert_close_elementwise(got, [[fn(q, a, 15) for a in row] for row in n.tolist()])
+        outer = fn(q, np.arange(3)[:, None] * 3, np.arange(4) * 5)
+        assert outer.shape == (3, 4)
+        assert_close_elementwise(outer, [[fn(q, 3 * a, 5 * b) for b in range(4)]
+                                         for a in range(3)])
+
+    @pytest.mark.parametrize("fn,moduli", BROADCAST_CASES)
+    def test_scalar_input_returns_complex(self, fn, moduli):
+        for q in moduli:
+            assert type(fn(q, 3, -2)) is complex
+            assert type(fn(q, np.int64(3), np.int64(-2))) is complex
+
+    @pytest.mark.parametrize("fn,moduli", BROADCAST_CASES)
+    @pytest.mark.parametrize("big", [10**30, -10**30])
+    def test_huge_arguments_reduce_first(self, fn, moduli, big):
+        for q in moduli:
+            assert fn(q, big, 3) == fn(q, big % q, 3)
+            assert fn(q, 6, big) == fn(q, 6, big % q)
+
+    @pytest.mark.parametrize("fn,moduli", BROADCAST_CASES)
+    def test_int64_extremes_reduce_first(self, fn, moduli):
+        n = np.array([2**62, -(2**62), 2**63 - 1, -(2**63)])
+        for q in moduli:
+            got = fn(q, n, n[::-1])
+            want = [fn(q, a % q, b % q) for a, b in zip(n.tolist(), n[::-1].tolist())]
+            assert_close_elementwise(got, want)
+
+    @pytest.mark.parametrize("fn,moduli", BROADCAST_CASES)
+    def test_caller_arrays_unchanged(self, fn, moduli):
+        n = np.array([-40, 3, 100, 7])
+        m = np.array([[55], [-9]])
+        fn(moduli[-1], n, m)
+        assert n.tolist() == [-40, 3, 100, 7]
+        assert m.tolist() == [[55], [-9]]
+
+
 class TestBatchTables:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 9, 12, 15, 25, 30, 49, 50, 60, 77])
     def test_tables_match_scalars(self, q):
