@@ -24,6 +24,7 @@ import numpy as np
 
 from .ntcore import BudgetError, is_prime, mobius_sieve, primes_upto
 from .counting import _check_ladder, _check_sieve_budget, build_sieve, count_pairs_ladder
+from .expsums import _check_modulus
 from .lambdasums import lambda_any_table
 
 __all__ = [
@@ -199,6 +200,7 @@ def harmonic_lambda_sums(q: int, D):
     table is built once for all of them.  Moduli above 4096 raise
     BudgetError before the table is allocated.
     """
+    q = _check_modulus(q)
     Ds = np.asarray(D)
     if Ds.ndim > 1 or np.any(Ds < 2):
         raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")

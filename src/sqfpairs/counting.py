@@ -294,6 +294,8 @@ def congruent_pair_count(H: int, q: int) -> int:
     """
     if H < 1:
         raise ValueError(f"H must be positive, got {H}")
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
     x = np.arange(1, H + 1, dtype=np.int64)

@@ -6,12 +6,18 @@ reproduce it and are tested against it.  Sums are accumulated by numpy,
 whose pairwise summation keeps rounding error orders of magnitude below
 the 1e-6 comparison tolerance for every modulus in scope.
 
-`kloosterman_direct` broadcasts over its arguments: n and m may be ints
-or integer arrays, and one call sums every (n, m) pair against the same
-unit and phase tables, so a sweep over many arguments costs one call per
-modulus.  The FFT helpers (`gauss_direct_table`, `kloosterman_row`)
-evaluate the direct sums for the whole residue grid at once; they exist
-because several verification sweeps range over all (n, m) pairs.
+`kloosterman_direct` and `gauss_closed_odd` broadcast over their
+arguments: n and m may be ints or integer arrays, and one call evaluates
+every (n, m) pair against the same phase table, so a sweep over many
+arguments costs one call per modulus.  The FFT helpers
+(`gauss_direct_table`, `kloosterman_row`) evaluate the direct sums for
+the whole residue grid at once; they exist because several verification
+sweeps range over all (n, m) pairs.
+
+Every evaluator here and in `lambdasums` checks its modulus with
+`_check_modulus` and its arguments with `_reduce`: q is a positive int or
+numpy integer (not a bool), and n and m are ints or integer arrays, with
+Python ints beyond int64 accepted and floats rejected, not truncated.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ntcore import jacobi, mod_inverse
+from .ntcore import jacobi
 
 __all__ = [
     "complex_close",
@@ -39,12 +45,14 @@ __all__ = [
 TOLERANCE = 1e-6
 
 
-def complex_close(a: complex, b: complex, tol: float = TOLERANCE) -> bool:
-    """True when a and b agree within tol * max(1, |a|, |b|)."""
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)
-            and math.isfinite(b.real) and math.isfinite(b.imag)):
-        return False
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def complex_close(a, b, tol: float = TOLERANCE):
+    """True where a and b agree within tol * max(1, |a|, |b|) and both are
+    finite: a bool for scalars, a bool array (elementwise) for arrays."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(invalid="ignore"):  # inf - inf; rejected by isfinite below
+        close = np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+    close &= np.isfinite(a) & np.isfinite(b)
+    return bool(close) if close.ndim == 0 else close
 
 
 @lru_cache(maxsize=512)
@@ -96,11 +104,24 @@ def _check_modulus(q) -> int:
     return int(q)
 
 
+def _reduce(q: int, a) -> np.ndarray:
+    """a mod q as an int64 array (0-d for a scalar).
+
+    a is an int or an integer array; anything else (floats, bools) raises
+    ValueError rather than being truncated.  The reduction comes first and
+    never in place, so a Python int beyond int64 is accepted and the
+    caller's array is not modified.
+    """
+    if not ((isinstance(a, (int, np.integer)) and not isinstance(a, bool))
+            or (isinstance(a, np.ndarray) and a.dtype.kind in "iu")):
+        raise ValueError(f"arguments must be integers or integer arrays, got {a!r}")
+    return np.asarray(a % q, dtype=np.int64)
+
+
 def gauss_direct(q: int, n: int, m: int) -> complex:
     """Sum of exp(2*pi*i*(n*x^2 + m*x)/q) over x = 1..q by direct summation."""
     q = _check_modulus(q)
-    n %= q
-    m %= q
+    n, m = int(_reduce(q, n)), int(_reduce(q, m))
     if q == 1:
         return 1 + 0j
     x = np.arange(1, q + 1, dtype=np.int64)
@@ -115,8 +136,7 @@ def gauss_reduce(q: int, n: int, m: int) -> complex:
     and vanishes otherwise.  The reduced sum is evaluated directly.
     """
     q = _check_modulus(q)
-    n %= q
-    m %= q
+    n, m = int(_reduce(q, n)), int(_reduce(q, m))
     d = math.gcd(q, n)
     if m % d:
         return 0j
@@ -130,21 +150,24 @@ def _gauss_unit(q: int) -> complex:
     return math.sqrt(q) * (1 if q % 4 == 1 else 1j)
 
 
-def gauss_closed_odd(q: int, n: int, m: int) -> complex:
+def gauss_closed_odd(q: int, n, m):
     """Closed form of the Gauss sum for odd q with gcd(q, 2n) = 1.
 
-    Equals e_q(-inv(4n) * m^2) * jacobi(n, q) * G(q; 1).
+    Equals e_q(-inv(4n) * m^2) * jacobi(n, q) * G(q; 1).  Broadcasts over
+    n and m like `kloosterman_direct`: a complex for scalar arguments, a
+    complex array of the broadcast shape otherwise.  Raises ValueError if
+    gcd(q, 2n) != 1 for any n.
     """
     q = _check_modulus(q)
-    if math.gcd(q, 2 * n) != 1:
-        raise ValueError(f"need gcd(q, 2n) = 1, got q={q}, n={n}")
-    n %= q
-    m %= q
-    if q == 1:
-        return 1 + 0j
-    inv4n = mod_inverse(4 * n, q)
-    t = (-inv4n * m * m) % q
-    return complex(phase_table(q)[t] * jacobi(n, q) * _gauss_unit(q))
+    n, m = _reduce(q, n), _reduce(q, m)
+    if q % 2 == 0 or np.any(np.gcd(n, q) != 1):
+        raise ValueError(f"need gcd(q, 2n) = 1 for every n, got q={q}, n={n}")
+    # one Python-int inverse and symbol per n, none per m
+    inv4n = np.asarray(np.frompyfunc(pow, 3, 1)(4 * n, -1, q), dtype=np.int64)
+    symbol = np.asarray(np.frompyfunc(jacobi, 2, 1)(n, q), dtype=np.int64)
+    t = -inv4n * (m * m % q) % q
+    total = phase_table(q)[t] * (symbol * _gauss_unit(q))
+    return complex(total) if total.ndim == 0 else total
 
 
 def kloosterman_direct(q: int, n, m):
@@ -157,8 +180,7 @@ def kloosterman_direct(q: int, n, m):
     beyond int64 are accepted.
     """
     q = _check_modulus(q)
-    n = np.asarray(n % q, dtype=np.int64)
-    m = np.asarray(m % q, dtype=np.int64)
+    n, m = _reduce(q, n), _reduce(q, m)
     units, invs = unit_table(q)
     t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
     total = phase_table(q)[t].sum(axis=-1)
@@ -185,7 +207,7 @@ def kloosterman_row(q: int, n: int = 1) -> np.ndarray:
     a 1-D inverse DFT of y -> e_q(n * inv(y)) over the units y.
     """
     q = _check_modulus(q)
-    n %= q
+    n = int(_reduce(q, n))
     units, invs = unit_table(q)
     v = np.zeros(q, dtype=complex)
     v[units % q] = phase_table(q)[(n * invs) % q]

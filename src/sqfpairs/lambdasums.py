@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ntcore import BudgetError, divisors, mod_inverse
-from .expsums import kloosterman_direct, kloosterman_row, phase_table
+from .expsums import _check_modulus, _reduce, kloosterman_direct, kloosterman_row, phase_table
 
 __all__ = [
     "SolutionSet",
@@ -87,9 +87,7 @@ def _solve(q: int) -> SolutionSet:
 
 def solve_circle(q: int) -> SolutionSet:
     """Complete solution set of x^2 + y^2 + 1 = 0 (mod q) in [1, q]^2."""
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"modulus must be a positive integer, got {q!r}")
-    q = int(q)
+    q = _check_modulus(q)
     if q > DEFAULT_SOLVE_CEILING:
         raise BudgetError(f"solve_circle({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}")
     return _solve(q)
@@ -103,9 +101,9 @@ def lambda_direct(q: int, n, m):
     mod q without modifying the caller's arrays.  Scalar arguments give a
     complex, array arguments a complex array of the broadcast shape.
     """
+    q = _check_modulus(q)
     sols = solve_circle(q)
-    n = np.asarray(n % q, dtype=np.int64)
-    m = np.asarray(m % q, dtype=np.int64)
+    n, m = _reduce(q, n), _reduce(q, m)
     t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
     total = phase_table(q)[t].sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
@@ -127,10 +125,10 @@ def lambda_fast_odd(q: int, n, m):
     Broadcasts over n and m like `lambda_direct`: each divisor costs one
     `kloosterman_direct` call for all the pairs it serves.
     """
-    if q < 1 or q % 2 == 0:
-        raise ValueError(f"modulus must be odd and positive, got {q}")
-    n, m = np.broadcast_arrays(np.asarray(n % q, dtype=np.int64),
-                               np.asarray(m % q, dtype=np.int64))
+    q = _check_modulus(q)
+    if q % 2 == 0:
+        raise ValueError(f"modulus must be odd, got {q}")
+    n, m = np.broadcast_arrays(_reduce(q, n), _reduce(q, m))
     g = np.gcd(n, m)  # 0 when n = m = 0: every divisor contributes
     total = np.zeros(g.shape, dtype=complex)
     for l in divisors(q):
@@ -153,11 +151,14 @@ def lambda_multiplicative(q1: int, q2: int, n: int, m: int) -> complex:
     Each factor is the direct sum with its arguments twisted by the
     inverse of the complementary modulus.
     """
+    q1, q2 = _check_modulus(q1), _check_modulus(q2)
     if math.gcd(q1, q2) != 1:
         raise ValueError(f"moduli must be coprime, got ({q1}, {q2})")
     c1 = mod_inverse(q2, q1) if q1 > 1 else 0
     c2 = mod_inverse(q1, q2) if q2 > 1 else 0
-    return lambda_direct(q1, n * c1, m * c1) * lambda_direct(q2, n * c2, m * c2)
+    # reduced before twisting, so the products stay below q1**2 and q2**2
+    return (lambda_direct(q1, _reduce(q1, n) * c1, _reduce(q1, m) * c1)
+            * lambda_direct(q2, _reduce(q2, n) * c2, _reduce(q2, m) * c2))
 
 
 def lambda_any(q: int, n, m):
@@ -168,14 +169,13 @@ def lambda_any(q: int, n, m):
     `lambda_fast_odd`, and recombines multiplicatively.  Broadcasts over
     n and m like `lambda_direct`.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+    q = _check_modulus(q)
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
     h = (q & -q).bit_length() - 1  # 2-adic valuation, here 0, 1 or 2
     if h == 0:
         return lambda_fast_odd(q, n, m)
-    n, m = n % q, m % q  # keeps the twisted arguments below q**2
+    n, m = _reduce(q, n), _reduce(q, m)  # keeps the twisted arguments below q**2
     t2 = 1 << h
     q1 = q >> h
     c2 = mod_inverse(q1, t2)
@@ -191,6 +191,7 @@ def lambda_direct_table(q: int) -> np.ndarray:
     Batched direct summation: 2-D inverse DFT of the solution-set
     indicator, scaled by q^2.
     """
+    q = _check_modulus(q)
     sols = solve_circle(q)
     hist = np.zeros((q, q))
     np.add.at(hist, (sols.xs % q, sols.ys % q), 1.0)
@@ -221,8 +222,7 @@ def lambda_any_table(q: int) -> np.ndarray:
     Same decomposition as `lambda_any`, evaluated for the whole argument
     grid at once (the Kloosterman rows come from one FFT per divisor).
     """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+    q = _check_modulus(q)
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
     h = (q & -q).bit_length() - 1

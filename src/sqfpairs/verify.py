@@ -5,6 +5,13 @@ quantity (direct summation, exhaustive enumeration, a proved bound) over
 a fixed grid plus seeded random samples, and reports how many checks ran
 and which failed.  The CLI `verify` command runs these; the acceptance
 tests call them with the parameters they guarantee.
+
+A suite records its checks through one call, `check(ok, message, **fields)`.
+`ok` is a bool or a bool array, one check per entry, so a sweep over a
+modulus is one call.  `message` is a `str.format` template; it is
+formatted only for the failures that are stored, with each array (or
+list) field taking that entry's element and every other field used as
+it is.
 """
 
 from __future__ import annotations
@@ -58,12 +65,19 @@ class _Recorder:
         self.failures = []
         self.start = time.perf_counter()
 
-    def check(self, ok, describe):
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            if self.failed <= 1000:
-                self.failures.append(describe() if callable(describe) else describe)
+    def check(self, ok, message, **fields):
+        """One check per entry of `ok`; see the module docstring."""
+        ok = np.asarray(ok, dtype=bool)
+        self.checked += ok.size
+        if ok.all():
+            return
+        bad = np.flatnonzero(~ok)
+        self.failed += bad.size
+        for i in bad[: 1000 - len(self.failures)].tolist():
+            self.failures.append(message.format(**{
+                k: v[i] if isinstance(v, list) else v.item(i) if isinstance(v, np.ndarray) else v
+                for k, v in fields.items()
+            }))
 
     def result(self, notes="") -> SuiteResult:
         return SuiteResult(
@@ -88,9 +102,9 @@ def suite_mobius_identity(seed=DEFAULT_SEED, limit=10_000) -> SuiteResult:
     acc = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
         acc[d * d :: d * d] += int(mu_small[d])
-    for n in range(1, limit + 1):
-        expect = ntcore.mobius(n) ** 2
-        rec.check(acc[n] == expect, lambda n=n, e=expect: f"n={n}: sum={acc[n]} mu^2={e}")
+    expect = np.array([ntcore.mobius(n) ** 2 for n in range(1, limit + 1)])
+    rec.check(acc[1:] == expect, "n={n}: sum={s} mu^2={e}",
+              n=np.arange(1, limit + 1), s=acc[1:], e=expect)
     return rec.result()
 
 
@@ -104,10 +118,8 @@ def suite_inverse_involution(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
         while math.gcd(k, q) != 1:
             k = rng.randrange(1, q)
         r = ntcore.mod_inverse(k, q)
-        rec.check(
-            k * r % q == 1 and ntcore.mod_inverse(r, q) == k % q,
-            lambda k=k, q=q, r=r: f"k={k} q={q} inv={r}",
-        )
+        rec.check(k * r % q == 1 and ntcore.mod_inverse(r, q) == k % q,
+                  "k={k} q={q} inv={r}", k=k, q=q, r=r)
     return rec.result()
 
 
@@ -128,16 +140,14 @@ def suite_jacobi(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
         b = rng.randrange(-(10**5), 10**5)
         lhs = ntcore.jacobi(a, q) * ntcore.jacobi(b, q)
         rhs = ntcore.jacobi(a * b, q)
-        rec.check(lhs == rhs, lambda a=a, b=b, q=q: f"({a}/{q})({b}/{q}) != ({a * b}/{q})")
+        rec.check(lhs == rhs, "({a}/{q})({b}/{q}) != ({ab}/{q})", a=a, b=b, q=q, ab=a * b)
     for p in ntcore.primes_upto(311).tolist():
         if p == 2:
             continue
         for _ in range(40):
             a = rng.randrange(-3 * p, 3 * p)
-            rec.check(
-                ntcore.jacobi(a, p) == euler(a, p),
-                lambda a=a, p=p: f"jacobi({a},{p}) != euler criterion",
-            )
+            rec.check(ntcore.jacobi(a, p) == euler(a, p),
+                      "jacobi({a},{p}) != euler criterion", a=a, p=p)
     return rec.result()
 
 
@@ -153,12 +163,10 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
             buckets = [[] for _ in range(m)]
             for y in range(m):
                 buckets[y * y % m].append(y)
-            for a in range(m):
-                got = ntcore.sqrt_mod(a, p, e)
-                rec.check(
-                    got == buckets[a],
-                    lambda a=a, p=p, e=e, g=got, w=buckets[a]: f"sqrt_mod({a},{p},{e})={g} want {w}",
-                )
+            got = [ntcore.sqrt_mod(a, p, e) for a in range(m)]
+            rec.check(np.array([g == w for g, w in zip(got, buckets)]),
+                      "sqrt_mod({a},{p},{e})={g} want {w}",
+                      a=np.arange(m), p=p, e=e, g=got, w=buckets)
             e += 1
     return rec.result()
 
@@ -169,13 +177,11 @@ def suite_tau_growth(seed=DEFAULT_SEED, lo=10_000, hi=100_000) -> SuiteResult:
     counts = np.zeros(hi + 1, dtype=np.int32)
     for d in range(1, hi + 1):
         counts[d::d] += 1
-    worst = 0.0
-    for n in range(1, hi + 1):
-        t = int(counts[n])
-        ok = t <= n and (n <= lo or t <= n**0.6)
-        if n > lo:
-            worst = max(worst, t / n**0.6)
-        rec.check(ok, lambda n=n, t=t: f"tau({n})={t}")
+    n = np.arange(1, hi + 1)
+    t = counts[1:]
+    cap = n**0.6
+    rec.check((t <= n) & ((n <= lo) | (t <= cap)), "tau({n})={t}", n=n, t=t)
+    worst = (t[lo:] / cap[lo:]).max(initial=0.0)
     return rec.result(notes=f"max tau(n)/n^0.6 = {worst:.3f}")
 
 
@@ -195,15 +201,12 @@ def suite_weil_bound(seed=DEFAULT_SEED, qmax=2000, per_q=20) -> SuiteResult:
     rng = random.Random(seed)
     for q in range(1, qmax + 1):
         tq = ntcore.tau(q)
-        pairs = [(rng.randrange(-3 * q, 3 * q + 1), rng.randrange(-3 * q, 3 * q + 1))
-                 for _ in range(per_q)]
-        vals = np.abs(expsums.kloosterman_direct(q, *_columns(pairs))).tolist()
-        for (n, m), val in zip(pairs, vals):
-            bound = tq * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
-            rec.check(
-                val <= bound + 1e-7,
-                lambda q=q, n=n, m=m, v=val, b=bound: f"|K({q};{n},{m})|={v:.6f} > {b:.6f}",
-            )
+        n, m = _columns([(rng.randrange(-3 * q, 3 * q + 1), rng.randrange(-3 * q, 3 * q + 1))
+                         for _ in range(per_q)])
+        val = np.abs(expsums.kloosterman_direct(q, n, m))
+        bound = tq * math.sqrt(q) * np.sqrt(np.gcd(np.gcd(n, m), q))
+        rec.check(val <= bound + 1e-7, "|K({q};{n},{m})|={v:.6f} > {b:.6f}",
+                  q=q, n=n, m=m, v=val, b=bound)
     return rec.result()
 
 
@@ -213,10 +216,8 @@ def suite_gauss_square(seed=DEFAULT_SEED, qmax=2001) -> SuiteResult:
     for q in range(1, qmax + 1, 2):
         g = expsums.gauss_direct(q, 1, 0)
         target = complex(q if q % 4 == 1 else -q)
-        rec.check(
-            abs(g * g - target) <= 1e-6 * q,
-            lambda q=q, g=g: f"G({q};1)^2 = {g * g:.8f}, want {q if q % 4 == 1 else -q}",
-        )
+        rec.check(abs(g * g - target) <= 1e-6 * q, "G({q};1)^2 = {g2:.8f}, want {t}",
+                  q=q, g2=g * g, t=int(target.real))
     return rec.result()
 
 
@@ -245,15 +246,13 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
             sub = direct if d == 1 else tables[q // d]
             reduced[np.ix_(ns, ms)] = d * sub[np.ix_(ns // d, ms // d)]
         err = np.abs(direct - reduced) / np.maximum(1.0, np.abs(direct))
-        rec.check(float(err.max()) <= 1e-6, lambda q=q, e=err.max(): f"q={q} max err {e:.2e}")
+        rec.check(err.max() <= 1e-6, "q={q} max err {e:.2e}", q=q, e=err.max())
         # tie the batched grid back to the scalar operations
-        for _ in range(3):
-            n, m = rng.randrange(q), rng.randrange(q)
-            rec.check(
-                complex_close(direct[n, m], expsums.gauss_direct(q, n, m))
-                and complex_close(reduced[n, m], expsums.gauss_reduce(q, n, m)),
-                lambda q=q, n=n, m=m: f"batch/scalar mismatch at ({q};{n},{m})",
-            )
+        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(3)])
+        pairs = list(zip(n.tolist(), m.tolist()))
+        rec.check(complex_close(direct[n, m], [expsums.gauss_direct(q, *nm) for nm in pairs])
+                  & complex_close(reduced[n, m], [expsums.gauss_reduce(q, *nm) for nm in pairs]),
+                  "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
 
@@ -263,29 +262,18 @@ def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
     rng = random.Random(seed)
     for q in range(1, qmax + 1, 2):
         direct = expsums.gauss_direct_table(q)
-        units = [n for n in range(q) if math.gcd(q, n) == 1] if q > 1 else [0]
+        units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
+        closed = expsums.gauss_closed_odd(q, units[:, None], np.arange(q))
+        rows = direct[units]
+        err = (np.abs(rows - closed) / np.maximum(1.0, np.abs(rows))).max(axis=1)
+        rec.check(err <= 1e-6, "q={q} n={n} max err {e:.2e}", q=q, n=units, e=err)
         if q == 1:
-            rec.check(complex_close(direct[0, 0], 1 + 0j), "q=1")
             continue
-        g1 = math.sqrt(q) * (1 if q % 4 == 1 else 1j)
-        m = np.arange(q, dtype=np.int64)
-        msq = m * m % q
-        roots = expsums.phase_table(q)
-        for n in units:
-            inv4n = pow(4 * n, -1, q)
-            closed = roots[(-inv4n * msq) % q] * (ntcore.jacobi(n, q) * g1)
-            err = np.abs(direct[n] - closed) / np.maximum(1.0, np.abs(direct[n]))
-            rec.check(
-                float(err.max()) <= 1e-6,
-                lambda q=q, n=n, e=err.max(): f"q={q} n={n} max err {e:.2e}",
-            )
-        for _ in range(3):
-            n = units[rng.randrange(len(units))]
-            mm = rng.randrange(q)
-            rec.check(
-                complex_close(expsums.gauss_closed_odd(q, n, mm), direct[n, mm]),
-                lambda q=q, n=n, mm=mm: f"scalar closed mismatch at ({q};{n},{mm})",
-            )
+        # the scalar path of the same evaluator, at sampled entries
+        n, m = _columns([(units[rng.randrange(units.size)], rng.randrange(q)) for _ in range(3)])
+        scalar = [expsums.gauss_closed_odd(q, *nm) for nm in zip(n.tolist(), m.tolist())]
+        rec.check(complex_close(scalar, direct[n, m]),
+                  "scalar closed mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
 
@@ -294,14 +282,10 @@ def suite_kloosterman_real(seed=DEFAULT_SEED, qmax=500) -> SuiteResult:
     rec = _Recorder("kloosterman-diagonal-real")
     rng = random.Random(seed)
     for q in range(1, qmax + 1):
-        ns = (0, 1, rng.randrange(q) if q > 1 else 0)
-        diagonal = np.array(ns)
-        vals = expsums.kloosterman_direct(q, diagonal, diagonal).tolist()
-        for n, val in zip(ns, vals):
-            rec.check(
-                abs(val.imag) <= 1e-7 * max(1.0, abs(val)),
-                lambda q=q, n=n, v=val: f"K({q};{n},{n}) = {v}",
-            )
+        n = np.array([0, 1, rng.randrange(q) if q > 1 else 0])
+        val = expsums.kloosterman_direct(q, n, n)
+        rec.check(np.abs(val.imag) <= 1e-7 * np.maximum(1.0, np.abs(val)),
+                  "K({q};{n},{n}) = {v}", q=q, n=n, v=val)
     return rec.result()
 
 
@@ -321,14 +305,11 @@ def suite_lambda_bound(seed=DEFAULT_SEED, qmax=1500, per_q=20) -> SuiteResult:
         if q % 8 == 0:
             continue
         tq = ntcore.tau(q)
-        pairs = [_random_nm(rng, q) for _ in range(per_q)]
-        vals = np.abs(lambdasums.lambda_direct(q, *_columns(pairs))).tolist()
-        for (n, m), val in zip(pairs, vals):
-            bound = 16 * tq * tq * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
-            rec.check(
-                val <= bound + 1e-7,
-                lambda q=q, n=n, m=m, v=val, b=bound: f"|lam({q};{n},{m})|={v:.4f} > {b:.4f}",
-            )
+        n, m = _columns([_random_nm(rng, q) for _ in range(per_q)])
+        val = np.abs(lambdasums.lambda_direct(q, n, m))
+        bound = 16 * tq * tq * math.sqrt(q) * np.sqrt(np.gcd(np.gcd(n, m), q))
+        rec.check(val <= bound + 1e-7, "|lam({q};{n},{m})|={v:.4f} > {b:.4f}",
+                  q=q, n=n, m=m, v=val, b=bound)
     return rec.result()
 
 
@@ -341,7 +322,7 @@ def suite_lambda_growth(seed=DEFAULT_SEED, lo=500, hi=1500) -> SuiteResult:
             continue
         ratio = len(lambdasums.solve_circle(q)) / q**1.2
         worst = max(worst, ratio)
-        rec.check(ratio < 1.0, lambda q=q, r=ratio: f"lam({q})/q^1.2 = {r:.3f}")
+        rec.check(ratio < 1.0, "lam({q})/q^1.2 = {r:.3f}", q=q, r=ratio)
     return rec.result(notes=f"max lam(q)/q^1.2 = {worst:.3f}")
 
 
@@ -350,15 +331,11 @@ def suite_lambda_fast(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     rec = _Recorder("lambda-fast-vs-direct")
     rng = random.Random(seed)
     for q in range(1, qmax + 1, 2):
-        pairs = [(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)]
-        ns, ms = _columns(pairs)
-        fast = lambdasums.lambda_fast_odd(q, ns, ms).tolist()
-        direct = lambdasums.lambda_direct(q, ns, ms).tolist()
-        for (n, m), a, b in zip(pairs, fast, direct):
-            rec.check(
-                abs(a - b) <= LAMBDA_TOLERANCE * q,
-                lambda q=q, n=n, m=m, a=a, b=b: f"fast({q};{n},{m})={a:.6f} direct={b:.6f}",
-            )
+        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
+        fast = lambdasums.lambda_fast_odd(q, n, m)
+        direct = lambdasums.lambda_direct(q, n, m)
+        rec.check(np.abs(fast - direct) <= LAMBDA_TOLERANCE * q,
+                  "fast({q};{n},{m})={a:.6f} direct={b:.6f}", q=q, n=n, m=m, a=fast, b=direct)
     return rec.result()
 
 
@@ -369,15 +346,11 @@ def suite_lambda_any(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     for q in range(1, qmax + 1):
         if q % 8 == 0:
             continue
-        pairs = [(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)]
-        ns, ms = _columns(pairs)
-        composite = lambdasums.lambda_any(q, ns, ms).tolist()
-        direct = lambdasums.lambda_direct(q, ns, ms).tolist()
-        for (n, m), a, b in zip(pairs, composite, direct):
-            rec.check(
-                abs(a - b) <= LAMBDA_TOLERANCE * q,
-                lambda q=q, n=n, m=m, a=a, b=b: f"any({q};{n},{m})={a:.6f} direct={b:.6f}",
-            )
+        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
+        composite = lambdasums.lambda_any(q, n, m)
+        direct = lambdasums.lambda_direct(q, n, m)
+        rec.check(np.abs(composite - direct) <= LAMBDA_TOLERANCE * q,
+                  "any({q};{n},{m})={a:.6f} direct={b:.6f}", q=q, n=n, m=m, a=composite, b=direct)
     return rec.result()
 
 
@@ -388,17 +361,14 @@ def suite_lambda_triple(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     for q in range(1, qmax + 1):
         if q % 8 == 0:
             continue
-        pairs = [(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)]
-        ns, ms = _columns(pairs)
-        columns = [lambdasums.lambda_direct(q, ns, ms), lambdasums.lambda_any(q, ns, ms)]
+        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
+        columns = [lambdasums.lambda_direct(q, n, m), lambdasums.lambda_any(q, n, m)]
         if q % 2 == 1:
-            columns.append(lambdasums.lambda_fast_odd(q, ns, ms))
-        for (n, m), vals in zip(pairs, zip(*(c.tolist() for c in columns))):
-            spread = max(abs(a - b) for a in vals for b in vals)
-            rec.check(
-                spread <= LAMBDA_TOLERANCE * q,
-                lambda q=q, n=n, m=m, s=spread: f"({q};{n},{m}): evaluator spread {s:.2e}",
-            )
+            columns.append(lambdasums.lambda_fast_odd(q, n, m))
+        vals = np.array(columns)
+        spread = np.abs(vals[:, None] - vals[None, :]).max(axis=(0, 1))
+        rec.check(spread <= LAMBDA_TOLERANCE * q, "({q};{n},{m}): evaluator spread {s:.2e}",
+                  q=q, n=n, m=m, s=spread)
     return rec.result()
 
 
@@ -416,10 +386,8 @@ def suite_lambda_multiplicative(seed=DEFAULT_SEED, trials=100, product_max=10_00
         n, m = _random_nm(rng, q)
         a = lambdasums.lambda_multiplicative(q1, q2, n, m)
         b = lambdasums.lambda_direct(q, n, m)
-        rec.check(
-            abs(a - b) <= LAMBDA_TOLERANCE * q,
-            lambda q1=q1, q2=q2, n=n, m=m, a=a, b=b: f"mult({q1},{q2};{n},{m})={a:.6f} direct={b:.6f}",
-        )
+        rec.check(abs(a - b) <= LAMBDA_TOLERANCE * q, "mult({q1},{q2};{n},{m})={a:.6f} direct={b:.6f}",
+                  q1=q1, q2=q2, n=n, m=m, a=a, b=b)
         done += 1
     return rec.result()
 
@@ -431,18 +399,13 @@ def suite_lambda_symmetry(seed=DEFAULT_SEED, qmax=300, per_q=5) -> SuiteResult:
     for q in range(1, qmax + 1):
         if q % 8 == 0:
             continue
-        for _ in range(per_q):
-            n, m = rng.randrange(q), rng.randrange(q)
-            base = lambdasums.lambda_direct(q, n, m)
-            rec.check(
-                lambdasums.lambda_direct(q, n + q, m) == base
-                and lambdasums.lambda_direct(q, n, m + q) == base,
-                lambda q=q, n=n, m=m: f"periodicity broke at ({q};{n},{m})",
-            )
-            rec.check(
-                complex_close(lambdasums.lambda_direct(q, -n, -m), base.conjugate()),
-                lambda q=q, n=n, m=m: f"conjugation broke at ({q};{n},{m})",
-            )
+        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(per_q)])
+        base = lambdasums.lambda_direct(q, n, m)
+        rec.check((lambdasums.lambda_direct(q, n + q, m) == base)
+                  & (lambdasums.lambda_direct(q, n, m + q) == base),
+                  "periodicity broke at ({q};{n},{m})", q=q, n=n, m=m)
+        rec.check(complex_close(lambdasums.lambda_direct(q, -n, -m), base.conjugate()),
+                  "conjugation broke at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
 
@@ -457,12 +420,10 @@ def suite_lambda_lift(seed=DEFAULT_SEED, pmax=47) -> SuiteResult:
         lp = len(lambdasums.solve_circle(p))
         lp2 = len(lambdasums.solve_circle(p * p))
         closed = p * (p - 1) if p % 4 == 1 else p * (p + 1)
-        rec.check(lp2 == p * lp, lambda p=p, a=lp2, b=p * lp: f"lam({p}^2)={a} != p*lam(p)={b}")
-        rec.check(lp2 == closed, lambda p=p, a=lp2, c=closed: f"lam({p}^2)={a} != closed {c}")
-        rec.check(
-            asymptotic.lambda_p_squared(p) == lp2,
-            lambda p=p: f"lambda_p_squared({p}) != enumeration",
-        )
+        rec.check(lp2 == p * lp, "lam({p}^2)={a} != p*lam(p)={b}", p=p, a=lp2, b=p * lp)
+        rec.check(lp2 == closed, "lam({p}^2)={a} != closed {c}", p=p, a=lp2, c=closed)
+        rec.check(asymptotic.lambda_p_squared(p) == lp2,
+                  "lambda_p_squared({p}) != enumeration", p=p)
     return rec.result()
 
 
@@ -476,14 +437,11 @@ def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
         direct = lambdasums.lambda_direct_table(q)
         fast = lambdasums.lambda_any_table(q)
         err = np.abs(direct - fast).max()
-        rec.check(err <= LAMBDA_TOLERANCE * q, lambda q=q, e=err: f"q={q} table err {e:.2e}")
-        for _ in range(samples):
-            n, m = rng.randrange(q), rng.randrange(q)
-            rec.check(
-                complex_close(direct[n, m], lambdasums.lambda_direct(q, n, m))
-                and abs(fast[n, m] - lambdasums.lambda_any(q, n, m)) <= LAMBDA_TOLERANCE * q,
-                lambda q=q, n=n, m=m: f"batch/scalar mismatch at ({q};{n},{m})",
-            )
+        rec.check(err <= LAMBDA_TOLERANCE * q, "q={q} table err {e:.2e}", q=q, e=err)
+        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(samples)])
+        rec.check(complex_close(direct[n, m], lambdasums.lambda_direct(q, n, m))
+                  & (np.abs(fast[n, m] - lambdasums.lambda_any(q, n, m)) <= LAMBDA_TOLERANCE * q),
+                  "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
 
@@ -502,10 +460,7 @@ def suite_count_oracle(seed=DEFAULT_SEED, H_values=None, threads=1,
     for H in H_values:
         direct = counting.count_pairs_direct(H, sieve=sieve, threads=threads)
         ident = counting.count_pairs_mobius(H)
-        rec.check(
-            direct.S == ident.S,
-            lambda H=H, a=direct.S, b=ident.S: f"H={H}: sieve={a} identity={b}",
-        )
+        rec.check(direct.S == ident.S, "H={H}: sieve={a} identity={b}", H=H, a=direct.S, b=ident.S)
     return rec.result()
 
 
@@ -517,11 +472,9 @@ def suite_residue_count(seed=DEFAULT_SEED) -> SuiteResult:
     grid += [(rng.randrange(1, 2000), rng.randrange(1, 500)) for _ in range(100)]
     for H, q in grid:
         counts = [counting.residue_count(H, q, x) for x in range(1, q + 1)]
-        rec.check(sum(counts) == H, lambda H=H, q=q: f"residue counts for (H={H}, q={q}) miss H")
-        rec.check(
-            all(abs(c - H / q) <= 1 for c in counts),
-            lambda H=H, q=q: f"(H={H}, q={q}): some count strays beyond H/q +- 1",
-        )
+        rec.check(sum(counts) == H, "residue counts for (H={H}, q={q}) miss H", H=H, q=q)
+        rec.check(all(abs(c - H / q) <= 1 for c in counts),
+                  "(H={H}, q={q}): some count strays beyond H/q +- 1", H=H, q=q)
     return rec.result()
 
 
@@ -534,10 +487,7 @@ def suite_congruent_bound(seed=DEFAULT_SEED, qmax=200) -> SuiteResult:
                 continue
             t = counting.congruent_pair_count(H, q)
             cap = len(lambdasums.solve_circle(q)) * (H / q + 1) ** 2
-            rec.check(
-                0 <= t <= cap,
-                lambda H=H, q=q, t=t, cap=cap: f"T({H},{q})={t} outside [0, {cap:.2f}]",
-            )
+            rec.check(0 <= t <= cap, "T({H},{q})={t} outside [0, {cap:.2f}]", H=H, q=q, t=t, cap=cap)
     return rec.result()
 
 
@@ -546,7 +496,7 @@ def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6, memory_budget=None) -> 
     rec = _Recorder("squarefree-density")
     sieve = counting.build_sieve(N, memory_budget)
     density = sieve.count_squarefree(N) / N
-    rec.check(abs(density - 0.607927) <= 0.01, f"density {density:.6f}")
+    rec.check(abs(density - 0.607927) <= 0.01, "density {d:.6f}", d=density)
     return rec.result(notes=f"density = {density:.6f}")
 
 
@@ -564,8 +514,8 @@ def suite_truncation_report(seed=DEFAULT_SEED, H_values=(50, 100, 150, 200), eps
             sign = ntcore.mobius(d)
             if sign:  # 8 | d^2 only when mu(d) = 0
                 dropped += sign * counting.congruent_pair_count(H, d * d)
-        rec.check(exact - trunc == dropped,
-                  lambda H=H, a=exact - trunc, b=dropped: f"H={H}: S - S_z = {a} != dropped {b}")
+        rec.check(exact - trunc == dropped, "H={H}: S - S_z = {a} != dropped {b}",
+                  H=H, a=exact - trunc, b=dropped)
         dev = abs(exact - trunc)
         c_fit = dev * z / H ** (2 + epsilon)
         lines.append(f"H={H} z={int(z)} |S - S_z|={dev} C={c_fit:.4f}")
@@ -584,15 +534,11 @@ def suite_constant_consistency(seed=DEFAULT_SEED, cutoffs=(100, 1000, 10_000)) -
         lo = asymptotic.constant_c(P)
         hi = asymptotic.constant_c(2 * P)
         tails.append(lo.tail_bound)
-        rec.check(
-            abs(hi.value - lo.value) <= lo.tail_bound,
-            lambda P=P, a=lo, b=hi: f"|c({2 * P}) - c({P})| = {abs(b.value - a.value):.3e} > {a.tail_bound:.3e}",
-        )
-        rec.check(0.0 < lo.value < 1.0, lambda P=P, v=lo.value: f"c({P}) = {v} outside (0,1)")
-    rec.check(
-        all(b < a for a, b in zip(tails, tails[1:])),
-        f"tail bounds not decreasing: {tails}",
-    )
+        rec.check(abs(hi.value - lo.value) <= lo.tail_bound, "|c({P2}) - c({P})| = {d:.3e} > {t:.3e}",
+                  P=P, P2=2 * P, d=abs(hi.value - lo.value), t=lo.tail_bound)
+        rec.check(0.0 < lo.value < 1.0, "c({P}) = {v} outside (0,1)", P=P, v=lo.value)
+    rec.check(all(b < a for a, b in zip(tails, tails[1:])),
+              "tail bounds not decreasing: {tails}", tails=tuple(tails))
     return rec.result(notes=f"c({cutoffs[-1]}) = {asymptotic.constant_c(cutoffs[-1]).value:.9f}")
 
 
@@ -603,7 +549,7 @@ def suite_dirichlet_form(seed=DEFAULT_SEED, dmax=500, P=10_000) -> SuiteResult:
     prod = asymptotic.constant_c(P)
     budget = asymptotic.dirichlet_tail_bound(dmax) + prod.tail_bound
     gap = abs(series - prod.value)
-    rec.check(gap <= budget, f"|series - product| = {gap:.3e} > {budget:.3e}")
+    rec.check(gap <= budget, "|series - product| = {gap:.3e} > {budget:.3e}", gap=gap, budget=budget)
     return rec.result(notes=f"gap {gap:.2e} within {budget:.2e}")
 
 
@@ -620,10 +566,7 @@ def suite_rho_envelope(seed=DEFAULT_SEED, D_values=(10, 100, 1000), trials=1000)
                 dist = min(t % 1.0, 1.0 - t % 1.0)
             err = abs(asymptotic.rho(t) - asymptotic.rho_fourier(D, t))
             cap = 3.0 * min(1.0, 1.0 / (D * dist))
-            rec.check(
-                err <= cap,
-                lambda D=D, t=t, e=err, c=cap: f"D={D} t={t:.6f}: err {e:.4f} > {c:.4f}",
-            )
+            rec.check(err <= cap, "D={D} t={t:.6f}: err {e:.4f} > {c:.4f}", D=D, t=t, e=err, c=cap)
     return rec.result()
 
 
@@ -641,17 +584,14 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> Suit
     rec = _Recorder("harmonic-envelope")
     q_grid = ENVELOPE_Q_GRID if q_grid is None else q_grid
     D_grid = ENVELOPE_D_GRID if D_grid is None else D_grid
+    D = np.array(D_grid)
+    D_scale = np.array([d**0.2 for d in D_grid])
     worst_u = worst_v = 0.0
     for q in q_grid:
-        Us, Vs = asymptotic.harmonic_lambda_sums(q, np.array(D_grid))
-        for D, U, V in zip(D_grid, Us.tolist(), Vs.tolist()):
-            scale = q**0.7 * D**0.2
-            worst_u = max(worst_u, U / scale)
-            worst_v = max(worst_v, V / scale)
-            rec.check(
-                U / scale <= 20 and V / scale <= 20,
-                lambda q=q, D=D, U=U, V=V, s=scale: f"q={q} D={D}: U/s={U / s:.2f} V/s={V / s:.2f}",
-            )
+        U, V = asymptotic.harmonic_lambda_sums(q, D)
+        u, v = U / (q**0.7 * D_scale), V / (q**0.7 * D_scale)
+        worst_u, worst_v = max(worst_u, u.max()), max(worst_v, v.max())
+        rec.check((u <= 20) & (v <= 20), "q={q} D={D}: U/s={u:.2f} V/s={v:.2f}", q=q, D=D, u=u, v=v)
     return rec.result(notes=f"max U ratio {worst_u:.2f}, max V ratio {worst_v:.2f}")
 
 
@@ -665,13 +605,10 @@ def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5, threads=
     result = asymptotic.error_scan(ladder, P, threads=threads, memory_budget=memory_budget)
     for row in result.rows:
         cap = 5.0 * row.H**1.5
-        rec.check(
-            abs(row.E) <= cap,
-            lambda r=row, cap=cap: f"H={r.H}: |E|={abs(r.E):.1f} > {cap:.1f}",
-        )
+        rec.check(abs(row.E) <= cap, "H={H}: |E|={E:.1f} > {cap:.1f}", H=row.H, E=abs(row.E), cap=cap)
     rec.check(result.alpha is not None, "fit skipped: fewer than 4 usable rows")
     if result.alpha is not None:
-        rec.check(result.alpha <= 1.6, f"alpha = {result.alpha:.4f} > 1.6")
+        rec.check(result.alpha <= 1.6, "alpha = {a:.4f} > 1.6", a=result.alpha)
     alpha = "n/a" if result.alpha is None else f"{result.alpha:.4f}"
     return rec.result(notes=f"alpha = {alpha}, c = {result.c:.9f} (P = {P})")
 

@@ -337,6 +337,11 @@ class TestCongruentPairCount:
         with pytest.raises(ValueError):
             congruent_pair_count(10, 8)
 
+    @pytest.mark.parametrize("q", [0, -3, -8])
+    def test_rejects_nonpositive_modulus(self, q):
+        with pytest.raises(ValueError, match="q must be positive"):
+            congruent_pair_count(7, q)
+
 
 class TestCountPairsMobius:
     def test_h_equals_one(self):
@@ -359,6 +364,13 @@ class TestCountPairsMobius:
     def test_two_thousand(self):
         # S(2000) of the scan ladder, there found by the value sieve
         assert count_pairs_mobius(2000).S == 3122183
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("H,S", [(2000, 3122183), (4000, 12490582),
+                                     (8000, 49964328), (16000, 199855421)])
+    def test_scan_ladder(self, H, S):
+        # the S(H) that the value sieve gives over the whole scan ladder
+        assert count_pairs_mobius(H).S == S
 
     def test_builds_no_solution_set(self):
         before = lambdasums._solve.cache_info()

@@ -33,6 +33,12 @@ def kloosterman_oracle(q, n, m):
     return total
 
 
+def assert_close_elementwise(got, want, tol=1e-12):
+    assert np.shape(got) == np.shape(want)
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        assert abs(g - w) <= tol * max(1.0, abs(w)), (g, w)
+
+
 class TestGaussDirect:
     def test_modulus_one(self):
         for n, m in [(0, 0), (3, -5), (7, 2)]:
@@ -105,10 +111,41 @@ class TestGaussClosedOdd:
             assert complex_close(gauss_closed_odd(q, n, m), gauss_direct(q, n, m))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need gcd"):
             gauss_closed_odd(6, 1, 0)  # even modulus
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need gcd"):
             gauss_closed_odd(9, 3, 0)  # gcd(q, n) > 1
+        with pytest.raises(ValueError, match="need gcd"):
+            gauss_closed_odd(9, np.array([1, 2, 4, 6, 7]), 0)  # one non-unit among units
+        with pytest.raises(ValueError, match="need gcd"):
+            gauss_closed_odd(9, np.array([[1], [12]]), np.arange(9))
+
+    @pytest.mark.parametrize("q", [1, 3, 15, 45, 97])
+    def test_array_equals_scalar_loop(self, q):
+        n = np.array([a for a in range(-2 * q, 2 * q + 1) if math.gcd(a, 2 * q) == 1])
+        m = np.random.default_rng(q).integers(-3 * q, 3 * q + 1, size=7)
+        got = gauss_closed_odd(q, n[:, None], m)
+        assert got.shape == (n.size, 7)
+        assert_close_elementwise(got, [[gauss_closed_odd(q, a, b) for b in m.tolist()]
+                                       for a in n.tolist()])
+        assert_close_elementwise(got, [[gauss_direct(q, a, b) for b in m.tolist()]
+                                       for a in n.tolist()], tol=1e-9)
+
+    def test_shapes_and_scalar_type(self):
+        assert type(gauss_closed_odd(13, 2, 3)) is complex
+        assert type(gauss_closed_odd(13, np.int64(2), np.int64(3))) is complex
+        assert gauss_closed_odd(13, np.arange(1, 13).reshape(3, 4), 5).shape == (3, 4)
+        assert gauss_closed_odd(13, 2, np.arange(6).reshape(2, 1, 3)).shape == (2, 1, 3)
+        assert gauss_closed_odd(13, np.array([1]), np.array([]).astype(int)).shape == (0,)
+
+    def test_caller_arrays_unchanged_and_huge_arguments(self):
+        n = np.array([-40, 2, 101, 7])
+        m = np.array([[55], [-9]])
+        gauss_closed_odd(9, n, m)
+        assert n.tolist() == [-40, 2, 101, 7]
+        assert m.tolist() == [[55], [-9]]
+        big = 10**30 + 1
+        assert gauss_closed_odd(11, big, -big) == gauss_closed_odd(11, big % 11, -big % 11)
 
 
 class TestGaussSquareIdentity:
@@ -172,9 +209,6 @@ class TestUnitTable:
         assert invs.tolist() == [0]
 
 
-def assert_close_elementwise(got, want):
-    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
-        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
 
 
 class TestKloostermanBroadcast:
@@ -257,3 +291,11 @@ class TestComplexClose:
     def test_rejects_nonfinite(self):
         assert not complex_close(complex("inf"), 1.0)
         assert not complex_close(complex("nan"), complex("nan"))
+
+    def test_elementwise_on_arrays(self):
+        a = np.array([1.0, 1000.0, 0.0, complex("inf"), 5.0])
+        b = np.array([1.0 + 1e-7j, 1000.0 + 1e-4j, 2e-6, complex("inf"), complex("nan")])
+        got = complex_close(a, b)
+        assert got.tolist() == [complex_close(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert got.tolist() == [True, True, False, False, False]
+        assert type(complex_close(1.0, 1.0)) is bool

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from sqfpairs import expsums
+from sqfpairs.asymptotic import harmonic_lambda_sums
 from sqfpairs.expsums import complex_close
 from sqfpairs.lambdasums import (
     LAMBDA_TOLERANCE,
@@ -342,3 +344,51 @@ class TestBounds:
             lp2 = len(solve_circle(p * p))
             assert lp2 == p * lp
             assert lp == p - (1 if p % 4 == 1 else -1)
+
+
+# Every evaluator, called with modulus q and valid arguments n = 2, m = 3
+# (q = 15 is odd, so every contract admits it).
+EVALUATORS = {
+    "gauss_direct": lambda q, n=2, m=3: expsums.gauss_direct(q, n, m),
+    "gauss_reduce": lambda q, n=2, m=3: expsums.gauss_reduce(q, n, m),
+    "gauss_closed_odd": lambda q, n=2, m=3: expsums.gauss_closed_odd(q, n, m),
+    "kloosterman_direct": lambda q, n=2, m=3: expsums.kloosterman_direct(q, n, m),
+    "gauss_direct_table": lambda q: expsums.gauss_direct_table(q),
+    "kloosterman_row": lambda q, n=2: expsums.kloosterman_row(q, n),
+    "solve_circle": lambda q: solve_circle(q).pairs(),
+    "lambda_direct": lambda q, n=2, m=3: lambda_direct(q, n, m),
+    "lambda_fast_odd": lambda q, n=2, m=3: lambda_fast_odd(q, n, m),
+    "lambda_any": lambda q, n=2, m=3: lambda_any(q, n, m),
+    "lambda_multiplicative": lambda q, n=2, m=3: lambda_multiplicative(q, 4, n, m),
+    "lambda_direct_table": lambda q: lambda_direct_table(q),
+    "lambda_any_table": lambda q: lambda_any_table(q),
+    "harmonic_lambda_sums": lambda q: harmonic_lambda_sums(q, 10),
+}
+WITH_ARGUMENTS = ["gauss_direct", "gauss_reduce", "gauss_closed_odd", "kloosterman_direct",
+                  "kloosterman_row", "lambda_direct", "lambda_fast_odd", "lambda_any",
+                  "lambda_multiplicative"]
+
+
+class TestEvaluatorArguments:
+    @pytest.mark.parametrize("name", EVALUATORS)
+    @pytest.mark.parametrize("q", [np.int64(15), True, 0, -3, 1.5])
+    def test_one_modulus_check(self, name, q):
+        evaluate = EVALUATORS[name]
+        if isinstance(q, np.integer):
+            np.testing.assert_array_equal(evaluate(q), evaluate(int(q)))
+        else:
+            with pytest.raises(ValueError, match="modulus must be a positive integer"):
+                evaluate(q)
+
+    @pytest.mark.parametrize("name", WITH_ARGUMENTS)
+    def test_integer_arguments_only(self, name):
+        evaluate = EVALUATORS[name]
+        for bad in (1.5, 2.0, np.float64(2.0), np.array([2.0]), True, "2"):
+            with pytest.raises(ValueError, match="integers or integer arrays"):
+                evaluate(15, n=bad)
+        if name != "kloosterman_row":
+            with pytest.raises(ValueError, match="integers or integer arrays"):
+                evaluate(15, m=1.5)
+        big = 15 * 10**30 + 2  # beyond int64, reduces to n = 2
+        np.testing.assert_array_equal(evaluate(15, n=big), evaluate(15))
+        np.testing.assert_array_equal(evaluate(15, n=np.int32(2)), evaluate(15))
