@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expsums import _check_modulus
 from .ntcore import BudgetError, mobius_sieve, primes_upto
 
 __all__ = [
@@ -275,12 +276,10 @@ def residue_count(H: int, q: int, x: int) -> int:
     """M(H, q, x): how many h in [1, H] have h = x (mod q).
 
     Computed as floor((H - x)/q) - floor(-x/q); always within 1 of H/q.
-    x may also be an integer array, which is counted elementwise.
+    x may also be an integer array, which is counted elementwise.  H and
+    q must be positive integers (ints or numpy integers, not bools).
     """
-    if H < 1:
-        raise ValueError(f"H must be positive, got {H}")
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
+    H, q = _check_modulus(H, "H"), _check_modulus(q, "q")
     return (H - x) // q - (-x) // q
 
 
@@ -289,13 +288,11 @@ def congruent_pair_count(H: int, q: int) -> int:
 
     The squares r = x^2 mod q for x = 1..H are sorted once; each x pairs
     with the run of y whose r equals -x^2 - 1 mod q, found by two binary
-    searches.  O(H log H) time and O(H) memory for any q.  Requires 8 to
+    searches.  O(H log H) time and O(H) memory for any q.  H and q must
+    be positive integers (ints or numpy integers, not bools), and 8 must
     not divide q.
     """
-    if H < 1:
-        raise ValueError(f"H must be positive, got {H}")
-    if q < 1:
-        raise ValueError(f"q must be positive, got {q}")
+    H, q = _check_modulus(H, "H"), _check_modulus(q, "q")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
     x = np.arange(1, H + 1, dtype=np.int64)

@@ -55,17 +55,21 @@ def complex_close(a, b, tol: float = TOLERANCE):
     return bool(close) if close.ndim == 0 else close
 
 
-@lru_cache(maxsize=512)
 def phase_table(q: int) -> np.ndarray:
     """roots[t] = exp(2*pi*i*t/q) for t in [0, q); shared and read-only."""
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+    return _phase_table(_check_modulus(q))
+
+
+# Both tables are cached by the validated int q: True hashes like 1, so a
+# check inside the cache would never see it once q = 1 is cached.  The
+# evaluators validate q on entry and then read the cached tables directly.
+@lru_cache(maxsize=512)
+def _phase_table(q: int) -> np.ndarray:
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     roots.setflags(write=False)
     return roots
 
 
-@lru_cache(maxsize=512)
 def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, inverses): the x in [1, q] coprime to q and their inverses mod q.
 
@@ -77,8 +81,11 @@ def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     For q = 1 the single residue is x = 1 with inverse 0, matching the
     convention that a sum over units mod 1 has exactly one term.
     """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+    return _unit_table(_check_modulus(q))
+
+
+@lru_cache(maxsize=512)
+def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     if q == 1:
         units = np.array([1], dtype=np.int64)
         invs = np.array([0], dtype=np.int64)
@@ -98,9 +105,11 @@ def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return units, invs
 
 
-def _check_modulus(q) -> int:
+def _check_modulus(q, name: str = "modulus") -> int:
+    """q as an int: a positive int or numpy integer, not a bool or a
+    float; ValueError naming `name` otherwise."""
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"modulus must be a positive integer, got {q!r}")
+        raise ValueError(f"{name} must be a positive integer, got {q!r}")
     return int(q)
 
 
@@ -126,7 +135,7 @@ def gauss_direct(q: int, n: int, m: int) -> complex:
         return 1 + 0j
     x = np.arange(1, q + 1, dtype=np.int64)
     t = (n * x % q * x + m * x) % q
-    return complex(phase_table(q)[t].sum())
+    return complex(_phase_table(q)[t].sum())
 
 
 def gauss_reduce(q: int, n: int, m: int) -> complex:
@@ -166,7 +175,7 @@ def gauss_closed_odd(q: int, n, m):
     inv4n = np.asarray(np.frompyfunc(pow, 3, 1)(4 * n, -1, q), dtype=np.int64)
     symbol = np.asarray(np.frompyfunc(jacobi, 2, 1)(n, q), dtype=np.int64)
     t = -inv4n * (m * m % q) % q
-    total = phase_table(q)[t] * (symbol * _gauss_unit(q))
+    total = _phase_table(q)[t] * (symbol * _gauss_unit(q))
     return complex(total) if total.ndim == 0 else total
 
 
@@ -181,9 +190,9 @@ def kloosterman_direct(q: int, n, m):
     """
     q = _check_modulus(q)
     n, m = _reduce(q, n), _reduce(q, m)
-    units, invs = unit_table(q)
+    units, invs = _unit_table(q)
     t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
-    total = phase_table(q)[t].sum(axis=-1)
+    total = _phase_table(q)[t].sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -208,7 +217,7 @@ def kloosterman_row(q: int, n: int = 1) -> np.ndarray:
     """
     q = _check_modulus(q)
     n = int(_reduce(q, n))
-    units, invs = unit_table(q)
+    units, invs = _unit_table(q)
     v = np.zeros(q, dtype=complex)
-    v[units % q] = phase_table(q)[(n * invs) % q]
+    v[units % q] = _phase_table(q)[(n * invs) % q]
     return np.fft.ifft(v) * q

@@ -4,10 +4,15 @@
 [1, q]^2.  `lambda_direct` sums phases over that set and is the oracle;
 `lambda_fast_odd` evaluates the same sum through its Kloosterman-sum
 decomposition, and `lambda_multiplicative` through the coprime-splitting
-identity.  `lambda_any` combines the fast odd path with direct handling
-of the 2-part for any modulus not divisible by 8.  `lambda_direct`,
+identity.  `lambda_any` extends the fast odd path to any modulus not
+divisible by 8, taking the 2-part in closed form.  `lambda_direct`,
 `lambda_fast_odd` and `lambda_any` broadcast over their arguments: n and
 m may be ints or integer arrays, and one call evaluates every pair.
+
+The grids are batched routes to the same two sums: `lambda_direct_table`
+is the 2-D inverse FFT of the solution set, and `lambda_any_table` is one
+broadcast `lambda_any` call on the residue grid.  Neither decomposition
+evaluator calls `lambda_direct`, so the oracle shares no code with them.
 
 Solution sets are read-only and memoized in a bounded `lru_cache`,
 which concurrent callers may share safely (at worst a set is computed
@@ -22,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .counting import DEFAULT_MEMORY_BUDGET
 from .ntcore import BudgetError, divisors, mod_inverse
-from .expsums import _check_modulus, _reduce, kloosterman_direct, kloosterman_row, phase_table
+from .expsums import _check_modulus, _reduce, _phase_table, kloosterman_direct, kloosterman_row
 
 __all__ = [
     "SolutionSet",
@@ -37,8 +43,11 @@ __all__ = [
     "LAMBDA_TOLERANCE",
 ]
 
-# Moduli above this are rejected by solve_circle to bound memory.
-DEFAULT_SOLVE_CEILING = 10**8
+# Moduli above this are rejected by solve_circle to bound memory: the
+# `lambda` command peaks at 81-116 bytes per residue (RSS growth at odd and
+# even q near 1e6 and 3e6, most of it in _solve), so 128 bytes per residue
+# keeps it within the default memory budget.
+DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // 128
 
 # Solution sets kept by solve_circle; verify re-reads each modulus many
 # times, and the bound keeps memory from growing with the moduli seen.
@@ -105,7 +114,7 @@ def lambda_direct(q: int, n, m):
     sols = solve_circle(q)
     n, m = _reduce(q, n), _reduce(q, m)
     t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
-    total = phase_table(q)[t].sum(axis=-1)
+    total = _phase_table(q)[t].sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -122,27 +131,33 @@ def lambda_fast_odd(q: int, n, m):
 
         q * sum_l (-1)**((l-1)/2) / l * K(l; 1, -inv(4)*(n'^2 + m'^2)).
 
-    Broadcasts over n and m like `lambda_direct`: each divisor costs one
-    `kloosterman_direct` call for all the pairs it serves.
+    Broadcasts over n and m like `lambda_direct`.  Each divisor serves
+    its pairs in one step: from the FFT row `kloosterman_row(l, 1)` when
+    it serves more than l pairs, else by `kloosterman_direct`.  The
+    divisibility tests and the squares mod l are taken on n and m before
+    they broadcast, so a grid n[:, None], m[None, :] costs a few cheap
+    grid-sized passes per divisor and no gcd over the grid.
     """
     q = _check_modulus(q)
     if q % 2 == 0:
         raise ValueError(f"modulus must be odd, got {q}")
-    n, m = np.broadcast_arrays(_reduce(q, n), _reduce(q, m))
-    g = np.gcd(n, m)  # 0 when n = m = 0: every divisor contributes
-    total = np.zeros(g.shape, dtype=complex)
-    for l in divisors(q):
+    n, m = _reduce(q, n), _reduce(q, m)
+    # the divisor l = 1 serves n = m = 0 alone, with K(1; 1, 0) = 1
+    total = np.array((n == 0) & (m == 0), dtype=complex)
+    for l in divisors(q)[1:]:
         r = q // l
-        served = g % r == 0
+        served = (n % r == 0) & (m % r == 0)
         if not served.any():
             continue
-        if l == 1:
-            total += served
-            continue
-        np_, mp_ = n[served] // r, m[served] // r
-        c = -pow(4, -1, l) * ((np_ * np_ + mp_ * mp_) % l)
-        total[served] += _sign(l) / l * kloosterman_direct(l, 1, c)
-    return complex(q * total) if total.ndim == 0 else q * total
+        c = ((n // r) ** 2 % l + (m // r) ** 2 % l)[served]
+        c *= -pow(4, -1, l)
+        c %= l
+        k = kloosterman_row(l, 1)[c] if c.size > l else kloosterman_direct(l, 1, c)
+        del c  # before the scatter below copies total[served]
+        k *= _sign(l) / l
+        total[served] += k
+    total *= q
+    return complex(total) if total.ndim == 0 else total
 
 
 def lambda_multiplicative(q1: int, q2: int, n: int, m: int) -> complex:
@@ -164,25 +179,26 @@ def lambda_multiplicative(q1: int, q2: int, n: int, m: int) -> complex:
 def lambda_any(q: int, n, m):
     """The circle sum for any q with 8 not dividing q.
 
-    Splits q = 2**h * q1 (h <= 2), evaluates the 2-part by direct
-    enumeration (at most 16 candidate pairs) and the odd part by
-    `lambda_fast_odd`, and recombines multiplicatively.  Broadcasts over
-    n and m like `lambda_direct`.
+    Splits q = 2**h * q1 (h <= 2) and takes the 2-part in closed form:
+    x^2 + y^2 + 1 = 0 has no solution mod 4, so the sum vanishes when
+    4 | q; when q = 2*q1 it is ((-1)**n + (-1)**m) times the odd part,
+    `lambda_fast_odd` mod q1 with the arguments twisted by inv(2) mod q1.
+    Broadcasts over n and m like `lambda_direct`.
     """
     q = _check_modulus(q)
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    h = (q & -q).bit_length() - 1  # 2-adic valuation, here 0, 1 or 2
-    if h == 0:
+    if q % 2 == 1:
         return lambda_fast_odd(q, n, m)
-    n, m = _reduce(q, n), _reduce(q, m)  # keeps the twisted arguments below q**2
-    t2 = 1 << h
-    q1 = q >> h
-    c2 = mod_inverse(q1, t2)
-    codd = mod_inverse(t2, q1) if q1 > 1 else 0
-    even_part = lambda_direct(t2, n * c2, m * c2)
-    odd_part = lambda_fast_odd(q1, n * codd, m * codd)
-    return even_part * odd_part
+    n, m = _reduce(q, n), _reduce(q, m)
+    if q % 4 == 0:
+        total = np.zeros(np.broadcast_shapes(n.shape, m.shape), dtype=complex)
+    else:
+        q1 = q // 2
+        codd = pow(2, -1, q1)  # 0 when q1 = 1, where every argument is 0
+        total = lambda_fast_odd(q1, n % q1 * codd, m % q1 * codd)
+        total *= (1 - 2 * (n % 2)) + (1 - 2 * (m % 2))
+    return complex(total) if total.ndim == 0 else total
 
 
 def lambda_direct_table(q: int) -> np.ndarray:
@@ -198,48 +214,9 @@ def lambda_direct_table(q: int) -> np.ndarray:
     return np.fft.ifft2(hist) * (q * q)
 
 
-def _fast_odd_table(q: int) -> np.ndarray:
-    # Batched lambda_fast_odd for odd q: one Kloosterman row per divisor,
-    # scattered onto the (n, m) pairs whose gcd condition it serves.
-    table = np.zeros((q, q), dtype=complex)
-    for l in divisors(q):
-        r = q // l
-        row = kloosterman_row(l, 1)
-        a = np.arange(l, dtype=np.int64)
-        if l == 1:
-            c = np.zeros((1, 1), dtype=np.int64)
-        else:
-            inv4 = pow(4, -1, l)
-            c = (-inv4 * (a[:, None] ** 2 + a[None, :] ** 2)) % l
-        idx = r * a
-        table[np.ix_(idx, idx)] += (q * _sign(l) / l) * row[c]
-    return table
-
-
 def lambda_any_table(q: int) -> np.ndarray:
-    """lambda_any(q, n, m) for every (n, m) in [0, q)^2 as a (q, q) array.
-
-    Same decomposition as `lambda_any`, evaluated for the whole argument
-    grid at once (the Kloosterman rows come from one FFT per divisor).
-    """
+    """lambda_any(q, n, m) for every (n, m) in [0, q)^2 as a (q, q) array:
+    one broadcast call of `lambda_any` on the residue grid."""
     q = _check_modulus(q)
-    if q % 8 == 0:
-        raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    h = (q & -q).bit_length() - 1
-    if h == 0:
-        return _fast_odd_table(q)
-    if h == 2:
-        return np.zeros((q, q), dtype=complex)
-    # q = 2 * q1: lambda(2; u, u') is (-1)**u + (-1)**u' and the odd part
-    # is the fast table with arguments twisted by inv(2) mod q1.
-    q1 = q // 2
-    if q1 == 1:
-        odd = np.ones((1, 1), dtype=complex)
-        codd = 0
-    else:
-        odd = _fast_odd_table(q1)
-        codd = mod_inverse(2, q1)
     a = np.arange(q, dtype=np.int64)
-    two_factor = ((-1.0) ** (a[:, None] % 2)) + ((-1.0) ** (a[None, :] % 2))
-    oi = (a * codd) % q1
-    return two_factor * odd[np.ix_(oi, oi)]
+    return lambda_any(q, a[:, None], a[None, :])

@@ -428,7 +428,10 @@ def suite_lambda_lift(seed=DEFAULT_SEED, pmax=47) -> SuiteResult:
 
 
 def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
-    """Batched grids agree with the scalar evaluators entrywise."""
+    """The two batched grids agree, and sampled entries agree with the
+    batch evaluators.  The decomposition grid reads its large Kloosterman
+    sums from FFT rows and the few samples sum them directly, so the
+    samples compare the FFT-row route with the direct-sum route."""
     rec = _Recorder("lambda-table-consistency")
     rng = random.Random(seed)
     for q in list(range(1, 36)) + [rng.randrange(36, qmax + 1) for _ in range(20)]:

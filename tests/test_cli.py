@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
+from sqfpairs import expsums, lambdasums
 from sqfpairs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from sqfpairs.counting import DEFAULT_MEMORY_BUDGET
 
 
 def run(capsys, *argv):
@@ -92,6 +95,30 @@ class TestLambda:
         names = {e["evaluator"] for e in payload["evaluations"]}
         assert names == {"direct", "fast-odd", "any"}
         assert all(abs(e["re"] - 4.0) < 1e-6 for e in payload["evaluations"])
+
+    @pytest.mark.parametrize("q", [lambdasums.DEFAULT_SOLVE_CEILING + 1, 99999989])
+    def test_budget_exit_above_the_solve_ceiling(self, capsys, monkeypatch, q):
+        def refuse(q):
+            raise AssertionError(f"allocated the tables of modulus {q}")
+        for module, name in [(lambdasums, "_solve"), (expsums, "_phase_table"),
+                             (expsums, "_unit_table")]:
+            monkeypatch.setattr(module, name, refuse)
+        code, _, err = run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")
+        assert code == EXIT_BUDGET
+        assert "ceiling" in err
+
+    def test_solve_ceiling_keeps_the_command_within_the_budget(self, capsys):
+        # The ceiling allows DEFAULT_MEMORY_BUDGET // DEFAULT_SOLVE_CEILING
+        # bytes per residue.  q is a prime no other test solves, so every
+        # table is built inside the traced run.
+        q = 200017
+        tracemalloc.start()
+        try:
+            assert run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")[0] == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= DEFAULT_MEMORY_BUDGET // lambdasums.DEFAULT_SOLVE_CEILING * q
 
 
 class TestConstant:

@@ -293,6 +293,12 @@ class TestResidueCount:
             want = sum(1 for h in range(1, H + 1) if (h - x) % q == 0)
             assert residue_count(H, q, x) == want
 
+    def test_rejects_non_integers(self):
+        for args in [(10, 2.5, 3), (10.5, 3, 1), (True, 3, 1), (10, True, 1), (10, 3.0, 1)]:
+            with pytest.raises(ValueError, match="must be a positive integer"):
+                residue_count(*args)
+        assert residue_count(np.int64(10), np.int64(3), 1) == 4
+
     def test_partition_and_deviation(self):
         for H, q in [(10, 3), (100, 7), (55, 56), (1000, 13)]:
             counts = [residue_count(H, q, x) for x in range(1, q + 1)]
@@ -337,9 +343,15 @@ class TestCongruentPairCount:
         with pytest.raises(ValueError):
             congruent_pair_count(10, 8)
 
+    def test_rejects_non_integers(self):
+        for H, q in [(10.5, 3), (10, 2.5), (True, 3), (10, True), (10.0, 3)]:
+            with pytest.raises(ValueError, match="must be a positive integer"):
+                congruent_pair_count(H, q)
+        assert congruent_pair_count(np.int64(10), np.int64(3)) == congruent_pair_count(10, 3) == 49
+
     @pytest.mark.parametrize("q", [0, -3, -8])
     def test_rejects_nonpositive_modulus(self, q):
-        with pytest.raises(ValueError, match="q must be positive"):
+        with pytest.raises(ValueError, match="q must be a positive integer"):
             congruent_pair_count(7, q)
 
 

@@ -274,6 +274,14 @@ class TestBatchHelpers:
         for c in range(q):
             assert complex_close(complex(row[c]), kloosterman_direct(q, 1, c))
 
+    @pytest.mark.parametrize("table", [phase_table, unit_table])
+    def test_tables_check_the_modulus(self, table):
+        table(1)  # cached first: True must not be answered from it
+        for bad in (True, 0, -1, 1.5):
+            with pytest.raises(ValueError, match="modulus must be a positive integer"):
+                table(bad)
+        assert table(np.int64(7)) is table(7)
+
     def test_tables_are_read_only(self):
         roots = phase_table(7)
         with pytest.raises(ValueError):

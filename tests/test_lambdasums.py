@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from sqfpairs import expsums
+from sqfpairs import expsums, lambdasums
 from sqfpairs.asymptotic import harmonic_lambda_sums
 from sqfpairs.expsums import complex_close
 from sqfpairs.lambdasums import (
@@ -172,6 +172,27 @@ class TestLambdaFastOdd:
         with pytest.raises(ValueError):
             lambda_fast_odd(6, 0, 0)
 
+    @pytest.mark.parametrize("q", [45, 105])
+    def test_both_kloosterman_routes(self, monkeypatch, q):
+        # a divisor l that serves more than l pairs reads the FFT row,
+        # one that serves fewer sums directly; both must give the oracle
+        routes = []
+        row, direct = lambdasums.kloosterman_row, lambdasums.kloosterman_direct
+        monkeypatch.setattr(lambdasums, "kloosterman_row",
+                            lambda l, n: routes.append(("row", l)) or row(l, n))
+        monkeypatch.setattr(lambdasums, "kloosterman_direct",
+                            lambda l, n, c: routes.append(("direct", l)) or direct(l, n, c))
+        a = np.arange(q)
+        grid = lambda_fast_odd(q, a[:, None], a[None, :])
+        assert ("row", q) in routes
+        want = lambda_direct(q, a[:, None], a[None, :])
+        assert np.abs(grid - want).max() <= LAMBDA_TOLERANCE * q
+        routes.clear()
+        n, m = sample_arguments(q, 6, q)
+        few = lambda_fast_odd(q, n, m)
+        assert ("direct", q) in routes and ("row", q) not in routes
+        assert np.abs(few - lambda_direct(q, n, m)).max() <= LAMBDA_TOLERANCE * q
+
 
 class TestLambdaMultiplicative:
     def test_trivial_factor(self):
@@ -232,6 +253,20 @@ class TestLambdaAny:
         for q in (8, 16, 24, 1000):
             with pytest.raises(ValueError):
                 lambda_any(q, 0, 0)
+
+    @pytest.mark.parametrize("q", [33, 34, 35, 36, 37, 38, 39, 1, 2, 6])
+    def test_never_calls_the_oracle(self, monkeypatch, q):
+        # q = 33..39 covers every class mod 8 but 0
+        want = lambda_direct_table(q)
+        a = np.arange(q)
+
+        def refuse(*args):
+            raise AssertionError("lambda_any called its oracle")
+        monkeypatch.setattr(lambdasums, "lambda_direct", refuse)
+        assert np.abs(lambda_any_table(q) - want).max() <= LAMBDA_TOLERANCE * q
+        got = lambda_any(q, a, a[::-1])
+        assert np.abs(got - want[a, a[::-1]]).max() <= LAMBDA_TOLERANCE * q
+        assert abs(lambda_any(q, 1, q - 2) - want[1 % q, (q - 2) % q]) <= LAMBDA_TOLERANCE * q
 
 
 # (evaluator, moduli in its contract): odd moduli for the fast path,
@@ -324,6 +359,13 @@ class TestBatchTables:
     def test_table_rejects_eight(self):
         with pytest.raises(ValueError):
             lambda_any_table(16)
+
+    @pytest.mark.slow
+    def test_every_modulus_to_500(self):
+        for q in range(1, 501):
+            if q % 8:
+                err = np.abs(lambda_any_table(q) - lambda_direct_table(q)).max()
+                assert err <= LAMBDA_TOLERANCE * q, (q, err)
 
 
 class TestBounds:
