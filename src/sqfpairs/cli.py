@@ -106,8 +106,10 @@ def _cmd_lambda(args) -> int:
     q, n, m = args.q, args.n, args.m
     values = [("direct", lambdasums.lambda_direct(q, n, m))]
     if q % 2 == 1:
-        values.append(("fast-odd", lambdasums.lambda_fast_odd(q, n, m)))
-    if q % 8 != 0:
+        # for odd q, lambda_any returns lambda_fast_odd(q, n, m) unchanged
+        fast = lambdasums.lambda_fast_odd(q, n, m)
+        values += [("fast-odd", fast), ("any", fast)]
+    elif q % 8 != 0:
         values.append(("any", lambdasums.lambda_any(q, n, m)))
     ref = values[0][1]
     agree = all(abs(v - ref) <= LAMBDA_TOLERANCE * q for _, v in values)

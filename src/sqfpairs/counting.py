@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import _check_modulus
-from .ntcore import BudgetError, mobius_sieve, primes_upto
+from .ntcore import DEFAULT_MEMORY_BUDGET, BudgetError, mobius_sieve, primes_upto
 
 __all__ = [
     "SquarefreeSieve",
@@ -42,10 +42,6 @@ __all__ = [
     "congruent_pair_count",
     "DEFAULT_MEMORY_BUDGET",
 ]
-
-# Default budget in bytes for the packed flag array: 2 GiB of bytes is
-# 2**34 bits, enough for H = 3e4 (about 1.8e9 flags, 225 MB packed).
-DEFAULT_MEMORY_BUDGET = 2**31
 
 _SEGMENT_BITS = 1 << 20  # flags sieved per segment (a multiple of 8)
 # Squares whose multiples are struck once, into a pattern each segment is

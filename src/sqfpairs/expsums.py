@@ -18,16 +18,18 @@ Every evaluator here and in `lambdasums` checks its modulus with
 `_check_modulus` and its arguments with `_reduce`: q is a positive int or
 numpy integer (not a bool), and n and m are ints or integer arrays, with
 Python ints beyond int64 accepted and floats rejected, not truncated.
+Each call builds the per-residue tables it reads (`phase_table`,
+`unit_table`) and keeps none, and a table above DEFAULT_SOLVE_CEILING
+raises BudgetError before it is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .ntcore import jacobi
+from .ntcore import DEFAULT_MEMORY_BUDGET, BudgetError, jacobi
 
 __all__ = [
     "complex_close",
@@ -44,6 +46,12 @@ __all__ = [
 # Absolute comparison tolerance, scaled by max(1, magnitude).
 TOLERANCE = 1e-6
 
+# Largest modulus whose per-residue tables (phases, units, solution sets)
+# may be built.  The `lambda` command peaks at 80-94 bytes per residue
+# (RSS growth at odd and even q near 1e6 and 3e6), so 128 bytes per
+# residue keeps any one call within the default memory budget.
+DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // 128
+
 
 def complex_close(a, b, tol: float = TOLERANCE):
     """True where a and b agree within tol * max(1, |a|, |b|) and both are
@@ -56,18 +64,9 @@ def complex_close(a, b, tol: float = TOLERANCE):
 
 
 def phase_table(q: int) -> np.ndarray:
-    """roots[t] = exp(2*pi*i*t/q) for t in [0, q); shared and read-only."""
-    return _phase_table(_check_modulus(q))
-
-
-# Both tables are cached by the validated int q: True hashes like 1, so a
-# check inside the cache would never see it once q = 1 is cached.  The
-# evaluators validate q on entry and then read the cached tables directly.
-@lru_cache(maxsize=512)
-def _phase_table(q: int) -> np.ndarray:
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    roots.setflags(write=False)
-    return roots
+    """roots[t] = exp(2*pi*i*t/q) for t in [0, q)."""
+    q = _check_table(q, "phase_table")
+    return np.exp(2j * np.pi * np.arange(q) / q)
 
 
 def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,33 +74,23 @@ def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
 
     The inverses come from Euler's theorem, inv(u) = u**(phi(q) - 1) mod q
     with phi(q) = units.size, by int64 square-and-multiply over the whole
-    array; products stay below q**2, which fits int64 for any q whose
-    q-long table can be allocated.
+    array; products stay below q**2, which fits int64 for any q under the
+    ceiling.
 
     For q = 1 the single residue is x = 1 with inverse 0, matching the
     convention that a sum over units mod 1 has exactly one term.
     """
-    return _unit_table(_check_modulus(q))
-
-
-@lru_cache(maxsize=512)
-def _unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
-    if q == 1:
-        units = np.array([1], dtype=np.int64)
-        invs = np.array([0], dtype=np.int64)
-    else:
-        x = np.arange(1, q + 1, dtype=np.int64)
-        units = x[np.gcd(x, q) == 1]
-        invs = np.ones_like(units)
-        power = units.copy()
-        e = units.size - 1
-        while e:
-            if e & 1:
-                invs = invs * power % q
-            power = power * power % q
-            e >>= 1
-    units.setflags(write=False)
-    invs.setflags(write=False)
+    q = _check_table(q, "unit_table")
+    x = np.arange(1, q + 1, dtype=np.int64)
+    units = x[np.gcd(x, q) == 1]
+    invs = np.full_like(units, 1 % q)  # [0] when q = 1, where the loop is skipped
+    power = units.copy()
+    e = units.size - 1
+    while e:
+        if e & 1:
+            invs = invs * power % q
+        power = power * power % q
+        e >>= 1
     return units, invs
 
 
@@ -111,6 +100,15 @@ def _check_modulus(q, name: str = "modulus") -> int:
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
         raise ValueError(f"{name} must be a positive integer, got {q!r}")
     return int(q)
+
+
+def _check_table(q, name: str) -> int:
+    """q as an int (see `_check_modulus`); BudgetError naming `name`,
+    before anything is allocated, if q is above DEFAULT_SOLVE_CEILING."""
+    q = _check_modulus(q)
+    if q > DEFAULT_SOLVE_CEILING:
+        raise BudgetError(f"{name}({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}")
+    return q
 
 
 def _reduce(q: int, a) -> np.ndarray:
@@ -131,11 +129,10 @@ def gauss_direct(q: int, n: int, m: int) -> complex:
     """Sum of exp(2*pi*i*(n*x^2 + m*x)/q) over x = 1..q by direct summation."""
     q = _check_modulus(q)
     n, m = int(_reduce(q, n)), int(_reduce(q, m))
-    if q == 1:
-        return 1 + 0j
+    roots = phase_table(q)
     x = np.arange(1, q + 1, dtype=np.int64)
     t = (n * x % q * x + m * x) % q
-    return complex(_phase_table(q)[t].sum())
+    return complex(roots[t].sum())
 
 
 def gauss_reduce(q: int, n: int, m: int) -> complex:
@@ -175,7 +172,7 @@ def gauss_closed_odd(q: int, n, m):
     inv4n = np.asarray(np.frompyfunc(pow, 3, 1)(4 * n, -1, q), dtype=np.int64)
     symbol = np.asarray(np.frompyfunc(jacobi, 2, 1)(n, q), dtype=np.int64)
     t = -inv4n * (m * m % q) % q
-    total = _phase_table(q)[t] * (symbol * _gauss_unit(q))
+    total = phase_table(q)[t] * (symbol * _gauss_unit(q))
     return complex(total) if total.ndim == 0 else total
 
 
@@ -190,9 +187,9 @@ def kloosterman_direct(q: int, n, m):
     """
     q = _check_modulus(q)
     n, m = _reduce(q, n), _reduce(q, m)
-    units, invs = _unit_table(q)
+    units, invs = unit_table(q)
     t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
-    total = _phase_table(q)[t].sum(axis=-1)
+    total = phase_table(q)[t].sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
 
 
@@ -217,7 +214,7 @@ def kloosterman_row(q: int, n: int = 1) -> np.ndarray:
     """
     q = _check_modulus(q)
     n = int(_reduce(q, n))
-    units, invs = _unit_table(q)
+    units, invs = unit_table(q)
     v = np.zeros(q, dtype=complex)
-    v[units % q] = _phase_table(q)[(n * invs) % q]
+    v[units % q] = phase_table(q)[(n * invs) % q]
     return np.fft.ifft(v) * q

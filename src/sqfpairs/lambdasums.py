@@ -14,22 +14,22 @@ is the 2-D inverse FFT of the solution set, and `lambda_any_table` is one
 broadcast `lambda_any` call on the residue grid.  Neither decomposition
 evaluator calls `lambda_direct`, so the oracle shares no code with them.
 
-Solution sets are read-only and memoized in a bounded `lru_cache`,
-which concurrent callers may share safely (at worst a set is computed
-twice with identical results).
+Nothing is memoized: each call builds the solution set and the tables
+it reads, within the ceiling on per-residue tables, and frees them when
+it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .counting import DEFAULT_MEMORY_BUDGET
-from .ntcore import BudgetError, divisors, mod_inverse
-from .expsums import _check_modulus, _reduce, _phase_table, kloosterman_direct, kloosterman_row
+from .ntcore import divisors, mod_inverse
+from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies
+                      _check_modulus, _check_table, _reduce,
+                      kloosterman_direct, kloosterman_row, phase_table)
 
 __all__ = [
     "SolutionSet",
@@ -42,16 +42,6 @@ __all__ = [
     "lambda_any_table",
     "LAMBDA_TOLERANCE",
 ]
-
-# Moduli above this are rejected by solve_circle to bound memory: the
-# `lambda` command peaks at 81-116 bytes per residue (RSS growth at odd and
-# even q near 1e6 and 3e6, most of it in _solve), so 128 bytes per residue
-# keeps it within the default memory budget.
-DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // 128
-
-# Solution sets kept by solve_circle; verify re-reads each modulus many
-# times, and the bound keeps memory from growing with the moduli seen.
-_SOLVE_CACHE_SIZE = 1024
 
 # Oracle-equality tolerance for the lambda evaluators is LAMBDA_TOLERANCE
 # scaled by q: the divisor-sum route multiplies by q, amplifying rounding.
@@ -77,8 +67,12 @@ class SolutionSet:
         return list(zip(self.xs.tolist(), self.ys.tolist()))
 
 
-@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
-def _solve(q: int) -> SolutionSet:
+def solve_circle(q: int) -> SolutionSet:
+    """Complete solution set of x^2 + y^2 + 1 = 0 (mod q) in [1, q]^2.
+
+    BudgetError above DEFAULT_SOLVE_CEILING, before anything is allocated.
+    """
+    q = _check_table(q, "solve_circle")
     # Counting sort of the squares r^2 mod q: the y with y^2 = -x^2 - 1
     # (mod q) form one run of the stably sorted order, so each x reads
     # its run and the pairs come out sorted by (x, y).
@@ -94,14 +88,6 @@ def _solve(q: int) -> SolutionSet:
     return SolutionSet(q, xs, ys)
 
 
-def solve_circle(q: int) -> SolutionSet:
-    """Complete solution set of x^2 + y^2 + 1 = 0 (mod q) in [1, q]^2."""
-    q = _check_modulus(q)
-    if q > DEFAULT_SOLVE_CEILING:
-        raise BudgetError(f"solve_circle({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}")
-    return _solve(q)
-
-
 def lambda_direct(q: int, n, m):
     """Sum of exp(2*pi*i*(n*x + m*y)/q) over the solution set mod q.
 
@@ -114,7 +100,7 @@ def lambda_direct(q: int, n, m):
     sols = solve_circle(q)
     n, m = _reduce(q, n), _reduce(q, m)
     t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
-    total = _phase_table(q)[t].sum(axis=-1)
+    total = phase_table(q)[t].sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
 
 

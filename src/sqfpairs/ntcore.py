@@ -39,6 +39,11 @@ _TRIAL_LIMIT = 10**6
 # Memory budget of primes_upto and mobius_sieve, in bytes.
 DEFAULT_SIEVE_BUDGET = 2**28
 
+# Default memory budget in bytes: the packed value sieve's budget (2 GiB
+# of bytes is 2**34 bits, enough for H = 3e4: about 1.8e9 flags, 225 MB
+# packed), and the one from which the ceiling on per-residue tables is set.
+DEFAULT_MEMORY_BUDGET = 2**31
+
 # Witnesses that make Miller-Rabin deterministic for all n < 3.3e24,
 # comfortably covering the 64-bit input range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -174,9 +174,11 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
 def suite_tau_growth(seed=DEFAULT_SEED, lo=10_000, hi=100_000) -> SuiteResult:
     """tau(n) <= n everywhere and tau(n) <= n**0.6 beyond 1e4."""
     rec = _Recorder("tau-growth")
+    # divisors in pairs d < n/d, plus d = n/d when n is a square
     counts = np.zeros(hi + 1, dtype=np.int32)
-    for d in range(1, hi + 1):
-        counts[d::d] += 1
+    for d in range(1, math.isqrt(hi) + 1):
+        counts[d * (d + 1) :: d] += 2
+        counts[d * d] += 1
     n = np.arange(1, hi + 1)
     t = counts[1:]
     cap = n**0.6
@@ -400,11 +402,11 @@ def suite_lambda_symmetry(seed=DEFAULT_SEED, qmax=300, per_q=5) -> SuiteResult:
         if q % 8 == 0:
             continue
         n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(per_q)])
-        base = lambdasums.lambda_direct(q, n, m)
-        rec.check((lambdasums.lambda_direct(q, n + q, m) == base)
-                  & (lambdasums.lambda_direct(q, n, m + q) == base),
+        base, n_shift, m_shift, negated = lambdasums.lambda_direct(
+            q, np.stack([n, n + q, n, -n]), np.stack([m, m, m + q, -m]))
+        rec.check((n_shift == base) & (m_shift == base),
                   "periodicity broke at ({q};{n},{m})", q=q, n=n, m=m)
-        rec.check(complex_close(lambdasums.lambda_direct(q, -n, -m), base.conjugate()),
+        rec.check(complex_close(negated, base.conjugate()),
                   "conjugation broke at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
@@ -474,9 +476,9 @@ def suite_residue_count(seed=DEFAULT_SEED) -> SuiteResult:
     grid = [(H, q) for H in (1, 5, 10, 37, 100, 1000) for q in (1, 2, 3, 7, 10, 64, 97, 360)]
     grid += [(rng.randrange(1, 2000), rng.randrange(1, 500)) for _ in range(100)]
     for H, q in grid:
-        counts = [counting.residue_count(H, q, x) for x in range(1, q + 1)]
-        rec.check(sum(counts) == H, "residue counts for (H={H}, q={q}) miss H", H=H, q=q)
-        rec.check(all(abs(c - H / q) <= 1 for c in counts),
+        counts = counting.residue_count(H, q, np.arange(1, q + 1))
+        rec.check(counts.sum() == H, "residue counts for (H={H}, q={q}) miss H", H=H, q=q)
+        rec.check(np.all(np.abs(counts - H / q) <= 1),
                   "(H={H}, q={q}): some count strays beyond H/q +- 1", H=H, q=q)
     return rec.result()
 

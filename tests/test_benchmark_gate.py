@@ -1,0 +1,45 @@
+"""The benchmark gates every verify suite's check count; keep them in step.
+
+`perfbench/run.py` is loaded by path, as `test_traced_names.py` loads the
+tracer, so a change that renames, reorders or resizes a verify suite
+fails here rather than in a benchmark run.  The six slowest suites are
+left to the benchmark itself; the others take about 1.5 s together.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from sqfpairs import verify
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+SEED = 12345
+SLOWEST = {"sqrt-mod-exhaustive", "weil-bound", "gauss-reduce-vs-direct",
+           "gauss-closed-vs-direct", "lambda-bound", "harmonic-envelope"}
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = run  # its dataclasses look their module up by name
+    spec.loader.exec_module(run)
+    return run
+
+
+BENCH = _load_run()
+
+
+def test_gated_suites_are_the_verify_suites_in_order():
+    assert list(BENCH.VERIFY_CHECKS) == list(verify.ALL_SUITES)
+
+
+@pytest.mark.parametrize("name", [n for n in verify.ALL_SUITES if n not in SLOWEST])
+def test_suite_gives_its_gated_check_count(name):
+    want = BENCH.VERIFY_CHECKS[name]
+    if want is None:
+        want = BENCH._lambda_table_checks(SEED)
+    (result,) = verify.run_suites([name], seed=SEED)
+    assert result.ok, result.line()
+    assert result.checked == want

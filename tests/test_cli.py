@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from sqfpairs import expsums, lambdasums
+from sqfpairs import lambdasums
 from sqfpairs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from sqfpairs.counting import DEFAULT_MEMORY_BUDGET
 
@@ -97,15 +97,39 @@ class TestLambda:
         assert all(abs(e["re"] - 4.0) < 1e-6 for e in payload["evaluations"])
 
     @pytest.mark.parametrize("q", [lambdasums.DEFAULT_SOLVE_CEILING + 1, 99999989])
-    def test_budget_exit_above_the_solve_ceiling(self, capsys, monkeypatch, q):
-        def refuse(q):
-            raise AssertionError(f"allocated the tables of modulus {q}")
-        for module, name in [(lambdasums, "_solve"), (expsums, "_phase_table"),
-                             (expsums, "_unit_table")]:
-            monkeypatch.setattr(module, name, refuse)
-        code, _, err = run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")
+    def test_budget_exit_above_the_solve_ceiling(self, capsys, q):
+        # every table is refused before it is allocated
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == EXIT_BUDGET
         assert "ceiling" in err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("q", [1, 15, 999, 2, 10, 12, 16])
+    def test_any_evaluated_only_for_even_q(self, capsys, monkeypatch, q):
+        # for odd q, lambda_any is lambda_fast_odd, whose value is reported twice
+        calls = []
+        evaluate = lambdasums.lambda_any
+
+        def spy(*args):
+            calls.append(args)
+            if q % 2:
+                raise AssertionError(f"lambda_any evaluated for odd q = {q}")
+            return evaluate(*args)
+
+        monkeypatch.setattr(lambdasums, "lambda_any", spy)
+        code, out, _ = run(capsys, "lambda", "--q", str(q), "--n", "3", "--m", "4",
+                           "--output-format", "csv")
+        assert code == EXIT_OK
+        rows = dict(line.split(",", 1) for line in out.splitlines()[1:-1])
+        assert ("any" in rows) == (q % 8 != 0)
+        assert calls == ([(q, 3, 4)] if q % 2 == 0 and q % 8 else [])
+        if q % 2:
+            assert rows["any"] == rows["fast-odd"]
 
     def test_solve_ceiling_keeps_the_command_within_the_budget(self, capsys):
         # The ceiling allows DEFAULT_MEMORY_BUDGET // DEFAULT_SOLVE_CEILING

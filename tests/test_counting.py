@@ -384,11 +384,11 @@ class TestCountPairsMobius:
         # the S(H) that the value sieve gives over the whole scan ladder
         assert count_pairs_mobius(H).S == S
 
-    def test_builds_no_solution_set(self):
-        before = lambdasums._solve.cache_info()
-        count_pairs_mobius(300)
-        after = lambdasums._solve.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+    def test_builds_no_solution_set(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"solved the circle mod {q}")
+        monkeypatch.setattr(lambdasums, "solve_circle", refuse)
+        assert count_pairs_mobius(300).S == 70263
 
     def test_truncated_variant(self):
         H = 60

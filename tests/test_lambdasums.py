@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from sqfpairs.lambdasums import (
     lambda_multiplicative,
     solve_circle,
 )
-from sqfpairs.ntcore import BudgetError, factorize
+from sqfpairs.ntcore import BudgetError, divisors, factorize
 
 
 def brute_solutions(q):
@@ -434,3 +435,52 @@ class TestEvaluatorArguments:
         big = 15 * 10**30 + 2  # beyond int64, reduces to n = 2
         np.testing.assert_array_equal(evaluate(15, n=big), evaluate(15))
         np.testing.assert_array_equal(evaluate(15, n=np.int32(2)), evaluate(15))
+
+
+# The table builders, and the evaluators that build per-residue tables.
+TABLE_BUILDERS = {
+    "phase_table": expsums.phase_table,
+    "unit_table": expsums.unit_table,
+    "solve_circle": solve_circle,
+    **{name: EVALUATORS[name] for name in WITH_ARGUMENTS},
+}
+
+
+def _traced(call):
+    """(current bytes held after call() minus before, peak bytes during)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - start, peak - start
+
+
+class TestTableLifetime:
+    def test_no_table_outlives_a_call(self):
+        primes = (199999, 200003, 200009)
+        for p in primes:  # fills ntcore's small scalar caches, and its ~3 MB of trial primes
+            divisors(p)
+
+        def evaluate_all():
+            for p in primes:
+                for build in TABLE_BUILDERS.values():
+                    build(p)
+
+        held, _ = _traced(evaluate_all)
+        assert held < 2**20
+
+    @pytest.mark.parametrize("name", TABLE_BUILDERS)
+    def test_refused_above_the_ceiling_before_allocating(self, name):
+        q = 99999989  # prime, above DEFAULT_SOLVE_CEILING
+        assert q > lambdasums.DEFAULT_SOLVE_CEILING
+        divisors(q)
+
+        def evaluate():
+            with pytest.raises(BudgetError, match="ceiling"):
+                TABLE_BUILDERS[name](q)
+
+        _, peak = _traced(evaluate)
+        assert peak < 2**20

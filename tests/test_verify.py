@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from sqfpairs import counting, expsums, lambdasums
+from sqfpairs import counting, expsums, lambdasums, ntcore
 from sqfpairs.verify import (
     _Recorder,
     suite_gauss_closed,
@@ -14,6 +14,7 @@ from sqfpairs.verify import (
     suite_lambda_bound,
     suite_lambda_fast,
     suite_lambda_triple,
+    suite_tau_growth,
     suite_truncation_report,
     suite_weil_bound,
 )
@@ -105,6 +106,16 @@ def test_gauss_reduce_keeps_every_grid_it_reads(qmax):
     result = suite_gauss_reduce(seed=3, qmax=qmax)
     assert result.ok
     assert (result.checked, result.failed) == (4 * qmax, 0)
+
+
+@pytest.mark.parametrize("hi", [36, 100, 2520, 3000])
+def test_tau_growth_counts_every_divisor(hi):
+    # the suite counts divisors in pairs; with lo = hi - 1 its verdict and
+    # note read the count at n = hi alone
+    result = suite_tau_growth(lo=hi - 1, hi=hi)
+    assert result.checked == hi
+    assert result.ok == (ntcore.tau(hi) <= hi**0.6)
+    assert result.notes == f"max tau(n)/n^0.6 = {ntcore.tau(hi) / hi**0.6:.3f}"
 
 
 def _drawn_with_origin(seed, moduli, per_q):
