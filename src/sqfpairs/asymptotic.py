@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntcore import BudgetError, is_prime, mobius_sieve, primes_upto
+from .ntcore import is_prime, mobius_sieve, primes_upto
 from .counting import _check_ladder, _check_sieve_budget, build_sieve, count_pairs_ladder
-from .expsums import _check_modulus
+from .expsums import _check_modulus, _check_table
 from .lambdasums import lambda_any_table
 
 __all__ = [
@@ -40,11 +40,6 @@ __all__ = [
     "dirichlet_partial_sum",
     "dirichlet_tail_bound",
 ]
-
-# harmonic_lambda_sums rejects moduli above this: its (q, q) table of
-# circle sums would take more than 256 MiB.
-_TABLE_LIMIT = 4096
-
 
 def _lambda_p2(p):
     """lam(p^2) for a prime or an int64 array of primes, elementwise:
@@ -206,8 +201,7 @@ def harmonic_lambda_sums(q: int, D):
         raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    if q > _TABLE_LIMIT:
-        raise BudgetError(f"harmonic_lambda_sums({q}) exceeds the table limit {_TABLE_LIMIT}")
+    _check_table(q, "harmonic_lambda_sums", dims=2)  # lambda_any_table's, before the weights
     weights = np.zeros((Ds.size, q))
     for row, d in zip(weights, Ds.ravel().tolist()):
         n = np.arange(1, d + 1)

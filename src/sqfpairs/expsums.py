@@ -102,12 +102,14 @@ def _check_modulus(q, name: str = "modulus") -> int:
     return int(q)
 
 
-def _check_table(q, name: str) -> int:
-    """q as an int (see `_check_modulus`); BudgetError naming `name`,
-    before anything is allocated, if q is above DEFAULT_SOLVE_CEILING."""
+def _check_table(q, name: str, dims: int = 1) -> int:
+    """q as an int (see `_check_modulus`); BudgetError naming `name`, before
+    anything is allocated, if the table's q**dims entries (dims = 2 for a
+    (q, q) grid) are more than DEFAULT_SOLVE_CEILING."""
     q = _check_modulus(q)
-    if q > DEFAULT_SOLVE_CEILING:
-        raise BudgetError(f"{name}({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}")
+    if q**dims > DEFAULT_SOLVE_CEILING:
+        grid = f" on a {q}^{dims} grid" if dims > 1 else ""
+        raise BudgetError(f"{name}({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}{grid}")
     return q
 
 
@@ -199,7 +201,7 @@ def gauss_direct_table(q: int) -> np.ndarray:
     Batched direct summation: the grid is the 2-D inverse DFT of the
     histogram of (x^2 mod q, x mod q) over x = 1..q, scaled by q^2.
     """
-    q = _check_modulus(q)
+    q = _check_table(q, "gauss_direct_table", dims=2)
     x = np.arange(1, q + 1, dtype=np.int64)
     hist = np.zeros((q, q))
     np.add.at(hist, (x * x % q, x % q), 1.0)

@@ -193,7 +193,7 @@ def lambda_direct_table(q: int) -> np.ndarray:
     Batched direct summation: 2-D inverse DFT of the solution-set
     indicator, scaled by q^2.
     """
-    q = _check_modulus(q)
+    q = _check_table(q, "lambda_direct_table", dims=2)
     sols = solve_circle(q)
     hist = np.zeros((q, q))
     np.add.at(hist, (sols.xs % q, sols.ys % q), 1.0)
@@ -203,6 +203,6 @@ def lambda_direct_table(q: int) -> np.ndarray:
 def lambda_any_table(q: int) -> np.ndarray:
     """lambda_any(q, n, m) for every (n, m) in [0, q)^2 as a (q, q) array:
     one broadcast call of `lambda_any` on the residue grid."""
-    q = _check_modulus(q)
+    q = _check_table(q, "lambda_any_table", dims=2)
     a = np.arange(q, dtype=np.int64)
     return lambda_any(q, a[:, None], a[None, :])

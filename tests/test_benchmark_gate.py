@@ -4,6 +4,8 @@
 tracer, so a change that renames, reorders or resizes a verify suite
 fails here rather than in a benchmark run.  The six slowest suites are
 left to the benchmark itself; the others take about 1.5 s together.
+The ladder probe must also give the gated scan counts SCAN_S at its two
+lowest heights (about 0.1 s), so a probe that miscounts fails here too.
 """
 
 import importlib.util
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sqfpairs import verify
+from sqfpairs.counting import count_pairs_ladder
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 SEED = 12345
@@ -43,3 +46,7 @@ def test_suite_gives_its_gated_check_count(name):
     (result,) = verify.run_suites([name], seed=SEED)
     assert result.ok, result.line()
     assert result.checked == want
+
+
+def test_ladder_probe_gives_the_gated_scan_counts():
+    assert [r.S for r in count_pairs_ladder([2000, 4000])] == [BENCH.SCAN_S[2000], BENCH.SCAN_S[4000]]

@@ -92,6 +92,30 @@ class TestBuildSieve:
         for n in (1, 4, 8, 9, 12, 49, 50, 4999):
             assert bool(flags[n - 1]) == is_squarefree_oracle(n)
 
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
+    def test_lookup_every_bit_position(self, dtype):
+        # limits at each bit of their byte; the values cover n mod 8 = 0..7
+        want = oracle_flags(1007)
+        for N in range(1000, 1008):
+            sieve = build_sieve(N)
+            flags = sieve.lookup(np.arange(1, N + 1, dtype=dtype))
+            assert flags.dtype == np.uint8
+            np.testing.assert_array_equal(flags, want[1 : N + 1])
+            assert flags[-1] == sieve.is_squarefree(N) == want[N]
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
+    def test_lookup_past_the_array_raises(self, dtype):
+        sieve = build_sieve(1000)
+        past = sieve._bytes.size * 8  # the first value whose byte is not stored
+        assert sieve.lookup(np.array([past - 1], dtype=dtype)).tolist() == [0]  # padding
+        for bad in (past, past + 7, 2**31 + 3):
+            with pytest.raises(IndexError):
+                sieve.lookup(np.array([5, bad], dtype=dtype))
+        if dtype != np.uint32:  # read as uint64: no negative index wraps to the end
+            for bad in (2**63 + 5, 2**64 - 1):
+                with pytest.raises(IndexError):
+                    sieve.lookup(np.array([bad], dtype=np.uint64).astype(dtype))
+
     def test_count_prefix(self):
         sieve = build_sieve(1000)
         for upto in (1, 2, 7, 8, 9, 63, 64, 65, 999, 1000):
@@ -223,9 +247,33 @@ class TestCountPairsLadder:
             assert rep.method == "value-sieve"
 
     def test_crosses_row_blocks_and_column_chunks(self):
-        # rows past 256 start new blocks; columns past 1024 split a block's probe
+        # rows past 256 start new blocks; columns past 128 (that is,
+        # _PROBE_VALUES // _BLOCK_ROWS) split a full block's probe
         ladder = [255, 256, 257, 700, 1300]
         assert [r.S for r in count_pairs_ladder(ladder)] == full_square_counts(ladder)
+
+    @pytest.mark.parametrize("probe_values", [None, 1024])
+    @pytest.mark.parametrize("k,d", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+    def test_block_columns_end_beside_a_chunk_boundary(self, monkeypatch, probe_values, k, d):
+        # The top band starts a full block at row h0 + 1, whose columns
+        # x = 1..h0 end one below, at or one above a multiple of the column
+        # step; at 1024 values the step is 4, and each block splits many times.
+        from sqfpairs import counting
+        if probe_values is not None:
+            monkeypatch.setattr(counting, "_PROBE_VALUES", probe_values)
+        rows = counting._BLOCK_ROWS
+        h0 = k * (counting._PROBE_VALUES // rows) + d
+        ladder = [h0, 2 * (h0 + 1 + rows) + 10]
+        calls = []
+        count_rows = counting._count_rows
+
+        def spy(sieve, y_lo, y_hi):
+            calls.append((y_lo, y_hi))
+            return count_rows(sieve, y_lo, y_hi)
+
+        monkeypatch.setattr(counting, "_count_rows", spy)
+        assert [r.S for r in count_pairs_ladder(ladder)] == full_square_counts(ladder)
+        assert any(y_lo == h0 + 1 and y_hi - y_lo >= rows for y_lo, y_hi in calls)
 
     def test_uint64_values_above_two_to_the_32(self):
         # a sieve whose limit reaches 2**32 makes the probe use uint64 values

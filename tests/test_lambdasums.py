@@ -484,3 +484,21 @@ class TestTableLifetime:
 
         _, peak = _traced(evaluate)
         assert peak < 2**20
+
+    @pytest.mark.parametrize("name", ["gauss_direct_table", "lambda_direct_table",
+                                      "lambda_any_table", "harmonic_lambda_sums"])
+    def test_grid_refused_above_the_ceiling_before_allocating(self, name):
+        # q^2 residue pairs just above the ceiling; the grid would take ~256 MiB
+        q = math.isqrt(lambdasums.DEFAULT_SOLVE_CEILING) + 1
+        assert q == 4097
+        build = {"gauss_direct_table": expsums.gauss_direct_table,
+                 "lambda_direct_table": lambda_direct_table,
+                 "lambda_any_table": lambda_any_table,
+                 "harmonic_lambda_sums": lambda q: harmonic_lambda_sums(q, np.array([2, 10]))}[name]
+
+        def evaluate():
+            with pytest.raises(BudgetError, match="ceiling"):
+                build(q)
+
+        _, peak = _traced(evaluate)
+        assert peak < 2**20

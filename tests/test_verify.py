@@ -155,6 +155,22 @@ def test_lambda_triple_draws_are_the_scalar_order(monkeypatch):
     assert _named_arguments(result, r"\((\d+);(-?\d+),(-?\d+)\): evaluator spread") == want
 
 
+def test_lambda_triple_evaluates_the_odd_part_once(monkeypatch):
+    # lambda_any(q) is lambda_fast_odd(q) for odd q and wraps lambda_fast_odd(q / 2)
+    # when q = 2 mod 4; the suite evaluates neither a second time
+    calls = []
+    fast = lambdasums.lambda_fast_odd
+
+    def spy(q, n, m):
+        calls.append(q)
+        return fast(q, n, m)
+
+    monkeypatch.setattr(lambdasums, "lambda_fast_odd", spy)
+    result = suite_lambda_triple(seed=5, qmax=30, per_q=3)
+    assert result.ok and result.checked == 108
+    assert calls == [q if q % 2 else q // 2 for q in range(1, 31) if q % 4]
+
+
 def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
     # with the evaluator wrong everywhere, every check fails: no entry is
     # compared against a closed form computed by the suite itself
