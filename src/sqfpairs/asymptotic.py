@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntcore import is_prime, mobius_sieve, primes_upto
+from .ntcore import _check_primes_budget, is_prime, mobius_sieve, primes_upto
 from .counting import _check_ladder, _check_sieve_budget, build_sieve, count_pairs_ladder
 from .expsums import _check_modulus, _check_table
 from .lambdasums import lambda_any_table
@@ -73,6 +73,15 @@ class EulerProductEstimate:
     tail_bound: float
 
 
+def _check_cutoff(P: int) -> None:
+    """The cutoffs `constant_c` refuses, before anything is allocated:
+    ValueError below 2, and BudgetError if its primes up to 10P exceed
+    the prime-sieve budget."""
+    if P < 2:
+        raise ValueError(f"cutoff must be >= 2, got {P}")
+    _check_primes_budget(10 * P)
+
+
 def constant_c(P: int) -> EulerProductEstimate:
     """prod_{p <= P} (1 - lam(p^2)/p^4) with an explicit tail bound.
 
@@ -80,8 +89,7 @@ def constant_c(P: int) -> EulerProductEstimate:
     u_p = (p^2 + p)/p^4 over the primes in (P, 10P], then closes with
     an integral comparison over all integers beyond 10P.
     """
-    if P < 2:
-        raise ValueError(f"cutoff must be >= 2, got {P}")
+    _check_cutoff(P)
     primes = primes_upto(10 * P)
     head = primes[: np.searchsorted(primes, P, side="right")]
     # Python-int quotients are exact, so each factor is correctly rounded.
@@ -134,20 +142,20 @@ def error_scan(
     `constant_c(P)`.  The fitted exponent is the least-squares
     slope of log|E| against log H; rows with E = 0 are excluded and
     reported, and the fit is skipped (alpha None) below 4 usable rows.
-    The sieve's byte budget is checked first, before `constant_c` sieves
-    its primes.
+    The sieve's byte budget and P are checked first; the sieve is freed
+    before `constant_c` sieves its primes, so the two never share the peak.
     """
     H_values = _check_ladder(H_values)
     N = 2 * H_values[-1] ** 2 + 1
     _check_sieve_budget(N, memory_budget)
-    c = constant_c(P).value
+    _check_cutoff(P)
     start = time.perf_counter()
     sieve = build_sieve(N, memory_budget)
     sieve_elapsed = time.perf_counter() - start
-    rows = [
-        ScanRow(rep.H, rep.S, rep.S - c * rep.H * rep.H, rep.elapsed)
-        for rep in count_pairs_ladder(H_values, sieve=sieve, threads=threads)
-    ]
+    reports = count_pairs_ladder(H_values, sieve=sieve, threads=threads)
+    del sieve
+    c = constant_c(P).value
+    rows = [ScanRow(rep.H, rep.S, rep.S - c * rep.H * rep.H, rep.elapsed) for rep in reports]
     usable = [r for r in rows if r.E != 0.0]
     excluded = [r.H for r in rows if r.E == 0.0]
     if len(usable) >= _MIN_FIT_ROWS:

@@ -18,6 +18,7 @@ import os
 import sys
 
 from . import asymptotic, counting, lambdasums, verify
+from .expsums import RESIDUE_BYTES
 from .lambdasums import LAMBDA_TOLERANCE
 from .ntcore import BudgetError
 
@@ -41,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
     common.add_argument("--memory-budget", type=int, default=None,
-                        help="value-sieve budget in bytes, a positive integer (default: "
+                        help="budget in bytes of the value sieve and of the lambda "
+                             "command's tables, a positive integer (default: "
                              "SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,6 +106,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_lambda(args) -> int:
     q, n, m = args.q, args.n, args.m
+    ceiling = args.memory_budget // RESIDUE_BYTES  # DEFAULT_SOLVE_CEILING at the default
+    if q > ceiling:
+        raise BudgetError(f"lambda({q}) exceeds the ceiling {ceiling} of a "
+                          f"{args.memory_budget}-byte budget at {RESIDUE_BYTES} bytes per residue")
     values = [("direct", lambdasums.lambda_direct(q, n, m))]
     if q % 2 == 1:
         # for odd q, lambda_any returns lambda_fast_odd(q, n, m) unchanged

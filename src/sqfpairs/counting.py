@@ -2,10 +2,11 @@
 
 Two independent routes compute the same integer:
 
-* the value sieve (`count_pairs_direct`, `count_pairs_ladder`): a packed
-  squarefree bit array over [1, 2*H^2 + 1] probed for the pairs x <= y
-  only (x^2 + y^2 + 1 is symmetric, so an off-diagonal pair counts
-  twice); a ladder of heights is probed once, up to its top, and each
+* the value sieve (`count_pairs_direct`, `count_pairs_ladder`): packed
+  squarefree bits for the odd n <= 2*H^2 + 1 (x^2 + y^2 + 1 is never
+  0 mod 4, and when even it is twice an odd number), probed for the
+  pairs x <= y only (x^2 + y^2 + 1 is symmetric, so an off-diagonal pair
+  counts twice); a ladder of heights is probed once, up to its top, and each
   S(H) is read off as the running sum over the bands between heights, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
   sum over squarefree d of T(H, d^2), the number of pairs with
@@ -44,9 +45,9 @@ __all__ = [
 ]
 
 _SEGMENT_BITS = 1 << 20  # flags sieved per segment (a multiple of 8)
-# Squares whose multiples are struck once, into a pattern each segment is
-# copied from; the pattern repeats with their product, 44100.
-_WHEEL_SQUARES = (4, 9, 25, 49)
+# Squares whose odd multiples are struck once, into a pattern each segment
+# is copied from; in index space the pattern repeats with their product, 11025.
+_WHEEL_SQUARES = (9, 25, 49)
 _WHEEL_PERIOD = math.prod(_WHEEL_SQUARES)
 _COUNT_CHUNK = 1 << 20  # packed bytes popcounted at a time
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -66,48 +67,59 @@ def _memory_budget(override=None) -> int:
 
 
 def _check_sieve_budget(N: int, memory_budget: int | None = None) -> int:
-    """Bytes of the packed sieve over [0, N], checked against the budget
-    without allocating anything (BudgetError beyond it)."""
+    """Bytes of the packed sieve over the odd n <= N, checked against the
+    budget without allocating anything (BudgetError beyond it)."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     budget = _memory_budget(memory_budget)
-    nbytes = (N + 8) // 8
+    nbytes = ((N + 1) // 2 + 7) // 8
     if nbytes > budget:
         raise BudgetError(f"sieve of {N} needs {nbytes} bytes, budget is {budget}")
     return nbytes
 
 
 class SquarefreeSieve:
-    """Packed bit array over [0, limit]; bit n says n is squarefree."""
+    """Squarefree flags for [1, limit], packed for the odd n only: bit i
+    says n = 2i + 1 is squarefree.
+
+    That answers every n: if 4 | n, n is not squarefree, and if
+    n = 2 (mod 4), n is squarefree exactly when the odd n/2 is.  The pair
+    values x^2 + y^2 + 1 are never 0 (mod 4), so the probe reads the bits
+    directly by index (see `_count_rows`).
+    """
 
     def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
-        self._bytes = packed  # uint8, little bit order: bit k of byte j is 8j+k
+        self._bytes = packed  # uint8, little bit order: bit k of byte j is index 8j+k
+
+    def _flags(self, index: np.ndarray) -> np.ndarray:
+        """0/1 flags for an unsigned array of bit indices.  `np.take`
+        gathers ~15% faster than fancy indexing, which casts uint32 indices
+        to intp, and still raises IndexError past the array; the bit index
+        is one uint8 pass."""
+        bit = np.bitwise_and(index, 7, dtype=np.uint8, casting="unsafe")
+        return (np.take(self._bytes, index >> 3) >> bit) & np.uint8(1)
 
     def is_squarefree(self, n: int) -> bool:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n must be in [1, {self.limit}], got {n}")
-        return bool((self._bytes[n >> 3] >> (n & 7)) & 1)
+        i = n >> (2 - (n & 1))  # index of n if odd, else of n/2
+        return n % 4 != 0 and bool((self._bytes[i >> 3] >> (i & 7)) & 1)
 
     def lookup(self, values: np.ndarray) -> np.ndarray:
         """0/1 flags for an array of values in [1, limit] (uint32 is kept,
-        any other integer dtype is read as uint64).  `np.take` gathers ~15%
-        faster than fancy indexing, which casts uint32 indices to intp, and
-        still raises IndexError past the array; the bit index is one uint8 pass."""
+        any other integer dtype is read as uint64).  An odd n reads index
+        n >> 1 and an even n index n >> 2, the index of n/2 when
+        n = 2 (mod 4); multiples of 4 read 0.  A value whose index is past
+        the array raises IndexError."""
         v = values if values.dtype == np.uint32 else values.astype(np.uint64, copy=False)
-        bit = np.bitwise_and(v, 7, dtype=np.uint8, casting="unsafe")
-        return (np.take(self._bytes, v >> 3) >> bit) & np.uint8(1)
+        return self._flags(v >> (2 - (v & 1))) & (v & 3 != 0)
 
-    def count_squarefree(self, upto: int | None = None) -> int:
-        """Number of squarefree n with 1 <= n <= upto (default: limit).
-
-        Whole bytes are popcounted by table, _COUNT_CHUNK bytes at a time,
-        so the scratch memory stays bounded for any prefix.
-        """
-        upto = self.limit if upto is None else upto
-        if not 1 <= upto <= self.limit:
-            raise ValueError(f"upto must be in [1, {self.limit}], got {upto}")
-        full, rest = divmod(upto + 1, 8)
+    def _count_bits(self, nbits: int) -> int:
+        """Set bits among the first nbits.  Whole bytes are popcounted by
+        table, _COUNT_CHUNK bytes at a time, so the scratch memory stays
+        bounded for any prefix."""
+        full, rest = divmod(nbits, 8)
         total = 0
         for lo in range(0, full, _COUNT_CHUNK):
             total += int(_POPCOUNT[self._bytes[lo : min(lo + _COUNT_CHUNK, full)]].sum())
@@ -116,35 +128,47 @@ class SquarefreeSieve:
             total += int(tail[:rest].sum())
         return total
 
+    def count_squarefree(self, upto: int | None = None) -> int:
+        """Number of squarefree n with 1 <= n <= upto (default: limit): the
+        odd ones, plus one 2m for each squarefree odd m <= upto/2."""
+        upto = self.limit if upto is None else upto
+        if not 1 <= upto <= self.limit:
+            raise ValueError(f"upto must be in [1, {self.limit}], got {upto}")
+        return self._count_bits((upto + 1) // 2) + self._count_bits((upto // 2 + 1) // 2)
+
 
 def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
-    """Squarefree flags for [1, N] by striking multiples of p^2.
+    """Squarefree flags for the odd n in [1, N] by striking the odd
+    multiples of p^2 for the odd primes p (no odd n is a multiple of 4).
 
+    Bit i stands for n = 2i + 1, so the odd multiples of p^2 are the
+    indices (p^2 - 1)/2 + k*p^2: stride p^2 from offset (p^2 - 1)/2.
     Works one segment of _SEGMENT_BITS flags at a time, small enough to
     stay in cache, and packs each into 8 flags per byte.  A segment starts
-    as a copy of a pattern with 0 and every multiple of 4, 9, 25 and 49
-    already struck.  The other squares below one segment strike their
-    multiples by strided slices; every larger square has at most one
-    multiple per segment, so all of those multiples are listed once,
-    sorted, and each segment clears its own slice of the list by index.
-    Scratch memory beyond the packed result is one segment of bools, plus
-    the pattern (one segment and 44100 more bools), plus 8 bytes per
-    multiple of a large square (about 7e4 of them at N = 5e8).
+    as a copy of a pattern with the odd multiples of 9, 25 and 49 already
+    struck.  The other squares below one segment strike theirs by strided
+    slices; every larger square has at most one multiple per segment, so
+    all of those are listed once, sorted, and each segment clears its own
+    slice of the list by index.  Scratch memory beyond the packed result
+    is one segment of bools, plus the pattern (one segment and 11025 more
+    bools), plus 8 bytes per odd multiple of a large square (about 3e4 of
+    them at N = 5e8).
 
     Rejects N whose packed array would exceed the byte budget (default
     2 GiB, overridable via the argument or the SQFPAIRS_MEMORY_BUDGET
     environment variable) before allocating.
     """
     nbytes = _check_sieve_budget(N, memory_budget)
-    nbits = N + 1
+    nbits = (N + 1) // 2
     squares = primes_upto(math.isqrt(N)) ** 2
     squares = squares[squares > _WHEEL_SQUARES[-1]]
     small = squares[squares < _SEGMENT_BITS].tolist()
-    large = [np.arange(sq, N + 1, sq) for sq in squares[squares >= _SEGMENT_BITS].tolist()]
+    large = [np.arange((sq - 1) // 2, nbits, sq)
+             for sq in squares[squares >= _SEGMENT_BITS].tolist()]
     large = np.sort(np.concatenate(large)) if large else np.empty(0, dtype=np.int64)
     pattern = np.ones(min(_WHEEL_PERIOD, nbits) + _SEGMENT_BITS, dtype=bool)
     for sq in _WHEEL_SQUARES:
-        pattern[::sq] = False
+        pattern[(sq - 1) // 2 :: sq] = False
     packed = np.empty(nbytes, dtype=np.uint8)
     buffer = np.empty(_SEGMENT_BITS, dtype=bool)
     for lo in range(0, nbits, _SEGMENT_BITS):
@@ -154,10 +178,10 @@ def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
         seg[:] = pattern[offset : offset + seg.size]
         seg[hi - lo :] = False
         for sq in small:
-            if sq >= hi:
+            first = (sq - 1) // 2
+            if first >= hi:
                 break
-            start = ((lo + sq - 1) // sq) * sq
-            seg[start - lo :: sq] = False
+            seg[(first - lo) % sq :: sq] = False
         seg[large[np.searchsorted(large, lo) : np.searchsorted(large, hi)] - lo] = False
         packed[lo // 8 : lo // 8 + seg.size // 8] = np.packbits(seg, bitorder="little")
     return SquarefreeSieve(N, packed)
@@ -193,24 +217,41 @@ def _count_rows(sieve: SquarefreeSieve, y_lo: int, y_hi: int) -> int:
     """Sum over y in [y_lo, y_hi) of 2 * #{x < y : x^2 + y^2 + 1 squarefree}
     plus the flag at x = y: these rows' share of S for the square.
 
-    Rows go in blocks of _BLOCK_ROWS.  The columns x below a block's first
-    row count whole; they are probed x-major, about _PROBE_VALUES values
-    at a time, so that successive lookups fall close together in the
-    sieve (x^2 + y^2 moves little from one row of the block to the next).
-    Only the square tile on the block's diagonal is weighted by _TILE.
+    The sieve is read by index, not by value.  With f[x] = x^2 >> 2 and
+    h = 2f, x^2 + y^2 + 1 is odd at index h[x] + h[y] when x and y are
+    both even, and at h[x] + h[y] + 1 when both are odd; when their
+    parities differ it is twice the odd number at index f[x] + f[y].  So
+    each value costs one add, as a probe by value would.
+
+    Rows go in blocks of _BLOCK_ROWS, split by parity into four quadrants
+    of (column parity, row parity).  The columns x below a block's first
+    row count whole; each quadrant probes them x-major, about
+    _PROBE_VALUES values at a time, so that successive lookups fall close
+    together in the sieve (x^2 + y^2 moves little from one row of the
+    block to the next).  Only the square tile on the block's diagonal is
+    weighted, by _TILE with its rows and columns in the same parity order.
     """
-    dtype = np.uint32 if sieve.limit < 2**32 else np.uint64
-    sq = np.arange(y_hi, dtype=dtype) ** 2
+    top = (sieve.limit - 1) // 2  # the sieve's largest index
+    dtype = np.uint32 if top < 2**32 else np.uint64
+    f = np.arange(y_hi, dtype=dtype) ** 2 >> 2
+    h = f << 1
     total = 0
     for lo in range(y_lo, y_hi, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, y_hi)
-        rows = sq[lo:hi] + dtype(1)
-        step = _PROBE_VALUES // rows.size
-        for x in range(1, lo, step):
-            flags = sieve.lookup(sq[x : min(x + step, lo), None] + rows)
-            total += 2 * int(np.count_nonzero(flags))
-        n = hi - lo
-        total += int((sieve.lookup(sq[lo:hi, None] + rows) * _TILE[:n, :n]).sum())
+        even, odd = slice(lo + lo % 2, hi, 2), slice(lo + 1 - lo % 2, hi, 2)
+        # (column terms, row terms) of the quadrants of the even columns,
+        # then of the odd ones, each over the even rows and the odd rows
+        by_parity = (((h, h[even]), (f, f[odd])), ((f, f[even]), (h, h[odd] + 1)))
+        for first, quadrants in zip((2, 1), by_parity):
+            for a, rows in quadrants:
+                step = 2 * (_PROBE_VALUES // max(rows.size, 1))  # x advances by 2
+                for x in range(first, lo, step):
+                    flags = sieve._flags(a[x : min(x + step, lo) : 2, None] + rows)
+                    total += 2 * int(np.count_nonzero(flags))
+        tile = np.block([[a[cols, None] + rows for a, rows in quadrants]
+                         for cols, quadrants in zip((even, odd), by_parity)])
+        order = np.r_[lo % 2 : hi - lo : 2, 1 - lo % 2 : hi - lo : 2]
+        total += int((sieve._flags(tile) * _TILE[np.ix_(order, order)]).sum())
     return total
 
 

@@ -49,8 +49,10 @@ TOLERANCE = 1e-6
 # Largest modulus whose per-residue tables (phases, units, solution sets)
 # may be built.  The `lambda` command peaks at 80-94 bytes per residue
 # (RSS growth at odd and even q near 1e6 and 3e6), so 128 bytes per
-# residue keeps any one call within the default memory budget.
-DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // 128
+# residue keeps any one call within the default memory budget; the
+# `lambda` command holds a given budget to the same rate.
+RESIDUE_BYTES = 128
+DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // RESIDUE_BYTES
 
 
 def complex_close(a, b, tol: float = TOLERANCE):

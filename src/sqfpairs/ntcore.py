@@ -40,8 +40,9 @@ _TRIAL_LIMIT = 10**6
 DEFAULT_SIEVE_BUDGET = 2**28
 
 # Default memory budget in bytes: the packed value sieve's budget (2 GiB
-# of bytes is 2**34 bits, enough for H = 3e4: about 1.8e9 flags, 225 MB
-# packed), and the one from which the ceiling on per-residue tables is set.
+# is 2**34 bits, one per odd n, so it covers the odd n <= 2H^2 + 1 up to
+# H = 131,071; H = 16000 takes 32 MB), and the one from which the ceiling
+# on per-residue tables is set.
 DEFAULT_MEMORY_BUDGET = 2**31
 
 # Witnesses that make Miller-Rabin deterministic for all n < 3.3e24,
@@ -53,6 +54,14 @@ class BudgetError(Exception):
     """An operation would exceed its configured memory budget."""
 
 
+def _check_primes_budget(limit: int) -> None:
+    """BudgetError, before anything is allocated, if `primes_upto(limit)`
+    needs more than DEFAULT_SIEVE_BUDGET bytes."""
+    if limit + 1 > DEFAULT_SIEVE_BUDGET:
+        raise BudgetError(
+            f"primes_upto({limit}) needs {limit + 1} bytes, budget is {DEFAULT_SIEVE_BUDGET}")
+
+
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2).
 
@@ -60,9 +69,7 @@ def primes_upto(limit: int) -> np.ndarray:
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit + 1 > DEFAULT_SIEVE_BUDGET:
-        raise BudgetError(
-            f"primes_upto({limit}) needs {limit + 1} bytes, budget is {DEFAULT_SIEVE_BUDGET}")
+    _check_primes_budget(limit)
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

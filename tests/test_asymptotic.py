@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,23 @@ class TestErrorScan:
         assert res.sieve_elapsed >= 0
         times = [r.elapsed for r in res.rows]
         assert times == sorted(times)
+
+    def test_peak_is_the_larger_stage_not_their_sum(self):
+        # the sieve and its probe (a 2.5 MB sieve at H = 4500) are done and
+        # freed before constant_c sieves the primes up to 2e6 (a 5 MB peak)
+        ladder, P = [4500], 200_000
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stages = peak(count_pairs_ladder, ladder), peak(constant_c, P)
+        assert min(stages) > 2**22  # each stage alone is larger than the slack
+        assert peak(error_scan, ladder, P) <= max(stages) + 2**20
 
     def test_rejects_bad_ladders(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,9 @@
 tracer, so a change that renames, reorders or resizes a verify suite
 fails here rather than in a benchmark run.  The six slowest suites are
 left to the benchmark itself; the others take about 1.5 s together.
-The ladder probe must also give the gated scan counts SCAN_S at its two
-lowest heights (about 0.1 s), so a probe that miscounts fails here too.
+The ladder probe must also give the gated scan counts SCAN_S at all four
+heights (about 1 s, up to H = 16000), so a probe that miscounts fails here
+too.
 """
 
 import importlib.util
@@ -49,4 +50,4 @@ def test_suite_gives_its_gated_check_count(name):
 
 
 def test_ladder_probe_gives_the_gated_scan_counts():
-    assert [r.S for r in count_pairs_ladder([2000, 4000])] == [BENCH.SCAN_S[2000], BENCH.SCAN_S[4000]]
+    assert [r.S for r in count_pairs_ladder(list(BENCH.SCAN_S))] == list(BENCH.SCAN_S.values())

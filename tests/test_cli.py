@@ -8,6 +8,7 @@ import pytest
 from sqfpairs import lambdasums
 from sqfpairs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from sqfpairs.counting import DEFAULT_MEMORY_BUDGET
+from sqfpairs.expsums import RESIDUE_BYTES
 
 
 def run(capsys, *argv):
@@ -108,6 +109,27 @@ class TestLambda:
         assert code == EXIT_BUDGET
         assert "ceiling" in err
         assert peak < 2**20
+
+    def test_budget_exit_under_a_given_budget(self, capsys):
+        # q = 999983 needs ~128 MB at 128 bytes per residue; nothing is built
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "lambda", "--q", "999983", "--n", "0", "--m", "0",
+                               "--memory-budget", "1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_BUDGET
+        assert "budget" in err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("budget,code", [(128 * 101, EXIT_OK), (128 * 101 - 1, EXIT_BUDGET)])
+    def test_budget_admits_128_bytes_per_residue(self, capsys, budget, code):
+        assert run(capsys, "lambda", "--q", "101", "--n", "1", "--m", "2",
+                   "--memory-budget", str(budget))[0] == code
+
+    def test_default_budget_ceiling_is_the_solve_ceiling(self):
+        assert DEFAULT_MEMORY_BUDGET // RESIDUE_BYTES == lambdasums.DEFAULT_SOLVE_CEILING == 2**24
 
     @pytest.mark.parametrize("q", [1, 15, 999, 2, 10, 12, 16])
     def test_any_evaluated_only_for_even_q(self, capsys, monkeypatch, q):
@@ -217,6 +239,19 @@ class TestScan:
                            "--memory-budget", "1000")
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    @pytest.mark.parametrize("P,want", [("1", EXIT_USAGE), ("1000000000", EXIT_BUDGET)])
+    def test_bad_cutoff_exits_before_the_sieve(self, capsys, monkeypatch, P, want):
+        # the constant comes after the sieve, so P is checked before the build
+        from sqfpairs import asymptotic
+
+        def refuse(N, memory_budget=None):
+            raise AssertionError("build_sieve called before P was checked")
+
+        monkeypatch.setattr(asymptotic, "build_sieve", refuse)
+        code, _, err = run(capsys, "scan", "--H-ladder", "100,200", "--P", P)
+        assert code == want
+        assert ("cutoff" if want == EXIT_USAGE else "budget") in err
 
     def test_bad_ladder(self, capsys):
         code, _, err = run(capsys, "scan", "--H-ladder", "100,50")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -94,9 +95,9 @@ class TestBuildSieve:
 
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
     def test_lookup_every_bit_position(self, dtype):
-        # limits at each bit of their byte; the values cover n mod 8 = 0..7
-        want = oracle_flags(1007)
-        for N in range(1000, 1008):
+        # the last odd flag at each bit of its byte; the values cover n mod 16
+        want = oracle_flags(1015)
+        for N in range(1000, 1016):
             sieve = build_sieve(N)
             flags = sieve.lookup(np.arange(1, N + 1, dtype=dtype))
             assert flags.dtype == np.uint8
@@ -106,9 +107,12 @@ class TestBuildSieve:
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
     def test_lookup_past_the_array_raises(self, dtype):
         sieve = build_sieve(1000)
-        past = sieve._bytes.size * 8  # the first value whose byte is not stored
-        assert sieve.lookup(np.array([past - 1], dtype=dtype)).tolist() == [0]  # padding
-        for bad in (past, past + 7, 2**31 + 3):
+        past = sieve._bytes.size * 8  # the first index whose byte is not stored
+        assert past > 500  # the 500 flags of the odd n <= 1000 leave padding bits
+        # the last padding bit, read as an odd n and as n = 2 (mod 4)
+        edge = np.array([2 * past - 1, 4 * past - 2], dtype=dtype)
+        assert sieve.lookup(edge).tolist() == [0, 0]
+        for bad in (2 * past + 1, 4 * past, 4 * past + 2, 2**31 + 3):
             with pytest.raises(IndexError):
                 sieve.lookup(np.array([5, bad], dtype=dtype))
         if dtype != np.uint32:  # read as uint64: no negative index wraps to the end
@@ -124,29 +128,33 @@ class TestBuildSieve:
 
     def test_crosses_segment_boundary(self):
         # limits straddling the internal segment size keep flags aligned
+        # (one segment holds the odd n below 2 * _SEGMENT_BITS)
         from sqfpairs import counting
-        n = counting._SEGMENT_BITS + 17
+        edge = 2 * counting._SEGMENT_BITS
+        n = edge + 17
         sieve = build_sieve(n)
-        for probe in (n, n - 1, counting._SEGMENT_BITS, counting._SEGMENT_BITS + 1, 12345):
+        for probe in (n, n - 1, edge - 1, edge, edge + 1, edge + 2, 12345):
             assert sieve.is_squarefree(probe) == is_squarefree_oracle(probe)
 
     @pytest.mark.parametrize("segment", [None, 64, 1024])
     def test_packed_bytes_match_oracle(self, segment, monkeypatch):
-        # At 64 and 1024 flags per segment the wheel copy, the strided
-        # squares (121..961 at 1024) and the indexed large squares (121 and
-        # up at 64) all run across many segments.
+        # Bit i is the odd n = 2i + 1.  At 64 and 1024 flags per segment
+        # the wheel copy, the strided squares (121..961 at 1024) and the
+        # indexed large squares (121 and up at 64) all run across many
+        # segments; the wheel repeats every 11025 flags (n = 22050).
         from sqfpairs import counting
         if segment is not None:
             monkeypatch.setattr(counting, "_SEGMENT_BITS", segment)
-        past_boundary = 2 * counting._SEGMENT_BITS + 8
-        limits = list(range(1, 201)) + [44099, 44100, 44101, 88201]
-        limits += [past_boundary + r for r in range(8)]  # every N mod 8
+        past_boundary = 2 * (2 * counting._SEGMENT_BITS + 8)
+        limits = list(range(1, 201)) + [22049, 22050, 22051, 22052, 44101]
+        limits += [past_boundary + r for r in range(16)]  # every flag count mod 8
         want_all = oracle_flags(max(limits))
         for N in limits:
             got = np.unpackbits(build_sieve(N)._bytes, bitorder="little")
+            nbits = (N + 1) // 2
             want = np.zeros(got.size, dtype=np.uint8)
-            want[: N + 1] = want_all[: N + 1]
-            assert got.size == (N + 8) // 8 * 8
+            want[:nbits] = want_all[1 : N + 1 : 2]
+            assert got.size == (nbits + 7) // 8 * 8
             assert np.array_equal(got, want), N
 
     def test_count_prefix_across_chunks(self, monkeypatch):
@@ -154,8 +162,9 @@ class TestBuildSieve:
         N = 1000
         prefix = np.cumsum(oracle_flags(N))
         sieve = build_sieve(N)
-        monkeypatch.setattr(counting, "_COUNT_CHUNK", 3)  # 24 flags per chunk
-        for upto in [1, 2, 22, 23, 24, 25, 47, 48, 49, 71, 72, 73, 999, 1000]:
+        monkeypatch.setattr(counting, "_COUNT_CHUNK", 3)  # 24 odd flags, n < 48, per chunk
+        for upto in [1, 2, 46, 47, 48, 49, 50, 94, 95, 96, 97, 98, 99, 143, 144, 145,
+                     191, 192, 193, 194, 999, 1000]:
             assert sieve.count_squarefree(upto) == prefix[upto], upto
         assert sieve.count_squarefree() == prefix[N]
 
@@ -253,16 +262,20 @@ class TestCountPairsLadder:
         assert [r.S for r in count_pairs_ladder(ladder)] == full_square_counts(ladder)
 
     @pytest.mark.parametrize("probe_values", [None, 1024])
-    @pytest.mark.parametrize("k,d", [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)])
+    @pytest.mark.parametrize("k,d", [(1, -1), (1, 0), (1, 1), (1, 2),
+                                     (2, -1), (2, 0), (2, 1), (2, 2)])
     def test_block_columns_end_beside_a_chunk_boundary(self, monkeypatch, probe_values, k, d):
-        # The top band starts a full block at row h0 + 1, whose columns
-        # x = 1..h0 end one below, at or one above a multiple of the column
-        # step; at 1024 values the step is 4, and each block splits many times.
+        # The top band starts a full block at row h0 + 1.  Each quadrant of
+        # it probes the columns of one parity, x = 1, 3, .. or 2, 4, .. up
+        # to h0, in chunks that start every `step` in x; h0 = k*step + d
+        # ends the odd columns one column short of, at, or one past a chunk
+        # start (d = -1, 0, 1) and the even ones at or one past one (d = 1, 2).
+        # At 1024 values the step is 16, and each block splits many times.
         from sqfpairs import counting
         if probe_values is not None:
             monkeypatch.setattr(counting, "_PROBE_VALUES", probe_values)
         rows = counting._BLOCK_ROWS
-        h0 = k * (counting._PROBE_VALUES // rows) + d
+        h0 = k * 2 * (counting._PROBE_VALUES // (rows // 2)) + d
         ladder = [h0, 2 * (h0 + 1 + rows) + 10]
         calls = []
         count_rows = counting._count_rows
@@ -276,11 +289,23 @@ class TestCountPairsLadder:
         assert any(y_lo == h0 + 1 and y_hi - y_lo >= rows for y_lo, y_hi in calls)
 
     def test_uint64_values_above_two_to_the_32(self):
-        # a sieve whose limit reaches 2**32 makes the probe use uint64 values
+        # the probe's dtype follows the sieve's top index, (limit - 1) / 2:
+        # uint32 up to 2**32 - 1, uint64 from 2**32 on
         ladder = [7, 300]
+        want = full_square_counts(ladder)
         sieve = build_sieve(2 * 300 * 300 + 1)
-        wide = SquarefreeSieve(2**32, sieve._bytes)
-        assert [r.S for r in count_pairs_ladder(ladder, sieve=wide)] == full_square_counts(ladder)
+        for limit, dtype in ((2**33 - 1, np.uint32), (2**33 + 1, np.uint64)):
+            wide = SquarefreeSieve(limit, sieve._bytes)
+            dtypes = set()
+            read = wide._flags
+
+            def spy(index):
+                dtypes.add(index.dtype)
+                return read(index)
+
+            wide._flags = spy
+            assert [r.S for r in count_pairs_ladder(ladder, sieve=wide)] == want
+            assert dtypes == {np.dtype(dtype)}
 
     def test_threads_do_not_change_result(self, monkeypatch):
         # bands of 1 to 3 rows are shorter than the 4 chunks per worker
@@ -457,3 +482,19 @@ class TestCountPairsMobius:
 
 def test_default_budget_is_two_gib():
     assert DEFAULT_MEMORY_BUDGET == 2**31
+
+
+def test_default_budget_admits_the_largest_height(monkeypatch):
+    # 2H^2 + 1 holds H^2 + 1 odd values, one bit each: 2 GiB covers H = 131,071
+    from sqfpairs.counting import _check_sieve_budget
+    monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
+    H = 131_071
+    tracemalloc.start()
+    try:
+        assert _check_sieve_budget(2 * H * H + 1) == (H * H + 8) // 8 <= 2**31
+        with pytest.raises(BudgetError):
+            _check_sieve_budget(2 * (H + 1) ** 2 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # checked, not allocated
