@@ -127,6 +127,7 @@ def lambda_fast_odd(q: int, n, m):
     q = _check_modulus(q)
     if q % 2 == 0:
         raise ValueError(f"modulus must be odd, got {q}")
+    _check_table(q, "lambda_fast_odd")  # the l = q term's tables, before divisors(q)
     n, m = _reduce(q, n), _reduce(q, m)
     # the divisor l = 1 serves n = m = 0 alone, with K(1; 1, 0) = 1
     total = np.array((n == 0) & (m == 0), dtype=complex)

@@ -1,10 +1,11 @@
 """Elementary and modular number theory primitives.
 
 Factorization, the Moebius and divisor-count functions, Jacobi symbols,
-modular inverses and square roots modulo odd prime powers, for inputs
-fitting in a signed 64-bit word.  Everything here is a pure function of
-its arguments; returned arrays and tuples are safe to share across
-threads.
+modular inverses and square roots modulo odd prime powers.  Factoring
+and primality take n < 2**32, which covers every modulus the package
+tabulates; larger n raise ValueError.  Everything here is a pure
+function of its arguments; returned arrays and tuples are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "BudgetError",
-    "MAX_INPUT",
     "factorize",
     "mobius",
     "mobius_sieve",
@@ -29,13 +29,6 @@ __all__ = [
     "divisors",
 ]
 
-# Inputs are promised to fit in a signed 64-bit word.
-MAX_INPUT = (1 << 63) - 1
-
-# Trial division handles factors below this; survivors go through
-# deterministic Miller-Rabin and, if composite, Brent's rho.
-_TRIAL_LIMIT = 10**6
-
 # Memory budget of primes_upto and mobius_sieve, in bytes.
 DEFAULT_SIEVE_BUDGET = 2**28
 
@@ -44,10 +37,6 @@ DEFAULT_SIEVE_BUDGET = 2**28
 # H = 131,071; H = 16000 takes 32 MB), and the one from which the ceiling
 # on per-residue tables is set.
 DEFAULT_MEMORY_BUDGET = 2**31
-
-# Witnesses that make Miller-Rabin deterministic for all n < 3.3e24,
-# comfortably covering the 64-bit input range.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class BudgetError(Exception):
@@ -75,80 +64,34 @@ def primes_upto(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(primes_upto(_TRIAL_LIMIT).tolist())
-
-
-def _mr_composite(a: int, n: int, d: int, s: int) -> bool:
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return False
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return False
-    return True
+# Every composite n < 2**32 has a prime factor below 2**16.
+_FACTOR_LIMIT = 1 << 32
+_TRIAL_PRIMES = tuple(primes_upto(1 << 16).tolist())
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n <= 2**63 - 1."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    return not any(_mr_composite(a, n, d, s) for a in _MR_WITNESSES)
-
-
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of an odd composite n (Brent's variant)."""
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g, y = 1, ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = math.gcd(abs(x - y), n)
-        if 1 < g < n:
-            return g
-    raise ArithmeticError(f"rho could not split {n}")
+    """Primality of an integer n < 2**32 (False below 2), by the trial
+    division of `factorize`; ValueError for n >= 2**32."""
+    return n >= 2 and factorize(n)[0][0] == n
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Canonical prime factorization as (prime, exponent) pairs.
 
     Primes are strictly increasing; factorize(1) is the empty list.
-    Rejects n < 1 and n > 2**63 - 1.
+    Trial division by the primes below 2**16 is exact for 1 <= n < 2**32,
+    and n outside that range raises ValueError.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"expected a positive integer, got {n!r}")
-    if n < 1 or n > MAX_INPUT:
-        raise ValueError(f"n must satisfy 1 <= n <= 2**63 - 1, got {n}")
+    if n < 1 or n >= _FACTOR_LIMIT:
+        raise ValueError(f"n must satisfy 1 <= n < 2**32, got {n}")
     factors: list[tuple[int, int]] = []
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         if n % p == 0:
@@ -157,24 +100,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             factors.append((p, e))
-    if n == 1:
-        return factors
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(n):
-        # No factor up to min(sqrt(n), 1e6), so the survivor is prime.
+    if n > 1:
+        # No prime factor up to sqrt(n) (every one below 2**16), so n is prime.
         factors.append((n, 1))
-        return factors
-    # 64-bit composite with both factors above 1e6: split recursively.
-    big: dict[int, int] = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            big[m] = big.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    factors.extend(sorted(big.items()))
-    factors.sort()
     return factors
 
 
@@ -318,7 +246,6 @@ def sqrt_mod(a: int, p: int, e: int = 1) -> list[int]:
     return sorted(out)
 
 
-@lru_cache(maxsize=1 << 14)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order."""
     divs = [1]

@@ -47,8 +47,10 @@ class TestLambdaPSquared:
         assert lambda_p_squared(59) == 59 * 60   # 59 = 3 (mod 4)
 
     def test_large_prime_is_exact(self):
-        p = 2**61 - 1  # = 3 (mod 4); p * (p + 1) overflows 64 bits
+        p = 2**32 - 5  # prime, = 3 (mod 4); p * (p + 1) overflows int64
         assert lambda_p_squared(p) == p * (p + 1)
+        with pytest.raises(ValueError):
+            lambda_p_squared(2**61 - 1)  # beyond is_prime's range n < 2**32
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

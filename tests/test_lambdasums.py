@@ -460,9 +460,7 @@ def _traced(call):
 
 class TestTableLifetime:
     def test_no_table_outlives_a_call(self):
-        primes = (199999, 200003, 200009)
-        for p in primes:  # fills ntcore's small scalar caches, and its ~3 MB of trial primes
-            divisors(p)
+        primes = (199999, 200003, 200009)  # nothing to warm up: ntcore caches only is_prime
 
         def evaluate_all():
             for p in primes:
@@ -484,6 +482,13 @@ class TestTableLifetime:
 
         _, peak = _traced(evaluate)
         assert peak < 2**20
+
+    @pytest.mark.parametrize("evaluate,q", [(lambda_fast_odd, 2**33 + 1),
+                                            (lambda_any, 2 * (2**33 + 1))])
+    def test_modulus_beyond_factoring_refused_by_the_ceiling(self, evaluate, q):
+        # the ceiling, not factorize's range n < 2**32, refuses these q
+        with pytest.raises(BudgetError, match="ceiling"):
+            evaluate(q, 1, 2)
 
     @pytest.mark.parametrize("name", ["gauss_direct_table", "lambda_direct_table",
                                       "lambda_any_table", "harmonic_lambda_sums"])

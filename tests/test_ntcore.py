@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqfpairs import ntcore
+from sqfpairs import expsums, ntcore
 from sqfpairs.ntcore import (
     BudgetError,
     divisors,
@@ -46,11 +47,13 @@ class TestFactorize:
 
     def test_large_prime(self):
         # trial division up to isqrt(n) proves primality independently
-        n = 9999999967
+        n = 4294967291  # 2**32 - 5, the largest prime below 2**32
         assert trial_division_factor(n) == [(n, 1)]
         assert factorize(n) == [(n, 1)]
+        with pytest.raises(ValueError):
+            factorize(9999999967)  # prime, but beyond the contract n < 2**32
 
-    @pytest.mark.parametrize("bad", [0, -1, -12, 2**63])
+    @pytest.mark.parametrize("bad", [0, -1, -12, 2**32, 2**32 + 1, 2**63])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             factorize(bad)
@@ -64,7 +67,7 @@ class TestFactorize:
     def test_product_and_ordering_invariants(self):
         rng = random.Random(7)
         for _ in range(100):
-            n = rng.randrange(2, 10**12)
+            n = rng.randrange(2, 2**32)
             facs = factorize(n)
             assert math.prod(p**e for p, e in facs) == n
             ps = [p for p, _ in facs]
@@ -73,10 +76,29 @@ class TestFactorize:
             assert all(e >= 1 for _, e in facs)
 
     def test_semiprime_beyond_trial_range(self):
-        # both factors above the trial-division bound force the rho path
-        p, q = 1000003, 1000033
-        assert factorize(p * q) == [(p, 1), (q, 1)]
+        # both factors are among the largest trial primes, just below 2**16
+        p, q = 65521, 65519
+        assert factorize(p * q) == [(q, 1), (p, 1)]
         assert factorize(p * p) == [(p, 2)]
+        with pytest.raises(ValueError):
+            factorize(1000003 * 1000033)  # beyond the contract n < 2**32
+
+    def test_largest_inputs_match_trial_division(self):
+        # 2**32 - 1 = 3 * 5 * 17 * 257 * 65537 leaves a prime above 2**16
+        for n in (2**32 - 5, 2**32 - 1, 65537 * 65521, 2**24 - 3):
+            assert factorize(n) == trial_division_factor(n)
+            assert is_prime(n) == (trial_division_factor(n) == [(n, 1)])
+        for bad in (2**32, 65537**2):
+            with pytest.raises(ValueError):
+                is_prime(bad)
+
+    def test_factoring_range_covers_every_tabulated_modulus(self):
+        # a modulus under the solve ceiling is factored by lambda_fast_odd
+        assert expsums.DEFAULT_SOLVE_CEILING < 2**32
+        n = expsums.DEFAULT_SOLVE_CEILING - 3
+        want = sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0
+                       for d in (k, n // k)})
+        assert list(divisors(n)) == want
 
 
 class TestMobiusTau:
@@ -231,6 +253,16 @@ class TestPrimesAndDivisors:
     def test_primes_upto(self):
         assert primes_upto(1).size == 0
         assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_primes_upto_peak_is_flags_and_primes(self):
+        limit = 4_000_000
+        tracemalloc.start()
+        try:
+            primes = primes_upto(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (limit + 1) + primes.nbytes + 2**20
 
     def test_primes_upto_rejects_limit_beyond_budget(self):
         with pytest.raises(BudgetError):
