@@ -4,8 +4,9 @@ The density of pairs with x^2 + y^2 + 1 squarefree is the Euler product
 c = prod_p (1 - lam(p^2)/p^4), where lam(q) counts solutions of
 x^2 + y^2 + 1 = 0 (mod q).  lam(p^2) has one closed form, applied to
 whole prime arrays; enumeration is only its oracle.  `constant_c`
-evaluates the product up to a cutoff with an explicit bound on the
-log-deviation from the infinite product.  `error_scan` measures
+evaluates c with the zeta and L-function factors taken out in closed
+form, so only a correction product of size 1 + O(p^-5) is truncated, and
+bounds the log-deviation of the result from c.  `error_scan` measures
 E(H) = S(H) - c*H^2 on a ladder of H values and fits the exponent of |E|.
 
 Also here: the sawtooth 1/2 - {t}, its truncated Fourier series, and
@@ -62,10 +63,10 @@ def lambda_p_squared(p: int) -> int:
 
 @dataclass(frozen=True)
 class EulerProductEstimate:
-    """Partial Euler product with a tail bound.
+    """The constant c evaluated from the primes up to `cutoff`.
 
-    `tail_bound` bounds |log(true product / value)|: every omitted
-    factor is 1 - lam(p^2)/p^4 with 0 <= lam(p^2) <= p^2 + p.
+    `value` is c itself to within `tail_bound`, which bounds
+    |log(c / value)|: the truncated correction product plus float rounding.
     """
 
     cutoff: int
@@ -73,35 +74,40 @@ class EulerProductEstimate:
     tail_bound: float
 
 
-def _check_cutoff(P: int) -> None:
-    """The cutoffs `constant_c` refuses, before anything is allocated:
-    ValueError below 2, and BudgetError if its primes up to 10P exceed
-    the prime-sieve budget."""
+def _check_cutoff(P) -> int:
+    """P as an int, checked before anything is allocated: ValueError for a
+    bool, a float or P < 2, BudgetError if `primes_upto(P)` is over budget."""
+    P = _check_modulus(P, "cutoff")
     if P < 2:
         raise ValueError(f"cutoff must be >= 2, got {P}")
-    _check_primes_budget(10 * P)
+    _check_primes_budget(P)
+    return P
+
+
+# For odd p, lam(p^2) = p^2 - chi(p) p with chi the character mod 4, so the
+# factor of c at p is (1 - p^-2)(1 + chi(p) p^-3)(1 + t_p) with
+# t_p = chi(p) / (p^5 (1 - p^-2)(1 + chi(p) p^-3)); at p = 2 it is 1.  Over the
+# odd primes, prod (1 - p^-2) = (4/3)/zeta(2) = 8/pi^2 and prod (1 + chi(p) p^-3)
+# = L(3, chi)/L(6, chi_0) = (pi^3/32) / ((63/64) pi^6/945): together 240/pi^5.
+_CLOSED_FORM = 240 / math.pi**5
+# Rounding of pi, pi**5, the quotient, exp and the last product is below
+# 1.5e-15 relative; fsum adds the tiny log1p(t_p) exactly.
+_ROUNDING = 4e-15
 
 
 def constant_c(P: int) -> EulerProductEstimate:
-    """prod_{p <= P} (1 - lam(p^2)/p^4) with an explicit tail bound.
+    """c = (240/pi^5) * prod_{3 <= p <= P} (1 + t_p), within `tail_bound`.
 
-    The tail bound sums -log(1 - u_p) <= u_p / (1 - u_p) with
-    u_p = (p^2 + p)/p^4 over the primes in (P, 10P], then closes with
-    an integral comparison over all integers beyond 10P.
+    For p >= 3, |t_p| < 1.17/p^5, |log(1 + t)| <= |t|/(1 - |t|) and
+    sum_{n > P} n^-5 <= 1/(4 P^4), so the omitted factors move log c by
+    at most 0.3/P^4; `tail_bound` adds the float-rounding allowance.
     """
-    _check_cutoff(P)
-    primes = primes_upto(10 * P)
-    head = primes[: np.searchsorted(primes, P, side="right")]
-    # Python-int quotients are exact, so each factor is correctly rounded.
-    value = math.prod(1.0 - lam / p**4 for p, lam in zip(head.tolist(), _lambda_p2(head).tolist()))
-    if not 0.0 < value <= 1.0:
-        raise ArithmeticError(f"product escaped (0, 1]: {value}")
-    p = primes[head.size :].astype(float)
-    u = (p * p + p) / p**4
-    N = 10 * P
-    u_n = (N * N + N) / N**4
-    tail = float(np.sum(u / (1.0 - u))) + (1.0 / N + 0.5 / (N * N)) / (1.0 - u_n)
-    return EulerProductEstimate(P, value, tail)
+    P = _check_cutoff(P)
+    p = primes_upto(P)[1:].astype(float)
+    chi = np.where(p % 4 == 1, 1.0, -1.0)
+    t = chi / (p**5 * (1.0 - p**-2) * (1.0 + chi * p**-3))
+    value = _CLOSED_FORM * math.exp(math.fsum(np.log1p(t)))
+    return EulerProductEstimate(P, value, 0.3 / P**4 + _ROUNDING)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ def error_scan(
     H_values = _check_ladder(H_values)
     N = 2 * H_values[-1] ** 2 + 1
     _check_sieve_budget(N, memory_budget)
-    _check_cutoff(P)
+    P = _check_cutoff(P)
     start = time.perf_counter()
     sieve = build_sieve(N, memory_budget)
     sieve_elapsed = time.perf_counter() - start
@@ -205,7 +211,7 @@ def harmonic_lambda_sums(q: int, D):
     """
     q = _check_modulus(q)
     Ds = np.asarray(D)
-    if Ds.ndim > 1 or np.any(Ds < 2):
+    if Ds.dtype.kind not in "iu" or Ds.ndim > 1 or np.any(Ds < 2):
         raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
@@ -237,8 +243,7 @@ def dirichlet_partial_sum(dmax: int) -> float:
     For squarefree d the solution count mod d^2 is multiplicative, so
     lam(d^2) is the product of lam(p^2) over d's prime factors.
     """
-    if dmax < 1:
-        raise ValueError(f"dmax must be positive, got {dmax}")
+    dmax = _check_modulus(dmax, "dmax")
     mu = mobius_sieve(dmax)[1:]
     lam = _prime_divisor_product(dmax, _lambda_p2)[1:]
     d = np.arange(1, dmax + 1, dtype=float)
@@ -252,8 +257,7 @@ def dirichlet_tail_bound(dmax: int) -> float:
     so the term is at most tau(d)/d^2.  That is summed exactly out to
     20*dmax and closed with tau(d) <= 2*sqrt(d) beyond.
     """
-    if dmax < 1:
-        raise ValueError(f"dmax must be positive, got {dmax}")
+    dmax = _check_modulus(dmax, "dmax")
     M = 20 * dmax
     squarefree = mobius_sieve(M)[dmax + 1 :] != 0
     tau = _prime_divisor_product(M, lambda p: np.full(p.size, 2.0))[dmax + 1 :]  # 2^omega(d)

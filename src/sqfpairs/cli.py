@@ -2,8 +2,9 @@
 
 Subcommands: count (exact S(H) by one or both routes), lambda (the
 circle exponential sum by every applicable evaluator), constant (the
-Euler product with its tail bound), scan (the error-term ladder with a
-fitted exponent) and verify (the cross-oracle property suites).
+Euler-product constant c with its error bound), scan (the error-term
+ladder with a fitted exponent) and verify (the cross-oracle property
+suites).
 
 Exit codes: 0 success, 1 usage error, 2 memory budget exceeded,
 3 verification failure (including disagreement between evaluators).

@@ -328,47 +328,41 @@ def suite_lambda_growth(seed=DEFAULT_SEED, lo=500, hi=1500) -> SuiteResult:
     return rec.result(notes=f"max lam(q)/q^1.2 = {worst:.3f}")
 
 
+def _lambda_agreement(name, evaluate, message, seed, qmax, per_q, step=1) -> SuiteResult:
+    """`evaluate` equals direct summation within LAMBDA_TOLERANCE * q at
+    (0, 0) and `per_q` seeded (n, m) for each q in range(1, qmax + 1, step)
+    with 8 not | q.  `message` may use q, n, m, a (the evaluator), b
+    (direct) and s (their spread)."""
+    rec = _Recorder(name)
+    rng = random.Random(seed)
+    for q in range(1, qmax + 1, step):
+        if q % 8 == 0:
+            continue
+        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
+        got = evaluate(q, n, m)
+        direct = lambdasums.lambda_direct(q, n, m)
+        spread = np.abs(got - direct)
+        rec.check(spread <= LAMBDA_TOLERANCE * q, message, q=q, n=n, m=m, a=got, b=direct, s=spread)
+    return rec.result()
+
+
 def suite_lambda_fast(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     """Kloosterman-decomposition evaluator equals direct summation (odd q)."""
-    rec = _Recorder("lambda-fast-vs-direct")
-    rng = random.Random(seed)
-    for q in range(1, qmax + 1, 2):
-        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
-        fast = lambdasums.lambda_fast_odd(q, n, m)
-        direct = lambdasums.lambda_direct(q, n, m)
-        rec.check(np.abs(fast - direct) <= LAMBDA_TOLERANCE * q,
-                  "fast({q};{n},{m})={a:.6f} direct={b:.6f}", q=q, n=n, m=m, a=fast, b=direct)
-    return rec.result()
+    return _lambda_agreement("lambda-fast-vs-direct", lambdasums.lambda_fast_odd,
+                             "fast({q};{n},{m})={a:.6f} direct={b:.6f}", seed, qmax, per_q, step=2)
 
 
 def suite_lambda_any(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     """Composite evaluator equals direct summation for every q with 8 not | q."""
-    rec = _Recorder("lambda-any-vs-direct")
-    rng = random.Random(seed)
-    for q in range(1, qmax + 1):
-        if q % 8 == 0:
-            continue
-        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
-        composite = lambdasums.lambda_any(q, n, m)
-        direct = lambdasums.lambda_direct(q, n, m)
-        rec.check(np.abs(composite - direct) <= LAMBDA_TOLERANCE * q,
-                  "any({q};{n},{m})={a:.6f} direct={b:.6f}", q=q, n=n, m=m, a=composite, b=direct)
-    return rec.result()
+    return _lambda_agreement("lambda-any-vs-direct", lambdasums.lambda_any,
+                             "any({q};{n},{m})={a:.6f} direct={b:.6f}", seed, qmax, per_q)
 
 
 def suite_lambda_triple(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
     """All applicable evaluators agree pairwise within 1e-5 * q.  For odd q
     lambda_any is lambda_fast_odd, so each q compares two evaluations."""
-    rec = _Recorder("lambda-triple-agreement")
-    rng = random.Random(seed)
-    for q in range(1, qmax + 1):
-        if q % 8 == 0:
-            continue
-        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
-        spread = np.abs(lambdasums.lambda_direct(q, n, m) - lambdasums.lambda_any(q, n, m))
-        rec.check(spread <= LAMBDA_TOLERANCE * q, "({q};{n},{m}): evaluator spread {s:.2e}",
-                  q=q, n=n, m=m, s=spread)
-    return rec.result()
+    return _lambda_agreement("lambda-triple-agreement", lambdasums.lambda_any,
+                             "({q};{n},{m}): evaluator spread {s:.2e}", seed, qmax, per_q)
 
 
 def suite_lambda_multiplicative(seed=DEFAULT_SEED, trials=100, product_max=10_000) -> SuiteResult:

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,16 +58,33 @@ class TestLambdaPSquared:
             lambda_p_squared(10)
 
 
-class TestConstantC:
-    def test_p_two(self):
-        est = constant_c(2)
-        assert est.value == 1.0  # the p = 2 factor is 1 - 0/16
-        assert est.tail_bound > 0
+@pytest.fixture(scope="module")
+def mp_c():
+    """c from mpmath at 30 digits: the closed-form factors from zeta(2),
+    zeta(6) and L(3, chi_-4), and the correction product over the primes
+    3 <= p <= 2e4, whose omitted tail is below 2e-18."""
+    with mpmath.workdps(30):
+        chi4 = mpmath.dirichlet(3, [0, 1, 0, -1])
+        closed = (mpmath.mpf(4) / 3) / mpmath.zeta(2) * chi4 / (mpmath.zeta(6) * (1 - mpmath.mpf(2) ** -6))
+        correction = mpmath.mpf(1)
+        for p in primes_upto(20_000).tolist()[1:]:
+            chi = 1 if p % 4 == 1 else -1
+            p = mpmath.mpf(p)
+            correction *= 1 + chi / (p**5 * (1 - p**-2) * (1 + chi * p**-3))
+        return closed * correction
 
-    def test_p_three(self):
+
+class TestConstantC:
+    def test_p_two(self, mp_c):
+        est = constant_c(2)
+        assert est.value == 240 / math.pi**5  # no correction factor below 3
+        assert abs(math.log(est.value / mp_c)) <= est.tail_bound
+
+    def test_p_three(self, mp_c):
         est = constant_c(3)
-        assert abs(est.value - 23 / 27) < 1e-12
-        assert abs(est.value - 0.851852) < 1e-6
+        assert abs(math.log(est.value / mp_c)) <= est.tail_bound
+        # t_3 = -1 / (3^5 (8/9)(26/27)) = -1/208
+        assert abs(est.value - 240 / math.pi**5 * 207 / 208) <= 1e-15
 
     def test_in_unit_interval_beyond_two(self):
         for P in (3, 10, 100, 1000):
@@ -95,23 +113,39 @@ class TestConstantC:
         assert abs(series - prod.value) <= dirichlet_tail_bound(500) + prod.tail_bound
 
     def test_matches_scalar_loop(self):
-        # one prime at a time, exact integer quotients, enumerated lam(p^2)
-        # for small p: the value must agree to the last bit
-        P = 2000
-        value = 1.0
-        for p in primes_upto(P).tolist():
-            lam = len(solve_circle(p * p)) if p < 50 else p * (p - 1) if p % 4 == 1 else p * (p + 1)
-            value *= 1.0 - lam / p**4
-        tail = 0.0
-        for p in primes_upto(10 * P).tolist():
-            if p > P:
-                u = (p * p + p) / p**4
-                tail += u / (1.0 - u)
-        N = 10 * P
-        tail += (1.0 / N + 0.5 / (N * N)) / (1.0 - (N * N + N) / N**4)
+        # the plain truncated product, one prime at a time with exact integer
+        # quotients and enumerated lam(p^2) for small p, is above c, and its
+        # own tail (every omitted factor is 1 - u with u <= (p^2 + p)/p^4,
+        # summed over the primes to 10P, then an integral) bounds it below
+        for P in (10**3, 10**4, 10**5, 10**6):
+            plain = 1.0
+            for p in primes_upto(P).tolist():
+                lam = len(solve_circle(p * p)) if p < 50 else p * (p - 1) if p % 4 == 1 else p * (p + 1)
+                plain *= 1.0 - lam / p**4
+            p = primes_upto(10 * P).astype(float)
+            u = (p * p + p) / p**4
+            plain_tail = float(np.sum(u / (1.0 - u), where=p > P))
+            N = 10 * P
+            plain_tail += (1.0 / N + 0.5 / (N * N)) / (1.0 - (N * N + N) / N**4)
+            assert plain * math.exp(-plain_tail) <= constant_c(P).value <= plain
+
+    @pytest.mark.parametrize("P", [10**4, 10**5, 10**6])
+    def test_pinned_to_mpmath(self, P, mp_c):
+        assert abs(constant_c(P).value - mp_c) <= 1e-15 * mp_c
+
+    @pytest.mark.parametrize("P", [100, 1000, 10**4])
+    def test_log_deviation_within_tail_bound(self, P, mp_c):
         est = constant_c(P)
-        assert est.value == value
-        assert abs(est.tail_bound - tail) <= 1e-12 * tail
+        with mpmath.workdps(30):
+            assert abs(mpmath.log(mp_c / est.value)) <= est.tail_bound
+
+    @pytest.mark.parametrize("P", [1e5, 2.5, True])
+    def test_rejects_non_integer_cutoff(self, P):
+        with pytest.raises(ValueError, match="cutoff"):
+            constant_c(P)
+
+    def test_numpy_integer_cutoff(self):
+        assert constant_c(np.int64(10**5)) == constant_c(10**5)
 
 
 class TestDirichletSums:
@@ -131,6 +165,20 @@ class TestDirichletSums:
         want = sum(tau(d) / (d * d) for d in range(dmax + 1, M + 1) if mobius(d))
         want += 4.0 / math.sqrt(M)
         assert abs(dirichlet_tail_bound(dmax) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("fn,args", [
+        (harmonic_lambda_sums, (3, 2.5)),
+        (harmonic_lambda_sums, (3, 10.0)),
+        (harmonic_lambda_sums, (3, True)),
+        (harmonic_lambda_sums, (3, np.array([2.0, 10.0]))),
+        (dirichlet_partial_sum, (10.5,)),
+        (dirichlet_partial_sum, (10.0,)),
+        (dirichlet_tail_bound, (10.5,)),
+        (dirichlet_tail_bound, (True,)),
+    ], ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__)
+    def test_rejects_non_integer_D_and_dmax(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
 
     def test_rejects_nonpositive_dmax(self):
         with pytest.raises(ValueError):
@@ -292,8 +340,8 @@ class TestErrorScan:
 
     def test_peak_is_the_larger_stage_not_their_sum(self):
         # the sieve and its probe (a 2.5 MB sieve at H = 4500) are done and
-        # freed before constant_c sieves the primes up to 2e6 (a 5 MB peak)
-        ladder, P = [4500], 200_000
+        # freed before constant_c sieves the primes up to 5e6 (a 13 MB peak)
+        ladder, P = [4500], 5_000_000
 
         def peak(fn, *args):
             tracemalloc.start()
@@ -306,6 +354,17 @@ class TestErrorScan:
         stages = peak(count_pairs_ladder, ladder), peak(constant_c, P)
         assert min(stages) > 2**22  # each stage alone is larger than the slack
         assert peak(error_scan, ladder, P) <= max(stages) + 2**20
+
+    @pytest.mark.parametrize("P", [1e3, 2.5, True])
+    def test_non_integer_cutoff_rejected_before_the_sieve(self, monkeypatch, P):
+        from sqfpairs import asymptotic
+
+        def refuse(N, memory_budget=None):
+            raise AssertionError("build_sieve called before P was checked")
+
+        monkeypatch.setattr(asymptotic, "build_sieve", refuse)
+        with pytest.raises(ValueError, match="cutoff"):
+            error_scan([10, 20], P)
 
     def test_rejects_bad_ladders(self):
         with pytest.raises(ValueError):

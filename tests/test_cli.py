@@ -171,7 +171,7 @@ class TestConstant:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "constant", "--P", "3")
         assert code == EXIT_OK
-        assert "0.851851852" in out
+        assert "0.780492778" in out
 
     def test_csv_round_trip(self, capsys):
         code, out, _ = run(capsys, "constant", "--P", "100", "--output-format", "csv")
@@ -188,7 +188,7 @@ class TestConstant:
         assert code == EXIT_USAGE
 
     def test_budget_exit_before_prime_sieve(self, capsys):
-        # primes_upto(10P) would need 10 GB; it must refuse before allocating
+        # primes_upto(P) would need 1 GB; it must refuse before allocating
         code, _, err = run(capsys, "constant", "--P", "1000000000")
         assert code == EXIT_BUDGET
         assert "budget" in err
