@@ -15,9 +15,10 @@ the whole residue grid at once; they exist because several verification
 sweeps range over all (n, m) pairs.
 
 Every evaluator here and in `lambdasums` checks its modulus with
-`_check_modulus` and its arguments with `_reduce`: q is a positive int or
-numpy integer (not a bool), and n and m are ints or integer arrays, with
-Python ints beyond int64 accepted and floats rejected, not truncated.
+`_check_modulus` and its arguments with `ntcore._reduce`, which
+`sqrt_mod` shares: q is a positive int or numpy integer (not a bool),
+and n and m are ints or integer arrays, with Python ints beyond int64
+accepted and floats rejected, not truncated.
 Each call builds the per-residue tables it reads (`phase_table`,
 `unit_table`) and keeps none, and a table above DEFAULT_SOLVE_CEILING
 raises BudgetError before it is allocated.
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .ntcore import DEFAULT_MEMORY_BUDGET, BudgetError, jacobi
+from .ntcore import DEFAULT_MEMORY_BUDGET, BudgetError, _powmod, _reduce, factorize, jacobi
 
 __all__ = [
     "complex_close",
@@ -74,26 +75,22 @@ def phase_table(q: int) -> np.ndarray:
 def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, inverses): the x in [1, q] coprime to q and their inverses mod q.
 
-    The inverses come from Euler's theorem, inv(u) = u**(phi(q) - 1) mod q
-    with phi(q) = units.size, by int64 square-and-multiply over the whole
-    array; products stay below q**2, which fits int64 for any q under the
-    ceiling.
+    The units are what is left of [1, q] once the multiples of each prime
+    factor of q are struck.  The inverses come from Euler's theorem,
+    inv(u) = u**(phi(q) - 1) mod q with phi(q) = units.size, by int64
+    square-and-multiply over the whole array; products stay below q**2,
+    which fits int64 for any q under the ceiling.
 
     For q = 1 the single residue is x = 1 with inverse 0, matching the
     convention that a sum over units mod 1 has exactly one term.
     """
     q = _check_table(q, "unit_table")
-    x = np.arange(1, q + 1, dtype=np.int64)
-    units = x[np.gcd(x, q) == 1]
-    invs = np.full_like(units, 1 % q)  # [0] when q = 1, where the loop is skipped
-    power = units.copy()
-    e = units.size - 1
-    while e:
-        if e & 1:
-            invs = invs * power % q
-        power = power * power % q
-        e >>= 1
-    return units, invs
+    coprime = np.ones(q + 1, dtype=bool)
+    coprime[0] = False
+    for p, _ in factorize(q):
+        coprime[::p] = False
+    units = np.flatnonzero(coprime).astype(np.int64, copy=False)
+    return units, _powmod(units, units.size - 1, q)
 
 
 def _check_modulus(q, name: str = "modulus") -> int:
@@ -113,20 +110,6 @@ def _check_table(q, name: str, dims: int = 1) -> int:
         grid = f" on a {q}^{dims} grid" if dims > 1 else ""
         raise BudgetError(f"{name}({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}{grid}")
     return q
-
-
-def _reduce(q: int, a) -> np.ndarray:
-    """a mod q as an int64 array (0-d for a scalar).
-
-    a is an int or an integer array; anything else (floats, bools) raises
-    ValueError rather than being truncated.  The reduction comes first and
-    never in place, so a Python int beyond int64 is accepted and the
-    caller's array is not modified.
-    """
-    if not ((isinstance(a, (int, np.integer)) and not isinstance(a, bool))
-            or (isinstance(a, np.ndarray) and a.dtype.kind in "iu")):
-        raise ValueError(f"arguments must be integers or integer arrays, got {a!r}")
-    return np.asarray(a % q, dtype=np.int64)
 
 
 def gauss_direct(q: int, n: int, m: int) -> complex:
@@ -200,14 +183,15 @@ def kloosterman_direct(q: int, n, m):
 def gauss_direct_table(q: int) -> np.ndarray:
     """gauss_direct(q, n, m) for every (n, m) in [0, q)^2, as a (q, q) array.
 
-    Batched direct summation: the grid is the 2-D inverse DFT of the
-    histogram of (x^2 mod q, x mod q) over x = 1..q, scaled by q^2.
+    Batched direct summation: row n is the inverse DFT, scaled by q, of
+    x -> e_q(n * x^2) over x in [0, q) (x = q taken as 0).  The roots of
+    unity are built here, not by `phase_table`, which `gauss_closed_odd`
+    reads and this grid is the oracle of.
     """
     q = _check_table(q, "gauss_direct_table", dims=2)
-    x = np.arange(1, q + 1, dtype=np.int64)
-    hist = np.zeros((q, q))
-    np.add.at(hist, (x * x % q, x % q), 1.0)
-    return np.fft.ifft2(hist) * (q * q)
+    x = np.arange(q, dtype=np.int64)
+    roots = np.exp(2j * np.pi * x / q)
+    return np.fft.ifft(roots[np.multiply.outer(x, x * x % q) % q], axis=1) * q
 
 
 def kloosterman_row(q: int, n: int = 1) -> np.ndarray:

@@ -3,7 +3,9 @@
 Factorization, the Moebius and divisor-count functions, Jacobi symbols,
 modular inverses and square roots modulo odd prime powers.  Factoring
 and primality take n < 2**32, which covers every modulus the package
-tabulates; larger n raise ValueError.  Everything here is a pure
+tabulates; larger n raise ValueError.  `sqrt_mod` broadcasts over an
+integer array of residues, so one call solves every a mod p**e, in int64
+arithmetic for p**e < 2**31.  Everything here is a pure
 function of its arguments; returned arrays and tuples are safe to share
 across threads.
 """
@@ -153,8 +155,40 @@ def mod_inverse(k: int, q: int) -> int:
     return pow(k, -1, q)
 
 
+def _reduce(q: int, a) -> np.ndarray:
+    """a mod q as an int64 array (0-d for a scalar).
+
+    a is an int or an integer array; anything else (floats, bools) raises
+    ValueError rather than being truncated.  The reduction comes first and
+    never in place, so a Python int beyond int64 is accepted and the
+    caller's array is not modified.
+    """
+    if not ((isinstance(a, (int, np.integer)) and not isinstance(a, bool))
+            or (isinstance(a, np.ndarray) and a.dtype.kind in "iu")):
+        raise ValueError(f"arguments must be integers or integer arrays, got {a!r}")
+    return np.asarray(a % q, dtype=np.int64)
+
+
+def _powmod(base: np.ndarray, exp: int, m: int) -> np.ndarray:
+    """base**exp mod m elementwise, by int64 square-and-multiply; needs
+    m*m < 2**63 so that no product overflows."""
+    result = np.full_like(base, 1 % m)
+    while exp:
+        if exp & 1:
+            result = result * base % m
+        base = base * base % m
+        exp >>= 1
+    return result
+
+
 def jacobi(a: int, q: int) -> int:
-    """Jacobi symbol (a/q) for odd q >= 1; 0 iff gcd(a, q) > 1."""
+    """Jacobi symbol (a/q) for odd q >= 1; 0 iff gcd(a, q) > 1.
+
+    a and q are ints or numpy integers; bools and floats raise ValueError.
+    """
+    for v in (a, q):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ValueError(f"arguments must be integers, got {v!r}")
     if q < 1 or q % 2 == 0:
         raise ValueError(f"modulus must be an odd positive integer, got {q}")
     a %= q
@@ -171,79 +205,94 @@ def jacobi(a: int, q: int) -> int:
     return result if q == 1 else 0
 
 
-def _tonelli(a: int, p: int):
-    """One square root of a modulo an odd prime p, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # p = 1 (mod 4): Tonelli-Shanks.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
+def _tonelli(b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, ok) for an array b of residues mod an odd prime p: r*r = b
+    (mod p) where ok, and ok is False exactly at the non-residues and 0.
+
+    Tonelli-Shanks with its loop unrolled to s - 1 masked steps, where
+    p - 1 = 2**s * q with q odd.  Invariant: r*r = b*t, and before the
+    step for k the order of t divides 2**k for a residue b, while c has
+    order 2**(k + 1).  A non-residue's t keeps order 2**s, so it never
+    reaches 1.
+    """
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    r = _powmod(b, (q + 1) // 2, p)
+    t = _powmod(b, q, p)
+    if s > 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c = pow(z, q, p)
+        for k in range(s - 1, 0, -1):
+            flip = _powmod(t, 1 << (k - 1), p) != 1
+            r = np.where(flip, r * c % p, r)
+            c = c * c % p
+            t = np.where(flip, t * c % p, t)
+    return r, t == 1
 
 
-def sqrt_mod(a: int, p: int, e: int = 1) -> list[int]:
+# sqrt_mod works in int64: every product of two residues mod p**e < 2**31
+# fits.
+_SQRT_MODULUS_LIMIT = 1 << 31
+
+
+def sqrt_mod(a, p: int, e: int = 1) -> list:
     """All y in [0, p**e) with y*y = a (mod p**e), for an odd prime p.
 
-    Solves modulo p with Tonelli-Shanks, then lifts.  Returns a sorted
-    list, empty when a has no square root.  Rejects p = 2 (the caller
-    is expected to scan the few residues of a 2-power modulus directly).
+    a is an int or numpy integer, for which the result is a sorted list
+    (empty when a has no square root), or a 1-D integer array, for which
+    it is a list of such lists, one per entry.  Entries are reduced mod
+    p**e first, so negatives and ints beyond int64 are accepted; bools
+    and floats, as a or as e, raise ValueError, and so does p**e >= 2**31.
+
+    With a = p**k * b, b a unit: Tonelli-Shanks solves w*w = b (mod p)
+    for every entry at once, a Hensel lift takes w to p**e, and the roots
+    are p**(k/2) * w (mod p**(e - k/2)) for even k.  Rejects p = 2 (the
+    caller is expected to scan the few residues of a 2-power modulus
+    directly).
     """
     if p == 2:
         raise ValueError("p = 2 not supported; scan the 2-power modulus directly")
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if e < 1:
-        raise ValueError(f"exponent must be >= 1, got {e}")
+    if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 1:
+        raise ValueError(f"exponent must be an integer >= 1, got {e!r}")
+    e = int(e)
     modulus = p**e
-    a %= modulus
-    if a == 0:
-        step = p ** ((e + 1) // 2)
-        return list(range(0, modulus, step))
-    # Split off the p-part of a: a = p**k * b with b a unit.
-    k, b = 0, a
-    while b % p == 0:
-        b //= p
-        k += 1
-    if k % 2:
-        return []
-    f = e - k  # roots are p**(k//2) * w with w*w = b (mod p**f)
-    r = _tonelli(b % p, p)
-    if r is None:
-        return []
+    if modulus >= _SQRT_MODULUS_LIMIT:
+        raise ValueError(f"p**e must be below 2**31, got {p}**{e}")
+    a = _reduce(modulus, a)
+    if a.ndim > 1:
+        raise ValueError(f"a must be an integer or a 1-D integer array, got shape {a.shape}")
+    flat = np.atleast_1d(a)
+    # a = p**k * b with b a unit, since a nonzero a < p**e has k <= e - 1;
+    # a = 0 leaves b = 0, a non-residue to Tonelli-Shanks, and is set last.
+    b, k = flat.copy(), np.zeros_like(flat)
+    for _ in range(e - 1):
+        step = b % p == 0
+        b[step] //= p
+        k += step
+    w, residue = _tonelli(b % p, p)
+    # Hensel: w -> w - (w*w - b) / (2w), doubling the power of p each step.
     pj = p
-    target = p**f
-    while pj < target:
-        pj = min(pj * pj, target)
-        r = (r - (r * r - b) * pow(2 * r, -1, pj)) % pj
-    half = p ** (k // 2)
-    out = []
-    for w0 in (r, target - r):
-        out.extend(half * (w0 + t * target) for t in range(half))
-    return sorted(out)
+    while pj < modulus:
+        pj = min(pj * pj, modulus)
+        inv = _powmod(2 * w % pj, pj // p * (p - 1) - 1, pj)
+        w = (w - (w * w - b) % pj * inv) % pj
+    low = np.minimum(w, modulus - w)
+    out = np.stack([low, modulus - low], 1).tolist()
+    solvable = residue & (k % 2 == 0)
+    for i in np.flatnonzero(~solvable).tolist():
+        out[i] = []
+    lifted = np.flatnonzero(solvable & (k > 0))
+    for i, ki, wi in zip(lifted.tolist(), k[lifted].tolist(), w[lifted].tolist()):
+        target, half = p ** (e - ki), p ** (ki // 2)
+        w0 = wi % target
+        out[i] = sorted(half * (r + t * target) for r in (w0, target - w0) for t in range(half))
+    for i in np.flatnonzero(flat == 0).tolist():
+        out[i] = list(range(0, modulus, p ** ((e + 1) // 2)))
+    return out if a.ndim else out[0]
 
 
 def divisors(n: int) -> tuple[int, ...]:

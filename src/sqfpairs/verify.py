@@ -163,7 +163,7 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
             buckets = [[] for _ in range(m)]
             for y in range(m):
                 buckets[y * y % m].append(y)
-            got = [ntcore.sqrt_mod(a, p, e) for a in range(m)]
+            got = ntcore.sqrt_mod(np.arange(m), p, e)
             rec.check(np.array([g == w for g, w in zip(got, buckets)]),
                       "sqrt_mod({a},{p},{e})={g} want {w}",
                       a=np.arange(m), p=p, e=e, g=got, w=buckets)
@@ -227,17 +227,11 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
     """gcd-reduction evaluator equals direct summation for all (n, m)."""
     rec = _Recorder("gauss-reduce-vs-direct")
     rng = random.Random(seed)
-    # the class d = 1 reads q's own grid; every other class reads the
-    # grid of q/d <= q/2, so caching the grids up to qmax/2 serves them
-    # all, and a grid is dropped once the last multiple of its modulus
-    # up to qmax is done; memory stays at a few million entries
-    tables: dict[int, np.ndarray] = {}
+    # the class gcd(n, q) = d > 1 reads the grid of q/d, rebuilt here
+    # rather than kept: the grids of q <= qmax/2 held across the sweep, and
+    # the fragmented heap around them, set verify's peak RSS
     for q in range(1, qmax + 1):
-        for k in [k for k in tables if k * (qmax // k) < q]:
-            del tables[k]
         direct = expsums.gauss_direct_table(q)
-        if 2 * q <= qmax:
-            tables[q] = direct
         reduced = np.zeros((q, q), dtype=complex)
         gcds = np.gcd(np.arange(q), q)
         for d in ntcore.divisors(q):
@@ -245,7 +239,7 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
             if not ns.size:
                 continue
             ms = np.arange(0, q, d)
-            sub = direct if d == 1 else tables[q // d]
+            sub = direct if d == 1 else expsums.gauss_direct_table(q // d)
             reduced[np.ix_(ns, ms)] = d * sub[np.ix_(ns // d, ms // d)]
         err = np.abs(direct - reduced) / np.maximum(1.0, np.abs(direct))
         rec.check(err.max() <= 1e-6, "q={q} max err {e:.2e}", q=q, e=err.max())

@@ -2,8 +2,8 @@
 
 `perfbench/run.py` is loaded by path, as `test_traced_names.py` loads the
 tracer, so a change that renames, reorders or resizes a verify suite
-fails here rather than in a benchmark run.  The six slowest suites are
-left to the benchmark itself; the others take about 1.5 s together.
+fails here rather than in a benchmark run.  The five slowest suites are
+left to the benchmark itself; the others take about 2 s together.
 The ladder probe must also give the gated scan counts SCAN_S at all four
 heights (about 1 s, up to H = 16000), so a probe that miscounts fails here
 too.
@@ -20,8 +20,8 @@ from sqfpairs.counting import count_pairs_ladder
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 SEED = 12345
-SLOWEST = {"sqrt-mod-exhaustive", "weil-bound", "gauss-reduce-vs-direct",
-           "gauss-closed-vs-direct", "lambda-bound", "harmonic-envelope"}
+SLOWEST = {"weil-bound", "gauss-reduce-vs-direct", "gauss-closed-vs-direct",
+           "lambda-bound", "harmonic-envelope"}
 
 
 def _load_run():

@@ -190,6 +190,15 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi(3, 8)
 
+    @pytest.mark.parametrize("a,q", [(2.5, 7), (3, 7.0), (True, 7), (3, True), ("3", 7)])
+    def test_rejects_bools_and_non_integers(self, a, q):
+        with pytest.raises(ValueError):
+            jacobi(a, q)
+
+    def test_accepts_numpy_integers(self):
+        assert jacobi(np.int64(2), 7) == jacobi(2, np.int32(7)) == jacobi(2, 7) == 1
+        assert jacobi(np.uint8(3), np.int64(7)) == -1
+
     def test_against_euler_criterion_on_primes(self):
         rng = random.Random(5)
         for p in primes_upto(400).tolist():
@@ -247,6 +256,54 @@ class TestSqrtMod:
             buckets.setdefault(y * y % m, []).append(y)
         for a in range(m):
             assert sqrt_mod(a, p, e) == buckets.get(a, [])
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (5, 5), (7, 4), (257, 1), (7681, 1), (12289, 1)])
+    def test_array_matches_enumeration_and_per_entry(self, p, e):
+        # 12289 - 1 = 2**12 * 3 runs 11 masked Tonelli-Shanks steps; 3**7
+        # and 5**5 lie beyond the verify suite's 2000
+        m = p**e
+        buckets = [[] for _ in range(m)]
+        for y in range(m):
+            buckets[y * y % m].append(y)
+        got = sqrt_mod(np.arange(m), p, e)
+        assert got == buckets
+        for a in random.Random(m).sample(range(m), 200):
+            assert sqrt_mod(a, p, e) == got[a]
+
+    def test_empty_and_one_entry_arrays(self):
+        assert sqrt_mod(np.array([], dtype=np.int64), 7, 2) == []
+        assert sqrt_mod(np.array([2]), 7) == [[3, 4]]
+        assert sqrt_mod(np.array([0], dtype=np.uint8), 7, 2) == [[0, 7, 14, 21, 28, 35, 42]]
+
+    def test_reduces_negatives_and_big_ints_first(self):
+        a = np.array([-47, 2, -5, -49], dtype=np.int64)
+        assert sqrt_mod(a, 7, 2) == [sqrt_mod(int(v) % 49, 7, 2) for v in a]
+        assert sqrt_mod(-5, 7) == sqrt_mod(2, 7) == [3, 4]
+        assert sqrt_mod(2**70 + 2, 7, 2) == sqrt_mod((2**70 + 2) % 49, 7, 2)
+        assert sqrt_mod(np.int64(2), 7) == sqrt_mod(2, 7, np.int64(1)) == [3, 4]
+
+    def test_largest_moduli_stay_exact(self):
+        # products of residues below 2**31 fit int64; checked in Python ints
+        rng = random.Random(31)
+        for p, e in ((2**31 - 1, 1), (3, 19), (46337, 2)):
+            m = p**e
+            ys = [rng.randrange(m) for _ in range(50)]
+            roots = sqrt_mod(np.array([y * y % m for y in ys]), p, e)
+            for y, r in zip(ys, roots):
+                assert y in r and r == sorted(r)
+                assert all(v * v % m == y * y % m for v in r)
+
+    @pytest.mark.parametrize("a,p,e", [(1, 3, 20), (1, 46349, 2), (True, 7, 1), (2.0, 7, 1),
+                                       (np.array([2.0]), 7, 1), (np.array([True]), 7, 1),
+                                       (np.array([[1, 2]]), 7, 1), (2, 7, 2.0), (2, 7, True)])
+    def test_rejects_large_moduli_bools_floats_and_grids(self, a, p, e):
+        with pytest.raises(ValueError):
+            sqrt_mod(a, p, e)
+
+    def test_leaves_the_callers_array_alone(self):
+        a = np.array([-3, 50, 2, 0])
+        sqrt_mod(a, 7, 2)
+        assert a.tolist() == [-3, 50, 2, 0]
 
 
 class TestPrimesAndDivisors:

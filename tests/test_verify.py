@@ -14,6 +14,7 @@ from sqfpairs.verify import (
     suite_lambda_bound,
     suite_lambda_fast,
     suite_lambda_triple,
+    suite_sqrt_mod,
     suite_tau_growth,
     suite_truncation_report,
     suite_weil_bound,
@@ -102,7 +103,7 @@ def test_lambda_bound_draws_are_the_scalar_order(monkeypatch):
 
 @pytest.mark.parametrize("qmax", [1, 2, 41, 64])
 def test_gauss_reduce_keeps_every_grid_it_reads(qmax):
-    # cached grids are dropped after the last multiple of their modulus
+    # every gcd class finds the grid of q/d it reads
     result = suite_gauss_reduce(seed=3, qmax=qmax)
     assert result.ok
     assert (result.checked, result.failed) == (4 * qmax, 0)
@@ -169,6 +170,20 @@ def test_lambda_triple_evaluates_the_odd_part_once(monkeypatch):
     result = suite_lambda_triple(seed=5, qmax=30, per_q=3)
     assert result.ok and result.checked == 108
     assert calls == [q if q % 2 else q // 2 for q in range(1, 31) if q % 4]
+
+
+def test_sqrt_mod_is_one_call_per_prime_power(monkeypatch):
+    calls = []
+    solve = ntcore.sqrt_mod
+
+    def spy(a, p, e=1):
+        calls.append((p, e))
+        return solve(a, p, e)
+
+    monkeypatch.setattr(ntcore, "sqrt_mod", spy)
+    result = suite_sqrt_mod()
+    assert result.ok and result.checked == 288_805
+    assert len(calls) == len(set(calls)) == 323
 
 
 def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
