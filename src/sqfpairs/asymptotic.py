@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntcore import _check_primes_budget, is_prime, mobius_sieve, primes_upto
-from .counting import _check_ladder, _check_sieve_budget, build_sieve, count_pairs_ladder
-from .expsums import _check_modulus, _check_table
+from .ntcore import _check_modulus, check_bytes, is_prime, mobius_sieve, primes_upto
+from .counting import _check_ladder, build_sieve, count_pairs_ladder
+from .expsums import _check_table
 from .lambdasums import lambda_any_table
 
 __all__ = [
@@ -76,11 +76,12 @@ class EulerProductEstimate:
 
 def _check_cutoff(P) -> int:
     """P as an int, checked before anything is allocated: ValueError for a
-    bool, a float or P < 2, BudgetError if `primes_upto(P)` is over budget."""
+    bool, a float or P < 2, BudgetError if 4 bytes per unit of P (the
+    prime sieve, then float arrays over the primes) are over budget."""
     P = _check_modulus(P, "cutoff")
     if P < 2:
         raise ValueError(f"cutoff must be >= 2, got {P}")
-    _check_primes_budget(P)
+    check_bytes(4 * P, f"constant_c({P})")
     return P
 
 
@@ -139,7 +140,6 @@ def error_scan(
     H_values,
     P: int,
     threads: int = 1,
-    memory_budget: int | None = None,
 ) -> ScanResult:
     """Measure E(H) = S(H) - c*H^2 over a ladder of H values.
 
@@ -148,15 +148,14 @@ def error_scan(
     `constant_c(P)`.  The fitted exponent is the least-squares
     slope of log|E| against log H; rows with E = 0 are excluded and
     reported, and the fit is skipped (alpha None) below 4 usable rows.
-    The sieve's byte budget and P are checked first; the sieve is freed
-    before `constant_c` sieves its primes, so the two never share the peak.
+    P is checked first; the sieve is freed before `constant_c` sieves
+    its primes, so the two never share the peak.
     """
     H_values = _check_ladder(H_values)
     N = 2 * H_values[-1] ** 2 + 1
-    _check_sieve_budget(N, memory_budget)
     P = _check_cutoff(P)
     start = time.perf_counter()
-    sieve = build_sieve(N, memory_budget)
+    sieve = build_sieve(N)
     sieve_elapsed = time.perf_counter() - start
     reports = count_pairs_ladder(H_values, sieve=sieve, threads=threads)
     del sieve
@@ -206,8 +205,8 @@ def harmonic_lambda_sums(q: int, D):
     onto residues and the sums need one |lam| value per residue pair,
     taken from the batched evaluator.  D is an int, giving floats U and
     V, or a 1-D integer array, giving arrays with one entry per D; the
-    table is built once for all of them.  Moduli above 4096 raise
-    BudgetError before the table is allocated.
+    table is built once for all of them.  A q x q table over budget
+    (q > 4096 by default) raises BudgetError before it is allocated.
     """
     q = _check_modulus(q)
     Ds = np.asarray(D)

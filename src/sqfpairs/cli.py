@@ -19,9 +19,8 @@ import os
 import sys
 
 from . import asymptotic, counting, lambdasums, verify
-from .expsums import RESIDUE_BYTES
 from .lambdasums import LAMBDA_TOLERANCE
-from .ntcore import BudgetError
+from .ntcore import BudgetError, budget_scope, memory_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
     common.add_argument("--memory-budget", type=int, default=None,
-                        help="budget in bytes of the value sieve and of the lambda "
-                             "command's tables, a positive integer (default: "
+                        help="byte budget of every large allocation (sieves, "
+                             "per-residue tables), a positive integer (default: "
                              "SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,8 +86,7 @@ def _cmd_count(args) -> int:
     reports = []
     for method in methods:
         if method == "value-sieve":
-            reports.append(counting.count_pairs_direct(
-                args.H, threads=args.threads, memory_budget=args.memory_budget))
+            reports.append(counting.count_pairs_direct(args.H, threads=args.threads))
         else:
             reports.append(counting.count_pairs_mobius(args.H))
     if args.output_format == "json":
@@ -107,10 +105,6 @@ def _cmd_count(args) -> int:
 
 def _cmd_lambda(args) -> int:
     q, n, m = args.q, args.n, args.m
-    ceiling = args.memory_budget // RESIDUE_BYTES  # DEFAULT_SOLVE_CEILING at the default
-    if q > ceiling:
-        raise BudgetError(f"lambda({q}) exceeds the ceiling {ceiling} of a "
-                          f"{args.memory_budget}-byte budget at {RESIDUE_BYTES} bytes per residue")
     values = [("direct", lambdasums.lambda_direct(q, n, m))]
     if q % 2 == 1:
         # for odd q, lambda_any returns lambda_fast_odd(q, n, m) unchanged
@@ -155,8 +149,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    result = asymptotic.error_scan(args.H_ladder, args.P, threads=args.threads,
-                                   memory_budget=args.memory_budget)
+    result = asymptotic.error_scan(args.H_ladder, args.P, threads=args.threads)
     alpha = result.alpha
     if args.output_format == "json":
         print(json.dumps({
@@ -189,8 +182,7 @@ def _cmd_verify(args) -> int:
         for name in verify.ALL_SUITES:
             print(name)
         return EXIT_OK
-    results = verify.run_suites(args.suites, seed=args.seed, threads=args.threads,
-                                memory_budget=args.memory_budget)
+    results = verify.run_suites(args.suites, seed=args.seed, threads=args.threads)
     if args.output_format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in results]))
     elif args.output_format == "csv":
@@ -217,16 +209,11 @@ def main(argv=None) -> int:
             args.threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
         if args.threads < 1:
             raise ValueError(f"threads must be positive, got {args.threads}")
-        args.memory_budget = counting._memory_budget(args.memory_budget)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "lambda":
-            return _cmd_lambda(args)
-        if args.command == "constant":
-            return _cmd_constant(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        return _cmd_verify(args)
+        # resolved once; a budget <= 0 is a usage error for every command
+        budget = memory_budget() if args.memory_budget is None else args.memory_budget
+        with budget_scope(budget):
+            return {"count": _cmd_count, "lambda": _cmd_lambda, "constant": _cmd_constant,
+                    "scan": _cmd_scan, "verify": _cmd_verify}[args.command](args)
     except BudgetError as exc:
         print(f"sqfpairs: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import _check_modulus
-from .ntcore import DEFAULT_MEMORY_BUDGET, BudgetError, mobius_sieve, primes_upto
+from .ntcore import (DEFAULT_MEMORY_BUDGET,  # re-exported
+                     _check_modulus, check_bytes, mobius_sieve, primes_upto)
 
 __all__ = [
     "SquarefreeSieve",
@@ -51,31 +51,6 @@ _WHEEL_SQUARES = (9, 25, 49)
 _WHEEL_PERIOD = math.prod(_WHEEL_SQUARES)
 _COUNT_CHUNK = 1 << 20  # packed bytes popcounted at a time
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _memory_budget(override=None) -> int:
-    """The byte budget: the override, else SQFPAIRS_MEMORY_BUDGET, else
-    DEFAULT_MEMORY_BUDGET.  A budget <= 0 is a usage error."""
-    if override is not None:
-        budget = int(override)
-    else:
-        env = os.environ.get("SQFPAIRS_MEMORY_BUDGET")
-        budget = int(env) if env else DEFAULT_MEMORY_BUDGET
-    if budget <= 0:
-        raise ValueError(f"memory budget must be positive, got {budget}")
-    return budget
-
-
-def _check_sieve_budget(N: int, memory_budget: int | None = None) -> int:
-    """Bytes of the packed sieve over the odd n <= N, checked against the
-    budget without allocating anything (BudgetError beyond it)."""
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    budget = _memory_budget(memory_budget)
-    nbytes = ((N + 1) // 2 + 7) // 8
-    if nbytes > budget:
-        raise BudgetError(f"sieve of {N} needs {nbytes} bytes, budget is {budget}")
-    return nbytes
 
 
 class SquarefreeSieve:
@@ -137,7 +112,7 @@ class SquarefreeSieve:
         return self._count_bits((upto + 1) // 2) + self._count_bits((upto // 2 + 1) // 2)
 
 
-def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
+def build_sieve(N: int) -> SquarefreeSieve:
     """Squarefree flags for the odd n in [1, N] by striking the odd
     multiples of p^2 for the odd primes p (no odd n is a multiple of 4).
 
@@ -154,11 +129,13 @@ def build_sieve(N: int, memory_budget: int | None = None) -> SquarefreeSieve:
     bools), plus 8 bytes per odd multiple of a large square (about 3e4 of
     them at N = 5e8).
 
-    Rejects N whose packed array would exceed the byte budget (default
-    2 GiB, overridable via the argument or the SQFPAIRS_MEMORY_BUDGET
-    environment variable) before allocating.
+    States its packed bytes to `check_bytes`, so an N over the memory
+    budget is refused before anything is allocated.
     """
-    nbytes = _check_sieve_budget(N, memory_budget)
+    if N < 1:
+        raise ValueError(f"N must be positive, got {N}")
+    nbytes = ((N + 1) // 2 + 7) // 8
+    check_bytes(nbytes, f"sieve of {N}")
     nbits = (N + 1) // 2
     squares = primes_upto(math.isqrt(N)) ** 2
     squares = squares[squares > _WHEEL_SQUARES[-1]]
@@ -271,7 +248,6 @@ def count_pairs_ladder(
     H_values,
     sieve: SquarefreeSieve | None = None,
     threads: int = 1,
-    memory_budget: int | None = None,
 ) -> list[PairCountReport]:
     """Exact S(H) for every H of a strictly increasing ladder, by one probe
     of the value sieve over the pairs x <= y up to the largest H.
@@ -287,7 +263,7 @@ def count_pairs_ladder(
     start = time.perf_counter()
     N = 2 * H_values[-1] ** 2 + 1
     if sieve is None:
-        sieve = build_sieve(N, memory_budget)
+        sieve = build_sieve(N)
     elif sieve.limit < N:
         raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
     workers = min(max(1, int(threads)), os.cpu_count() or 1)
@@ -308,10 +284,9 @@ def count_pairs_direct(
     H: int,
     sieve: SquarefreeSieve | None = None,
     threads: int = 1,
-    memory_budget: int | None = None,
 ) -> PairCountReport:
     """Exact S(H) by the value sieve: `count_pairs_ladder` on the ladder [H]."""
-    return count_pairs_ladder([H], sieve, threads, memory_budget)[0]
+    return count_pairs_ladder([H], sieve, threads)[0]
 
 
 def residue_count(H: int, q: int, x: int) -> int:
@@ -330,13 +305,14 @@ def congruent_pair_count(H: int, q: int) -> int:
 
     The squares r = x^2 mod q for x = 1..H are sorted once; each x pairs
     with the run of y whose r equals -x^2 - 1 mod q, found by two binary
-    searches.  O(H log H) time and O(H) memory for any q.  H and q must
-    be positive integers (ints or numpy integers, not bools), and 8 must
-    not divide q.
+    searches.  O(H log H) time; 48 bytes per x (int64 squares, sort and
+    searches) are stated to `check_bytes`.  H and q must be positive
+    integers (ints or numpy integers, not bools), and 8 must not divide q.
     """
     H, q = _check_modulus(H, "H"), _check_modulus(q, "q")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
+    check_bytes(48 * H, f"congruent_pair_count({H}, {q})")
     x = np.arange(1, H + 1, dtype=np.int64)
     r = np.sort(x * x % q)
     want = (-r - 1) % q  # over all x, the sorted r are the same multiset

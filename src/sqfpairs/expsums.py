@@ -15,13 +15,13 @@ the whole residue grid at once; they exist because several verification
 sweeps range over all (n, m) pairs.
 
 Every evaluator here and in `lambdasums` checks its modulus with
-`_check_modulus` and its arguments with `ntcore._reduce`, which
+`ntcore._check_modulus` and its arguments with `ntcore._reduce`, which
 `sqrt_mod` shares: q is a positive int or numpy integer (not a bool),
 and n and m are ints or integer arrays, with Python ints beyond int64
 accepted and floats rejected, not truncated.
 Each call builds the per-residue tables it reads (`phase_table`,
-`unit_table`) and keeps none, and a table above DEFAULT_SOLVE_CEILING
-raises BudgetError before it is allocated.
+`unit_table`) and keeps none, and a table whose RESIDUE_BYTES per entry
+exceed the memory budget raises BudgetError before it is allocated.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import math
 
 import numpy as np
 
-from .ntcore import DEFAULT_MEMORY_BUDGET, BudgetError, _powmod, _reduce, factorize, jacobi
+from .ntcore import (DEFAULT_MEMORY_BUDGET, _check_modulus, _powmod, _reduce, check_bytes,
+                     factorize, jacobi)
 
 __all__ = [
     "complex_close",
@@ -47,11 +48,11 @@ __all__ = [
 # Absolute comparison tolerance, scaled by max(1, magnitude).
 TOLERANCE = 1e-6
 
-# Largest modulus whose per-residue tables (phases, units, solution sets)
-# may be built.  The `lambda` command peaks at 80-94 bytes per residue
-# (RSS growth at odd and even q near 1e6 and 3e6), so 128 bytes per
-# residue keeps any one call within the default memory budget; the
-# `lambda` command holds a given budget to the same rate.
+# Bytes stated per entry of a per-residue table (phases, units, solution
+# sets) or grid.  The `lambda` command peaks at 80-94 bytes per residue
+# (RSS growth at odd and even q near 1e6 and 3e6), so the budget caps a
+# modulus at budget/RESIDUE_BYTES residues: the ceiling, 2**24 at the
+# default budget.
 RESIDUE_BYTES = 128
 DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // RESIDUE_BYTES
 
@@ -93,22 +94,14 @@ def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return units, _powmod(units, units.size - 1, q)
 
 
-def _check_modulus(q, name: str = "modulus") -> int:
-    """q as an int: a positive int or numpy integer, not a bool or a
-    float; ValueError naming `name` otherwise."""
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
-        raise ValueError(f"{name} must be a positive integer, got {q!r}")
-    return int(q)
-
-
 def _check_table(q, name: str, dims: int = 1) -> int:
     """q as an int (see `_check_modulus`); BudgetError naming `name`, before
     anything is allocated, if the table's q**dims entries (dims = 2 for a
-    (q, q) grid) are more than DEFAULT_SOLVE_CEILING."""
+    (q, q) grid) at RESIDUE_BYTES each exceed the budget."""
     q = _check_modulus(q)
-    if q**dims > DEFAULT_SOLVE_CEILING:
-        grid = f" on a {q}^{dims} grid" if dims > 1 else ""
-        raise BudgetError(f"{name}({q}) exceeds the ceiling {DEFAULT_SOLVE_CEILING}{grid}")
+    grid = f" on a {q}^{dims} grid" if dims > 1 else ""
+    check_bytes(RESIDUE_BYTES * q**dims,
+                f"{name}({q}){grid}, past the ceiling of budget/{RESIDUE_BYTES} residues,")
     return q
 
 

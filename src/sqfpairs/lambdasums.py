@@ -15,8 +15,8 @@ broadcast `lambda_any` call on the residue grid.  Neither decomposition
 evaluator calls `lambda_direct`, so the oracle shares no code with them.
 
 Nothing is memoized: each call builds the solution set and the tables
-it reads, within the ceiling on per-residue tables, and frees them when
-it returns.
+it reads, within the memory budget at `expsums.RESIDUE_BYTES` per
+residue, and frees them when it returns.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ntcore import divisors, mod_inverse
-from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies
-                      _check_modulus, _check_table, _reduce,
-                      kloosterman_direct, kloosterman_row, phase_table)
+from .ntcore import _check_modulus, _reduce, divisors, mod_inverse
+from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies by default
+                      _check_table, kloosterman_direct, kloosterman_row, phase_table)
 
 __all__ = [
     "SolutionSet",
@@ -70,7 +69,8 @@ class SolutionSet:
 def solve_circle(q: int) -> SolutionSet:
     """Complete solution set of x^2 + y^2 + 1 = 0 (mod q) in [1, q]^2.
 
-    BudgetError above DEFAULT_SOLVE_CEILING, before anything is allocated.
+    BudgetError above the ceiling of budget/RESIDUE_BYTES residues,
+    before anything is allocated.
     """
     q = _check_table(q, "solve_circle")
     # Counting sort of the squares r^2 mod q: the y with y^2 = -x^2 - 1

@@ -3,22 +3,29 @@
 Factorization, the Moebius and divisor-count functions, Jacobi symbols,
 modular inverses and square roots modulo odd prime powers.  Factoring
 and primality take n < 2**32, which covers every modulus the package
-tabulates; larger n raise ValueError.  `sqrt_mod` broadcasts over an
-integer array of residues, so one call solves every a mod p**e, in int64
-arithmetic for p**e < 2**31.  Everything here is a pure
-function of its arguments; returned arrays and tuples are safe to share
-across threads.
+tabulates under the default budget; larger n raise ValueError.
+`sqrt_mod` broadcasts over an integer array of residues, so one call
+solves every a mod p**e, in int64 arithmetic for p**e < 2**31.
+Everything here is a pure function of its arguments; returned arrays and
+tuples are safe to share across threads.  The package's one memory
+budget lives here too: every allocator states its bytes to `check_bytes`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "BudgetError",
+    "memory_budget",
+    "budget_scope",
+    "check_bytes",
     "factorize",
     "mobius",
     "mobius_sieve",
@@ -31,36 +38,62 @@ __all__ = [
     "divisors",
 ]
 
-# Memory budget of primes_upto and mobius_sieve, in bytes.
-DEFAULT_SIEVE_BUDGET = 2**28
-
-# Default memory budget in bytes: the packed value sieve's budget (2 GiB
-# is 2**34 bits, one per odd n, so it covers the odd n <= 2H^2 + 1 up to
-# H = 131,071; H = 16000 takes 32 MB), and the one from which the ceiling
-# on per-residue tables is set.
+# Default memory budget in bytes, the one limit on every checked
+# allocation.  2 GiB is 2**34 bits, one per odd n, so the packed value
+# sieve covers the odd n <= 2H^2 + 1 up to H = 131,071 (H = 16000 takes
+# 32 MB); at 128 bytes per residue it admits tables of 2**24 residues.
 DEFAULT_MEMORY_BUDGET = 2**31
+
+_BUDGET: contextvars.ContextVar[int | None] = contextvars.ContextVar("budget", default=None)
 
 
 class BudgetError(Exception):
     """An operation would exceed its configured memory budget."""
 
 
-def _check_primes_budget(limit: int) -> None:
-    """BudgetError, before anything is allocated, if `primes_upto(limit)`
-    needs more than DEFAULT_SIEVE_BUDGET bytes."""
-    if limit + 1 > DEFAULT_SIEVE_BUDGET:
-        raise BudgetError(
-            f"primes_upto({limit}) needs {limit + 1} bytes, budget is {DEFAULT_SIEVE_BUDGET}")
+def memory_budget() -> int:
+    """The byte budget in effect: the innermost `budget_scope`, else
+    SQFPAIRS_MEMORY_BUDGET, else DEFAULT_MEMORY_BUDGET.  A budget <= 0
+    raises ValueError."""
+    budget = _BUDGET.get()
+    if budget is None:
+        env = os.environ.get("SQFPAIRS_MEMORY_BUDGET")
+        budget = int(env) if env else DEFAULT_MEMORY_BUDGET
+    if budget <= 0:
+        raise ValueError(f"memory budget must be positive, got {budget}")
+    return budget
+
+
+@contextlib.contextmanager
+def budget_scope(nbytes: int):
+    """Run the body under a budget of nbytes (ValueError on entry if it is
+    not positive).  The budget is a context variable: threads started
+    inside the body do not see it."""
+    token = _BUDGET.set(int(nbytes))
+    try:
+        memory_budget()  # a budget <= 0 raises here, on entry
+        yield
+    finally:
+        _BUDGET.reset(token)
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """BudgetError if `what` needs more than `memory_budget()` bytes; the
+    only place it is raised, always before the allocation."""
+    budget = memory_budget()
+    if nbytes > budget:
+        raise BudgetError(f"{what} needs {nbytes} bytes, budget is {budget}")
 
 
 def primes_upto(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (empty for limit < 2).
 
-    Sieves one byte per value, within DEFAULT_SIEVE_BUDGET bytes.
+    Sieves one byte per value; states 2 bytes per value to `check_bytes`,
+    which bounds the flags plus the returned primes.
     """
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    _check_primes_budget(limit)
+    check_bytes(2 * (limit + 1), f"primes_upto({limit})")
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -71,7 +104,10 @@ def primes_upto(limit: int) -> np.ndarray:
 
 # Every composite n < 2**32 has a prime factor below 2**16.
 _FACTOR_LIMIT = 1 << 32
-_TRIAL_PRIMES = tuple(primes_upto(1 << 16).tolist())
+# Built under the default budget, so that importing the package never
+# depends on SQFPAIRS_MEMORY_BUDGET.
+with budget_scope(DEFAULT_MEMORY_BUDGET):
+    _TRIAL_PRIMES = tuple(primes_upto(1 << 16).tolist())
 
 
 @lru_cache(maxsize=1 << 16)
@@ -119,14 +155,12 @@ def mobius(n: int) -> int:
 def mobius_sieve(N: int) -> np.ndarray:
     """Array a with a[n] = mobius(n) for 1 <= n <= N (a[0] is 0).
 
-    Needs about 2N bytes of scratch; rejects N beyond DEFAULT_SIEVE_BUDGET
-    bytes before allocating.
+    States 3 bytes per value to `check_bytes`: the int8 result plus the
+    scratch of `primes_upto(N)`.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    if 2 * (N + 1) > DEFAULT_SIEVE_BUDGET:
-        raise BudgetError(
-            f"mobius_sieve({N}) needs ~{2 * (N + 1)} bytes, budget is {DEFAULT_SIEVE_BUDGET}")
+    check_bytes(3 * (N + 1), f"mobius_sieve({N})")
     mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
     for p in primes_upto(N):
@@ -153,6 +187,14 @@ def mod_inverse(k: int, q: int) -> int:
     if g != 1:
         raise ValueError(f"{k} is not invertible modulo {q} (gcd = {g})")
     return pow(k, -1, q)
+
+
+def _check_modulus(q, name: str = "modulus") -> int:
+    """q as an int: a positive int or numpy integer, not a bool or a
+    float; ValueError naming `name` otherwise."""
+    if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
+        raise ValueError(f"{name} must be a positive integer, got {q!r}")
+    return int(q)
 
 
 def _reduce(q: int, a) -> np.ndarray:
@@ -243,8 +285,9 @@ def sqrt_mod(a, p: int, e: int = 1) -> list:
     a is an int or numpy integer, for which the result is a sorted list
     (empty when a has no square root), or a 1-D integer array, for which
     it is a list of such lists, one per entry.  Entries are reduced mod
-    p**e first, so negatives and ints beyond int64 are accepted; bools
-    and floats, as a or as e, raise ValueError, and so does p**e >= 2**31.
+    p**e first, so negatives and ints beyond int64 are accepted.  p and e
+    are ints or numpy integers; bools and floats, as a, p or e, raise
+    ValueError, and so does p**e >= 2**31.
 
     With a = p**k * b, b a unit: Tonelli-Shanks solves w*w = b (mod p)
     for every entry at once, a Hensel lift takes w to p**e, and the roots
@@ -252,6 +295,7 @@ def sqrt_mod(a, p: int, e: int = 1) -> list:
     caller is expected to scan the few residues of a 2-power modulus
     directly).
     """
+    p = _check_modulus(p, "p")
     if p == 2:
         raise ValueError("p = 2 not supported; scan the 2-power modulus directly")
     if p < 3 or not is_prime(p):

@@ -439,14 +439,13 @@ def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
 # counting
 # ---------------------------------------------------------------------------
 
-def suite_count_oracle(seed=DEFAULT_SEED, H_values=None, threads=1,
-                       memory_budget=None) -> SuiteResult:
+def suite_count_oracle(seed=DEFAULT_SEED, H_values=None, threads=1) -> SuiteResult:
     """Value sieve and congruence identity give the same exact S(H)."""
     rec = _Recorder("count-oracle-equivalence")
     if H_values is None:
         H_values = list(range(1, 51)) + [100, 150, 200]
     hmax = max(H_values)
-    sieve = counting.build_sieve(2 * hmax * hmax + 1, memory_budget)
+    sieve = counting.build_sieve(2 * hmax * hmax + 1)
     for H in H_values:
         direct = counting.count_pairs_direct(H, sieve=sieve, threads=threads)
         ident = counting.count_pairs_mobius(H)
@@ -481,10 +480,10 @@ def suite_congruent_bound(seed=DEFAULT_SEED, qmax=200) -> SuiteResult:
     return rec.result()
 
 
-def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6, memory_budget=None) -> SuiteResult:
+def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6) -> SuiteResult:
     """Squarefree density over [1, N] approaches 6/pi^2."""
     rec = _Recorder("squarefree-density")
-    sieve = counting.build_sieve(N, memory_budget)
+    sieve = counting.build_sieve(N)
     density = sieve.count_squarefree(N) / N
     rec.check(abs(density - 0.607927) <= 0.01, "density {d:.6f}", d=density)
     return rec.result(notes=f"density = {density:.6f}")
@@ -588,11 +587,10 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> Suit
 SCAN_LADDER = (250, 500, 1000, 2000, 4000)
 
 
-def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5, threads=1,
-                        memory_budget=None) -> SuiteResult:
+def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5, threads=1) -> SuiteResult:
     """Every |E(H)| under 5 * H^1.5 and the fitted exponent at most 1.6."""
     rec = _Recorder("scan-envelope")
-    result = asymptotic.error_scan(ladder, P, threads=threads, memory_budget=memory_budget)
+    result = asymptotic.error_scan(ladder, P, threads=threads)
     for row in result.rows:
         cap = 5.0 * row.H**1.5
         rec.check(abs(row.E) <= cap, "H={H}: |E|={E:.1f} > {cap:.1f}", H=row.H, E=abs(row.E), cap=cap)
@@ -636,11 +634,10 @@ ALL_SUITES = {
 }
 
 
-def run_suites(names=None, seed=DEFAULT_SEED, threads=1, memory_budget=None) -> list[SuiteResult]:
+def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
     """Run the named suites (all, in registry order, when names is None).
 
-    `threads` and `memory_budget` go to the suites that take them: the
-    ones that probe pairs and build a value sieve.
+    `threads` goes to the suites that take it: the ones that probe pairs.
     """
     import inspect
 
@@ -652,11 +649,6 @@ def run_suites(names=None, seed=DEFAULT_SEED, threads=1, memory_budget=None) -> 
     results = []
     for name in names:
         fn = ALL_SUITES[name]
-        kwargs = {"seed": seed}
-        params = inspect.signature(fn).parameters
-        if "threads" in params:
-            kwargs["threads"] = threads
-        if "memory_budget" in params:
-            kwargs["memory_budget"] = memory_budget
-        results.append(fn(**kwargs))
+        kwargs = {"threads": threads} if "threads" in inspect.signature(fn).parameters else {}
+        results.append(fn(seed=seed, **kwargs))
     return results

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +339,27 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "memory budget must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("constant", "--P", "100", "--memory-budget", "1"),
+        ("verify", "--suite", "lambda-growth", "--memory-budget", "1000"),
+        ("count", "--H", "200", "--method", "mobius-identity", "--memory-budget", "1000"),
+    ])
+    def test_budget_flag_reaches_every_allocator(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET
+        assert "budget" in err
+
+    def test_env_budget_leaves_import_alone(self):
+        # the import-time prime table must not be refused by a small budget
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, SQFPAIRS_MEMORY_BUDGET="1000",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "sqfpairs.cli", "count", "--H", "100000",
+                               "--method", "value-sieve"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_BUDGET
+        assert "budget" in proc.stderr
 
     def test_non_positive_env_budget_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "-5")

@@ -20,7 +20,7 @@ from sqfpairs.counting import (
 )
 from sqfpairs import lambdasums
 from sqfpairs.lambdasums import solve_circle
-from sqfpairs.ntcore import BudgetError, mobius
+from sqfpairs.ntcore import BudgetError, budget_scope, mobius
 
 
 def is_squarefree_oracle(n):
@@ -78,12 +78,12 @@ class TestBuildSieve:
             assert sieve.is_squarefree(n) == (mobius(n) ** 2 == 1)
 
     def test_budget_enforced(self):
-        with pytest.raises(BudgetError):
-            build_sieve(10**7, memory_budget=100)
+        with pytest.raises(BudgetError), budget_scope(100):
+            build_sieve(10**7)
         with pytest.raises(ValueError):
             build_sieve(0)
-        with pytest.raises(ValueError):
-            build_sieve(10, memory_budget=0)  # a budget <= 0 is a usage error
+        with pytest.raises(ValueError), budget_scope(0):  # a budget <= 0 is a usage error
+            build_sieve(10)
 
     def test_lookup_vectorized(self):
         sieve = build_sieve(5000)
@@ -486,15 +486,27 @@ def test_default_budget_is_two_gib():
 
 def test_default_budget_admits_the_largest_height(monkeypatch):
     # 2H^2 + 1 holds H^2 + 1 odd values, one bit each: 2 GiB covers H = 131,071
-    from sqfpairs.counting import _check_sieve_budget
+    from sqfpairs import counting
+    from sqfpairs.ntcore import check_bytes
+
+    class Admitted(Exception):
+        pass
+
+    def check_then_stop(nbytes, what):
+        check_bytes(nbytes, what)
+        raise Admitted(nbytes)  # before the sieve is allocated
+
     monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
+    monkeypatch.setattr(counting, "check_bytes", check_then_stop)
     H = 131_071
     tracemalloc.start()
     try:
-        assert _check_sieve_budget(2 * H * H + 1) == (H * H + 8) // 8 <= 2**31
+        with pytest.raises(Admitted) as admitted:
+            build_sieve(2 * H * H + 1)
         with pytest.raises(BudgetError):
-            _check_sieve_budget(2 * (H + 1) ** 2 + 1)
+            build_sieve(2 * (H + 1) ** 2 + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert admitted.value.args[0] == (H * H + 8) // 8 <= 2**31
     assert peak < 2**16  # checked, not allocated

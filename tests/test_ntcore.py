@@ -131,7 +131,7 @@ class TestMobiusTau:
 
     def test_mobius_sieve_budget(self):
         with pytest.raises(BudgetError):
-            mobius_sieve(2**27)  # 2**28 + 2 bytes: rejected before allocating
+            mobius_sieve(2**30)  # 3 * (2**30 + 1) bytes: rejected before allocating
         with pytest.raises(ValueError):
             mobius_sieve(0)
 
@@ -305,6 +305,42 @@ class TestSqrtMod:
         sqrt_mod(a, 7, 2)
         assert a.tolist() == [-3, 50, 2, 0]
 
+    def test_numpy_integer_p(self):
+        p = primes_upto(20)[-1]
+        assert isinstance(p, np.integer) and p == 19
+        assert sqrt_mod(2, np.int64(7)) == sqrt_mod(2, 7) == [3, 4]
+        assert sqrt_mod(np.arange(361), p, 2) == sqrt_mod(np.arange(361), 19, 2)
+        with pytest.raises(ValueError):
+            sqrt_mod(1, True)
+
+
+class TestBudget:
+    def test_scope_then_env_then_default(self, monkeypatch):
+        monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
+        assert ntcore.memory_budget() == ntcore.DEFAULT_MEMORY_BUDGET == 2**31
+        monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "5000")
+        assert ntcore.memory_budget() == 5000
+        with ntcore.budget_scope(300):
+            with ntcore.budget_scope(200):
+                assert ntcore.memory_budget() == 200
+            assert ntcore.memory_budget() == 300
+        assert ntcore.memory_budget() == 5000
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_non_positive_budget_is_a_value_error(self, monkeypatch, budget):
+        with pytest.raises(ValueError, match="memory budget must be positive"):
+            with ntcore.budget_scope(budget):
+                pass
+        monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", str(budget))
+        with pytest.raises(ValueError, match="memory budget must be positive"):
+            ntcore.check_bytes(1, "one byte")
+
+    def test_check_bytes_refuses_only_above_the_budget(self):
+        with ntcore.budget_scope(100):
+            ntcore.check_bytes(100, "a table")
+            with pytest.raises(BudgetError, match="a table needs 101 bytes, budget is 100"):
+                ntcore.check_bytes(101, "a table")
+
 
 class TestPrimesAndDivisors:
     def test_primes_upto(self):
@@ -323,7 +359,7 @@ class TestPrimesAndDivisors:
 
     def test_primes_upto_rejects_limit_beyond_budget(self):
         with pytest.raises(BudgetError):
-            primes_upto(ntcore.DEFAULT_SIEVE_BUDGET)
+            primes_upto(2**30)  # 2 * (2**30 + 1) bytes
 
     def test_is_prime_against_sieve(self):
         flags = set(primes_upto(10**4).tolist())
