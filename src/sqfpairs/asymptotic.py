@@ -26,7 +26,7 @@ import numpy as np
 from .ntcore import _check_modulus, check_bytes, is_prime, mobius_sieve, primes_upto
 from .counting import _check_ladder, build_sieve, count_pairs_ladder
 from .expsums import _check_table
-from .lambdasums import lambda_any_table
+from .lambdasums import lambda_any
 
 __all__ = [
     "EulerProductEstimate",
@@ -195,6 +195,11 @@ def rho_fourier(D: float, t: float) -> float:
     return float(total.real)
 
 
+# Residues n per slab of harmonic_lambda_sums: a slab of 64 x q entries
+# holds about 1.5 MiB at q = 489.
+_SLAB_ROWS = 64
+
+
 def harmonic_lambda_sums(q: int, D):
     """The harmonic-weighted absolute sums of the circle sums:
 
@@ -202,11 +207,15 @@ def harmonic_lambda_sums(q: int, D):
         V = sum_{1 <= n, m <= D}   |lam(q; n, m)| / (n m)
 
     lam is q-periodic in both arguments, so the weights 1/n collapse
-    onto residues and the sums need one |lam| value per residue pair,
-    taken from the batched evaluator.  D is an int, giving floats U and
-    V, or a 1-D integer array, giving arrays with one entry per D; the
-    table is built once for all of them.  A q x q table over budget
-    (q > 4096 by default) raises BudgetError before it is allocated.
+    onto residues and the sums need one |lam| value per residue pair.
+    They are evaluated by `lambda_any` in slabs of _SLAB_ROWS residues n
+    by all q residues m: U adds up each slab's m = 0 column and V its
+    weighted sum, so no q x q table is held and the working set is a few
+    slabs of 64 q entries.  D is an int, giving floats U and V, or a 1-D
+    integer array, giving arrays with one entry per D; each slab serves
+    all of them.  The q x q residue pairs are stated to the budget as a
+    grid, so q > 4096 raises BudgetError by default, before anything is
+    allocated.
     """
     q = _check_modulus(q)
     Ds = np.asarray(D)
@@ -214,14 +223,18 @@ def harmonic_lambda_sums(q: int, D):
         raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    _check_table(q, "harmonic_lambda_sums", dims=2)  # lambda_any_table's, before the weights
+    _check_table(q, "harmonic_lambda_sums", dims=2)  # before the weights
     weights = np.zeros((Ds.size, q))
     for row, d in zip(weights, Ds.ravel().tolist()):
         n = np.arange(1, d + 1)
         np.add.at(row, n % q, 1.0 / n)
-    mags = np.abs(lambda_any_table(q))
-    U = weights @ mags[:, 0]
-    V = np.einsum("iu,uv,iv->i", weights, mags, weights)
+    a = np.arange(q, dtype=np.int64)
+    U, V = np.zeros(Ds.size), np.zeros(Ds.size)
+    for lo in range(0, q, _SLAB_ROWS):
+        mags = np.abs(lambda_any(q, a[lo : lo + _SLAB_ROWS, None], a[None, :]))
+        slab = weights[:, lo : lo + _SLAB_ROWS]
+        U += slab @ mags[:, 0]
+        V += np.einsum("iu,uv,iv->i", slab, mags, weights)
     if Ds.ndim == 0:
         return float(U[0]), float(V[0])
     return U, V
@@ -240,13 +253,20 @@ def dirichlet_partial_sum(dmax: int) -> float:
     """sum_{d <= dmax} mu(d) * lam(d^2) / d^4, the series form of c.
 
     For squarefree d the solution count mod d^2 is multiplicative, so
-    lam(d^2) is the product of lam(p^2) over d's prime factors.
+    lam(d^2) is the product of lam(p^2) over d's prime factors.  States
+    24 bytes per d to `check_bytes` before anything is allocated: the
+    Moebius sieve, and two float arrays with the sieve of primes beside
+    them.
     """
     dmax = _check_modulus(dmax, "dmax")
+    check_bytes(24 * (dmax + 1), f"dirichlet_partial_sum({dmax})")
     mu = mobius_sieve(dmax)[1:]
-    lam = _prime_divisor_product(dmax, _lambda_p2)[1:]
+    terms = _prime_divisor_product(dmax, _lambda_p2)[1:]
+    terms *= mu
     d = np.arange(1, dmax + 1, dtype=float)
-    return float(np.sum(mu * lam / d**4))
+    d **= 4
+    terms /= d
+    return float(np.sum(terms))
 
 
 def dirichlet_tail_bound(dmax: int) -> float:
@@ -254,10 +274,14 @@ def dirichlet_tail_bound(dmax: int) -> float:
 
     For squarefree d each prime factor contributes p(p +- 1) <= 2p^2,
     so the term is at most tau(d)/d^2.  That is summed exactly out to
-    20*dmax and closed with tau(d) <= 2*sqrt(d) beyond.
+    20*dmax and closed with tau(d) <= 2*sqrt(d) beyond.  States 32 bytes
+    per unit of M = 20*dmax to `check_bytes` before anything is
+    allocated: the squarefree flags, two float arrays over [1, M] and
+    their squarefree entries.
     """
     dmax = _check_modulus(dmax, "dmax")
     M = 20 * dmax
+    check_bytes(32 * (M + 1), f"dirichlet_tail_bound({dmax})")
     squarefree = mobius_sieve(M)[dmax + 1 :] != 0
     tau = _prime_divisor_product(M, lambda p: np.full(p.size, 2.0))[dmax + 1 :]  # 2^omega(d)
     d = np.arange(dmax + 1, M + 1, dtype=float)

@@ -127,7 +127,8 @@ def build_sieve(N: int) -> SquarefreeSieve:
     slice of the list by index.  Scratch memory beyond the packed result
     is one segment of bools, plus the pattern (one segment and 11025 more
     bools), plus 8 bytes per odd multiple of a large square (about 3e4 of
-    them at N = 5e8).
+    them at N = 5e8).  A sieve shorter than one segment sizes the segment
+    and the pattern to its own whole bytes.
 
     States its packed bytes to `check_bytes`, so an N over the memory
     budget is refused before anything is allocated.
@@ -143,11 +144,12 @@ def build_sieve(N: int) -> SquarefreeSieve:
     large = [np.arange((sq - 1) // 2, nbits, sq)
              for sq in squares[squares >= _SEGMENT_BITS].tolist()]
     large = np.sort(np.concatenate(large)) if large else np.empty(0, dtype=np.int64)
-    pattern = np.ones(min(_WHEEL_PERIOD, nbits) + _SEGMENT_BITS, dtype=bool)
+    seg_bits = min(_SEGMENT_BITS, nbytes * 8)  # a sieve shorter than a segment needs no more
+    pattern = np.ones(min(_WHEEL_PERIOD, nbits) + seg_bits, dtype=bool)
     for sq in _WHEEL_SQUARES:
         pattern[(sq - 1) // 2 :: sq] = False
     packed = np.empty(nbytes, dtype=np.uint8)
-    buffer = np.empty(_SEGMENT_BITS, dtype=bool)
+    buffer = np.empty(seg_bits, dtype=bool)
     for lo in range(0, nbits, _SEGMENT_BITS):
         hi = min(lo + _SEGMENT_BITS, nbits)
         seg = buffer[: -(-(hi - lo) // 8) * 8]  # whole bytes; the pad is past N
@@ -320,8 +322,11 @@ def congruent_pair_count(H: int, q: int) -> int:
 
 
 def _mobius_sum(H: int, dmax: int) -> int:
+    # congruent_pair_count's 48 bytes per x, checked before the sieve is
+    # built; the d are read off the sieve one at a time, with no list
+    check_bytes(48 * H, f"congruent_pair_count({H}, d^2)")
     mu = mobius_sieve(dmax)
-    return sum(int(mu[d]) * congruent_pair_count(H, d * d) for d in np.flatnonzero(mu).tolist())
+    return sum(int(mu[d]) * congruent_pair_count(H, d * d) for d in range(1, dmax + 1) if mu[d])
 
 
 def count_pairs_mobius(H: int) -> PairCountReport:

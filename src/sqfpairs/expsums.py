@@ -21,7 +21,9 @@ and n and m are ints or integer arrays, with Python ints beyond int64
 accepted and floats rejected, not truncated.
 Each call builds the per-residue tables it reads (`phase_table`,
 `unit_table`) and keeps none, and a table whose RESIDUE_BYTES per entry
-exceed the memory budget raises BudgetError before it is allocated.
+exceed the memory budget raises BudgetError before it is allocated; so
+does a broadcast direct sum whose (pairs x terms) grid, at GRID_BYTES
+per entry, exceeds it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ TOLERANCE = 1e-6
 # default budget.
 RESIDUE_BYTES = 128
 DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // RESIDUE_BYTES
+# Bytes stated per entry of a broadcast direct sum's (pairs x terms)
+# grid: the index arithmetic and the gathered phases peak at 24.
+GRID_BYTES = 32
 
 
 def complex_close(a, b, tol: float = TOLERANCE):
@@ -103,6 +108,14 @@ def _check_table(q, name: str, dims: int = 1) -> int:
     check_bytes(RESIDUE_BYTES * q**dims,
                 f"{name}({q}){grid}, past the ceiling of budget/{RESIDUE_BYTES} residues,")
     return q
+
+
+def _check_grid(n, m, terms: int, what: str) -> None:
+    """BudgetError, before anything is allocated, if a direct sum of
+    `terms` terms for each (n, m) pair of the broadcast needs more than
+    the budget at GRID_BYTES per (pair, term) entry."""
+    pairs = np.broadcast(n, m).size
+    check_bytes(GRID_BYTES * pairs * terms, f"{what} on {pairs} pairs x {terms} terms")
 
 
 def gauss_direct(q: int, n: int, m: int) -> complex:
@@ -163,10 +176,13 @@ def kloosterman_direct(q: int, n, m):
     arguments give a complex; otherwise the result is a complex array of
     the broadcast shape, one sum per (n, m) pair.  The arguments are
     reduced mod q first (the caller's arrays are not modified), so ints
-    beyond int64 are accepted.
+    beyond int64 are accepted.  The modulus is checked against the
+    ceiling, then the (pairs x units) grid is stated to the budget at
+    GRID_BYTES per entry, with q units, before the units are listed.
     """
-    q = _check_modulus(q)
+    q = _check_table(q, "kloosterman_direct")
     n, m = _reduce(q, n), _reduce(q, m)
+    _check_grid(n, m, q, f"kloosterman_direct({q})")
     units, invs = unit_table(q)
     t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
     total = phase_table(q)[t].sum(axis=-1)

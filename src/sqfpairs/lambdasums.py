@@ -8,6 +8,11 @@ identity.  `lambda_any` extends the fast odd path to any modulus not
 divisible by 8, taking the 2-part in closed form.  `lambda_direct`,
 `lambda_fast_odd` and `lambda_any` broadcast over their arguments: n and
 m may be ints or integer arrays, and one call evaluates every pair.
+`lambda_direct` holds a (pairs x solutions) grid and states it to the
+budget before it solves the circle; `lambda_fast_odd` sums a Kloosterman
+sum directly only for a small (pairs x units) grid, and reads an FFT row
+otherwise, so its working set grows with the pairs, not with their
+product by the modulus.
 
 The grids are batched routes to the same two sums: `lambda_direct_table`
 is the 2-D inverse FFT of the solution set, and `lambda_any_table` is one
@@ -28,7 +33,8 @@ import numpy as np
 
 from .ntcore import _check_modulus, _reduce, divisors, mod_inverse
 from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies by default
-                      _check_table, kloosterman_direct, kloosterman_row, phase_table)
+                      _check_grid, _check_table, kloosterman_direct, kloosterman_row,
+                      phase_table)
 
 __all__ = [
     "SolutionSet",
@@ -95,13 +101,24 @@ def lambda_direct(q: int, n, m):
     n and m are ints or integer arrays that broadcast together, reduced
     mod q without modifying the caller's arrays.  Scalar arguments give a
     complex, array arguments a complex array of the broadcast shape.
+    The modulus is checked against the ceiling, then the (pairs x
+    solutions) grid is stated to the budget at GRID_BYTES per entry, with
+    2q solutions, before the solution set is built: lam(q) is at most
+    q * prod (1 + 1/p) over the primes p = 3 (mod 4) dividing q, which
+    stays below 2q for every q < 3.7e11.
     """
-    q = _check_modulus(q)
-    sols = solve_circle(q)
+    q = _check_table(q, "lambda_direct")
     n, m = _reduce(q, n), _reduce(q, m)
+    _check_grid(n, m, 2 * q, f"lambda_direct({q})")
+    sols = solve_circle(q)
     t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
     total = phase_table(q)[t].sum(axis=-1)
     return complex(total) if total.ndim == 0 else total
+
+
+# lambda_fast_odd sums a Kloosterman sum directly for at most this many
+# (pair, unit) entries; 2**16 entries at 32 bytes are 2 MiB.
+_DIRECT_ENTRIES = 1 << 16
 
 
 def _sign(l: int) -> float:
@@ -118,8 +135,12 @@ def lambda_fast_odd(q: int, n, m):
         q * sum_l (-1)**((l-1)/2) / l * K(l; 1, -inv(4)*(n'^2 + m'^2)).
 
     Broadcasts over n and m like `lambda_direct`.  Each divisor serves
-    its pairs in one step: from the FFT row `kloosterman_row(l, 1)` when
-    it serves more than l pairs, else by `kloosterman_direct`.  The
+    its pairs in one step: by `kloosterman_direct` while it serves at most
+    l pairs and at most _DIRECT_ENTRIES pair-residue entries, else from
+    the FFT row `kloosterman_row(l, 1)`.  So the direct sums hold at most
+    _DIRECT_ENTRIES grid entries (2 MiB), a call with few pairs mod a
+    large l reads the row, and a few pairs mod a small l (the sampled
+    entries the verify suites check) still sum directly.  The
     divisibility tests and the squares mod l are taken on n and m before
     they broadcast, so a grid n[:, None], m[None, :] costs a few cheap
     grid-sized passes per divisor and no gcd over the grid.
@@ -133,13 +154,20 @@ def lambda_fast_odd(q: int, n, m):
     total = np.array((n == 0) & (m == 0), dtype=complex)
     for l in divisors(q)[1:]:
         r = q // l
-        served = (n % r == 0) & (m % r == 0)
-        if not served.any():
-            continue
-        c = ((n // r) ** 2 % l + (m // r) ** 2 % l)[served]
+        if r == 1:  # l = q serves every pair, with no mask to build or scatter through
+            served = ...
+            c = n * n % l + m * m % l
+        else:
+            served = (n % r == 0) & (m % r == 0)
+            if not served.any():
+                continue
+            c = ((n // r) ** 2 % l + (m // r) ** 2 % l)[served]
         c *= -pow(4, -1, l)
         c %= l
-        k = kloosterman_row(l, 1)[c] if c.size > l else kloosterman_direct(l, 1, c)
+        if c.size <= l and c.size * l <= _DIRECT_ENTRIES:
+            k = kloosterman_direct(l, 1, c)
+        else:
+            k = kloosterman_row(l, 1)[c]
         del c  # before the scatter below copies total[served]
         k *= _sign(l) / l
         total[served] += k

@@ -227,29 +227,40 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
     """gcd-reduction evaluator equals direct summation for all (n, m)."""
     rec = _Recorder("gauss-reduce-vs-direct")
     rng = random.Random(seed)
-    # the class gcd(n, q) = d > 1 reads the grid of q/d, rebuilt here
-    # rather than kept: the grids of q <= qmax/2 held across the sweep, and
-    # the fragmented heap around them, set verify's peak RSS
     for q in range(1, qmax + 1):
         direct = expsums.gauss_direct_table(q)
-        reduced = np.zeros((q, q), dtype=complex)
         gcds = np.gcd(np.arange(q), q)
-        for d in ntcore.divisors(q):
+        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(3)])
+        # the reduction d * G(q/d; n/d, m/d) at the sampled pairs; for
+        # gcd(n, q) = 1 it is G(q; n, m) itself
+        reduced = direct[n, m]
+        # the rows gcd(n, q) = d > 1: d * G(q/d) on the columns d | m, 0
+        # elsewhere (gcd 1 rows would compare the grid with itself); the
+        # grid of q/d is rebuilt per q rather than kept, so the sweep holds
+        # one row class at a time
+        worst = 0.0
+        for d in ntcore.divisors(q)[1:]:
             ns = np.flatnonzero(gcds == d)
             if not ns.size:
                 continue
-            ms = np.arange(0, q, d)
-            sub = direct if d == 1 else expsums.gauss_direct_table(q // d)
-            reduced[np.ix_(ns, ms)] = d * sub[np.ix_(ns // d, ms // d)]
-        err = np.abs(direct - reduced) / np.maximum(1.0, np.abs(direct))
-        rec.check(err.max() <= 1e-6, "q={q} max err {e:.2e}", q=q, e=err.max())
+            sub = expsums.gauss_direct_table(q // d)
+            want = np.zeros((ns.size, q), dtype=complex)
+            want[:, ::d] = d * sub[ns // d]
+            rows = direct[ns]
+            worst = max(worst, (np.abs(rows - want) / np.maximum(1.0, np.abs(rows))).max())
+            hit = gcds[n] == d
+            reduced[hit] = np.where(m[hit] % d, 0, d * sub[n[hit] // d, m[hit] // d])
+        rec.check(worst <= 1e-6, "q={q} max err {e:.2e}", q=q, e=worst)
         # tie the batched grid back to the scalar operations
-        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(3)])
         pairs = list(zip(n.tolist(), m.tolist()))
         rec.check(complex_close(direct[n, m], [expsums.gauss_direct(q, *nm) for nm in pairs])
-                  & complex_close(reduced[n, m], [expsums.gauss_reduce(q, *nm) for nm in pairs]),
+                  & complex_close(reduced, [expsums.gauss_reduce(q, *nm) for nm in pairs]),
                   "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
+
+
+# Unit rows n compared per step by suite_gauss_closed.
+_UNIT_SLAB = 64
 
 
 def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
@@ -259,9 +270,13 @@ def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
     for q in range(1, qmax + 1, 2):
         direct = expsums.gauss_direct_table(q)
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
-        closed = expsums.gauss_closed_odd(q, units[:, None], np.arange(q))
-        rows = direct[units]
-        err = (np.abs(rows - closed) / np.maximum(1.0, np.abs(rows))).max(axis=1)
+        err = np.empty(units.size)
+        for lo in range(0, units.size, _UNIT_SLAB):  # a slab of unit rows at a time
+            ns = units[lo : lo + _UNIT_SLAB]
+            rows = direct[ns]
+            gap = expsums.gauss_closed_odd(q, ns[:, None], np.arange(q))
+            gap -= rows
+            err[lo : lo + ns.size] = (np.abs(gap) / np.maximum(1.0, np.abs(rows))).max(axis=1)
         rec.check(err <= 1e-6, "q={q} n={n} max err {e:.2e}", q=q, n=units, e=err)
         if q == 1:
             continue

@@ -287,6 +287,33 @@ class TestHarmonicSums:
         U, V = harmonic_lambda_sums(9, 12)
         assert type(U) is float and type(V) is float
 
+    @pytest.mark.parametrize("q", [130, 147, 193])
+    def test_slabs_match_the_full_table(self, q):
+        # more than one slab of residues n: the sums over slabs equal the
+        # sums over the whole q x q table of |lam|
+        from sqfpairs.lambdasums import lambda_any_table
+
+        mags = np.abs(lambda_any_table(q))
+        Ds = np.array([2, 50, 1000])
+        U, V = harmonic_lambda_sums(q, Ds)
+        for D, u, v in zip(Ds.tolist(), U.tolist(), V.tolist()):
+            n = np.arange(1, D + 1)
+            w = np.zeros(q)
+            np.add.at(w, n % q, 1.0 / n)
+            assert abs(u - w @ mags[:, 0]) <= 1e-12 * u
+            assert abs(v - w @ mags @ w) <= 1e-12 * v
+
+    def test_no_q_by_q_table_is_held(self):
+        # a q x q table of lam at q = 489 alone is 3.6 MiB, and the table
+        # with its temporaries peaked at 11.2 MiB
+        tracemalloc.start()
+        try:
+            harmonic_lambda_sums(489, np.array([2, 10, 100, 1000]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
     def test_array_D_containing_one_rejected(self):
         with pytest.raises(ValueError):
             harmonic_lambda_sums(3, np.array([10, 1, 100]))
@@ -294,10 +321,10 @@ class TestHarmonicSums:
     def test_array_D_budget_checked_before_table(self, monkeypatch):
         from sqfpairs import asymptotic
 
-        def refuse(q):
+        def refuse(q, n, m):
             raise AssertionError("table built before the budget check")
 
-        monkeypatch.setattr(asymptotic, "lambda_any_table", refuse)
+        monkeypatch.setattr(asymptotic, "lambda_any", refuse)
         with pytest.raises(BudgetError):
             harmonic_lambda_sums(4099, np.array([2, 10, 100]))
 

@@ -5,9 +5,10 @@ import ast
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sqfpairs import asymptotic, counting, expsums, ntcore
+from sqfpairs import asymptotic, counting, expsums, lambdasums, ntcore
 from sqfpairs.ntcore import budget_scope, check_bytes
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sqfpairs"
@@ -72,3 +73,83 @@ def test_a_larger_budget_raises_the_ceiling(monkeypatch):
         expsums._check_table(q, "solve_circle")
     with budget_scope(4_000_000_000):
         assert expsums._check_table(q, "solve_circle") == q
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Admits every per-residue table mod 20011 (a prime), and little more.
+_TABLES_MOD_20011 = 128 * 20011 + 1000
+
+
+@pytest.mark.parametrize("evaluate,m", [(lambdasums.lambda_direct, 0),
+                                        (expsums.kloosterman_direct, 1)])
+def test_broadcast_direct_sums_state_their_grid(evaluate, m):
+    # 200 pairs x about 20011 residues would peak near 92 MiB
+    def refused():
+        with budget_scope(_TABLES_MOD_20011), pytest.raises(ntcore.BudgetError, match="200 pairs"):
+            evaluate(20011, np.arange(200), m)
+
+    assert _traced_peak(refused) < 2**20
+
+
+def test_lambda_fast_odd_reads_the_row_for_few_pairs_mod_a_large_l():
+    def run():
+        with budget_scope(_TABLES_MOD_20011):
+            lambdasums.lambda_fast_odd(20011, np.arange(200), 0)
+
+    assert _traced_peak(run) < 4 * 2**20
+
+
+@pytest.mark.parametrize("count", [
+    counting.count_pairs_mobius,
+    pytest.param(lambda H: counting.count_pairs_mobius_truncated(H, 2 * H * H), id="truncated"),
+])
+def test_mobius_identity_refused_before_its_sieve(count):
+    # the Moebius sieve to sqrt(2H^2 + 1) and its list of d took 8.1 MiB
+    H = 200_000
+
+    def refused():
+        with budget_scope(48 * H - 1), pytest.raises(ntcore.BudgetError):
+            count(H)
+
+    assert _traced_peak(refused) < 2**20
+
+
+@pytest.mark.parametrize("evaluate,units,dmax", [(asymptotic.dirichlet_tail_bound, 20, 10**4),
+                                                 (asymptotic.dirichlet_partial_sum, 1, 10**5)])
+def test_dirichlet_float_arrays_are_stated(evaluate, units, dmax):
+    # the Moebius sieve's 3 bytes per value fit this budget; the float
+    # arrays beside it do not
+    def refused():
+        with budget_scope(3 * (units * dmax + 1)), pytest.raises(ntcore.BudgetError):
+            evaluate(dmax)
+
+    assert _traced_peak(refused) < 2**20
+
+
+@pytest.mark.parametrize("allocate,n", [
+    (asymptotic.dirichlet_tail_bound, 10**4),
+    (asymptotic.dirichlet_partial_sum, 10**5),
+    pytest.param(lambda q: expsums.kloosterman_direct(q, np.arange(100), 1), 2003,
+                 id="kloosterman_direct-grid"),
+    pytest.param(lambda q: lambdasums.lambda_direct(q, np.arange(100), 0), 2003,
+                 id="lambda_direct-grid"),
+])
+def test_grids_and_float_arrays_within_the_stated_bytes(monkeypatch, allocate, n):
+    stated = []
+
+    def record(nbytes, what):
+        stated.append(nbytes)
+        check_bytes(nbytes, what)
+
+    for module in (ntcore, expsums, asymptotic):
+        monkeypatch.setattr(module, "check_bytes", record)
+    peak = _traced_peak(lambda: allocate(n))
+    assert stated and peak <= max(stated)

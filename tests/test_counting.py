@@ -510,3 +510,16 @@ def test_default_budget_admits_the_largest_height(monkeypatch):
         tracemalloc.stop()
     assert admitted.value.args[0] == (H * H + 8) // 8 <= 2**31
     assert peak < 2**16  # checked, not allocated
+
+
+def test_sieve_scratch_is_sized_to_a_short_sieve():
+    # N = 1e6 has 5e5 flags in 62,500 packed bytes; a full segment's
+    # buffer and pattern alone would take 2 MiB
+    N = 10**6
+    tracemalloc.start()
+    try:
+        build_sieve(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (N // 2)

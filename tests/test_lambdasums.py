@@ -195,6 +195,21 @@ class TestLambdaFastOdd:
         assert np.abs(few - lambda_direct(q, n, m)).max() <= LAMBDA_TOLERANCE * q
 
 
+    def test_few_pairs_mod_a_large_modulus_read_the_row(self, monkeypatch):
+        # 5 pairs x 20010 units is past the direct sums' cap of 2**16 entries
+        q = 20011
+        routes = []
+        row, direct = lambdasums.kloosterman_row, lambdasums.kloosterman_direct
+        monkeypatch.setattr(lambdasums, "kloosterman_row",
+                            lambda l, n: routes.append(("row", l)) or row(l, n))
+        monkeypatch.setattr(lambdasums, "kloosterman_direct",
+                            lambda l, n, c: routes.append(("direct", l)) or direct(l, n, c))
+        n = np.arange(5)
+        got = lambda_fast_odd(q, n, 0)
+        assert routes == [("row", q)]
+        assert np.abs(got - lambda_direct(q, n, 0)).max() <= LAMBDA_TOLERANCE * q
+
+
 class TestLambdaMultiplicative:
     def test_trivial_factor(self):
         for q in (2, 7, 12):

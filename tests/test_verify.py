@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,38 @@ def test_gauss_reduce_keeps_every_grid_it_reads(qmax):
     result = suite_gauss_reduce(seed=3, qmax=qmax)
     assert result.ok
     assert (result.checked, result.failed) == (4 * qmax, 0)
+
+
+@pytest.mark.parametrize("q,entry", [(5, (1, 1)), (10, (2, 1))])
+def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry):
+    # G(5) is the reduced grid of the rows gcd(n, 10) = 2, and G(10)[2, 1]
+    # is a column 2 does not divide, where the reduction is 0: either
+    # perturbation fails the grid check of q = 10
+    table = expsums.gauss_direct_table
+
+    def perturbed(k):
+        grid = table(k)
+        if k == q:
+            grid[entry] += 1.0
+        return grid
+
+    monkeypatch.setattr(expsums, "gauss_direct_table", perturbed)
+    result = suite_gauss_reduce(seed=3, qmax=10)
+    assert not result.ok
+    assert any(f.startswith("q=10 max err") for f in result.failures)
+
+
+@pytest.mark.parametrize("suite", [suite_gauss_reduce, suite_gauss_closed])
+def test_gauss_suites_hold_no_second_grid(suite):
+    # at the default qmax the q x q grid of G(q) is the one grid held; the
+    # reduced grid and the full closed-form rows peaked at 6.3 and 7.0 MiB
+    tracemalloc.start()
+    try:
+        assert suite().ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 @pytest.mark.parametrize("hi", [36, 100, 2520, 3000])
