@@ -18,13 +18,12 @@ counting pipeline never consumes them.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ntcore import _check_modulus, check_bytes, is_prime, mobius_sieve, primes_upto
-from .counting import _check_ladder, build_sieve, count_pairs_ladder
+from .counting import _check_ladder, _probe_ladder
 from .expsums import _check_table
 from .lambdasums import lambda_any
 
@@ -113,8 +112,9 @@ def constant_c(P: int) -> EulerProductEstimate:
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One ladder step: exact count, error against c*H^2, and the probe
-    time from the start of the scan's probe until this S was known."""
+    """One ladder step: exact count, error against c*H^2, and the time
+    from the start of the scan's probe (segment builds included) until
+    this S was known."""
 
     H: int
     S: int
@@ -129,7 +129,7 @@ class ScanResult:
     c: float
     cutoff: int
     excluded: list[int]  # H values dropped from the fit because E = 0
-    sieve_elapsed: float  # seconds spent building the value sieve
+    sieve_elapsed: float  # seconds spent building sieve segments, summed over the probe's runs
 
 
 # A meaningful slope needs at least this many usable (E != 0) rows.
@@ -143,22 +143,19 @@ def error_scan(
 ) -> ScanResult:
     """Measure E(H) = S(H) - c*H^2 over a ladder of H values.
 
-    S(H) comes from the value sieve (built once, at the largest H, and
-    timed apart) by one `count_pairs_ladder` probe, and c from
+    S(H) comes from one probe of the value sieve up to the largest H (see
+    `count_pairs_ladder`), which builds the sieve a window at a time as it
+    reads it; `sieve_elapsed` is the time spent building those windows,
+    and is also part of each row's `elapsed`.  c comes from
     `constant_c(P)`.  The fitted exponent is the least-squares
     slope of log|E| against log H; rows with E = 0 are excluded and
     reported, and the fit is skipped (alpha None) below 4 usable rows.
-    P is checked first; the sieve is freed before `constant_c` sieves
-    its primes, so the two never share the peak.
+    P is checked first; the probe's windows are freed before `constant_c`
+    sieves its primes, so the two never share the peak.
     """
     H_values = _check_ladder(H_values)
-    N = 2 * H_values[-1] ** 2 + 1
     P = _check_cutoff(P)
-    start = time.perf_counter()
-    sieve = build_sieve(N)
-    sieve_elapsed = time.perf_counter() - start
-    reports = count_pairs_ladder(H_values, sieve=sieve, threads=threads)
-    del sieve
+    reports, sieve_elapsed = _probe_ladder(H_values, threads=threads)
     c = constant_c(P).value
     rows = [ScanRow(rep.H, rep.S, rep.S - c * rep.H * rep.H, rep.elapsed) for rep in reports]
     usable = [r for r in rows if r.E != 0.0]

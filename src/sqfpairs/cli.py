@@ -166,7 +166,8 @@ def _cmd_scan(args) -> int:
             print(f"{r.H},{r.S},{r.E!r},{r.elapsed!r}")
         print(f"# alpha={alpha!r},c={result.c!r},P={result.cutoff}")
     else:
-        print(f"sieve build {result.sieve_elapsed:.2f}s; elapsed is the probe time to each row")
+        print(f"sieve build {result.sieve_elapsed:.2f}s (summed over segments), "
+              "included in elapsed, the probe time to each row")
         print(f"{'H':>8} {'S':>14} {'E':>14} {'elapsed':>9}")
         for r in result.rows:
             print(f"{r.H:>8} {r.S:>14} {r.E:>14.1f} {r.elapsed:>8.2f}s")

@@ -6,8 +6,12 @@ Two independent routes compute the same integer:
   squarefree bits for the odd n <= 2*H^2 + 1 (x^2 + y^2 + 1 is never
   0 mod 4, and when even it is twice an odd number), probed for the
   pairs x <= y only (x^2 + y^2 + 1 is symmetric, so an off-diagonal pair
-  counts twice); a ladder of heights is probed once, up to its top, and each
-  S(H) is read off as the running sum over the bands between heights, and
+  counts twice).  The pairs are read in increasing order of their sieve
+  index through a window a few widest rectangles long, whose segments are
+  built as the probe reaches them, so the sieve is never held whole (a
+  whole one, from `build_sieve`, can be passed in instead).  A ladder of
+  heights is probed once, up to its top, and each S(H) is read off as the
+  running sum over the bands between heights, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
   sum over squarefree d of T(H, d^2), the number of pairs with
   d^2 | x^2 + y^2 + 1, each T counted by matching the squares x^2 mod d^2
@@ -20,6 +24,9 @@ separately for studying the tail of the identity.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 import os
 import time
@@ -60,20 +67,12 @@ class SquarefreeSieve:
     That answers every n: if 4 | n, n is not squarefree, and if
     n = 2 (mod 4), n is squarefree exactly when the odd n/2 is.  The pair
     values x^2 + y^2 + 1 are never 0 (mod 4), so the probe reads the bits
-    directly by index (see `_count_rows`).
+    directly by index (see `_block_streams`).
     """
 
     def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
         self._bytes = packed  # uint8, little bit order: bit k of byte j is index 8j+k
-
-    def _flags(self, index: np.ndarray) -> np.ndarray:
-        """0/1 flags for an unsigned array of bit indices.  `np.take`
-        gathers ~15% faster than fancy indexing, which casts uint32 indices
-        to intp, and still raises IndexError past the array; the bit index
-        is one uint8 pass."""
-        bit = np.bitwise_and(index, 7, dtype=np.uint8, casting="unsafe")
-        return (np.take(self._bytes, index >> 3) >> bit) & np.uint8(1)
 
     def is_squarefree(self, n: int) -> bool:
         if not 1 <= n <= self.limit:
@@ -86,9 +85,11 @@ class SquarefreeSieve:
         any other integer dtype is read as uint64).  An odd n reads index
         n >> 1 and an even n index n >> 2, the index of n/2 when
         n = 2 (mod 4); multiples of 4 read 0.  A value whose index is past
-        the array raises IndexError."""
+        the array raises IndexError (`np.take` checks it)."""
         v = values if values.dtype == np.uint32 else values.astype(np.uint64, copy=False)
-        return self._flags(v >> (2 - (v & 1))) & (v & 3 != 0)
+        index = v >> (2 - (v & 1))
+        bit = np.bitwise_and(index, 7, dtype=np.uint8, casting="unsafe")
+        return (np.take(self._bytes, index >> 3) >> bit) & np.uint8(1) & (v & 3 != 0)
 
     def _count_bits(self, nbits: int) -> int:
         """Set bits among the first nbits.  Whole bytes are popcounted by
@@ -112,23 +113,75 @@ class SquarefreeSieve:
         return self._count_bits((upto + 1) // 2) + self._count_bits((upto // 2 + 1) // 2)
 
 
-def build_sieve(N: int) -> SquarefreeSieve:
-    """Squarefree flags for the odd n in [1, N] by striking the odd
-    multiples of p^2 for the odd primes p (no odd n is a multiple of 4).
+class _Segments:
+    """Packs the squarefree flags of the odd n <= N, at most _SEGMENT_BITS
+    flags at a time; `build_sieve` and the probe's windows both fill their
+    bytes through `fill`.
 
     Bit i stands for n = 2i + 1, so the odd multiples of p^2 are the
-    indices (p^2 - 1)/2 + k*p^2: stride p^2 from offset (p^2 - 1)/2.
-    Works one segment of _SEGMENT_BITS flags at a time, small enough to
-    stay in cache, and packs each into 8 flags per byte.  A segment starts
-    as a copy of a pattern with the odd multiples of 9, 25 and 49 already
-    struck.  The other squares below one segment strike theirs by strided
-    slices; every larger square has at most one multiple per segment, so
-    all of those are listed once, sorted, and each segment clears its own
-    slice of the list by index.  Scratch memory beyond the packed result
-    is one segment of bools, plus the pattern (one segment and 11025 more
-    bools), plus 8 bytes per odd multiple of a large square (about 3e4 of
-    them at N = 5e8).  A sieve shorter than one segment sizes the segment
-    and the pattern to its own whole bytes.
+    indices (p^2 - 1)/2 + k*p^2: stride p^2 from offset (p^2 - 1)/2.  A
+    segment, small enough to stay in cache, starts as copies of one period
+    (11025 flags) of a pattern with the odd multiples of 9, 25 and 49
+    already struck.  The other squares below _SEGMENT_BITS strike theirs
+    by strided slices.  A larger square has at most one multiple in a
+    segment, at offset (first - lo) mod p^2 from the segment's start lo:
+    those offsets are computed for all the large squares at once, and the
+    ones past the segment land on a sentinel flag after it.  A sieve
+    shorter than one segment sizes the segment to its own whole bytes.
+    """
+
+    def __init__(self, N: int):
+        self.nbits = (N + 1) // 2
+        self.nbytes = (self.nbits + 7) // 8
+        seg_bits = min(_SEGMENT_BITS, self.nbytes * 8)  # a short sieve needs no more
+        squares = primes_upto(math.isqrt(N)) ** 2
+        squares = squares[squares > _WHEEL_SQUARES[-1]]
+        self.small = squares[squares < _SEGMENT_BITS].tolist()
+        self.large = squares[squares >= _SEGMENT_BITS]
+        self.large_first = (self.large - 1) // 2
+        self.offsets = np.empty_like(self.large)
+        self.pattern = np.ones(2 * _WHEEL_PERIOD, dtype=bool)  # any period's worth from any offset
+        for sq in _WHEEL_SQUARES:
+            self.pattern[(sq - 1) // 2 :: sq] = False
+        self.buffer = np.empty(seg_bits + 1, dtype=bool)  # the last flag is the sentinel
+
+    @staticmethod
+    def scratch_bytes(N: int) -> int:
+        """A bound on the bytes `_Segments(N)` holds: the pattern, the
+        segment with its packed copy, and 24 per large square (there are
+        fewer than sqrt(N)/2 + 1 of them)."""
+        seg_bits = min(_SEGMENT_BITS, ((N + 1) // 2 + 7) // 8 * 8)
+        return 2 * _WHEEL_PERIOD + seg_bits + seg_bits // 8 + 24 * (math.isqrt(N) // 2 + 1)
+
+    def fill(self, lo: int, out: np.ndarray) -> None:
+        """Packs the flags lo, lo + 1, .. into the bytes `out`, at most
+        _SEGMENT_BITS of them; bits past the sieve's last flag are 0."""
+        hi = min(lo + _SEGMENT_BITS, self.nbits)
+        seg = self.buffer[: out.size * 8]
+        offset = lo % _WHEEL_PERIOD
+        done = min(_WHEEL_PERIOD, seg.size)
+        seg[:done] = self.pattern[offset : offset + done]
+        while done < seg.size:  # the copied periods double each pass
+            more = min(done, seg.size - done)
+            seg[done : done + more] = seg[:more]
+            done += more
+        seg[hi - lo :] = False
+        for sq in self.small:
+            first = (sq - 1) // 2
+            if first >= hi:
+                break
+            seg[(first - lo) % sq :: sq] = False
+        np.subtract(self.large_first, lo, out=self.offsets)
+        np.remainder(self.offsets, self.large, out=self.offsets)
+        np.minimum(self.offsets, self.buffer.size - 1, out=self.offsets)
+        self.buffer[self.offsets] = False
+        out[:] = np.packbits(seg, bitorder="little")
+
+
+def build_sieve(N: int) -> SquarefreeSieve:
+    """Squarefree flags for the odd n in [1, N] by striking the odd
+    multiples of p^2 for the odd primes p (no odd n is a multiple of 4),
+    one segment at a time (see `_Segments`), into one packed array.
 
     States its packed bytes to `check_bytes`, so an N over the memory
     budget is refused before anything is allocated.
@@ -137,32 +190,11 @@ def build_sieve(N: int) -> SquarefreeSieve:
         raise ValueError(f"N must be positive, got {N}")
     nbytes = ((N + 1) // 2 + 7) // 8
     check_bytes(nbytes, f"sieve of {N}")
-    nbits = (N + 1) // 2
-    squares = primes_upto(math.isqrt(N)) ** 2
-    squares = squares[squares > _WHEEL_SQUARES[-1]]
-    small = squares[squares < _SEGMENT_BITS].tolist()
-    large = [np.arange((sq - 1) // 2, nbits, sq)
-             for sq in squares[squares >= _SEGMENT_BITS].tolist()]
-    large = np.sort(np.concatenate(large)) if large else np.empty(0, dtype=np.int64)
-    seg_bits = min(_SEGMENT_BITS, nbytes * 8)  # a sieve shorter than a segment needs no more
-    pattern = np.ones(min(_WHEEL_PERIOD, nbits) + seg_bits, dtype=bool)
-    for sq in _WHEEL_SQUARES:
-        pattern[(sq - 1) // 2 :: sq] = False
+    segments = _Segments(N)
     packed = np.empty(nbytes, dtype=np.uint8)
-    buffer = np.empty(seg_bits, dtype=bool)
-    for lo in range(0, nbits, _SEGMENT_BITS):
-        hi = min(lo + _SEGMENT_BITS, nbits)
-        seg = buffer[: -(-(hi - lo) // 8) * 8]  # whole bytes; the pad is past N
-        offset = lo % _WHEEL_PERIOD
-        seg[:] = pattern[offset : offset + seg.size]
-        seg[hi - lo :] = False
-        for sq in small:
-            first = (sq - 1) // 2
-            if first >= hi:
-                break
-            seg[(first - lo) % sq :: sq] = False
-        seg[large[np.searchsorted(large, lo) : np.searchsorted(large, hi)] - lo] = False
-        packed[lo // 8 : lo // 8 + seg.size // 8] = np.packbits(seg, bitorder="little")
+    seg_bytes = _SEGMENT_BITS // 8
+    for lo in range(0, nbytes, seg_bytes):
+        segments.fill(8 * lo, packed[lo : lo + seg_bytes])
     return SquarefreeSieve(N, packed)
 
 
@@ -172,8 +204,9 @@ class PairCountReport:
 
     `elapsed` is the time from the start of the call that made the report
     until its S was known.  For the value sieve that includes building the
-    sieve when the call built it (sieve=None), and only the probe when a
-    sieve was passed in; along a ladder it grows from row to row.
+    sieve's segments when the call built them (sieve=None), and only the
+    probe when a sieve was passed in; along a ladder it grows from row to
+    row.
     """
 
     H: int
@@ -183,55 +216,155 @@ class PairCountReport:
 
 
 _BLOCK_ROWS = 256  # y rows per block of the probe
-# Values per vectorized probe: 2^15 uint32 values (128 KB) and the lookup's
-# temporaries (intp indices, uint8 bytes and bits) fit a 2 MiB-per-core L2.
+# Values per column chunk of a full block: 2^15 uint32 values (128 KB) and
+# the lookup's scratch (intp indices, uint8 bytes and bits) fit a 2 MiB L2.
 _PROBE_VALUES = 1 << 15
 # Weights of the square tile on a block's diagonal, indexed [x - lo, y - lo]:
 # 2 where x < y, 1 on the diagonal, 0 where x > y.
 _TILE = np.triu(np.full((_BLOCK_ROWS, _BLOCK_ROWS), 2, dtype=np.uint8), 1)
 _TILE += np.eye(_BLOCK_ROWS, dtype=np.uint8)
+# Bytes stated per quadrant stream of the schedule (generator, frame and
+# row terms; 1.1-1.4 KB measured).
+_STREAM_BYTES = 2048
 
 
-def _count_rows(sieve: SquarefreeSieve, y_lo: int, y_hi: int) -> int:
-    """Sum over y in [y_lo, y_hi) of 2 * #{x < y : x^2 + y^2 + 1 squarefree}
-    plus the flag at x = y: these rows' share of S for the square.
+def _quadrant(sid, band, a, rows, x0, lo, tile_cols, weights, step, start):
+    """One quadrant's rectangles, in increasing order of first index, as
+    (first index, sid, last index, band, column terms, row terms, weights):
+    the columns x0, x0 + 2, .. below the block's first row lo in chunks
+    that start every `step` in x (weights None: each pair counts twice),
+    then the tile's columns of the same parity, weighted.  Rectangles whose
+    first index is below `start` are skipped."""
+    r0, r1 = int(rows[0]), int(rows[-1])
+    xs = range(x0, lo, step)
+    skip = bisect.bisect_left(xs, start - r0, key=lambda x: int(a[x])) if start else 0
+    for x in xs[skip:]:
+        cols = a[x : min(x + step, lo) : 2]
+        yield int(cols[0]) + r0, sid, int(cols[-1]) + r1, band, cols, rows, None
+    if tile_cols.size and int(tile_cols[0]) + r0 >= start:
+        yield (int(tile_cols[0]) + r0, sid, int(tile_cols[-1]) + r1, band, tile_cols, rows,
+               weights[: tile_cols.size, : rows.size])
+
+
+def _block_streams(sid, band, lo, hi, f, h, step, start):
+    """The rectangles of the rows lo <= y < hi of one band, as one stream
+    per quadrant (column parity, row parity) with rows.
 
     The sieve is read by index, not by value.  With f[x] = x^2 >> 2 and
     h = 2f, x^2 + y^2 + 1 is odd at index h[x] + h[y] when x and y are
     both even, and at h[x] + h[y] + 1 when both are odd; when their
     parities differ it is twice the odd number at index f[x] + f[y].  So
-    each value costs one add, as a probe by value would.
+    each value costs one add.  Same-parity pairs index near (x^2 + y^2)/2
+    and mixed ones near (x^2 + y^2)/4, which is why each quadrant of the
+    diagonal tile is a rectangle of its own."""
+    even, odd = slice(lo + lo % 2, hi, 2), slice(lo + 1 - lo % 2, hi, 2)
+    # (column terms, first column, column slice of the tile, row slice, row terms)
+    quadrants = ((h, 2, even, even, h[even]), (f, 2, even, odd, f[odd]),
+                 (f, 1, odd, even, f[even]), (h, 1, odd, odd, h[odd] + 1))
+    streams = []
+    for a, x0, cols, rows, terms in quadrants:
+        if terms.size:
+            weights = _TILE[cols.start - lo :: 2, rows.start - lo :: 2]
+            streams.append(_quadrant(sid + len(streams), band, a, terms, x0, lo, a[cols],
+                                     weights, step, start))
+    return streams
 
-    Rows go in blocks of _BLOCK_ROWS, split by parity into four quadrants
-    of (column parity, row parity).  The columns x below a block's first
-    row count whole; each quadrant probes them x-major, about
-    _PROBE_VALUES values at a time, so that successive lookups fall close
-    together in the sieve (x^2 + y^2 moves little from one row of the
-    block to the next).  Only the square tile on the block's diagonal is
-    weighted, by _TILE with its rows and columns in the same parity order.
+
+def _blocks(H_values):
+    """(band, lo, hi) for each block of rows lo <= y < hi: the bands
+    H_{k-1} < y <= H_k, cut into blocks of _BLOCK_ROWS rows."""
+    y_lo = 1
+    for band, H in enumerate(H_values):
+        for lo in range(y_lo, H + 1, _BLOCK_ROWS):
+            yield band, lo, min(lo + _BLOCK_ROWS, H + 1)
+        y_lo = H + 1
+
+
+def _schedule(H_values, f, h, step, start=0, stop=None):
+    """Every rectangle of the ladder's probe whose first index is in
+    [start, stop), in increasing order of first index.  Each block's
+    quadrant streams are already ordered, so merging them holds four
+    streams per block, not the rectangles."""
+    streams = []
+    for band, lo, hi in _blocks(H_values):
+        streams += _block_streams(len(streams), band, lo, hi, f, h, step, start)
+    merged = heapq.merge(*streams)
+    return merged if stop is None else itertools.takewhile(lambda r: r[0] < stop, merged)
+
+
+def _split(schedule, total, runs, past):
+    """runs - 1 first indices that cut the schedule into runs of about
+    total/runs lookups each; cuts the schedule does not reach are `past`."""
+    cuts, done = [], 0
+    targets = [total * k // runs for k in range(1, runs)]
+    for first, _, _, _, cols, rows, _ in schedule:
+        while len(cuts) < len(targets) and done >= targets[len(cuts)]:
+            cuts.append(first)
+        done += cols.size * rows.size
+    return cuts + [past] * (len(targets) - len(cuts))
+
+
+class _Window:
+    """One run's probe: the sieve bytes [b0, end) in `buffer`, and scratch
+    for the rectangles it reads.
+
+    Over a prebuilt sieve the buffer is the sieve's bytes, b0 = 0 and
+    nothing is built.  Otherwise segments are appended as the rectangles
+    reach them, and when the buffer is full the bytes below the current
+    rectangle's first index are dropped with one move.  Rectangles come in
+    increasing order of first index, so no later one reads a dropped byte.
+    A buffer of 2 * (widest rectangle + one segment) bytes always holds the
+    current rectangle, and the move never overlaps itself: the bytes kept
+    are at most the widest rectangle and a segment, and the shift is more.
     """
-    top = (sieve.limit - 1) // 2  # the sieve's largest index
-    dtype = np.uint32 if top < 2**32 else np.uint64
-    f = np.arange(y_hi, dtype=dtype) ** 2 >> 2
-    h = f << 1
-    total = 0
-    for lo in range(y_lo, y_hi, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, y_hi)
-        even, odd = slice(lo + lo % 2, hi, 2), slice(lo + 1 - lo % 2, hi, 2)
-        # (column terms, row terms) of the quadrants of the even columns,
-        # then of the odd ones, each over the even rows and the odd rows
-        by_parity = (((h, h[even]), (f, f[odd])), ((f, f[even]), (h, h[odd] + 1)))
-        for first, quadrants in zip((2, 1), by_parity):
-            for a, rows in quadrants:
-                step = 2 * (_PROBE_VALUES // max(rows.size, 1))  # x advances by 2
-                for x in range(first, lo, step):
-                    flags = sieve._flags(a[x : min(x + step, lo) : 2, None] + rows)
-                    total += 2 * int(np.count_nonzero(flags))
-        tile = np.block([[a[cols, None] + rows for a, rows in quadrants]
-                         for cols, quadrants in zip((even, odd), by_parity)])
-        order = np.r_[lo % 2 : hi - lo : 2, 1 - lo % 2 : hi - lo : 2]
-        total += int((sieve._flags(tile) * _TILE[np.ix_(order, order)]).sum())
-    return total
+
+    def __init__(self, buffer, end, segments, dtype, values):
+        self.buffer, self.b0, self.end, self.segments = buffer, 0, end, segments
+        self.build_seconds = 0.0  # summed time of the segment builds
+        self._index = np.empty(values, dtype=dtype)
+        self._bit = np.empty(values, dtype=np.uint8)
+        self._at = np.empty(values, dtype=np.intp)
+        self._flags = np.empty(values, dtype=np.uint8)
+
+    def _reach(self, first: int, last: int) -> int:
+        """Makes the bits first..last readable; returns 8 * b0, the index
+        of the buffer's first bit."""
+        need = last >> 3
+        if need >= self.end:
+            seg = _SEGMENT_BITS // 8
+            stop = min((need // seg + 1) * seg, self.segments.nbytes)
+            lo = first >> 3
+            if stop - self.b0 > self.buffer.size:
+                if lo < self.end:
+                    self.buffer[: self.end - lo] = self.buffer[lo - self.b0 : self.end - self.b0]
+                    self.b0 = lo
+                else:
+                    self.b0 = self.end = lo - lo % seg
+            started = time.perf_counter()
+            for at in range(self.end, stop, seg):
+                self.segments.fill(8 * at, self.buffer[at - self.b0 : min(at + seg, stop) - self.b0])
+            self.end = stop
+            self.build_seconds += time.perf_counter() - started
+        return 8 * self.b0
+
+    def count(self, first, last, cols, rows, weights) -> int:
+        """The weighted squarefree flags of the rectangle cols x rows
+        (indices cols[i] + rows[j], from first to last); with no weights
+        each flag counts twice.  The row terms minus 8 * b0 index the
+        window, so a lookup still costs one add (it wraps in the terms'
+        dtype, and the wrapped sum is the index in the window)."""
+        base = self._reach(first, last)
+        n = cols.size * rows.size
+        index, bit, at, flags = self._index[:n], self._bit[:n], self._at[:n], self._flags[:n]
+        np.add(cols[:, None], rows - base, out=index.reshape(cols.size, rows.size))
+        np.bitwise_and(index, 7, out=bit, casting="unsafe")
+        np.right_shift(index, 3, out=at)
+        np.take(self.buffer, at, out=flags)
+        np.right_shift(flags, bit, out=flags)
+        np.bitwise_and(flags, 1, out=flags)
+        if weights is None:
+            return 2 * int(np.count_nonzero(flags))
+        return int((flags.reshape(weights.shape) * weights).sum())
 
 
 def _check_ladder(H_values) -> list[int]:
@@ -246,6 +379,72 @@ def _check_ladder(H_values) -> list[int]:
     return H_values
 
 
+def _probe_ladder(H_values, sieve=None, threads=1):
+    """`count_pairs_ladder`'s reports, and the seconds spent building
+    segments, summed over the runs."""
+    H_values = _check_ladder(H_values)
+    start = time.perf_counter()
+    top = H_values[-1]
+    N = 2 * top**2 + 1
+    if sieve is not None and sieve.limit < N:
+        raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
+    limit = N if sieve is None else sieve.limit
+    dtype = np.uint32 if (limit - 1) // 2 < 2**32 else np.uint64
+    workers = min(max(1, int(threads)), os.cpu_count() or 1)
+    runs = 4 * workers if workers > 1 else 1  # one worker gains nothing by splitting
+    step = 2 * max(1, _PROBE_VALUES // max(1, _BLOCK_ROWS // 2))  # x advance per column chunk
+    half = (min(_BLOCK_ROWS, top) + 1) // 2  # rows of one parity in a block
+    values = half * max(half, min(step // 2, top // 2 + 1))  # a chunk's or a tile's, at most
+
+    def span(d):  # the widest h[x] - h[x - d], at the top (h is convex)
+        return 2 * (top * top >> 2) - 2 * (max(top - d, 0) ** 2 >> 2)
+
+    rows_span = span(_BLOCK_ROWS - 2)
+    widest = (max(span(step - 2), rows_span) + rows_span) // 8 + 1
+    nbytes = ((N + 1) // 2 + 7) // 8
+    window = 0 if sieve is not None else min(nbytes, 2 * (widest + _SEGMENT_BITS // 8))
+    scratch = 0 if sieve is not None else _Segments.scratch_bytes(N)
+    blocks = sum(1 for _ in _blocks(H_values))
+    itemsize = np.dtype(dtype).itemsize
+    # per worker: the window, the segment scratch, and per value the
+    # index, its bit, its byte index (intp), the flag, a copy of the flags
+    # made by np.take and the tile's weighted flags, plus 128 KiB for the
+    # buffers of numpy's casting loops; then f and h, and the streams of
+    # the merge (one block's more for the merge itself)
+    check_bytes(workers * (window + scratch + values * (itemsize + 12) + (1 << 17))
+                + 2 * itemsize * (top + 1) + 4 * (blocks + 1) * _STREAM_BYTES,
+                f"pair probe to H = {top}")
+    f = np.arange(top + 1, dtype=dtype) ** 2 >> 2
+    h = f << 1
+
+    def run(lo, hi):
+        if sieve is None:
+            win = _Window(np.empty(window, dtype=np.uint8), 0, _Segments(N), dtype, values)
+        else:
+            win = _Window(sieve._bytes, sieve._bytes.size, None, dtype, values)
+        totals, done = [0] * len(H_values), [0.0] * len(H_values)
+        for first, _, last, band, cols, rows, weights in _schedule(H_values, f, h, step, lo, hi):
+            totals[band] += win.count(first, last, cols, rows, weights)
+            done[band] = time.perf_counter() - start
+        return totals, done, win.build_seconds
+
+    cuts = []
+    if runs > 1:
+        # each row of a block reads the lo - 1 columns below it and its tile's hi - lo
+        total = sum((hi - 1) * (hi - lo) for _, lo, hi in _blocks(H_values))
+        cuts = _split(_schedule(H_values, f, h, step), total, runs, N)
+    bounds = [0] + cuts + [None]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        results = [fut.result() for fut in futures]
+    reports, S, elapsed = [], 0, 0.0
+    for band, H in enumerate(H_values):
+        S += sum(totals[band] for totals, _, _ in results)
+        elapsed = max([elapsed] + [done[band] for _, done, _ in results])
+        reports.append(PairCountReport(H, S, "value-sieve", elapsed))
+    return reports, sum(seconds for _, _, seconds in results)
+
+
 def count_pairs_ladder(
     H_values,
     sieve: SquarefreeSieve | None = None,
@@ -254,32 +453,24 @@ def count_pairs_ladder(
     """Exact S(H) for every H of a strictly increasing ladder, by one probe
     of the value sieve over the pairs x <= y up to the largest H.
 
-    The sieve is built once, for the largest H, unless one is given.  The
-    bands H_{k-1} < y <= H_k are probed in order and S(H_k) is S(H_{k-1})
-    plus its band.  Each band is cut into 4 chunks per worker at
-    sqrt-spaced rows (a row's work grows like y); the pool has
-    min(threads, cpu count) workers.  Integer subtotals are summed, so the
-    result does not depend on the worker count.
+    The pairs are read as rectangles (a block of rows of one band by a
+    chunk of columns, per parity quadrant), in increasing order of their
+    smallest sieve index, through a window of the sieve: its segments are
+    built as the probe reaches them and dropped once it has passed, so
+    the window holds a few widest rectangles' worth of bytes (about
+    3.3 MB at H = 16000, where the whole sieve is 32 MB).  With a sieve
+    given, the window is that sieve and nothing is built.  The window,
+    the scratch and the schedule are stated to `check_bytes` first.
+
+    S(H_k) is S(H_{k-1}) plus the band H_{k-1} < y <= H_k, and a row's
+    `elapsed` runs until the last rectangle of its band (and of the bands
+    below) is done.  With more than one worker the ordered rectangles are
+    cut into 4 runs per worker of about equal work, each with its own
+    window; the pool has min(threads, cpu count) workers.  Integer
+    subtotals are summed per band, so the result does not depend on the
+    worker count.
     """
-    H_values = _check_ladder(H_values)
-    start = time.perf_counter()
-    N = 2 * H_values[-1] ** 2 + 1
-    if sieve is None:
-        sieve = build_sieve(N)
-    elif sieve.limit < N:
-        raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
-    workers = min(max(1, int(threads)), os.cpu_count() or 1)
-    reports = []
-    S, y_lo = 0, 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for H in H_values:
-            cuts = np.sqrt(np.linspace(y_lo**2, (H + 1) ** 2, 4 * workers + 1)).astype(int)
-            cuts = np.unique(cuts).tolist()  # a short band has fewer rows than chunks
-            futures = [pool.submit(_count_rows, sieve, a, b) for a, b in zip(cuts, cuts[1:])]
-            S += sum(f.result() for f in futures)
-            y_lo = H + 1
-            reports.append(PairCountReport(H, S, "value-sieve", time.perf_counter() - start))
-    return reports
+    return _probe_ladder(H_values, sieve, threads)[0]
 
 
 def count_pairs_direct(

@@ -366,9 +366,10 @@ class TestErrorScan:
         assert times == sorted(times)
 
     def test_peak_is_the_larger_stage_not_their_sum(self):
-        # the sieve and its probe (a 2.5 MB sieve at H = 4500) are done and
-        # freed before constant_c sieves the primes up to 5e6 (a 13 MB peak)
-        ladder, P = [4500], 5_000_000
+        # the probe (a 2.6 MB window and its scratch, a 4.6 MB peak at
+        # H = 12000) is done and freed before constant_c sieves the primes
+        # up to 5e6 (a 13 MB peak)
+        ladder, P = [12000], 5_000_000
 
         def peak(fn, *args):
             tracemalloc.start()
@@ -386,10 +387,10 @@ class TestErrorScan:
     def test_non_integer_cutoff_rejected_before_the_sieve(self, monkeypatch, P):
         from sqfpairs import asymptotic
 
-        def refuse(N, memory_budget=None):
-            raise AssertionError("build_sieve called before P was checked")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sieve was probed before P was checked")
 
-        monkeypatch.setattr(asymptotic, "build_sieve", refuse)
+        monkeypatch.setattr(asymptotic, "_probe_ladder", refuse)
         with pytest.raises(ValueError, match="cutoff"):
             error_scan([10, 20], P)
 

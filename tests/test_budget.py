@@ -47,6 +47,8 @@ def _congruent_pair_count(H):
     (ntcore.mobius_sieve, 10**6),
     (asymptotic.constant_c, 10**6),
     (_congruent_pair_count, 10**6),
+    (counting.count_pairs_direct, 300),
+    (counting.count_pairs_direct, 8000),
 ])
 def test_peak_is_within_the_stated_bytes(monkeypatch, allocate, n):
     stated = []

@@ -227,6 +227,15 @@ class TestScan:
         assert payload["alpha"] is None  # two rows cannot support a fit
         assert payload["sieve_seconds"] >= 0
 
+    def test_sieve_seconds_are_part_of_the_elapsed_time(self, capsys):
+        # the segments are built inside the probe, so their summed build
+        # time is part of the last row's elapsed time
+        code, out, _ = run(capsys, "scan", "--H-ladder", "500,1000,3000", "--P", "100",
+                           "--output-format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert 0 < payload["sieve_seconds"] <= payload["rows"][-1]["elapsed"]
+
     def test_text_reports_sieve_build(self, capsys):
         code, out, _ = run(capsys, "scan", "--H-ladder", "20,40", "--P", "100")
         assert code == EXIT_OK
@@ -249,10 +258,10 @@ class TestScan:
         # the constant comes after the sieve, so P is checked before the build
         from sqfpairs import asymptotic
 
-        def refuse(N, memory_budget=None):
-            raise AssertionError("build_sieve called before P was checked")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sieve was probed before P was checked")
 
-        monkeypatch.setattr(asymptotic, "build_sieve", refuse)
+        monkeypatch.setattr(asymptotic, "_probe_ladder", refuse)
         code, _, err = run(capsys, "scan", "--H-ladder", "100,200", "--P", P)
         assert code == want
         assert ("cutoff" if want == EXIT_USAGE else "budget") in err

@@ -278,32 +278,33 @@ class TestCountPairsLadder:
         h0 = k * 2 * (counting._PROBE_VALUES // (rows // 2)) + d
         ladder = [h0, 2 * (h0 + 1 + rows) + 10]
         calls = []
-        count_rows = counting._count_rows
+        block_streams = counting._block_streams
 
-        def spy(sieve, y_lo, y_hi):
-            calls.append((y_lo, y_hi))
-            return count_rows(sieve, y_lo, y_hi)
+        def spy(sid, band, lo, hi, *args):
+            calls.append((lo, hi))
+            return block_streams(sid, band, lo, hi, *args)
 
-        monkeypatch.setattr(counting, "_count_rows", spy)
+        monkeypatch.setattr(counting, "_block_streams", spy)
         assert [r.S for r in count_pairs_ladder(ladder)] == full_square_counts(ladder)
         assert any(y_lo == h0 + 1 and y_hi - y_lo >= rows for y_lo, y_hi in calls)
 
-    def test_uint64_values_above_two_to_the_32(self):
+    def test_uint64_values_above_two_to_the_32(self, monkeypatch):
         # the probe's dtype follows the sieve's top index, (limit - 1) / 2:
         # uint32 up to 2**32 - 1, uint64 from 2**32 on
+        from sqfpairs import counting
         ladder = [7, 300]
         want = full_square_counts(ladder)
         sieve = build_sieve(2 * 300 * 300 + 1)
+        count = counting._Window.count
         for limit, dtype in ((2**33 - 1, np.uint32), (2**33 + 1, np.uint64)):
             wide = SquarefreeSieve(limit, sieve._bytes)
             dtypes = set()
-            read = wide._flags
 
-            def spy(index):
-                dtypes.add(index.dtype)
-                return read(index)
+            def spy(window, first, last, cols, rows, weights):
+                dtypes.update((cols.dtype, rows.dtype))
+                return count(window, first, last, cols, rows, weights)
 
-            wide._flags = spy
+            monkeypatch.setattr(counting._Window, "count", spy)
             assert [r.S for r in count_pairs_ladder(ladder, sieve=wide)] == want
             assert dtypes == {np.dtype(dtype)}
 
@@ -325,8 +326,10 @@ class TestCountPairsLadder:
         monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
         assert count_pairs_direct(90, threads=64).S == want[-1]
         assert [p.max_workers for p in recorded_pools] == [1, 3, 1]
-        # 4 chunks per worker of the capped pool, in each of the two bands
-        assert recorded_pools[1].tasks == 2 * 4 * 3
+        # one run for one worker; 4 runs per worker of the capped pool,
+        # each over a stretch of the whole ladder's schedule
+        assert recorded_pools[1].tasks == 4 * 3
+        assert recorded_pools[0].tasks == recorded_pools[2].tasks == 1
 
     def test_elapsed_non_decreasing(self):
         reps = count_pairs_ladder([5, 50, 100, 400])
@@ -343,6 +346,151 @@ class TestCountPairsLadder:
         assert count_pairs_ladder([10, 30], sieve=sieve)[-1].S == count_pairs_direct(30).S
         with pytest.raises(ValueError):
             count_pairs_ladder([10, 31], sieve=sieve)
+
+
+@pytest.fixture
+def tiny_windows(monkeypatch):
+    """Shrinks the probe: 64 flags per segment, blocks of 4 rows and one
+    column per chunk, so that at H = 300 a window holds about 2500 flags,
+    a fifth of the sieve.  Returns the list of (8 * b0, end) of the
+    windows the probe reads through."""
+    from sqfpairs import counting
+    monkeypatch.setattr(counting, "_SEGMENT_BITS", 64)
+    monkeypatch.setattr(counting, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(counting, "_PROBE_VALUES", 2)
+    states = []
+    reach = counting._Window._reach
+
+    def spy(window, first, last):
+        base = reach(window, first, last)
+        assert base <= first and last < base + 8 * window.buffer.size
+        states.append((base, window.end))
+        return base
+
+    monkeypatch.setattr(counting._Window, "_reach", spy)
+    return states
+
+
+class TestValueWindows:
+    # ladders whose bands end inside blocks, on single rows and on both parities
+    LADDERS = [[1, 2, 3, 17, 40, 41, 150, 300], [16, 17, 33, 63, 64, 65, 250]]
+
+    @pytest.mark.parametrize("ladder", LADDERS)
+    def test_window_moves_hundreds_of_times(self, tiny_windows, ladder):
+        assert [r.S for r in count_pairs_ladder(ladder)] == full_square_counts(ladder)
+        bases, ends = zip(*tiny_windows)
+        assert len(set(ends)) >= 500  # segments appended
+        assert len(set(bases)) >= 20  # bytes dropped
+        assert list(bases) == sorted(bases) and list(ends) == sorted(ends)
+
+    @pytest.mark.parametrize("ladder", LADDERS)
+    def test_threads_split_the_schedule(self, tiny_windows, monkeypatch, ladder):
+        from sqfpairs import counting
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+        want = full_square_counts(ladder)
+        for threads in (1, 3, 8):
+            assert [r.S for r in count_pairs_ladder(ladder, threads=threads)] == want
+
+    def test_default_windows_cut_blocks_and_chunks(self, monkeypatch):
+        # bands end one row into a block, one row short of one, and on its
+        # last row; the top block is a single row
+        from sqfpairs import counting
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
+        ladder = [255, 257, 511, 512, 800, 1025]
+        want = full_square_counts(ladder)
+        for threads in (1, 3, 8):
+            assert [r.S for r in count_pairs_ladder(ladder, threads=threads)] == want
+
+    @pytest.mark.parametrize("ladder", LADDERS)
+    def test_a_given_sieve_matches_built_windows(self, tiny_windows, ladder):
+        built = count_pairs_ladder(ladder)
+        assert len(tiny_windows) > 1000
+        tiny_windows.clear()
+        sieve = build_sieve(2 * ladder[-1] ** 2 + 1)
+        given = count_pairs_ladder(ladder, sieve=sieve)
+        assert [r.S for r in given] == [r.S for r in built]
+        assert set(tiny_windows) == {(0, sieve._bytes.size)}  # the whole sieve is the window
+
+    def test_segments_past_two_to_the_32(self):
+        # a segment of flags whose indices pass 2**32 (n near 8.6e9): every
+        # square up to 92,682^2 is struck from its first odd multiple
+        from sqfpairs import counting
+        lo = 2**32 - counting._SEGMENT_BITS // 2
+        N = 2 * (lo + counting._SEGMENT_BITS) - 1
+        out = np.empty(counting._SEGMENT_BITS // 8, dtype=np.uint8)
+        counting._Segments(N).fill(lo, out)
+        n = 2 * np.arange(lo, lo + counting._SEGMENT_BITS, dtype=np.int64) + 1
+        want = np.ones(n.size, dtype=bool)
+        for p in range(3, math.isqrt(N) + 1, 2):
+            if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+                first = -(-n[0] // (p * p)) * p * p
+                first += p * p * (first % 2 == 0)  # the first odd multiple
+                want[(first - n[0]) // 2 :: p * p] = False
+        np.testing.assert_array_equal(np.unpackbits(out, bitorder="little").astype(bool), want)
+
+    def test_window_is_a_fraction_of_the_sieve(self):
+        # the packed sieve to H = 12000 is 18 MB; its windows, segment and
+        # probe scratch stay under 8 MB
+        tracemalloc.start()
+        try:
+            S = count_pairs_direct(12_000).S
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S == 112_421_433
+        assert peak <= 8 * 10**6
+
+    @pytest.mark.slow
+    def test_probe_to_65535_in_a_bounded_window(self):
+        # S(65,535) as the whole 512 MiB sieve gave it
+        tracemalloc.start()
+        try:
+            S = count_pairs_direct(65_535).S
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S == 3_352_980_264
+        assert peak < 64 * 2**20
+
+
+def test_probe_refused_before_its_window():
+    def refused():
+        with budget_scope(10**5), pytest.raises(BudgetError, match="pair probe"):
+            count_pairs_direct(16_000)
+
+    tracemalloc.start()
+    try:
+        refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch):
+    # the whole sieve to H = 200,000 would be 5 GB, over the 2 GiB default;
+    # the probe states its windows, scratch and schedule instead
+    from sqfpairs import counting
+    from sqfpairs.ntcore import check_bytes
+
+    class Admitted(Exception):
+        pass
+
+    def check_then_stop(nbytes, what):
+        check_bytes(nbytes, what)
+        raise Admitted(nbytes)  # before anything is allocated
+
+    monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
+    monkeypatch.setattr(counting, "check_bytes", check_then_stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Admitted) as admitted:
+            count_pairs_direct(200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert admitted.value.args[0] < 2**26
+    assert peak < 2**16
 
 
 class TestResidueCount:
