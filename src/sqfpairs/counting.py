@@ -9,9 +9,9 @@ Two independent routes compute the same integer:
   counts twice).  The pairs are read in increasing order of their sieve
   index through a window a few widest rectangles long, whose segments are
   built as the probe reaches them, so the sieve is never held whole (a
-  whole one, from `build_sieve`, can be passed in instead).  A ladder of
-  heights is probed once, up to its top, and each S(H) is read off as the
-  running sum over the bands between heights, and
+  whole one, from `build_sieve`, can be passed in and is copied into the
+  windows instead).  A ladder of heights is probed once, up to its top,
+  and each S(H) is read off as the running sum over the bands, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
   sum over squarefree d of T(H, d^2), the number of pairs with
   d^2 | x^2 + y^2 + 1, each T counted by matching the squares x^2 mod d^2
@@ -74,22 +74,11 @@ class SquarefreeSieve:
         self.limit = limit
         self._bytes = packed  # uint8, little bit order: bit k of byte j is index 8j+k
 
-    def is_squarefree(self, n: int) -> bool:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n must be in [1, {self.limit}], got {n}")
-        i = n >> (2 - (n & 1))  # index of n if odd, else of n/2
-        return n % 4 != 0 and bool((self._bytes[i >> 3] >> (i & 7)) & 1)
-
-    def lookup(self, values: np.ndarray) -> np.ndarray:
-        """0/1 flags for an array of values in [1, limit] (uint32 is kept,
-        any other integer dtype is read as uint64).  An odd n reads index
-        n >> 1 and an even n index n >> 2, the index of n/2 when
-        n = 2 (mod 4); multiples of 4 read 0.  A value whose index is past
-        the array raises IndexError (`np.take` checks it)."""
-        v = values if values.dtype == np.uint32 else values.astype(np.uint64, copy=False)
-        index = v >> (2 - (v & 1))
-        bit = np.bitwise_and(index, 7, dtype=np.uint8, casting="unsafe")
-        return (np.take(self._bytes, index >> 3) >> bit) & np.uint8(1) & (v & 3 != 0)
+    def fill(self, lo: int, out: np.ndarray) -> None:
+        """Copies the flags lo, lo + 1, .. (lo a multiple of 8) into the
+        bytes `out`, as `_Segments.fill` sieves them: the probe reads a
+        given sieve through the same windows as the flags it builds."""
+        out[:] = self._bytes[lo >> 3 : (lo >> 3) + out.size]
 
     def _count_bits(self, nbits: int) -> int:
         """Set bits among the first nbits.  Whole bytes are popcounted by
@@ -132,8 +121,7 @@ class _Segments:
 
     def __init__(self, N: int):
         self.nbits = (N + 1) // 2
-        self.nbytes = (self.nbits + 7) // 8
-        seg_bits = min(_SEGMENT_BITS, self.nbytes * 8)  # a short sieve needs no more
+        seg_bits = min(_SEGMENT_BITS, (self.nbits + 7) // 8 * 8)  # a short sieve needs no more
         squares = primes_upto(math.isqrt(N)) ** 2
         squares = squares[squares > _WHEEL_SQUARES[-1]]
         self.small = squares[squares < _SEGMENT_BITS].tolist()
@@ -203,10 +191,9 @@ class PairCountReport:
     """One exact count: S pairs among x, y <= H, with route and timing.
 
     `elapsed` is the time from the start of the call that made the report
-    until its S was known.  For the value sieve that includes building the
-    sieve's segments when the call built them (sieve=None), and only the
-    probe when a sieve was passed in; along a ladder it grows from row to
-    row.
+    until its S was known.  For the value sieve that includes filling the
+    windows: building their segments, or copying them when a sieve was
+    passed in.  Along a ladder it grows from row to row.
     """
 
     H: int
@@ -224,26 +211,32 @@ _PROBE_VALUES = 1 << 15
 _TILE = np.triu(np.full((_BLOCK_ROWS, _BLOCK_ROWS), 2, dtype=np.uint8), 1)
 _TILE += np.eye(_BLOCK_ROWS, dtype=np.uint8)
 # Bytes stated per quadrant stream of the schedule (generator, frame and
-# row terms; 1.1-1.4 KB measured).
+# row terms; 1.5-1.6 KB measured from H = 16000 to 100,000).
 _STREAM_BYTES = 2048
 
 
-def _quadrant(sid, band, a, rows, x0, lo, tile_cols, weights, step, start):
+def _quadrant(sid, band, terms, rows, x0, lo, tile, weights, step, start):
     """One quadrant's rectangles, in increasing order of first index, as
     (first index, sid, last index, band, column terms, row terms, weights):
     the columns x0, x0 + 2, .. below the block's first row lo in chunks
     that start every `step` in x (weights None: each pair counts twice),
-    then the tile's columns of the same parity, weighted.  Rectangles whose
-    first index is below `start` are skipped."""
-    r0, r1 = int(rows[0]), int(rows[-1])
+    then the tile's columns, the slice `tile`, weighted.  Rectangles whose
+    first index is below `start` are skipped.
+
+    The column `terms` come as a pair, exact and mod 2^32, and the `rows`
+    as the exact first and last row terms and all of them mod 2^32.  The
+    exact terms give the first and last indices, which order the probe,
+    and the rectangle carries the terms mod 2^32, which index the window."""
+    (a, a32), (r0, r1, rows) = terms, rows
     xs = range(x0, lo, step)
     skip = bisect.bisect_left(xs, start - r0, key=lambda x: int(a[x])) if start else 0
     for x in xs[skip:]:
-        cols = a[x : min(x + step, lo) : 2]
-        yield int(cols[0]) + r0, sid, int(cols[-1]) + r1, band, cols, rows, None
-    if tile_cols.size and int(tile_cols[0]) + r0 >= start:
-        yield (int(tile_cols[0]) + r0, sid, int(tile_cols[-1]) + r1, band, tile_cols, rows,
-               weights[: tile_cols.size, : rows.size])
+        cols = slice(x, min(x + step, lo), 2)
+        yield int(a[x]) + r0, sid, int(a[cols][-1]) + r1, band, a32[cols], rows, None
+    exact = a[tile]
+    if exact.size and int(exact[0]) + r0 >= start:
+        yield (int(exact[0]) + r0, sid, int(exact[-1]) + r1, band, a32[tile], rows,
+               weights[: exact.size, : rows.size])
 
 
 def _block_streams(sid, band, lo, hi, f, h, step, start):
@@ -256,17 +249,20 @@ def _block_streams(sid, band, lo, hi, f, h, step, start):
     parities differ it is twice the odd number at index f[x] + f[y].  So
     each value costs one add.  Same-parity pairs index near (x^2 + y^2)/2
     and mixed ones near (x^2 + y^2)/4, which is why each quadrant of the
-    diagonal tile is a rectangle of its own."""
+    diagonal tile is a rectangle of its own.  f and h are pairs: the exact
+    terms and the terms mod 2^32."""
     even, odd = slice(lo + lo % 2, hi, 2), slice(lo + 1 - lo % 2, hi, 2)
-    # (column terms, first column, column slice of the tile, row slice, row terms)
-    quadrants = ((h, 2, even, even, h[even]), (f, 2, even, odd, f[odd]),
-                 (f, 1, odd, even, f[even]), (h, 1, odd, odd, h[odd] + 1))
+    # (terms, first column, column slice of the tile, row slice, added to the row terms)
+    quadrants = ((h, 2, even, even, 0), (f, 2, even, odd, 0),
+                 (f, 1, odd, even, 0), (h, 1, odd, odd, 1))
     streams = []
-    for a, x0, cols, rows, terms in quadrants:
-        if terms.size:
+    for (a, a32), x0, cols, rows, plus in quadrants:
+        if rows.start < hi:
             weights = _TILE[cols.start - lo :: 2, rows.start - lo :: 2]
-            streams.append(_quadrant(sid + len(streams), band, a, terms, x0, lo, a[cols],
-                                     weights, step, start))
+            rows32 = a32[rows] + plus if plus else a32[rows]  # a view when nothing is added
+            row_terms = int(a[rows][0]) + plus, int(a[rows][-1]) + plus, rows32
+            streams.append(_quadrant(sid + len(streams), band, (a, a32), row_terms, x0, lo,
+                                     cols, weights, step, start))
     return streams
 
 
@@ -308,20 +304,24 @@ class _Window:
     """One run's probe: the sieve bytes [b0, end) in `buffer`, and scratch
     for the rectangles it reads.
 
-    Over a prebuilt sieve the buffer is the sieve's bytes, b0 = 0 and
-    nothing is built.  Otherwise segments are appended as the rectangles
-    reach them, and when the buffer is full the bytes below the current
-    rectangle's first index are dropped with one move.  Rectangles come in
-    increasing order of first index, so no later one reads a dropped byte.
-    A buffer of 2 * (widest rectangle + one segment) bytes always holds the
-    current rectangle, and the move never overlaps itself: the bytes kept
-    are at most the widest rectangle and a segment, and the shift is more.
+    A source's `fill(lo, out)` supplies the sieve's first `nbytes` bytes:
+    `_Segments` sieves them and a given `SquarefreeSieve` copies them.
+    Segments are appended as the rectangles reach them, and when the
+    buffer is full the bytes below the current rectangle's first index are
+    dropped with one move.  Rectangles come in increasing order of first
+    index, so no later one reads a dropped byte.  A buffer of
+    2 * (widest rectangle + one segment) bytes always holds the current
+    rectangle, and the move never overlaps itself: the bytes kept are at
+    most the widest rectangle and a segment, and the shift is more.  The
+    buffer holds fewer than 2^32 bits (`_probe_ladder` refuses a larger
+    one), so every index into it fits a uint32.
     """
 
-    def __init__(self, buffer, end, segments, dtype, values):
-        self.buffer, self.b0, self.end, self.segments = buffer, 0, end, segments
-        self.build_seconds = 0.0  # summed time of the segment builds
-        self._index = np.empty(values, dtype=dtype)
+    def __init__(self, buffer, nbytes, source, values):
+        self.buffer, self.nbytes, self.source = buffer, nbytes, source
+        self.b0 = self.end = 0
+        self.build_seconds = 0.0  # summed time of the segment fills
+        self._index = np.empty(values, dtype=np.uint32)
         self._bit = np.empty(values, dtype=np.uint8)
         self._at = np.empty(values, dtype=np.intp)
         self._flags = np.empty(values, dtype=np.uint8)
@@ -332,7 +332,7 @@ class _Window:
         need = last >> 3
         if need >= self.end:
             seg = _SEGMENT_BITS // 8
-            stop = min((need // seg + 1) * seg, self.segments.nbytes)
+            stop = min((need // seg + 1) * seg, self.nbytes)
             lo = first >> 3
             if stop - self.b0 > self.buffer.size:
                 if lo < self.end:
@@ -342,21 +342,22 @@ class _Window:
                     self.b0 = self.end = lo - lo % seg
             started = time.perf_counter()
             for at in range(self.end, stop, seg):
-                self.segments.fill(8 * at, self.buffer[at - self.b0 : min(at + seg, stop) - self.b0])
+                self.source.fill(8 * at, self.buffer[at - self.b0 : min(at + seg, stop) - self.b0])
             self.end = stop
             self.build_seconds += time.perf_counter() - started
         return 8 * self.b0
 
     def count(self, first, last, cols, rows, weights) -> int:
-        """The weighted squarefree flags of the rectangle cols x rows
-        (indices cols[i] + rows[j], from first to last); with no weights
-        each flag counts twice.  The row terms minus 8 * b0 index the
-        window, so a lookup still costs one add (it wraps in the terms'
-        dtype, and the wrapped sum is the index in the window)."""
+        """The weighted squarefree flags of the rectangle cols x rows,
+        whose indices cols[i] + rows[j] run from first to last; with no
+        weights each flag counts twice.  The terms come mod 2^32 in uint32,
+        and with 8 * b0 taken off the row terms a lookup still costs one
+        add: the sum, mod 2^32, is the index in the window, which is below
+        2^32."""
         base = self._reach(first, last)
         n = cols.size * rows.size
         index, bit, at, flags = self._index[:n], self._bit[:n], self._at[:n], self._flags[:n]
-        np.add(cols[:, None], rows - base, out=index.reshape(cols.size, rows.size))
+        np.add(cols[:, None], rows - base % 2**32, out=index.reshape(cols.size, rows.size))
         np.bitwise_and(index, 7, out=bit, casting="unsafe")
         np.right_shift(index, 3, out=at)
         np.take(self.buffer, at, out=flags)
@@ -380,18 +381,15 @@ def _check_ladder(H_values) -> list[int]:
 
 
 def _probe_ladder(H_values, sieve=None, threads=1):
-    """`count_pairs_ladder`'s reports, and the seconds spent building
-    segments, summed over the runs."""
+    """`count_pairs_ladder`'s reports, and the seconds spent filling
+    windows, summed over the runs."""
     H_values = _check_ladder(H_values)
     start = time.perf_counter()
     top = H_values[-1]
     N = 2 * top**2 + 1
     if sieve is not None and sieve.limit < N:
         raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
-    limit = N if sieve is None else sieve.limit
-    dtype = np.uint32 if (limit - 1) // 2 < 2**32 else np.uint64
     workers = min(max(1, int(threads)), os.cpu_count() or 1)
-    runs = 4 * workers if workers > 1 else 1  # one worker gains nothing by splitting
     step = 2 * max(1, _PROBE_VALUES // max(1, _BLOCK_ROWS // 2))  # x advance per column chunk
     half = (min(_BLOCK_ROWS, top) + 1) // 2  # rows of one parity in a block
     values = half * max(half, min(step // 2, top // 2 + 1))  # a chunk's or a tile's, at most
@@ -402,26 +400,25 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     rows_span = span(_BLOCK_ROWS - 2)
     widest = (max(span(step - 2), rows_span) + rows_span) // 8 + 1
     nbytes = ((N + 1) // 2 + 7) // 8
-    window = 0 if sieve is not None else min(nbytes, 2 * (widest + _SEGMENT_BITS // 8))
-    scratch = 0 if sieve is not None else _Segments.scratch_bytes(N)
+    window = min(nbytes, 2 * (widest + _SEGMENT_BITS // 8))
+    if 8 * window >= 2**32:
+        raise ValueError(f"pair probe to H = {top} needs a window of {window} bytes, "
+                         "2^32 bits or more, past its uint32 indices")
     blocks = sum(1 for _ in _blocks(H_values))
-    itemsize = np.dtype(dtype).itemsize
-    # per worker: the window, the segment scratch, and per value the
+    # per worker: the window, the segment scratch, and per value the uint32
     # index, its bit, its byte index (intp), the flag, a copy of the flags
     # made by np.take and the tile's weighted flags, plus 128 KiB for the
-    # buffers of numpy's casting loops; then f and h, and the streams of
-    # the merge (one block's more for the merge itself)
-    check_bytes(workers * (window + scratch + values * (itemsize + 12) + (1 << 17))
-                + 2 * itemsize * (top + 1) + 4 * (blocks + 1) * _STREAM_BYTES,
+    # buffers of numpy's casting loops; then f and h, exact and mod 2^32,
+    # and the streams of the merge (one block's more for the merge itself)
+    check_bytes(workers * (window + _Segments.scratch_bytes(N) + 16 * values + (1 << 17))
+                + 24 * (top + 1) + 4 * (blocks + 1) * _STREAM_BYTES,
                 f"pair probe to H = {top}")
-    f = np.arange(top + 1, dtype=dtype) ** 2 >> 2
+    f = np.arange(top + 1, dtype=np.uint64) ** 2 >> 2
     h = f << 1
+    f, h = (f, f.astype(np.uint32)), (h, h.astype(np.uint32))  # exact, and mod 2^32
 
     def run(lo, hi):
-        if sieve is None:
-            win = _Window(np.empty(window, dtype=np.uint8), 0, _Segments(N), dtype, values)
-        else:
-            win = _Window(sieve._bytes, sieve._bytes.size, None, dtype, values)
+        win = _Window(np.empty(window, dtype=np.uint8), nbytes, sieve or _Segments(N), values)
         totals, done = [0] * len(H_values), [0.0] * len(H_values)
         for first, _, last, band, cols, rows, weights in _schedule(H_values, f, h, step, lo, hi):
             totals[band] += win.count(first, last, cols, rows, weights)
@@ -429,10 +426,10 @@ def _probe_ladder(H_values, sieve=None, threads=1):
         return totals, done, win.build_seconds
 
     cuts = []
-    if runs > 1:
+    if workers > 1:
         # each row of a block reads the lo - 1 columns below it and its tile's hi - lo
         total = sum((hi - 1) * (hi - lo) for _, lo, hi in _blocks(H_values))
-        cuts = _split(_schedule(H_values, f, h, step), total, runs, N)
+        cuts = _split(_schedule(H_values, f, h, step), total, workers, N)
     bounds = [0] + cuts + [None]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -459,13 +456,15 @@ def count_pairs_ladder(
     built as the probe reaches them and dropped once it has passed, so
     the window holds a few widest rectangles' worth of bytes (about
     3.3 MB at H = 16000, where the whole sieve is 32 MB).  With a sieve
-    given, the window is that sieve and nothing is built.  The window,
-    the scratch and the schedule are stated to `check_bytes` first.
+    given, the windows copy its segments instead.  A top H above
+    2,809,682, whose window would reach 2^32 bits (its indices are
+    uint32), is refused with ValueError; then the window, the scratch and
+    the schedule are stated to `check_bytes`, before any allocation.
 
     S(H_k) is S(H_{k-1}) plus the band H_{k-1} < y <= H_k, and a row's
     `elapsed` runs until the last rectangle of its band (and of the bands
     below) is done.  With more than one worker the ordered rectangles are
-    cut into 4 runs per worker of about equal work, each with its own
+    cut into one run per worker of about equal work, each with its own
     window; the pool has min(threads, cpu count) workers.  Integer
     subtotals are summed per band, so the result does not depend on the
     worker count.

@@ -53,9 +53,11 @@ class TestCount:
         assert all(set(r) == {"H", "S", "method", "elapsed"} for r in payload)
 
     def test_invalid_H(self, capsys):
-        code, _, err = run(capsys, "count", "--H", "0")
-        assert code == EXIT_USAGE
-        assert "error" in err
+        # 3,000,000 needs a probe window of 2^32 bits or more
+        for H in ("0", "3000000"):
+            code, _, err = run(capsys, "count", "--H", H)
+            assert code == EXIT_USAGE
+            assert "error" in err
 
     def test_budget_exit(self, capsys):
         code, _, err = run(capsys, "count", "--H", "100000", "--memory-budget", "1000")

@@ -59,15 +59,25 @@ def oracle_flags(N):
     return flags
 
 
+def read_flag(sieve, n):
+    """n's squarefree flag from the packed bits of the odd n: bit n >> 1
+    for an odd n, the flag of the odd n/2 when n = 2 (mod 4), and False
+    when 4 | n."""
+    if n % 4 == 0:
+        return False
+    i = n >> (2 - (n & 1))
+    return bool(sieve._bytes[i >> 3] >> (i & 7) & 1)
+
+
 class TestBuildSieve:
     def test_small(self):
         sieve = build_sieve(10)
-        got = {n for n in range(1, 11) if sieve.is_squarefree(n)}
+        got = {n for n in range(1, 11) if read_flag(sieve, n)}
         assert got == {1, 2, 3, 5, 6, 7, 10}
 
     def test_single_entry(self):
         sieve = build_sieve(1)
-        assert sieve.is_squarefree(1)
+        assert read_flag(sieve, 1)
         assert sieve.count_squarefree() == 1
 
     def test_matches_mobius_square(self):
@@ -75,7 +85,7 @@ class TestBuildSieve:
         rng = random.Random(17)
         for _ in range(1000):
             n = rng.randrange(1, 10**5 + 1)
-            assert sieve.is_squarefree(n) == (mobius(n) ** 2 == 1)
+            assert read_flag(sieve, n) == (mobius(n) ** 2 == 1)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetError), budget_scope(100):
@@ -84,41 +94,6 @@ class TestBuildSieve:
             build_sieve(0)
         with pytest.raises(ValueError), budget_scope(0):  # a budget <= 0 is a usage error
             build_sieve(10)
-
-    def test_lookup_vectorized(self):
-        sieve = build_sieve(5000)
-        vals = np.arange(1, 5001, dtype=np.uint64)
-        flags = sieve.lookup(vals)
-        assert flags.sum() == sieve.count_squarefree(5000)
-        for n in (1, 4, 8, 9, 12, 49, 50, 4999):
-            assert bool(flags[n - 1]) == is_squarefree_oracle(n)
-
-    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
-    def test_lookup_every_bit_position(self, dtype):
-        # the last odd flag at each bit of its byte; the values cover n mod 16
-        want = oracle_flags(1015)
-        for N in range(1000, 1016):
-            sieve = build_sieve(N)
-            flags = sieve.lookup(np.arange(1, N + 1, dtype=dtype))
-            assert flags.dtype == np.uint8
-            np.testing.assert_array_equal(flags, want[1 : N + 1])
-            assert flags[-1] == sieve.is_squarefree(N) == want[N]
-
-    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
-    def test_lookup_past_the_array_raises(self, dtype):
-        sieve = build_sieve(1000)
-        past = sieve._bytes.size * 8  # the first index whose byte is not stored
-        assert past > 500  # the 500 flags of the odd n <= 1000 leave padding bits
-        # the last padding bit, read as an odd n and as n = 2 (mod 4)
-        edge = np.array([2 * past - 1, 4 * past - 2], dtype=dtype)
-        assert sieve.lookup(edge).tolist() == [0, 0]
-        for bad in (2 * past + 1, 4 * past, 4 * past + 2, 2**31 + 3):
-            with pytest.raises(IndexError):
-                sieve.lookup(np.array([5, bad], dtype=dtype))
-        if dtype != np.uint32:  # read as uint64: no negative index wraps to the end
-            for bad in (2**63 + 5, 2**64 - 1):
-                with pytest.raises(IndexError):
-                    sieve.lookup(np.array([bad], dtype=np.uint64).astype(dtype))
 
     def test_count_prefix(self):
         sieve = build_sieve(1000)
@@ -134,7 +109,7 @@ class TestBuildSieve:
         n = edge + 17
         sieve = build_sieve(n)
         for probe in (n, n - 1, edge - 1, edge, edge + 1, edge + 2, 12345):
-            assert sieve.is_squarefree(probe) == is_squarefree_oracle(probe)
+            assert read_flag(sieve, probe) == is_squarefree_oracle(probe)
 
     @pytest.mark.parametrize("segment", [None, 64, 1024])
     def test_packed_bytes_match_oracle(self, segment, monkeypatch):
@@ -289,27 +264,28 @@ class TestCountPairsLadder:
         assert any(y_lo == h0 + 1 and y_hi - y_lo >= rows for y_lo, y_hi in calls)
 
     def test_uint64_values_above_two_to_the_32(self, monkeypatch):
-        # the probe's dtype follows the sieve's top index, (limit - 1) / 2:
-        # uint32 up to 2**32 - 1, uint64 from 2**32 on
+        # a given sieve whose top index, (limit - 1) / 2, is below or past
+        # 2**32 is read the same way: every rectangle carries uint32 terms
+        # and the window is indexed in uint32
         from sqfpairs import counting
         ladder = [7, 300]
         want = full_square_counts(ladder)
         sieve = build_sieve(2 * 300 * 300 + 1)
         count = counting._Window.count
-        for limit, dtype in ((2**33 - 1, np.uint32), (2**33 + 1, np.uint64)):
+        for limit in (2**33 - 1, 2**33 + 1):
             wide = SquarefreeSieve(limit, sieve._bytes)
             dtypes = set()
 
             def spy(window, first, last, cols, rows, weights):
-                dtypes.update((cols.dtype, rows.dtype))
+                dtypes.add((cols.dtype, rows.dtype, window._index.dtype))
                 return count(window, first, last, cols, rows, weights)
 
             monkeypatch.setattr(counting._Window, "count", spy)
             assert [r.S for r in count_pairs_ladder(ladder, sieve=wide)] == want
-            assert dtypes == {np.dtype(dtype)}
+            assert dtypes == {(np.dtype(np.uint32),) * 3}
 
     def test_threads_do_not_change_result(self, monkeypatch):
-        # bands of 1 to 3 rows are shorter than the 4 chunks per worker
+        # bands of 1 to 3 rows, split among 3 and 8 runs
         from sqfpairs import counting
         monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
         ladder = [1, 2, 3, 6, 7, 40, 41, 300]
@@ -326,9 +302,9 @@ class TestCountPairsLadder:
         monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
         assert count_pairs_direct(90, threads=64).S == want[-1]
         assert [p.max_workers for p in recorded_pools] == [1, 3, 1]
-        # one run for one worker; 4 runs per worker of the capped pool,
-        # each over a stretch of the whole ladder's schedule
-        assert recorded_pools[1].tasks == 4 * 3
+        # one run per worker of the capped pool, each over a stretch of
+        # the whole ladder's schedule
+        assert recorded_pools[1].tasks == 3
         assert recorded_pools[0].tasks == recorded_pools[2].tasks == 1
 
     def test_elapsed_non_decreasing(self):
@@ -403,13 +379,17 @@ class TestValueWindows:
 
     @pytest.mark.parametrize("ladder", LADDERS)
     def test_a_given_sieve_matches_built_windows(self, tiny_windows, ladder):
+        # a given sieve, even one past the ladder's top, is copied into the
+        # same windows as the built segments, state for state
         built = count_pairs_ladder(ladder)
-        assert len(tiny_windows) > 1000
-        tiny_windows.clear()
-        sieve = build_sieve(2 * ladder[-1] ** 2 + 1)
-        given = count_pairs_ladder(ladder, sieve=sieve)
-        assert [r.S for r in given] == [r.S for r in built]
-        assert set(tiny_windows) == {(0, sieve._bytes.size)}  # the whole sieve is the window
+        states = list(tiny_windows)
+        assert len(states) > 1000
+        for extra in (0, 1000):
+            tiny_windows.clear()
+            sieve = build_sieve(2 * ladder[-1] ** 2 + 1 + extra)
+            given = count_pairs_ladder(ladder, sieve=sieve)
+            assert [r.S for r in given] == [r.S for r in built]
+            assert tiny_windows == states
 
     def test_segments_past_two_to_the_32(self):
         # a segment of flags whose indices pass 2**32 (n near 8.6e9): every
@@ -440,6 +420,65 @@ class TestValueWindows:
         assert S == 112_421_433
         assert peak <= 8 * 10**6
 
+    def test_window_indices_past_two_to_the_32(self):
+        # A window near bit 2**33 + 2**32, read through rectangles whose
+        # terms are above 2**32 and are passed mod 2**32, as the schedule
+        # passes them: the uint32 sums wrap to indices in the window, and
+        # must flag what Python ints indexing the source do.
+        from sqfpairs import counting
+
+        def byte(k):  # a fixed byte for each absolute byte index k
+            return k * 2654435761 >> 11 & 0xFF
+
+        class Source:
+            def fill(self, lo, out):
+                k = np.arange(lo >> 3, (lo >> 3) + out.size, dtype=np.uint64)
+                out[:] = k * np.uint64(2654435761) >> np.uint64(11) & np.uint64(0xFF)
+
+        i, j = np.arange(64, dtype=np.uint64), np.arange(32, dtype=np.uint64)
+        cols, rows = 2**33 + 3 * i * i + 5 * i, 2**32 + 11 * j * j + j
+        weights = np.random.default_rng(5).integers(0, 3, (64, 32), dtype=np.uint8)
+        buffer = np.empty(2 * (4096 + counting._SEGMENT_BITS // 8), dtype=np.uint8)
+        win = counting._Window(buffer, 2**31, Source(), cols.size * rows.size)
+        bases = set()
+        for t in range(12):
+            c = cols + np.uint64(t * 300_007)
+            w = None if t % 2 else weights
+            got = win.count(int(c[0] + rows[0]), int(c[-1] + rows[-1]),
+                            c.astype(np.uint32), rows.astype(np.uint32), w)
+            want = 0
+            for a, x in enumerate(c.tolist()):
+                for b, y in enumerate(rows.tolist()):
+                    flag = byte((x + y) >> 3) >> ((x + y) & 7) & 1
+                    want += (2 if w is None else int(w[a, b])) * flag
+            assert got == want, t
+            bases.add(8 * win.b0)
+        assert min(bases) >= 2**33 + 2**32 and len(bases) > 1  # the window moved
+
+    def test_schedule_exact_past_two_to_the_32(self, monkeypatch):
+        # h[x] passes 2**32 at x = 92,682: the rectangles to H = 100,000
+        # still come in increasing order of their exact first index, weigh
+        # every pair (x, y) of the square once, and carry their terms
+        # mod 2**32
+        from sqfpairs import counting
+        H, seen = 100_000, []
+
+        def record(window, first, last, cols, rows, weights):
+            assert cols.dtype == rows.dtype == np.uint32
+            assert (int(cols[0]) + int(rows[0]) - first) % 2**32 == 0
+            assert (int(cols[-1]) + int(rows[-1]) - last) % 2**32 == 0
+            seen.append((first, last, 2 * cols.size * rows.size if weights is None
+                         else int(weights.sum())))
+            return 0
+
+        monkeypatch.setattr(counting._Window, "count", record)
+        count_pairs_direct(H)
+        firsts, lasts, pairs = zip(*seen)
+        assert list(firsts) == sorted(firsts)
+        assert all(f <= l for f, l in zip(firsts, lasts))
+        assert max(lasts) == H * H  # the index of 2 * H^2 + 1, from (H, H)
+        assert sum(pairs) == H * H
+
     @pytest.mark.slow
     def test_probe_to_65535_in_a_bounded_window(self):
         # S(65,535) as the whole 512 MiB sieve gave it
@@ -451,6 +490,12 @@ class TestValueWindows:
             tracemalloc.stop()
         assert S == 3_352_980_264
         assert peak < 64 * 2**20
+
+    @pytest.mark.slow
+    def test_probe_to_100000(self):
+        # S(100,000) as the probe with uint64 index terms gave it; the top
+        # index, 10^10, is past 2^33
+        assert count_pairs_direct(100_000).S == 7_806_983_582
 
 
 def test_probe_refused_before_its_window():
@@ -491,6 +536,40 @@ def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch):
         tracemalloc.stop()
     assert admitted.value.args[0] < 2**26
     assert peak < 2**16
+
+
+def test_probe_past_uint32_windows_refused(monkeypatch):
+    # Window indices are uint32, so the window must hold fewer than 2^32
+    # bits: H = 2,809,682 is the largest top admitted, and H = 3,000,000
+    # (a 547 MiB window, within the default budget) is refused before any
+    # allocation.  A probe the budget admits stops at once.
+    from sqfpairs import counting
+    from sqfpairs.ntcore import check_bytes
+
+    class Admitted(Exception):
+        pass
+
+    def check_then_stop(nbytes, what):
+        check_bytes(nbytes, what)
+        raise Admitted(nbytes)
+
+    def refused():
+        with pytest.raises(ValueError, match="uint32"):
+            count_pairs_direct(3_000_000)
+
+    monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
+    monkeypatch.setattr(counting, "check_bytes", check_then_stop)
+    tracemalloc.start()
+    try:
+        refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(Admitted):
+        count_pairs_direct(2_809_682)
+    with pytest.raises(ValueError, match="uint32"):
+        count_pairs_direct(2_809_683)
 
 
 class TestResidueCount:
