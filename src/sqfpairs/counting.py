@@ -431,9 +431,12 @@ def _probe_ladder(H_values, sieve=None, threads=1):
         total = sum((hi - 1) * (hi - lo) for _, lo, hi in _blocks(H_values))
         cuts = _split(_schedule(H_values, f, h, step), total, workers, N)
     bounds = [0] + cuts + [None]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        results = [fut.result() for fut in futures]
+    runs = list(zip(bounds, bounds[1:]))
+    # the first run goes in this thread, so one worker starts no thread
+    # (and no second malloc arena)
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in runs[1:]]
+        results = [run(*runs[0])] + [fut.result() for fut in futures]
     reports, S, elapsed = [], 0, 0.0
     for band, H in enumerate(H_values):
         S += sum(totals[band] for totals, _, _ in results)
@@ -465,7 +468,8 @@ def count_pairs_ladder(
     `elapsed` runs until the last rectangle of its band (and of the bands
     below) is done.  With more than one worker the ordered rectangles are
     cut into one run per worker of about equal work, each with its own
-    window; the pool has min(threads, cpu count) workers.  Integer
+    window; there are min(threads, cpu count) workers, the calling
+    thread and a pool of the others.  Integer
     subtotals are summed per band, so the result does not depend on the
     worker count.
     """

@@ -9,10 +9,13 @@ the 1e-6 comparison tolerance for every modulus in scope.
 `kloosterman_direct` and `gauss_closed_odd` broadcast over their
 arguments: n and m may be ints or integer arrays, and one call evaluates
 every (n, m) pair against the same phase table, so a sweep over many
-arguments costs one call per modulus.  The FFT helpers
-(`gauss_direct_table`, `kloosterman_row`) evaluate the direct sums for
-the whole residue grid at once; they exist because several verification
-sweeps range over all (n, m) pairs.
+arguments costs one call per modulus.  `kloosterman_direct` gathers its
+phases CHUNK_ENTRIES (pair, unit) entries at a time, so beside its
+tables and its result it holds under 1 MiB however many pairs and units
+it sums.  The FFT helpers evaluate the direct sums for many arguments at
+once: `kloosterman_row` for every m at one n, and `gauss_direct_table`
+for every m at the rows n it is given (all of [0, q) by default), so a
+verification sweep builds only the rows it compares, a slab at a time.
 
 Every evaluator here and in `lambdasums` checks its modulus with
 `ntcore._check_modulus` and its arguments with `ntcore._reduce`, which
@@ -23,7 +26,7 @@ Each call builds the per-residue tables it reads (`phase_table`,
 `unit_table`) and keeps none, and a table whose RESIDUE_BYTES per entry
 exceed the memory budget raises BudgetError before it is allocated; so
 does a broadcast direct sum whose (pairs x terms) grid, at GRID_BYTES
-per entry, exceeds it.
+per entry, exceeds it, though it sums that grid a chunk at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // RESIDUE_BYTES
 # Bytes stated per entry of a broadcast direct sum's (pairs x terms)
 # grid: the index arithmetic and the gathered phases peak at 24.
 GRID_BYTES = 32
+# A broadcast direct sum gathers at most this many (pair, term) phases at
+# a time: with their indices, 0.75 MiB.
+CHUNK_ENTRIES = 1 << 15
 
 
 def complex_close(a, b, tol: float = TOLERANCE):
@@ -179,28 +185,56 @@ def kloosterman_direct(q: int, n, m):
     beyond int64 are accepted.  The modulus is checked against the
     ceiling, then the (pairs x units) grid is stated to the budget at
     GRID_BYTES per entry, with q units, before the units are listed.
+    The sums run over blocks of pairs by chunks of units, at most
+    CHUNK_ENTRIES entries at a time.
     """
     q = _check_table(q, "kloosterman_direct")
     n, m = _reduce(q, n), _reduce(q, m)
     _check_grid(n, m, q, f"kloosterman_direct({q})")
     units, invs = unit_table(q)
-    t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
-    total = phase_table(q)[t].sum(axis=-1)
-    return complex(total) if total.ndim == 0 else total
+    roots = phase_table(q)
+    shape = np.broadcast(n, m).shape
+    nm = np.empty((2,) + shape, dtype=np.int64)  # the pairs, flattened below
+    nm[0], nm[1] = n, m
+    n, m = nm.reshape(2, -1)
+    total = np.zeros(n.size, dtype=complex)
+    block = max(1, min(n.size, CHUNK_ENTRIES))  # pairs per block
+    width = max(1, CHUNK_ENTRIES // block)  # units per chunk
+    for lo in range(0, n.size, block):
+        ns, ms = n[lo : lo + block], m[lo : lo + block]
+        for at in range(0, units.size, width):
+            t = np.multiply.outer(ns, units[at : at + width])
+            t += np.multiply.outer(ms, invs[at : at + width])
+            t %= q
+            total[lo : lo + block] += np.take(roots, t).sum(axis=-1)
+    return complex(total[0]) if shape == () else total.reshape(shape)
 
 
-def gauss_direct_table(q: int) -> np.ndarray:
-    """gauss_direct(q, n, m) for every (n, m) in [0, q)^2, as a (q, q) array.
+def gauss_direct_table(q: int, rows=None) -> np.ndarray:
+    """gauss_direct(q, n, m) for every n in `rows` and every m in [0, q),
+    as an array of shape rows.shape + (q,); with rows None, every n in
+    [0, q), as a (q, q) array.
 
-    Batched direct summation: row n is the inverse DFT, scaled by q, of
-    x -> e_q(n * x^2) over x in [0, q) (x = q taken as 0).  The roots of
-    unity are built here, not by `phase_table`, which `gauss_closed_odd`
-    reads and this grid is the oracle of.
+    rows is an int or an integer array, reduced mod q, in any order and
+    with repeats.  Batched direct summation: row n is the unnormalised
+    inverse DFT of x -> e_q(n * x^2) over x in [0, q) (x = q taken as 0),
+    taken in place.  The modulus is checked against the per-residue
+    ceiling, then the rows x q entries are stated at RESIDUE_BYTES each,
+    before anything is allocated.  The roots of unity are built here, not
+    by `phase_table`, which `gauss_closed_odd` reads and this grid is the
+    oracle of.
     """
-    q = _check_table(q, "gauss_direct_table", dims=2)
+    q = _check_table(q, "gauss_direct_table")
     x = np.arange(q, dtype=np.int64)
+    n = x if rows is None else _reduce(q, rows)
+    check_bytes(RESIDUE_BYTES * n.size * q, f"gauss_direct_table({q}) on {n.size} rows x {q} "
+                f"residues, past the ceiling of budget/{RESIDUE_BYTES} residues,")
     roots = np.exp(2j * np.pi * x / q)
-    return np.fft.ifft(roots[np.multiply.outer(x, x * x % q) % q], axis=1) * q
+    t = np.multiply.outer(n, x * x % q)
+    t %= q
+    grid = np.take(roots, t)
+    del t
+    return np.fft.ifft(grid, axis=-1, norm="forward", out=grid)
 
 
 def kloosterman_row(q: int, n: int = 1) -> np.ndarray:

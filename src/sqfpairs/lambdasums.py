@@ -8,11 +8,11 @@ identity.  `lambda_any` extends the fast odd path to any modulus not
 divisible by 8, taking the 2-part in closed form.  `lambda_direct`,
 `lambda_fast_odd` and `lambda_any` broadcast over their arguments: n and
 m may be ints or integer arrays, and one call evaluates every pair.
-`lambda_direct` holds a (pairs x solutions) grid and states it to the
-budget before it solves the circle; `lambda_fast_odd` sums a Kloosterman
-sum directly only for a small (pairs x units) grid, and reads an FFT row
-otherwise, so its working set grows with the pairs, not with their
-product by the modulus.
+`lambda_direct` states its (pairs x solutions) grid to the budget before
+it solves the circle, and sums it a chunk at a time; `lambda_fast_odd`
+sums a Kloosterman sum directly only for a small (pairs x units) grid,
+and reads an FFT row otherwise, so its working set grows with the pairs,
+not with their product by the modulus.
 
 The grids are batched routes to the same two sums: `lambda_direct_table`
 is the 2-D inverse FFT of the solution set, and `lambda_any_table` is one
@@ -33,8 +33,8 @@ import numpy as np
 
 from .ntcore import _check_modulus, _reduce, divisors, mod_inverse
 from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies by default
-                      _check_grid, _check_table, kloosterman_direct, kloosterman_row,
-                      phase_table)
+                      CHUNK_ENTRIES, _check_grid, _check_table, kloosterman_direct,
+                      kloosterman_row, phase_table)
 
 __all__ = [
     "SolutionSet",
@@ -105,15 +105,29 @@ def lambda_direct(q: int, n, m):
     solutions) grid is stated to the budget at GRID_BYTES per entry, with
     2q solutions, before the solution set is built: lam(q) is at most
     q * prod (1 + 1/p) over the primes p = 3 (mod 4) dividing q, which
-    stays below 2q for every q < 3.7e11.
+    stays below 2q for every q < 3.7e11.  The sum runs over blocks of
+    pairs by chunks of solutions, at most CHUNK_ENTRIES entries at a time.
     """
     q = _check_table(q, "lambda_direct")
     n, m = _reduce(q, n), _reduce(q, m)
     _check_grid(n, m, 2 * q, f"lambda_direct({q})")
     sols = solve_circle(q)
-    t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
-    total = phase_table(q)[t].sum(axis=-1)
-    return complex(total) if total.ndim == 0 else total
+    roots = phase_table(q)
+    shape = np.broadcast(n, m).shape
+    nm = np.empty((2,) + shape, dtype=np.int64)  # the pairs, flattened below
+    nm[0], nm[1] = n, m
+    n, m = nm.reshape(2, -1)
+    total = np.zeros(n.size, dtype=complex)
+    block = max(1, min(n.size, CHUNK_ENTRIES))  # pairs per block
+    width = max(1, CHUNK_ENTRIES // block)  # solutions per chunk
+    for lo in range(0, n.size, block):
+        ns, ms = n[lo : lo + block], m[lo : lo + block]
+        for at in range(0, len(sols), width):
+            t = np.multiply.outer(ns, sols.xs[at : at + width])
+            t += np.multiply.outer(ms, sols.ys[at : at + width])
+            t %= q
+            total[lo : lo + block] += np.take(roots, t).sum(axis=-1)
+    return complex(total[0]) if shape == () else total.reshape(shape)
 
 
 # lambda_fast_odd sums a Kloosterman sum directly for at most this many

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +44,9 @@ class SuiteResult:
     elapsed: float
     failures: list[str] = field(default_factory=list)
     notes: str = ""
+    # the process's peak RSS (ru_maxrss, in MiB) once the suite is done;
+    # set by run_suites
+    peak_rss_mb: float | None = None
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -171,6 +175,10 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
     return rec.result()
 
 
+# Values n checked per step by suite_tau_growth.
+_TAU_SLAB = 1 << 14
+
+
 def suite_tau_growth(seed=DEFAULT_SEED, lo=10_000, hi=100_000) -> SuiteResult:
     """tau(n) <= n everywhere and tau(n) <= n**0.6 beyond 1e4."""
     rec = _Recorder("tau-growth")
@@ -179,11 +187,14 @@ def suite_tau_growth(seed=DEFAULT_SEED, lo=10_000, hi=100_000) -> SuiteResult:
     for d in range(1, math.isqrt(hi) + 1):
         counts[d * (d + 1) :: d] += 2
         counts[d * d] += 1
-    n = np.arange(1, hi + 1)
-    t = counts[1:]
-    cap = n**0.6
-    rec.check((t <= n) & ((n <= lo) | (t <= cap)), "tau({n})={t}", n=n, t=t)
-    worst = (t[lo:] / cap[lo:]).max(initial=0.0)
+    worst = 0.0
+    for start in range(1, hi + 1, _TAU_SLAB):
+        n = np.arange(start, min(start + _TAU_SLAB, hi + 1))
+        t = counts[n]
+        cap = n**0.6
+        rec.check((t <= n) & ((n <= lo) | (t <= cap)), "tau({n})={t}", n=n, t=t)
+        beyond = n > lo
+        worst = max(worst, (t[beyond] / cap[beyond]).max(initial=0.0))
     return rec.result(notes=f"max tau(n)/n^0.6 = {worst:.3f}")
 
 
@@ -223,44 +234,53 @@ def suite_gauss_square(seed=DEFAULT_SEED, qmax=2001) -> SuiteResult:
     return rec.result()
 
 
+# Rows n of a Gauss grid built and compared per step by the Gauss suites.
+_ROW_SLAB = 64
+
+
+def _slabs(rows):
+    """rows in consecutive slabs of at most _ROW_SLAB."""
+    return (rows[lo : lo + _ROW_SLAB] for lo in range(0, rows.size, _ROW_SLAB))
+
+
+def _gauss_entries(q, n, m):
+    """G(q; n, m) at each pair of the 1-D arrays n and m, from a grid of
+    the rows n alone."""
+    return expsums.gauss_direct_table(q, n)[np.arange(n.size), m]
+
+
 def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
     """gcd-reduction evaluator equals direct summation for all (n, m)."""
     rec = _Recorder("gauss-reduce-vs-direct")
     rng = random.Random(seed)
     for q in range(1, qmax + 1):
-        direct = expsums.gauss_direct_table(q)
         gcds = np.gcd(np.arange(q), q)
         n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(3)])
+        sampled = _gauss_entries(q, n, m)
         # the reduction d * G(q/d; n/d, m/d) at the sampled pairs; for
         # gcd(n, q) = 1 it is G(q; n, m) itself
-        reduced = direct[n, m]
+        reduced = sampled.copy()
         # the rows gcd(n, q) = d > 1: d * G(q/d) on the columns d | m, 0
-        # elsewhere (gcd 1 rows would compare the grid with itself); the
-        # grid of q/d is rebuilt per q rather than kept, so the sweep holds
-        # one row class at a time
+        # elsewhere (gcd 1 rows would compare the grid with itself); each
+        # slab of rows n builds its rows of G(q) and the rows n/d of G(q/d)
         worst = 0.0
         for d in ntcore.divisors(q)[1:]:
-            ns = np.flatnonzero(gcds == d)
-            if not ns.size:
-                continue
-            sub = expsums.gauss_direct_table(q // d)
-            want = np.zeros((ns.size, q), dtype=complex)
-            want[:, ::d] = d * sub[ns // d]
-            rows = direct[ns]
-            worst = max(worst, (np.abs(rows - want) / np.maximum(1.0, np.abs(rows))).max())
+            for ns in _slabs(np.flatnonzero(gcds == d)):
+                want = np.zeros((ns.size, q), dtype=complex)
+                want[:, ::d] = d * expsums.gauss_direct_table(q // d, ns // d)
+                rows = expsums.gauss_direct_table(q, ns)
+                worst = max(worst, (np.abs(rows - want) / np.maximum(1.0, np.abs(rows))).max())
             hit = gcds[n] == d
-            reduced[hit] = np.where(m[hit] % d, 0, d * sub[n[hit] // d, m[hit] // d])
+            if hit.any():
+                sub = _gauss_entries(q // d, n[hit] // d, m[hit] // d)
+                reduced[hit] = np.where(m[hit] % d, 0, d * sub)
         rec.check(worst <= 1e-6, "q={q} max err {e:.2e}", q=q, e=worst)
         # tie the batched grid back to the scalar operations
         pairs = list(zip(n.tolist(), m.tolist()))
-        rec.check(complex_close(direct[n, m], [expsums.gauss_direct(q, *nm) for nm in pairs])
+        rec.check(complex_close(sampled, [expsums.gauss_direct(q, *nm) for nm in pairs])
                   & complex_close(reduced, [expsums.gauss_reduce(q, *nm) for nm in pairs]),
                   "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
-
-
-# Unit rows n compared per step by suite_gauss_closed.
-_UNIT_SLAB = 64
 
 
 def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
@@ -268,22 +288,21 @@ def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
     rec = _Recorder("gauss-closed-vs-direct")
     rng = random.Random(seed)
     for q in range(1, qmax + 1, 2):
-        direct = expsums.gauss_direct_table(q)
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
-        err = np.empty(units.size)
-        for lo in range(0, units.size, _UNIT_SLAB):  # a slab of unit rows at a time
-            ns = units[lo : lo + _UNIT_SLAB]
-            rows = direct[ns]
+        err = []
+        for ns in _slabs(units):  # each slab of unit rows builds its own rows of G(q)
+            rows = expsums.gauss_direct_table(q, ns)
             gap = expsums.gauss_closed_odd(q, ns[:, None], np.arange(q))
             gap -= rows
-            err[lo : lo + ns.size] = (np.abs(gap) / np.maximum(1.0, np.abs(rows))).max(axis=1)
+            err.append((np.abs(gap) / np.maximum(1.0, np.abs(rows))).max(axis=1))
+        err = np.concatenate(err)
         rec.check(err <= 1e-6, "q={q} n={n} max err {e:.2e}", q=q, n=units, e=err)
         if q == 1:
             continue
         # the scalar path of the same evaluator, at sampled entries
         n, m = _columns([(units[rng.randrange(units.size)], rng.randrange(q)) for _ in range(3)])
         scalar = [expsums.gauss_closed_odd(q, *nm) for nm in zip(n.tolist(), m.tolist())]
-        rec.check(complex_close(scalar, direct[n, m]),
+        rec.check(complex_close(scalar, _gauss_entries(q, n, m)),
                   "scalar closed mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
@@ -652,6 +671,8 @@ def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
     """Run the named suites (all, in registry order, when names is None).
 
     `threads` goes to the suites that take it: the ones that probe pairs.
+    Each result records the process's peak RSS after its suite, so the
+    steps between results show which suite raised it.
     """
     import inspect
 
@@ -664,5 +685,7 @@ def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
     for name in names:
         fn = ALL_SUITES[name]
         kwargs = {"threads": threads} if "threads" in inspect.signature(fn).parameters else {}
-        results.append(fn(seed=seed, **kwargs))
+        result = fn(seed=seed, **kwargs)
+        result.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        results.append(result)
     return results

@@ -350,6 +350,14 @@ class TestErrorScan:
         alpha = float(np.polyfit(np.log(hs), np.log(es), 1)[0])
         assert abs(alpha - 1.25) < 1e-9
 
+    def test_fit_is_the_least_squares_slope(self):
+        # the closed-form slope is np.polyfit's degree-1 fit to the rows
+        res = error_scan([50, 100, 200, 400, 800, 1600], 10_000)
+        usable = [r for r in res.rows if r.E != 0.0]
+        assert len(usable) >= 4
+        fit = np.polyfit(np.log([r.H for r in usable]), np.log([abs(r.E) for r in usable]), 1)[0]
+        assert abs(res.alpha - fit) <= 1e-12
+
     def test_ladder_fit(self):
         res = error_scan([50, 100, 200, 400, 800], 10_000)
         assert res.alpha is not None

@@ -2,6 +2,7 @@
 stated bytes that bound what each allocator really holds at its peak."""
 
 import ast
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -155,3 +156,38 @@ def test_grids_and_float_arrays_within_the_stated_bytes(monkeypatch, allocate, n
         monkeypatch.setattr(module, "check_bytes", record)
     peak = _traced_peak(lambda: allocate(n))
     assert stated and peak <= max(stated)
+
+
+def _kloosterman_grid(q, n, m):
+    # the whole (pairs x units) grid in one step: the reference for the chunks
+    units = np.array([x for x in range(1, q + 1) if math.gcd(x, q) == 1])
+    invs = np.array([pow(int(x), -1, q) if q > 1 else 0 for x in units])
+    t = (np.multiply.outer(n, units) + np.multiply.outer(m, invs)) % q
+    return np.exp(2j * np.pi * t / q).sum(axis=-1)
+
+
+def _lambda_grid(q, n, m):
+    sols = lambdasums.solve_circle(q)
+    t = (np.multiply.outer(n, sols.xs) + np.multiply.outer(m, sols.ys)) % q
+    return np.exp(2j * np.pi * t / q).sum(axis=-1)
+
+
+@pytest.mark.parametrize("evaluate,whole", [(expsums.kloosterman_direct, _kloosterman_grid),
+                                            (lambdasums.lambda_direct, _lambda_grid)])
+@pytest.mark.parametrize("q,pairs", [
+    (7, expsums.CHUNK_ENTRIES + 5000),  # blocks of pairs, one term per chunk
+    (40_009, 2),  # one block of pairs, chunks of terms
+    (2003, 100),  # one block of 100 pairs, 327 terms per chunk
+])
+def test_direct_sums_in_chunks(evaluate, whole, q, pairs):
+    rng = np.random.default_rng(q)
+    n = rng.integers(0, q, size=pairs)
+    m = rng.integers(0, q, size=pairs)
+    got = evaluate(q, n, m)
+    assert got.shape == (pairs,)
+    assert np.abs(got - whole(q, n, m)).max() <= 1e-9 * q
+    # beside the per-residue tables (128 bytes per residue) and, per pair,
+    # the flat arguments and the sums (48 bytes), a chunk's at most
+    # CHUNK_ENTRIES phases and their indices take under 1 MiB; the whole
+    # grid of 100 pairs mod 2003 took 4.6 MiB
+    assert _traced_peak(lambda: evaluate(q, n, m)) <= 128 * q + 48 * pairs + 2**20

@@ -296,6 +296,20 @@ class TestVerify:
         assert rows[0]["suite"] == "inverse-involution"
         assert rows[0]["ok"] == "true"
 
+    def test_json_records_peak_rss_per_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "residue-count", "--suite",
+                           "squarefree-density", "--output-format", "json")
+        assert code == EXIT_OK
+        records = json.loads(out)
+        peaks = [r["peak_rss_mb"] for r in records]
+        assert [r["name"] for r in records] == ["residue-count", "squarefree-density"]
+        # ru_maxrss after each suite: positive and never falling
+        assert 0 < peaks[0] <= peaks[1]
+        code, out, _ = run(capsys, "verify", "--suite", "residue-count", "--output-format", "csv")
+        assert out.splitlines()[0] == "suite,ok,checked,elapsed_seconds"
+        code, out, _ = run(capsys, "verify", "--suite", "residue-count")
+        assert "rss" not in out.lower()
+
     @pytest.mark.parametrize("suite", ["scan-envelope", "squarefree-density",
                                        "count-oracle-equivalence"])
     def test_budget_applies_to_sieve_suites(self, capsys, suite):

@@ -301,11 +301,12 @@ class TestCountPairsLadder:
         assert [r.S for r in count_pairs_ladder([20, 90], threads=100_000)] == want
         monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
         assert count_pairs_direct(90, threads=64).S == want[-1]
-        assert [p.max_workers for p in recorded_pools] == [1, 3, 1]
-        # one run per worker of the capped pool, each over a stretch of
-        # the whole ladder's schedule
-        assert recorded_pools[1].tasks == 3
-        assert recorded_pools[0].tasks == recorded_pools[2].tasks == 1
+        # one run per worker of the capped count, each over a stretch of
+        # the whole ladder's schedule: the first in the calling thread, the
+        # others in the pool; one worker submits nothing to its pool
+        assert [p.max_workers for p in recorded_pools] == [1, 2, 1]
+        assert recorded_pools[1].tasks == 2
+        assert recorded_pools[0].tasks == recorded_pools[2].tasks == 0
 
     def test_elapsed_non_decreasing(self):
         reps = count_pairs_ladder([5, 50, 100, 400])

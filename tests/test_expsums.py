@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqfpairs.expsums import (
+    RESIDUE_BYTES,
     complex_close,
     gauss_closed_odd,
     gauss_direct,
@@ -16,7 +17,7 @@ from sqfpairs.expsums import (
     phase_table,
     unit_table,
 )
-from sqfpairs.ntcore import tau
+from sqfpairs.ntcore import BudgetError, budget_scope, tau
 
 
 def gauss_oracle(q, n, m):
@@ -266,6 +267,36 @@ class TestBatchHelpers:
         for n in range(q):
             for m in range(q):
                 assert complex_close(complex(table[n, m]), gauss_direct(q, n, m)), (n, m)
+
+    def test_gauss_rows_equal_the_full_grid(self):
+        # the row grid is the same per-row transform, so its rows equal the
+        # full grid's bit for bit, in any order and with repeats
+        rng = np.random.default_rng(7)
+        for q in range(1, 65):
+            full = gauss_direct_table(q)
+            rows = rng.integers(0, q, size=2 * q + 6)  # unsorted, with repeats
+            np.testing.assert_array_equal(gauss_direct_table(q, rows), full[rows])
+            np.testing.assert_array_equal(gauss_direct_table(q, rows - 5 * q), full[rows])
+            np.testing.assert_array_equal(gauss_direct_table(q, rows[:6].reshape(2, 3)),
+                                          full[rows[:6].reshape(2, 3)])
+            np.testing.assert_array_equal(gauss_direct_table(q, q - 1), full[q - 1])
+
+    def test_one_gauss_row_admitted_where_the_grid_is_refused(self):
+        # 5000^2 entries at RESIDUE_BYTES pass the 2 GiB default; one row does not
+        with pytest.raises(BudgetError, match="5000 rows x 5000"):
+            gauss_direct_table(5000)
+        row = gauss_direct_table(5000, np.array([3]))
+        assert row.shape == (1, 5000)
+        for m in (0, 1, 2499, 4999):
+            assert complex_close(complex(row[0, m]), gauss_direct(5000, 3, m))
+
+    def test_gauss_rows_keep_the_per_residue_ceiling(self):
+        # no rows state no grid, but the modulus's own tables still count
+        none = np.array([], dtype=np.int64)
+        with budget_scope(RESIDUE_BYTES * 300 - 1), pytest.raises(BudgetError, match="ceiling"):
+            gauss_direct_table(300, none)
+        with budget_scope(RESIDUE_BYTES * 300):
+            assert gauss_direct_table(300, none).shape == (0, 300)
 
     @pytest.mark.parametrize("q", [1, 2, 5, 9, 12, 30, 49])
     def test_kloosterman_row_matches_scalar(self, q):

@@ -110,23 +110,28 @@ def test_gauss_reduce_keeps_every_grid_it_reads(qmax):
     assert (result.checked, result.failed) == (4 * qmax, 0)
 
 
-@pytest.mark.parametrize("q,entry", [(5, (1, 1)), (10, (2, 1))])
-def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry):
+@pytest.mark.parametrize("q,entry,qmax", [pytest.param(5, (1, 1), 10, id="5-entry0"),
+                                          pytest.param(10, (2, 1), 10, id="10-entry1"),
+                                          pytest.param(131, (130, 1), 262, id="131-third-slab")])
+def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry, qmax):
     # G(5) is the reduced grid of the rows gcd(n, 10) = 2, and G(10)[2, 1]
     # is a column 2 does not divide, where the reduction is 0: either
-    # perturbation fails the grid check of q = 10
+    # perturbation fails the grid check of q = 10.  Row 130 of G(131) is
+    # reduced from n = 260, in the third slab of the 130 rows
+    # gcd(n, 262) = 2.
     table = expsums.gauss_direct_table
 
-    def perturbed(k):
-        grid = table(k)
+    def perturbed(k, rows=None):
+        grid = table(k, rows)
         if k == q:
-            grid[entry] += 1.0
+            n = np.arange(k) if rows is None else np.asarray(rows) % k
+            grid[n == entry[0], entry[1]] += 1.0
         return grid
 
     monkeypatch.setattr(expsums, "gauss_direct_table", perturbed)
-    result = suite_gauss_reduce(seed=3, qmax=10)
+    result = suite_gauss_reduce(seed=3, qmax=qmax)
     assert not result.ok
-    assert any(f.startswith("q=10 max err") for f in result.failures)
+    assert any(f.startswith(f"q={qmax} max err") for f in result.failures)
 
 
 @pytest.mark.parametrize("suite", [suite_gauss_reduce, suite_gauss_closed])
@@ -142,7 +147,24 @@ def test_gauss_suites_hold_no_second_grid(suite):
     assert peak <= 5 * 2**20
 
 
-@pytest.mark.parametrize("hi", [36, 100, 2520, 3000])
+@pytest.mark.parametrize("suite,cap,checks", [(suite_gauss_reduce, 2 * 2**20, 1200),
+                                              (suite_gauss_closed, 2 * 2**20, 18935),
+                                              (suite_tau_growth, 1.5 * 2**20, 100_000)])
+def test_suites_work_in_slabs(suite, cap, checks):
+    # the Gauss suites build only the rows of each slab they compare, and
+    # tau-growth checks 2^14 values per step, with every check still made;
+    # with whole grids and whole arrays they peaked at 4.2, 4.7 and 2.7 MiB
+    tracemalloc.start()
+    try:
+        result = suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.checked == checks
+    assert peak <= cap
+
+
+@pytest.mark.parametrize("hi", [36, 100, 2520, 3000, 2**14, 2**14 + 1, 3 * 2**14 + 5])
 def test_tau_growth_counts_every_divisor(hi):
     # the suite counts divisors in pairs; with lo = hi - 1 its verdict and
     # note read the count at n = hi alone
