@@ -178,22 +178,26 @@ def rho(t: float) -> float:
     return 0.5 - (t % 1.0)
 
 
-def rho_fourier(D: float, t: float) -> float:
+def rho_fourier(D: float, t):
     """Truncated Fourier series of the sawtooth: sum over 1 <= |n| <= D
     of e(nt) / (2*pi*i*n).
 
-    Both halves of the sum are evaluated and the imaginary part is
-    checked to cancel (the n and -n terms are conjugate), then dropped.
+    t is a float, giving a float, or an array of floats, giving an array
+    of its shape; the terms of every t are summed in one pass, so the
+    caller bounds the (t x D) phases it asks for.  Both halves of each
+    sum are evaluated and the imaginary part is checked to cancel at every
+    entry (the n and -n terms are conjugate), then dropped.
     """
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
     n = np.arange(1, int(D) + 1)
-    phase = np.exp(2j * np.pi * n * t)
-    total = (phase / (2j * np.pi * n)).sum()
-    total += (np.conj(phase) / (-2j * np.pi * n)).sum()
-    if abs(total.imag) > 1e-9 * max(1.0, abs(total.real)):
-        raise ArithmeticError(f"imaginary part failed to cancel: {total}")
-    return float(total.real)
+    phase = np.exp(2j * np.pi * n * np.asarray(t, dtype=float)[..., None])
+    total = (phase / (2j * np.pi * n)).sum(axis=-1)
+    total += (np.conj(phase) / (-2j * np.pi * n)).sum(axis=-1)
+    leak = np.abs(total.imag) > 1e-9 * np.maximum(1.0, np.abs(total.real))
+    if leak.any():
+        raise ArithmeticError(f"imaginary part failed to cancel: {total[leak].flat[0]}")
+    return float(total.real) if total.ndim == 0 else total.real
 
 
 # Residues n per slab of harmonic_lambda_sums: a slab of 64 x q entries

@@ -9,13 +9,26 @@ the 1e-6 comparison tolerance for every modulus in scope.
 `kloosterman_direct` and `gauss_closed_odd` broadcast over their
 arguments: n and m may be ints or integer arrays, and one call evaluates
 every (n, m) pair against the same phase table, so a sweep over many
-arguments costs one call per modulus.  `kloosterman_direct` gathers its
-phases CHUNK_ENTRIES (pair, unit) entries at a time, so beside its
-tables and its result it holds under 1 MiB however many pairs and units
-it sums.  The FFT helpers evaluate the direct sums for many arguments at
-once: `kloosterman_row` for every m at one n, and `gauss_direct_table`
-for every m at the rows n it is given (all of [0, q) by default), so a
-verification sweep builds only the rows it compares, a slab at a time.
+arguments costs one call per modulus.  `kloosterman_direct` sums up to
+CHUNK_ENTRIES (pair, unit) entries in one step and more a chunk of that
+size at a time, so beside its tables and its result it holds under 1 MiB
+however many pairs and units it sums.  The FFT helpers evaluate the
+direct sums for many arguments at once: `kloosterman_row` for every m at
+one n, and `gauss_direct_table` for every m at the rows n it is given
+(all of [0, q) by default), so a verification sweep builds only the rows
+it compares, a slab at a time.
+
+The per-modulus tables take O(q) numpy passes.  `phase_table` takes
+cosines and sines over half a turn and mirrors the rest by conjugation.
+`unit_table` lists the units mod each prime-power factor as the powers
+of a primitive root (+-5**k mod 2**e), whose inverses are the same
+powers read backwards, joins the factors by the Chinese remainder
+theorem and scatters the units into sorted order.  Reductions mod q of
+more than `ntcore.REMAINDER_ENTRIES` int64 entries are a floor division,
+a multiply and a subtract, which numpy runs faster than `%`; the two
+direct sums carry their own copy of those three lines, since
+`lambdasums.lambda_direct` is the oracle of `lambda_fast_odd`, which
+calls `kloosterman_direct`.
 
 Every evaluator here and in `lambdasums` checks its modulus with
 `ntcore._check_modulus` and its arguments with `ntcore._reduce`, which
@@ -25,8 +38,8 @@ accepted and floats rejected, not truncated.
 Each call builds the per-residue tables it reads (`phase_table`,
 `unit_table`) and keeps none, and a table whose RESIDUE_BYTES per entry
 exceed the memory budget raises BudgetError before it is allocated; so
-does a broadcast direct sum whose (pairs x terms) grid, at GRID_BYTES
-per entry, exceeds it, though it sums that grid a chunk at a time.
+does a broadcast direct sum whose pairs, at PAIR_BYTES each, and largest
+chunk, at GRID_BYTES per entry, exceed it.
 """
 
 from __future__ import annotations
@@ -35,8 +48,8 @@ import math
 
 import numpy as np
 
-from .ntcore import (DEFAULT_MEMORY_BUDGET, _check_modulus, _powmod, _reduce, check_bytes,
-                     factorize, jacobi)
+from .ntcore import (DEFAULT_MEMORY_BUDGET, REMAINDER_ENTRIES, _check_modulus, _mod_in_place,
+                     _reduce, check_bytes, factorize, jacobi)
 
 __all__ = [
     "complex_close",
@@ -60,12 +73,15 @@ TOLERANCE = 1e-6
 # default budget.
 RESIDUE_BYTES = 128
 DEFAULT_SOLVE_CEILING = DEFAULT_MEMORY_BUDGET // RESIDUE_BYTES
-# Bytes stated per entry of a broadcast direct sum's (pairs x terms)
-# grid: the index arithmetic and the gathered phases peak at 24.
-GRID_BYTES = 32
 # A broadcast direct sum gathers at most this many (pair, term) phases at
 # a time: with their indices, 0.75 MiB.
 CHUNK_ENTRIES = 1 << 15
+# Bytes stated per (pair, term) entry of a direct sum's chunk: the index
+# arithmetic and the gathered phases peak at 24.
+GRID_BYTES = 32
+# Bytes stated per pair of a direct sum: the flattened arguments and the
+# sums, 16 each, and a block's partial sums, 16.
+PAIR_BYTES = 48
 
 
 def complex_close(a, b, tol: float = TOLERANCE):
@@ -79,30 +95,91 @@ def complex_close(a, b, tol: float = TOLERANCE):
 
 
 def phase_table(q: int) -> np.ndarray:
-    """roots[t] = exp(2*pi*i*t/q) for t in [0, q)."""
+    """roots[t] = exp(2*pi*i*t/q) for t in [0, q).
+
+    Half a turn of cosines and sines, t in [0, q/2]; the rest mirrors
+    it, roots[q - t] = conj(roots[t]).  Within 2e-15 of `np.exp`.
+    """
     q = _check_table(q, "phase_table")
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    half = q // 2 + 1
+    angle = np.arange(half) * (2 * np.pi / q)
+    roots = np.empty(q, dtype=complex)
+    np.cos(angle, out=roots.real[:half])
+    np.sin(angle, out=roots.imag[:half])
+    np.conjugate(roots[q - half : 0 : -1], out=roots[half:])
+    return roots
 
 
 def unit_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     """(units, inverses): the x in [1, q] coprime to q and their inverses mod q.
 
-    The units are what is left of [1, q] once the multiples of each prime
-    factor of q are struck.  The inverses come from Euler's theorem,
-    inv(u) = u**(phi(q) - 1) mod q with phi(q) = units.size, by int64
-    square-and-multiply over the whole array; products stay below q**2,
-    which fits int64 for any q under the ceiling.
+    The units mod each prime-power factor p**e of q form a cycle: the
+    powers g**k of a primitive root g (for p = 2, the +-5**k), whose
+    inverses are the same powers in reverse order.  The factors are
+    joined by the Chinese remainder theorem and the units scattered into
+    sorted order; every product stays below q**2, which fits int64 for
+    any q under the ceiling.
 
     For q = 1 the single residue is x = 1 with inverse 0, matching the
     convention that a sum over units mod 1 has exactly one term.
     """
     q = _check_table(q, "unit_table")
-    coprime = np.ones(q + 1, dtype=bool)
-    coprime[0] = False
-    for p, _ in factorize(q):
-        coprime[::p] = False
-    units = np.flatnonzero(coprime).astype(np.int64, copy=False)
-    return units, _powmod(units, units.size - 1, q)
+    if q == 1:
+        return np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    (p, e), *rest = factorize(q)
+    pair = _cyclic_units(p, e)  # the units and, beneath them, their inverses
+    done = p**e
+    for p, e in rest:
+        pe = p**e
+        # x = a * c_done + b * c_pe (mod done * pe), where c_done is 1 mod
+        # done and 0 mod pe, and c_pe the other way round
+        both = done * pe
+        a = _mod_in_place(pair * (pe * pow(pe, -1, done)), both)
+        b = _mod_in_place(_cyclic_units(p, e) * (done * pow(done, -1, pe)), both)
+        pair = (a[:, :, None] + b[:, None, :]).reshape(2, -1)
+        np.subtract(pair, both, out=pair, where=pair >= both)
+        done = both
+    inverse_of = np.zeros(q, dtype=np.int64)  # 0 off the units, where no inverse is
+    inverse_of[pair[0]] = pair[1]
+    units = np.flatnonzero(inverse_of)
+    return units, inverse_of[units]
+
+
+def _cyclic_units(p: int, e: int) -> np.ndarray:
+    """The units mod p**e in cyclic order, and beneath each its inverse, as
+    a (2, phi(p**e)) array: g**k for a primitive root g when p is odd, 5**k
+    then -5**k when p = 2.  With the powers g**k for k in [0, order], the
+    inverse of g**k is g**(order - k), the same powers read backwards."""
+    pe = p**e
+    if pe == 2:
+        return np.ones((2, 1), dtype=np.int64)
+    if p == 2:
+        powers = _powers(5, (pe >> 2) + 1, pe)
+        pair = np.array((powers[:-1], powers[:0:-1]))
+        return np.concatenate((pair, pe - pair), axis=1)
+    cofactors = [(p - 1) // f for f, _ in factorize(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
+    if e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p  # then a primitive root mod p**2, hence mod every p**e
+    powers = _powers(g, pe // p * (p - 1) + 1, pe)
+    return np.array((powers[:-1], powers[:0:-1]))
+
+
+def _powers(g: int, count: int, pe: int) -> np.ndarray:
+    """g**k mod pe for k in [0, count): one by one up to 64 of them, else
+    from two tables of about sqrt(count) entries, g**(s*j + i) =
+    (g**s)**j * g**i."""
+    s = count if count <= 64 else math.isqrt(count - 1) + 1
+    low = [1] * s
+    for i in range(1, s):
+        low[i] = low[i - 1] * g % pe
+    if s == count:
+        return np.array(low, dtype=np.int64)
+    high = [1] * -(-count // s)
+    step = low[-1] * g % pe
+    for j in range(1, len(high)):
+        high[j] = high[j - 1] * step % pe
+    return _mod_in_place(np.multiply.outer(high, low).ravel()[:count], pe)
 
 
 def _check_table(q, name: str, dims: int = 1) -> int:
@@ -117,11 +194,15 @@ def _check_table(q, name: str, dims: int = 1) -> int:
 
 
 def _check_grid(n, m, terms: int, what: str) -> None:
-    """BudgetError, before anything is allocated, if a direct sum of
-    `terms` terms for each (n, m) pair of the broadcast needs more than
-    the budget at GRID_BYTES per (pair, term) entry."""
+    """BudgetError, before anything is allocated, if a direct sum of at
+    most `terms` terms for each (n, m) pair of the broadcast would hold
+    more than the budget beside its per-residue tables: PAIR_BYTES a pair,
+    and its largest chunk, a block of pairs by a run of terms, at
+    GRID_BYTES an entry."""
     pairs = np.broadcast(n, m).size
-    check_bytes(GRID_BYTES * pairs * terms, f"{what} on {pairs} pairs x {terms} terms")
+    block = max(1, min(pairs, CHUNK_ENTRIES))
+    chunk = block * max(1, min(terms, CHUNK_ENTRIES // block))
+    check_bytes(PAIR_BYTES * pairs + GRID_BYTES * chunk, f"{what} on {pairs} pairs x {terms} terms")
 
 
 def gauss_direct(q: int, n: int, m: int) -> complex:
@@ -130,8 +211,10 @@ def gauss_direct(q: int, n: int, m: int) -> complex:
     n, m = int(_reduce(q, n)), int(_reduce(q, m))
     roots = phase_table(q)
     x = np.arange(1, q + 1, dtype=np.int64)
-    t = (n * x % q * x + m * x) % q
-    return complex(roots[t].sum())
+    t = _mod_in_place(x * x, q)
+    t *= n
+    t += m * x
+    return complex(roots[_mod_in_place(t, q)].sum())
 
 
 def gauss_reduce(q: int, n: int, m: int) -> complex:
@@ -183,10 +266,10 @@ def kloosterman_direct(q: int, n, m):
     the broadcast shape, one sum per (n, m) pair.  The arguments are
     reduced mod q first (the caller's arrays are not modified), so ints
     beyond int64 are accepted.  The modulus is checked against the
-    ceiling, then the (pairs x units) grid is stated to the budget at
-    GRID_BYTES per entry, with q units, before the units are listed.
-    The sums run over blocks of pairs by chunks of units, at most
-    CHUNK_ENTRIES entries at a time.
+    ceiling, then what the sum holds (`_check_grid`, with q units) is
+    stated to the budget before the units are listed.  Up to
+    CHUNK_ENTRIES (pair, unit) entries are summed in one step; more run
+    over blocks of pairs by chunks of units, CHUNK_ENTRIES at a time.
     """
     q = _check_table(q, "kloosterman_direct")
     n, m = _reduce(q, n), _reduce(q, m)
@@ -197,16 +280,31 @@ def kloosterman_direct(q: int, n, m):
     nm = np.empty((2,) + shape, dtype=np.int64)  # the pairs, flattened below
     nm[0], nm[1] = n, m
     n, m = nm.reshape(2, -1)
-    total = np.zeros(n.size, dtype=complex)
-    block = max(1, min(n.size, CHUNK_ENTRIES))  # pairs per block
-    width = max(1, CHUNK_ENTRIES // block)  # units per chunk
-    for lo in range(0, n.size, block):
-        ns, ms = n[lo : lo + block], m[lo : lo + block]
-        for at in range(0, units.size, width):
-            t = np.multiply.outer(ns, units[at : at + width])
-            t += np.multiply.outer(ms, invs[at : at + width])
+
+    def chunk(ns, ms, us, vs):
+        t = np.multiply.outer(ns, us)
+        s = np.multiply.outer(ms, vs)
+        t += s
+        if t.size < REMAINDER_ENTRIES:
             t %= q
-            total[lo : lo + block] += np.take(roots, t).sum(axis=-1)
+        else:  # t mod q, by numpy's faster floor division
+            np.floor_divide(t, q, out=s)
+            s *= q
+            t -= s
+        del s
+        return np.take(roots, t).sum(axis=-1)
+
+    if n.size * units.size <= CHUNK_ENTRIES:
+        total = chunk(n, m, units, invs)
+    else:
+        total = np.zeros(n.size, dtype=complex)
+        block = min(n.size, CHUNK_ENTRIES)  # pairs per block
+        width = max(1, CHUNK_ENTRIES // block)  # units per chunk
+        for lo in range(0, n.size, block):
+            ns, ms = n[lo : lo + block], m[lo : lo + block]
+            for at in range(0, units.size, width):
+                total[lo : lo + block] += chunk(ns, ms, units[at : at + width],
+                                                invs[at : at + width])
     return complex(total[0]) if shape == () else total.reshape(shape)
 
 
@@ -229,9 +327,14 @@ def gauss_direct_table(q: int, rows=None) -> np.ndarray:
     n = x if rows is None else _reduce(q, rows)
     check_bytes(RESIDUE_BYTES * n.size * q, f"gauss_direct_table({q}) on {n.size} rows x {q} "
                 f"residues, past the ceiling of budget/{RESIDUE_BYTES} residues,")
-    roots = np.exp(2j * np.pi * x / q)
-    t = np.multiply.outer(n, x * x % q)
-    t %= q
+    # the roots over half a turn, mirrored by conjugation
+    half = q // 2 + 1
+    angle = x[:half] * (2 * np.pi / q)
+    roots = np.empty(q, dtype=complex)
+    np.cos(angle, out=roots.real[:half])
+    np.sin(angle, out=roots.imag[:half])
+    np.conjugate(roots[q - half : 0 : -1], out=roots[half:])
+    t = _mod_in_place(np.multiply.outer(n, _mod_in_place(x * x, q)), q)
     grid = np.take(roots, t)
     del t
     return np.fft.ifft(grid, axis=-1, norm="forward", out=grid)

@@ -8,11 +8,16 @@ identity.  `lambda_any` extends the fast odd path to any modulus not
 divisible by 8, taking the 2-part in closed form.  `lambda_direct`,
 `lambda_fast_odd` and `lambda_any` broadcast over their arguments: n and
 m may be ints or integer arrays, and one call evaluates every pair.
-`lambda_direct` states its (pairs x solutions) grid to the budget before
-it solves the circle, and sums it a chunk at a time; `lambda_fast_odd`
-sums a Kloosterman sum directly only for a small (pairs x units) grid,
-and reads an FFT row otherwise, so its working set grows with the pairs,
-not with their product by the modulus.
+`lambda_direct` states its pairs and its largest chunk to the budget
+before it solves the circle, and sums up to CHUNK_ENTRIES (pair,
+solution) entries at a time.  `solve_circle` sorts the squares mod q
+stably, as 16-bit keys (numpy's radix sort) when q <= 2**16.
+`lambda_fast_odd` sums the Kloosterman sums of all its divisors l
+directly, in one `kloosterman_direct` call over the units mod q, while
+that call stays small (each l serving at most l pairs, and at most
+_DIRECT_ENTRIES (request, unit) entries in all), and otherwise reads
+every divisor's FFT row; so a call builds its tables mod q once, and its
+working set grows with the pairs, not with their product by the modulus.
 
 The grids are batched routes to the same two sums: `lambda_direct_table`
 is the 2-D inverse FFT of the solution set, and `lambda_any_table` is one
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ntcore import _check_modulus, _reduce, divisors, mod_inverse
+from .ntcore import REMAINDER_ENTRIES, _check_modulus, _reduce, divisors, factorize, mod_inverse
 from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies by default
                       CHUNK_ENTRIES, _check_grid, _check_table, kloosterman_direct,
                       kloosterman_row, phase_table)
@@ -83,11 +88,19 @@ def solve_circle(q: int) -> SolutionSet:
     # (mod q) form one run of the stably sorted order, so each x reads
     # its run and the pairs come out sorted by (x, y).
     r = np.arange(1, q + 1, dtype=np.int64)
-    sq = r * r % q
-    order = np.argsort(sq, kind="stable")
+    sq = r * r
+    if q < REMAINDER_ENTRIES:
+        sq %= q
+    else:  # sq mod q, by numpy's faster floor division
+        spare = sq // q
+        spare *= q
+        sq -= spare
+        del spare
+    # a stable argsort of 16-bit keys is numpy's radix sort
+    order = np.argsort(sq.astype(np.uint16) if q <= 1 << 16 else sq, kind="stable")
     count = np.bincount(sq, minlength=q)
     start = np.cumsum(count) - count
-    want = (-sq - 1) % q
+    want = q - 1 - sq  # -sq - 1 mod q
     n = count[want]
     xs = np.repeat(r, n)
     ys = r[order[np.repeat(start[want] - (np.cumsum(n) - n), n) + np.arange(xs.size)]]
@@ -101,12 +114,13 @@ def lambda_direct(q: int, n, m):
     n and m are ints or integer arrays that broadcast together, reduced
     mod q without modifying the caller's arrays.  Scalar arguments give a
     complex, array arguments a complex array of the broadcast shape.
-    The modulus is checked against the ceiling, then the (pairs x
-    solutions) grid is stated to the budget at GRID_BYTES per entry, with
-    2q solutions, before the solution set is built: lam(q) is at most
-    q * prod (1 + 1/p) over the primes p = 3 (mod 4) dividing q, which
-    stays below 2q for every q < 3.7e11.  The sum runs over blocks of
-    pairs by chunks of solutions, at most CHUNK_ENTRIES entries at a time.
+    The modulus is checked against the ceiling, then what the sum holds
+    (`expsums._check_grid`, with 2q solutions) is stated to the budget
+    before the solution set is built: lam(q) is at most q * prod (1 + 1/p)
+    over the primes p = 3 (mod 4) dividing q, which stays below 2q for
+    every q < 3.7e11.  Up to CHUNK_ENTRIES (pair, solution) entries are
+    summed in one step; more run over blocks of pairs by chunks of
+    solutions, CHUNK_ENTRIES at a time.
     """
     q = _check_table(q, "lambda_direct")
     n, m = _reduce(q, n), _reduce(q, m)
@@ -117,21 +131,38 @@ def lambda_direct(q: int, n, m):
     nm = np.empty((2,) + shape, dtype=np.int64)  # the pairs, flattened below
     nm[0], nm[1] = n, m
     n, m = nm.reshape(2, -1)
-    total = np.zeros(n.size, dtype=complex)
-    block = max(1, min(n.size, CHUNK_ENTRIES))  # pairs per block
-    width = max(1, CHUNK_ENTRIES // block)  # solutions per chunk
-    for lo in range(0, n.size, block):
-        ns, ms = n[lo : lo + block], m[lo : lo + block]
-        for at in range(0, len(sols), width):
-            t = np.multiply.outer(ns, sols.xs[at : at + width])
-            t += np.multiply.outer(ms, sols.ys[at : at + width])
+
+    def chunk(ns, ms, xs, ys):
+        t = np.multiply.outer(ns, xs)
+        s = np.multiply.outer(ms, ys)
+        t += s
+        if t.size < REMAINDER_ENTRIES:
             t %= q
-            total[lo : lo + block] += np.take(roots, t).sum(axis=-1)
+        else:  # t mod q, by numpy's faster floor division
+            np.floor_divide(t, q, out=s)
+            s *= q
+            t -= s
+        del s
+        return np.take(roots, t).sum(axis=-1)
+
+    if n.size * len(sols) <= CHUNK_ENTRIES:
+        total = chunk(n, m, sols.xs, sols.ys)
+    else:
+        total = np.zeros(n.size, dtype=complex)
+        block = min(n.size, CHUNK_ENTRIES)  # pairs per block
+        width = max(1, CHUNK_ENTRIES // block)  # solutions per chunk
+        for lo in range(0, n.size, block):
+            ns, ms = n[lo : lo + block], m[lo : lo + block]
+            for at in range(0, len(sols), width):
+                total[lo : lo + block] += chunk(ns, ms, sols.xs[at : at + width],
+                                                sols.ys[at : at + width])
     return complex(total[0]) if shape == () else total.reshape(shape)
 
 
-# lambda_fast_odd sums a Kloosterman sum directly for at most this many
-# (pair, unit) entries; 2**16 entries at 32 bytes are 2 MiB.
+# lambda_fast_odd sums Kloosterman sums directly, in one kloosterman_direct
+# call over the units mod q, for at most this many (request, unit)
+# entries; past them, a divisor's FFT row, O(l log l) for every c at
+# once, is the cheaper route.
 _DIRECT_ENTRIES = 1 << 16
 
 
@@ -148,24 +179,48 @@ def lambda_fast_odd(q: int, n, m):
 
         q * sum_l (-1)**((l-1)/2) / l * K(l; 1, -inv(4)*(n'^2 + m'^2)).
 
-    Broadcasts over n and m like `lambda_direct`.  Each divisor serves
-    its pairs in one step: by `kloosterman_direct` while it serves at most
-    l pairs and at most _DIRECT_ENTRIES pair-residue entries, else from
-    the FFT row `kloosterman_row(l, 1)`.  So the direct sums hold at most
-    _DIRECT_ENTRIES grid entries (2 MiB), a call with few pairs mod a
-    large l reads the row, and a few pairs mod a small l (the sampled
-    entries the verify suites check) still sum directly.  The
-    divisibility tests and the squares mod l are taken on n and m before
-    they broadcast, so a grid n[:, None], m[None, :] costs a few cheap
-    grid-sized passes per divisor and no gcd over the grid.
+    Broadcasts over n and m like `lambda_direct`.  While every divisor l
+    serves at most l pairs, and all of them together stay within
+    _DIRECT_ENTRIES (request, unit) entries, the sums are taken directly,
+    in one `kloosterman_direct` call over the units u mod q: with r = q/l,
+
+        K(l; 1, c) = phi(l)/phi(q) * K(q; r, r*c),
+
+    since u mod l meets every unit mod l phi(q)/phi(l) times, inv(u) mod l
+    is its inverse, and e_l(t) = e_q(r*t).  Otherwise every divisor reads
+    its c from the FFT row `kloosterman_row(l, 1)`, which serves any
+    number of pairs in O(l log l).  So a call builds the unit and phase
+    tables mod q once, a few pairs mod a small q (the sampled entries the
+    verify suites check) sum directly, and a grid, or a few pairs mod a
+    large q, read the rows.  The divisibility tests and the squares mod l
+    are taken on n and m before they broadcast, so a grid n[:, None],
+    m[None, :] costs a few cheap grid-sized passes per divisor and no gcd
+    over the grid.
     """
     q = _check_modulus(q)
     if q % 2 == 0:
         raise ValueError(f"modulus must be odd, got {q}")
     _check_table(q, "lambda_fast_odd")  # the l = q term's tables, before divisors(q)
     n, m = _reduce(q, n), _reduce(q, m)
+    primes = [p for p, _ in factorize(q)]
+
+    def phi(l):
+        for p in primes:
+            if l % p == 0:
+                l = l // p * (p - 1)
+        return l
+
+    phi_q = phi(q)
     # the divisor l = 1 serves n = m = 0 alone, with K(1; 1, 0) = 1
     total = np.array((n == 0) & (m == 0), dtype=complex)
+
+    def read_row(l, served, c):
+        k = kloosterman_row(l, 1)[c]
+        k *= _sign(l) / l
+        total[served] += k
+
+    requests = []  # (l, served, c) of the divisors summed directly
+    room = _DIRECT_ENTRIES // phi_q  # requests the direct sums take; None once rows are read
     for l in divisors(q)[1:]:
         r = q // l
         if r == 1:  # l = q serves every pair, with no mask to build or scatter through
@@ -178,13 +233,25 @@ def lambda_fast_odd(q: int, n, m):
             c = ((n // r) ** 2 % l + (m // r) ** 2 % l)[served]
         c *= -pow(4, -1, l)
         c %= l
-        if c.size <= l and c.size * l <= _DIRECT_ENTRIES:
-            k = kloosterman_direct(l, 1, c)
-        else:
-            k = kloosterman_row(l, 1)[c]
-        del c  # before the scatter below copies total[served]
-        k *= _sign(l) / l
-        total[served] += k
+        if room is not None and c.size <= min(l, room):
+            room -= c.size
+            requests.append((l, served, c))
+            continue
+        if room is not None:  # the first row read: every divisor reads its row
+            for request in requests:
+                read_row(*request)
+            requests, room = [], None
+        read_row(l, served, c)
+    if requests:
+        k = kloosterman_direct(q, np.repeat([q // l for l, *_ in requests],
+                                            [c.size for *_, c in requests]),
+                               np.concatenate([q // l * c.ravel() for l, _, c in requests]))
+        at = 0
+        for l, served, c in requests:
+            k_l = k[at : at + c.size].reshape(c.shape)
+            k_l *= _sign(l) / l * phi(l) / phi_q
+            total[served] += k_l
+            at += c.size
     total *= q
     return complex(total) if total.ndim == 0 else total
 

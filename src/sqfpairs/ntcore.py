@@ -211,15 +211,38 @@ def _reduce(q: int, a) -> np.ndarray:
     return np.asarray(a % q, dtype=np.int64)
 
 
+# Below this many entries one int64 `%` is faster than the floor division,
+# multiply and subtract that replace it on larger arrays: numpy divides by
+# a scalar through libdivide in `floor_divide` but not in `remainder`.
+REMAINDER_ENTRIES = 1 << 10
+
+
+def _mod_in_place(a: np.ndarray, m: int, spare: np.ndarray | None = None) -> np.ndarray:
+    """a mod m, in place in the int64 array a, which is returned; `spare`,
+    an int64 array of a's shape, takes the quotients if given."""
+    if a.size < REMAINDER_ENTRIES:
+        return np.remainder(a, m, out=a)
+    spare = np.floor_divide(a, m, out=spare)
+    spare *= m
+    a -= spare
+    return a
+
+
 def _powmod(base: np.ndarray, exp: int, m: int) -> np.ndarray:
     """base**exp mod m elementwise, by int64 square-and-multiply; needs
-    m*m < 2**63 so that no product overflows."""
+    m*m < 2**63 so that no product overflows.  The caller's array is not
+    modified."""
+    base = np.array(base, dtype=np.int64)  # a copy, squared in place
     result = np.full_like(base, 1 % m)
+    spare = np.empty_like(base)
     while exp:
         if exp & 1:
-            result = result * base % m
-        base = base * base % m
+            result *= base
+            _mod_in_place(result, m, spare)
         exp >>= 1
+        if exp:
+            base *= base
+            _mod_in_place(base, m, spare)
     return result
 
 

@@ -164,13 +164,24 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
         e = 1
         while p**e <= limit:
             m = p**e
-            buckets = [[] for _ in range(m)]
-            for y in range(m):
-                buckets[y * y % m].append(y)
-            got = ntcore.sqrt_mod(np.arange(m), p, e)
-            rec.check(np.array([g == w for g, w in zip(got, buckets)]),
-                      "sqrt_mod({a},{p},{e})={g} want {w}",
-                      a=np.arange(m), p=p, e=e, g=got, w=buckets)
+            # every y in [0, m) by its square mod m, in increasing y within
+            # a square: the roots of a are the run of `count[a]` y from
+            # `start[a]` in that order
+            y = np.arange(m)
+            squares = y * y % m
+            roots = np.argsort(squares, kind="stable")
+            count = np.bincount(squares, minlength=m)
+            start = np.cumsum(count) - count
+            got = ntcore.sqrt_mod(y, p, e)
+            want = []  # the runs as lists, built only when a check fails
+            ok = np.fromiter(map(len, got), dtype=np.int64, count=m) == count
+            if ok.all():  # the lists line up with the runs: compare them root by root
+                same = np.append(np.array([r for g in got for r in g]) == roots, True)
+                ok = np.logical_and.reduceat(same, start) | (count == 0)
+            if not ok.all():
+                want = [roots[lo : lo + k].tolist() for lo, k in zip(start, count)]
+                ok = np.array([g == w for g, w in zip(got, want)])
+            rec.check(ok, "sqrt_mod({a},{p},{e})={g} want {w}", a=y, p=p, e=e, g=got, w=want)
             e += 1
     return rec.result()
 
@@ -261,15 +272,22 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
         # gcd(n, q) = 1 it is G(q; n, m) itself
         reduced = sampled.copy()
         # the rows gcd(n, q) = d > 1: d * G(q/d) on the columns d | m, 0
-        # elsewhere (gcd 1 rows would compare the grid with itself); each
-        # slab of rows n builds its rows of G(q) and the rows n/d of G(q/d)
+        # elsewhere (gcd 1 rows would compare the grid with itself), in
+        # order of d; each slab of rows n builds its rows of G(q), and each
+        # run of one d in it the rows n/d of G(q/d)
         worst = 0.0
+        rows_by_gcd = np.flatnonzero(gcds > 1)
+        rows_by_gcd = rows_by_gcd[np.argsort(gcds[rows_by_gcd], kind="stable")]
+        for ns in _slabs(rows_by_gcd):
+            rows = expsums.gauss_direct_table(q, ns)
+            want = np.zeros((ns.size, q), dtype=complex)
+            d = gcds[ns]
+            starts = np.flatnonzero(np.diff(d, prepend=0)).tolist() + [ns.size]
+            for lo, hi in zip(starts, starts[1:]):
+                g = int(d[lo])
+                want[lo:hi, ::g] = g * expsums.gauss_direct_table(q // g, ns[lo:hi] // g)
+            worst = max(worst, (np.abs(rows - want) / np.maximum(1.0, np.abs(rows))).max())
         for d in ntcore.divisors(q)[1:]:
-            for ns in _slabs(np.flatnonzero(gcds == d)):
-                want = np.zeros((ns.size, q), dtype=complex)
-                want[:, ::d] = d * expsums.gauss_direct_table(q // d, ns // d)
-                rows = expsums.gauss_direct_table(q, ns)
-                worst = max(worst, (np.abs(rows - want) / np.maximum(1.0, np.abs(rows))).max())
             hit = gcds[n] == d
             if hit.any():
                 sub = _gauss_entries(q // d, n[hit] // d, m[hit] // d)
@@ -575,19 +593,31 @@ def suite_dirichlet_form(seed=DEFAULT_SEED, dmax=500, P=10_000) -> SuiteResult:
     return rec.result(notes=f"gap {gap:.2e} within {budget:.2e}")
 
 
+# suite_rho_envelope evaluates at most _RHO_SLAB draws t per rho_fourier
+# call, and at most _RHO_PHASES (t, n) phases: 64 KiB of them, which the
+# allocator serves from its heap; the 512 KiB arrays of 32 t by D = 1000
+# terms were mapped afresh, and faulted in, on every call.
+_RHO_SLAB = 32
+_RHO_PHASES = 1 << 12
+
+
 def suite_rho_envelope(seed=DEFAULT_SEED, D_values=(10, 100, 1000), trials=1000) -> SuiteResult:
     """Sawtooth Fourier truncation error under 3 * min(1, 1/(D||t||))."""
     rec = _Recorder("rho-envelope")
     rng = random.Random(seed)
     for D in D_values:
+        ts = []
         for _ in range(trials):
             t = rng.uniform(-5.0, 5.0)
-            dist = min(t % 1.0, 1.0 - t % 1.0)
-            if dist < 1e-3:
+            if min(t % 1.0, 1.0 - t % 1.0) < 1e-3:
                 t += 2e-3
-                dist = min(t % 1.0, 1.0 - t % 1.0)
-            err = abs(asymptotic.rho(t) - asymptotic.rho_fourier(D, t))
-            cap = 3.0 * min(1.0, 1.0 / (D * dist))
+            ts.append(t)
+        width = max(1, min(_RHO_SLAB, _RHO_PHASES // int(D)))
+        for lo in range(0, trials, width):
+            t = np.array(ts[lo : lo + width])
+            dist = np.minimum(t % 1.0, 1.0 - t % 1.0)
+            err = np.abs(asymptotic.rho(t) - asymptotic.rho_fourier(D, t))
+            cap = 3.0 * np.minimum(1.0, 1.0 / (D * dist))
             rec.check(err <= cap, "D={D} t={t:.6f}: err {e:.4f} > {c:.4f}", D=D, t=t, e=err, c=cap)
     return rec.result()
 

@@ -235,6 +235,27 @@ class TestRhoFourier:
         with pytest.raises(ValueError):
             rho_fourier(1.5, 0.3)
 
+    def test_array_t_equals_the_scalar_calls(self):
+        t = np.random.default_rng(8).uniform(-5, 5, size=(3, 7))
+        for D in (2, 10, 1000):
+            got = rho_fourier(D, t)
+            assert got.shape == t.shape and got.dtype == float
+            assert got.tolist() == [[rho_fourier(D, x) for x in row] for row in t.tolist()]
+        assert type(rho_fourier(10, 0.3)) is float
+        assert type(rho_fourier(10, np.float64(0.3))) is float
+
+    def test_imaginary_leak_in_one_entry_raises(self, monkeypatch):
+        conj = np.conj
+
+        def leaky(phase):
+            out = conj(phase)
+            out[1] *= 1j  # the second t's negative terms no longer mirror its positive ones
+            return out
+
+        monkeypatch.setattr(np, "conj", leaky)
+        with pytest.raises(ArithmeticError, match="failed to cancel"):
+            rho_fourier(10, np.array([0.1, 0.3, 0.7]))
+
 
 class TestHarmonicSums:
     def test_trivial_modulus(self):

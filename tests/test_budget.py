@@ -94,12 +94,21 @@ _TABLES_MOD_20011 = 128 * 20011 + 1000
 @pytest.mark.parametrize("evaluate,m", [(lambdasums.lambda_direct, 0),
                                         (expsums.kloosterman_direct, 1)])
 def test_broadcast_direct_sums_state_their_grid(evaluate, m):
-    # 200 pairs x about 20011 residues would peak near 92 MiB
+    # 20,000 pairs mod 101 hold 48 bytes a pair and one chunk of 20,000
+    # pairs x 1 term at 32 bytes an entry, far more than their tables
+    n, stated = np.arange(20_000), 1_600_000
+
     def refused():
-        with budget_scope(_TABLES_MOD_20011), pytest.raises(ntcore.BudgetError, match="200 pairs"):
-            evaluate(20011, np.arange(200), m)
+        with budget_scope(stated - 1), pytest.raises(ntcore.BudgetError, match="20000 pairs"):
+            evaluate(101, n, m)
 
     assert _traced_peak(refused) < 2**20
+    with budget_scope(stated):
+        assert evaluate(101, n, m).shape == n.shape
+    # the whole grid of 200 pairs x about 20011 residues (92 MiB) is never
+    # held, so the tables' budget admits the chunked sum
+    with budget_scope(_TABLES_MOD_20011):
+        assert evaluate(20011, np.arange(200), m).shape == (200,)
 
 
 def test_lambda_fast_odd_reads_the_row_for_few_pairs_mod_a_large_l():

@@ -209,6 +209,32 @@ class TestUnitTable:
         assert units.tolist() == [1]
         assert invs.tolist() == [0]
 
+    @pytest.mark.parametrize("q", [65_537, 3**10, 2**16, 2 * 3**9, 5**3 * 7**3,
+                                   4 * 3 * 5 * 7 * 11])
+    def test_inverses_at_large_prime_powers_and_products(self, q):
+        # a prime past 2**16, prime powers of 3 and 2, and products of two
+        # to five prime powers: the cyclic tables and their CRT joins
+        units, invs = unit_table(q)
+        x = np.arange(1, q)
+        assert units.dtype == invs.dtype == np.int64
+        assert np.array_equal(units, x[np.gcd(x, q) == 1])
+        assert invs.tolist() == [pow(u, -1, q) for u in units.tolist()]
+
+
+class TestPhaseTable:
+    def test_within_2e_15_of_exp_to_5000(self):
+        for q in range(1, 5001):
+            roots = phase_table(q)
+            assert roots.shape == (q,) and roots.dtype == complex
+            assert np.abs(roots - np.exp(2j * np.pi * np.arange(q) / q)).max() <= 2e-15, q
+
+    def test_past_half_a_turn_the_roots_are_exact_conjugates(self):
+        for q in (2, 3, 4, 1999, 2000):
+            roots = phase_table(q)
+            t = np.arange(q // 2 + 1, q)
+            assert roots[0] == 1
+            assert np.array_equal(roots[t], roots[q - t].conjugate())
+
 
 
 

@@ -94,6 +94,28 @@ class TestSolveCircle:
         with pytest.raises(BudgetError):
             solve_circle(10**9)
 
+    @staticmethod
+    def _sorted_by_int64_keys(q):
+        # the counting sort of solve_circle with a stable argsort of int64
+        # keys (a merge sort) in place of 16-bit keys (a radix sort)
+        r = np.arange(1, q + 1, dtype=np.int64)
+        sq = r * r % q
+        order = np.argsort(sq, kind="stable")
+        count = np.bincount(sq, minlength=q)
+        start = np.cumsum(count) - count
+        want = (-sq - 1) % q
+        n = count[want]
+        return np.repeat(r, n), r[order[np.repeat(start[want] - (np.cumsum(n) - n), n)
+                                         + np.arange(n.sum())]]
+
+    def test_order_equals_an_int64_sort(self):
+        for q in list(range(1, 3001)) + [65_536, 65_537]:
+            sols = solve_circle(q)
+            xs, ys = self._sorted_by_int64_keys(q)
+            assert np.array_equal(sols.xs, xs) and np.array_equal(sols.ys, ys), q
+            dx, dy = np.diff(xs), np.diff(ys)
+            assert ((dx > 0) | ((dx == 0) & (dy > 0))).all(), q  # sorted, no repeats
+
     def test_arrays_read_only(self):
         sols = solve_circle(13)
         with pytest.raises(ValueError):
@@ -175,14 +197,15 @@ class TestLambdaFastOdd:
 
     @pytest.mark.parametrize("q", [45, 105])
     def test_both_kloosterman_routes(self, monkeypatch, q):
-        # a divisor l that serves more than l pairs reads the FFT row,
-        # one that serves fewer sums directly; both must give the oracle
+        # a divisor l that serves more than l pairs reads the FFT row; the
+        # others are summed directly, every one in a single call mod q;
+        # both must give the oracle
         routes = []
         row, direct = lambdasums.kloosterman_row, lambdasums.kloosterman_direct
         monkeypatch.setattr(lambdasums, "kloosterman_row",
                             lambda l, n: routes.append(("row", l)) or row(l, n))
         monkeypatch.setattr(lambdasums, "kloosterman_direct",
-                            lambda l, n, c: routes.append(("direct", l)) or direct(l, n, c))
+                            lambda l, n, c: routes.append(("direct", l, np.size(n))) or direct(l, n, c))
         a = np.arange(q)
         grid = lambda_fast_odd(q, a[:, None], a[None, :])
         assert ("row", q) in routes
@@ -191,9 +214,38 @@ class TestLambdaFastOdd:
         routes.clear()
         n, m = sample_arguments(q, 6, q)
         few = lambda_fast_odd(q, n, m)
-        assert ("direct", q) in routes and ("row", q) not in routes
+        # one request per (divisor l > 1, pair) with q/l dividing n and m
+        requests = sum(int(((n % (q // l) == 0) & (m % (q // l) == 0)).sum())
+                       for l in divisors(q)[1:])
+        assert routes == [("direct", q, requests)]
         assert np.abs(few - lambda_direct(q, n, m)).max() <= LAMBDA_TOLERANCE * q
 
+    def test_batched_divisor_route_equals_the_oracle(self, monkeypatch):
+        # K(l; 1, c) = phi(l)/phi(q) K(q; q/l, c q/l): pairs that share
+        # factors with q exercise every divisor l, summed in one call mod q
+        # while each l serves at most l pairs, else read from the rows
+        calls = []
+        direct = lambdasums.kloosterman_direct
+        monkeypatch.setattr(lambdasums, "kloosterman_direct",
+                            lambda l, n, c: calls.append(l) or direct(l, n, c))
+        rng = np.random.default_rng(23)
+        worst, batched = 0.0, 0
+        for q in range(1, 700, 2):
+            ls = divisors(q)[1:]
+            r = rng.choice([q // l for l in divisors(q)], size=(2, 8))
+            n, m = r * rng.integers(0, q, size=(2, 8))
+            n[0] = m[0] = 0
+            served = [int(((n % (q // l) == 0) & (m % (q // l) == 0)).sum()) for l in ls]
+            calls.clear()
+            got = lambda_fast_odd(q, n, m)
+            assert calls == ([q] if all(k <= l for k, l in zip(served, ls)) and q > 1 else []), q
+            batched += bool(calls)
+            worst = max(worst, np.abs(got - lambda_direct(q, n, m)).max() / q)
+        assert batched >= 300 and worst <= 1e-13
+        for q in range(1, 60, 2):
+            a = np.arange(q)
+            got = lambda_fast_odd(q, a[:, None], a[None, :])
+            assert np.abs(got - lambda_direct_table(q)).max() <= 1e-12 * q, q
 
     def test_few_pairs_mod_a_large_modulus_read_the_row(self, monkeypatch):
         # 5 pairs x 20010 units is past the direct sums' cap of 2**16 entries

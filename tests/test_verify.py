@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqfpairs import counting, expsums, lambdasums, ntcore
+from sqfpairs import asymptotic, counting, expsums, lambdasums, ntcore
 from sqfpairs.verify import (
     _Recorder,
     suite_gauss_closed,
@@ -15,6 +15,7 @@ from sqfpairs.verify import (
     suite_lambda_bound,
     suite_lambda_fast,
     suite_lambda_triple,
+    suite_rho_envelope,
     suite_sqrt_mod,
     suite_tau_growth,
     suite_truncation_report,
@@ -239,6 +240,52 @@ def test_sqrt_mod_is_one_call_per_prime_power(monkeypatch):
     result = suite_sqrt_mod()
     assert result.ok and result.checked == 288_805
     assert len(calls) == len(set(calls)) == 323
+
+
+def test_sqrt_mod_failures_are_counted_and_named(monkeypatch):
+    # one wrong root in a list of the right length (mod 9), and mod 5 one
+    # list too short and one wrong root: each residue is one failure
+    solve = ntcore.sqrt_mod
+    wrong = {(3, 2): {0: [0, 3, 7]}, (5, 1): {1: [1], 4: [2, 4]}}
+
+    def stub(a, p, e=1):
+        got = solve(a, p, e)
+        for residue, roots in wrong.get((p, e), {}).items():
+            got[residue] = roots
+        return got
+
+    monkeypatch.setattr(ntcore, "sqrt_mod", stub)
+    result = suite_sqrt_mod(limit=30)
+    assert (result.checked, result.failed) == (sum(p**e for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)
+                                                   for e in (1, 2, 3) if p**e <= 30), 3)
+    assert result.failures == ["sqrt_mod(0,3,2)=[0, 3, 7] want [0, 3, 6]",
+                               "sqrt_mod(1,5,1)=[1] want [1, 4]",
+                               "sqrt_mod(4,5,1)=[2, 4] want [2, 3]"]
+
+
+def test_rho_envelope_checks_every_draw_in_bounded_slabs(monkeypatch):
+    # with the series wrong everywhere, every check fails, in the order of
+    # the scalar draws; each call takes at most 32 t and 2**12 phases
+    shapes = []
+
+    def wrong(D, t):
+        shapes.append((D, t.size))
+        return asymptotic.rho(t) + 10.0
+
+    monkeypatch.setattr(asymptotic, "rho_fourier", wrong)
+    result = suite_rho_envelope(seed=5, D_values=(10, 1000), trials=100)
+    rng = random.Random(5)
+    want = []
+    for D in (10, 1000):
+        for _ in range(100):
+            t = rng.uniform(-5.0, 5.0)
+            if min(t % 1.0, 1.0 - t % 1.0) < 1e-3:
+                t += 2e-3
+            want.append((D, f"{t:.6f}"))
+    assert result.failed == result.checked == 200
+    assert [re.match(r"D=(\d+) t=(\S+):", f).groups() for f in result.failures] == [
+        (str(D), t) for D, t in want]
+    assert shapes == [(10, 32)] * 3 + [(10, 4)] + [(1000, 4)] * 25
 
 
 def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
