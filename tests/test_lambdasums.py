@@ -204,8 +204,9 @@ class TestLambdaFastOdd:
         row, direct = lambdasums.kloosterman_row, lambdasums.kloosterman_direct
         monkeypatch.setattr(lambdasums, "kloosterman_row",
                             lambda l, n: routes.append(("row", l)) or row(l, n))
-        monkeypatch.setattr(lambdasums, "kloosterman_direct",
-                            lambda l, n, c: routes.append(("direct", l, np.size(n))) or direct(l, n, c))
+        monkeypatch.setattr(
+            lambdasums, "kloosterman_direct",
+            lambda l, n, c: routes.append(("direct", l, np.size(n))) or direct(l, n, c))
         a = np.arange(q)
         grid = lambda_fast_odd(q, a[:, None], a[None, :])
         assert ("row", q) in routes
