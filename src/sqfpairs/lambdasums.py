@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ntcore import REMAINDER_ENTRIES, _check_modulus, _reduce, divisors, factorize, mod_inverse
+from .ntcore import (REMAINDER_ENTRIES, _check_modulus, _mod_in_place, _reduce, divisors,
+                     factorize, mod_inverse)
 from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies by default
                       CHUNK_ENTRIES, _check_grid, _check_table, kloosterman_direct,
                       kloosterman_row, phase_table)
@@ -88,14 +89,7 @@ def solve_circle(q: int) -> SolutionSet:
     # (mod q) form one run of the stably sorted order, so each x reads
     # its run and the pairs come out sorted by (x, y).
     r = np.arange(1, q + 1, dtype=np.int64)
-    sq = r * r
-    if q < REMAINDER_ENTRIES:
-        sq %= q
-    else:  # sq mod q, by numpy's faster floor division
-        spare = sq // q
-        spare *= q
-        sq -= spare
-        del spare
+    sq = _mod_in_place(r * r, q)
     # a stable argsort of 16-bit keys is numpy's radix sort
     order = np.argsort(sq.astype(np.uint16) if q <= 1 << 16 else sq, kind="stable")
     count = np.bincount(sq, minlength=q)
