@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntcore import _check_modulus, check_bytes, is_prime, mobius_sieve, primes_upto
+from .ntcore import (_check_modulus, _mod_in_place, check_bytes, divisors, is_prime, mobius,
+                     mobius_sieve, primes_upto)
 from .counting import _check_ladder, _probe_ladder
-from .expsums import _check_table
-from .lambdasums import lambda_any
+from .expsums import CHUNK_ENTRIES, RESIDUE_BYTES, _check_table, kloosterman_row
+from .lambdasums import _sign
 
 __all__ = [
     "EulerProductEstimate",
@@ -191,7 +192,12 @@ def rho_fourier(D: float, t):
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
     n = np.arange(1, int(D) + 1)
-    phase = np.exp(2j * np.pi * n * np.asarray(t, dtype=float)[..., None])
+    t = np.asarray(t, dtype=float)
+    # e(nt) as the running product of e(t) along n: one exp per t, of
+    # t - round(t), which is exact and keeps the angle's rounding small
+    phase = np.empty(t.shape + n.shape, dtype=complex)
+    phase[...] = np.exp(2j * np.pi * (t - np.round(t)))[..., None]
+    np.multiply.accumulate(phase, axis=-1, out=phase)
     total = (phase / (2j * np.pi * n)).sum(axis=-1)
     total += (np.conj(phase) / (-2j * np.pi * n)).sum(axis=-1)
     leak = np.abs(total.imag) > 1e-9 * np.maximum(1.0, np.abs(total.real))
@@ -200,9 +206,9 @@ def rho_fourier(D: float, t):
     return float(total.real) if total.ndim == 0 else total.real
 
 
-# Residues n per slab of harmonic_lambda_sums: a slab of 64 x q entries
-# holds about 1.5 MiB at q = 489.
-_SLAB_ROWS = 64
+# Bytes harmonic_lambda_sums states per (D value, residue): the weights,
+# and one class's square histograms, spectra and pair counts.
+_HARMONIC_BYTES = 64
 
 
 def harmonic_lambda_sums(q: int, D):
@@ -211,16 +217,31 @@ def harmonic_lambda_sums(q: int, D):
         U = sum_{1 <= n <= D}      |lam(q; n, 0)| / n
         V = sum_{1 <= n, m <= D}   |lam(q; n, m)| / (n m)
 
-    lam is q-periodic in both arguments, so the weights 1/n collapse
-    onto residues and the sums need one |lam| value per residue pair.
-    They are evaluated by `lambda_any` in slabs of _SLAB_ROWS residues n
-    by all q residues m: U adds up each slab's m = 0 column and V its
-    weighted sum, so no q x q table is held and the working set is a few
-    slabs of 64 q entries.  D is an int, giving floats U and V, or a 1-D
-    integer array, giving arrays with one entry per D; each slab serves
-    all of them.  The q x q residue pairs are stated to the budget as a
-    grid, so q > 4096 raises BudgetError by default, before anything is
-    allocated.
+    lam is q-periodic in both arguments, so the weights 1/n collapse onto
+    residues, w(u) = sum of 1/n over n = u (mod q).  For odd q the
+    Kloosterman decomposition of `lambdasums.lambda_fast_odd` makes
+    lam(q; n, m) depend only on g = gcd(n, m, q) and t = (n/g)^2 + (m/g)^2
+    mod q/g: with r | g, l = q/r and s = g/r its terms are
+
+        q (-1)**((l-1)/2) / l * K(l; 1, -inv(4) * s * (s*t mod q/g)),
+
+    so each class g takes its values Lam_g(t) from the FFT rows
+    `kloosterman_row(l, 1)`, each read once.  U sums w(g a) |Lam_g(a^2)|
+    over the a coprime to q/g.  V weighs every |Lam_g(t)| by the weight of
+    the pairs (a, b) with a^2 + b^2 = t (mod q/g) and gcd(a, b, q/g) = 1:
+    a cyclic convolution, by `np.fft.rfft`, of the weights binned by
+    square, with Moebius inclusion-exclusion over the squarefree e | q/g
+    for the gcd.  For q = 2 q1, lam(q; n, m) = ((-1)**n + (-1)**m) times
+    lam(q1; n/2, m/2) (see `lambda_any`), so the weights split by parity,
+    twisted by inv(2) mod q1; for 4 | q, lam vanishes and so do U and V.
+
+    D is an int, giving floats U and V, or a 1-D integer array, giving
+    arrays with one entry per D; the weights are summed CHUNK_ENTRIES
+    values n at a time.  The modulus is checked against the per-residue
+    ceiling, then sigma(q) complex class values, the rows' tables at
+    RESIDUE_BYTES a residue and _HARMONIC_BYTES per (D, residue) are
+    stated to the budget before anything is allocated; no q x q array is
+    held.
     """
     q = _check_modulus(q)
     Ds = np.asarray(D)
@@ -228,20 +249,73 @@ def harmonic_lambda_sums(q: int, D):
         raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    _check_table(q, "harmonic_lambda_sums", dims=2)  # before the weights
-    weights = np.zeros((Ds.size, q))
-    for row, d in zip(weights, Ds.ravel().tolist()):
-        n = np.arange(1, d + 1)
-        np.add.at(row, n % q, 1.0 / n)
-    a = np.arange(q, dtype=np.int64)
+    _check_table(q, "harmonic_lambda_sums")  # the rows' tables, before q is factored
+    half = q % 2 == 0  # q = 2 q1: the weights split by parity
+    q1 = q // 2 if half else q
+    check_bytes(16 * sum(divisors(q1)) + RESIDUE_BYTES * q1 + _HARMONIC_BYTES * Ds.size * q
+                + _HARMONIC_BYTES * min(CHUNK_ENTRIES, int(Ds.max())),
+                f"harmonic_lambda_sums({q}) on {Ds.size} values of D")
     U, V = np.zeros(Ds.size), np.zeros(Ds.size)
-    for lo in range(0, q, _SLAB_ROWS):
-        mags = np.abs(lambda_any(q, a[lo : lo + _SLAB_ROWS, None], a[None, :]))
-        slab = weights[:, lo : lo + _SLAB_ROWS]
-        U += slab @ mags[:, 0]
-        V += np.einsum("iu,uv,iv->i", slab, mags, weights)
+    if q % 4:
+        # row i holds w for D[i], or [W_0 | W_1] when half: W_p(a) sums the
+        # 1/n with n = p (mod 2) and inv(2) n = a (mod q1)
+        weights = np.zeros((Ds.size, q))
+        twist = pow(2, -1, q1) if half else 1
+        for row, d in zip(weights, Ds.ravel().tolist()):
+            for lo in range(1, d + 1, CHUNK_ENTRIES):
+                n = np.arange(lo, min(lo + CHUNK_ENTRIES, d + 1), dtype=np.int64)
+                key = _mod_in_place(n % q1 * twist, q1)
+                if half:
+                    key += (n & 1) * q1
+                np.add.at(row, key, 1.0 / n)
+        U, V = _odd_harmonic_sums(q1, weights.reshape(-1, q1))
+        if half:
+            U, V = 2 * U[0::2], 2 * (V[0::2] + V[1::2])
     if Ds.ndim == 0:
         return float(U[0]), float(V[0])
+    return U, V
+
+
+def _odd_harmonic_sums(q: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U and V of `harmonic_lambda_sums` for odd q, one per row of residue
+    weights (shape (rows, q))."""
+    divs = divisors(q)
+    lam = {g: np.zeros(q // g, dtype=complex) for g in divs}  # Lam_g(t), t in [0, q/g)
+    for l in divs:
+        r = q // l
+        row = kloosterman_row(l, 1)
+        row *= q * _sign(l) / l
+        c = -pow(4, -1, l) % l  # 0 at l = 1
+        for g in divs:
+            if g % r:
+                continue
+            s, Q = g // r, q // g
+            t = _mod_in_place(np.arange(0, s * Q, s, dtype=np.int64), Q)
+            t *= s * c  # below l**2
+            lam[g] += row[_mod_in_place(t, l)]
+    U, V = np.zeros(weights.shape[0]), np.zeros(weights.shape[0])
+    for g in divs:
+        Q = q // g
+        w = weights[:, ::g]  # the residues g*a, a in [0, Q)
+        a = np.arange(Q, dtype=np.int64)
+        sq = _mod_in_place(a * a, Q)
+        mags = np.abs(lam.pop(g))
+        U += w @ np.where(np.gcd(a, Q) == 1, mags[sq], 0.0)  # a = 0 is a unit at Q = 1
+        hist = np.empty(w.shape)
+        spectrum = 0
+        for e in divisors(Q):
+            mu = mobius(e)
+            if not mu:
+                continue
+            # the weights of the a = 0 (mod e), binned by a^2 mod Q
+            for h, row in zip(hist, w):
+                h[:] = np.bincount(sq[::e], weights=row[::e], minlength=Q)
+            f = np.fft.rfft(hist, axis=1)
+            f *= f
+            f *= mu
+            spectrum += f
+        del hist
+        V += np.fft.irfft(spectrum, n=Q, axis=1) @ mags
     return U, V
 
 

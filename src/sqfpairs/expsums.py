@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from .ntcore import (DEFAULT_MEMORY_BUDGET, REMAINDER_ENTRIES, _check_modulus, _mod_in_place,
-                     _reduce, check_bytes, factorize, jacobi)
+                     _reduce, check_bytes, factorize)
 
 __all__ = [
     "complex_close",
@@ -244,16 +244,25 @@ def gauss_closed_odd(q: int, n, m):
     Equals e_q(-inv(4n) * m^2) * jacobi(n, q) * G(q; 1).  Broadcasts over
     n and m like `kloosterman_direct`: a complex for scalar arguments, a
     complex array of the broadcast shape otherwise.  Raises ValueError if
-    gcd(q, 2n) != 1 for any n.
+    gcd(q, 2n) != 1 for any n.  The Jacobi symbol is the product of the
+    Legendre symbols (n/p) over the p**e exactly dividing q with e odd,
+    each read off a table of the squares mod p, and inv(4n) is read off
+    `unit_table`'s inverses: one O(q) pass per modulus, none per n.
     """
-    q = _check_modulus(q)
+    q = _check_table(q, "gauss_closed_odd")
     n, m = _reduce(q, n), _reduce(q, m)
     if q % 2 == 0 or np.any(np.gcd(n, q) != 1):
         raise ValueError(f"need gcd(q, 2n) = 1 for every n, got q={q}, n={n}")
-    # one Python-int inverse and symbol per n, none per m
-    inv4n = np.asarray(np.frompyfunc(pow, 3, 1)(4 * n, -1, q), dtype=np.int64)
-    symbol = np.asarray(np.frompyfunc(jacobi, 2, 1)(n, q), dtype=np.int64)
-    t = -inv4n * (m * m % q) % q
+    units, invs = unit_table(q)
+    # n is a unit, and so is 4n mod q: its inverse is found among the units
+    t = q - invs[np.searchsorted(units, 4 * n % q)]  # -inv(4n) mod q, in [1, q]
+    symbol = np.ones_like(t)
+    for p, e in factorize(q):
+        if e % 2:
+            legendre = np.full(p, -1)  # 0 is never read: n is a unit
+            legendre[np.arange(p) ** 2 % p] = 1
+            symbol = symbol * legendre[n % p]
+    t = _mod_in_place(np.asarray(t * (m * m % q)), q)  # every product below q**2
     total = phase_table(q)[t] * (symbol * _gauss_unit(q))
     return complex(total) if total.ndim == 0 else total
 

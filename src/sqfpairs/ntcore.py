@@ -348,10 +348,8 @@ def sqrt_mod(a, p: int, e: int = 1) -> list:
         inv = _powmod(2 * w % pj, pj // p * (p - 1) - 1, pj)
         w = (w - (w * w - b) % pj * inv) % pj
     low = np.minimum(w, modulus - w)
-    out = np.stack([low, modulus - low], 1).tolist()
     solvable = residue & (k % 2 == 0)
-    for i in np.flatnonzero(~solvable).tolist():
-        out[i] = []
+    out = [[r, modulus - r] if ok else [] for r, ok in zip(low.tolist(), solvable.tolist())]
     lifted = np.flatnonzero(solvable & (k > 0))
     for i, ki, wi in zip(lifted.tolist(), k[lifted].tolist(), w[lifted].tolist()):
         target, half = p ** (e - ki), p ** (ki // 2)

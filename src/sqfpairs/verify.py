@@ -16,6 +16,7 @@ it is.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import resource
@@ -176,7 +177,8 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
             want = []  # the runs as lists, built only when a check fails
             ok = np.fromiter(map(len, got), dtype=np.int64, count=m) == count
             if ok.all():  # the lists line up with the runs: compare them root by root
-                same = np.append(np.array([r for g in got for r in g]) == roots, True)
+                flat = np.fromiter(itertools.chain.from_iterable(got), dtype=np.int64, count=m)
+                same = np.append(flat == roots, True)
                 ok = np.logical_and.reduceat(same, start) | (count == 0)
             if not ok.all():
                 want = [roots[lo : lo + k].tolist() for lo, k in zip(start, count)]
@@ -521,12 +523,11 @@ def suite_residue_count(seed=DEFAULT_SEED) -> SuiteResult:
 def suite_congruent_bound(seed=DEFAULT_SEED, qmax=200) -> SuiteResult:
     """0 <= T(H, q) <= lam(q) * (H/q + 1)^2 on a grid."""
     rec = _Recorder("congruent-pair-bound")
+    lam = {q: len(lambdasums.solve_circle(q)) for q in range(1, qmax + 1) if q % 8}
     for H in (10, 50, 100):
-        for q in range(1, qmax + 1):
-            if q % 8 == 0:
-                continue
+        for q, lam_q in lam.items():
             t = counting.congruent_pair_count(H, q)
-            cap = len(lambdasums.solve_circle(q)) * (H / q + 1) ** 2
+            cap = lam_q * (H / q + 1) ** 2
             rec.check(0 <= t <= cap, "T({H},{q})={t} outside [0, {cap:.2f}]", H=H, q=q, t=t, cap=cap)
     return rec.result()
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import mpmath
@@ -20,7 +21,8 @@ from sqfpairs.asymptotic import (
 )
 from sqfpairs.counting import count_pairs_direct, count_pairs_ladder
 from sqfpairs.lambdasums import solve_circle
-from sqfpairs.ntcore import BudgetError, factorize, mobius, primes_upto, tau
+from sqfpairs.expsums import DEFAULT_SOLVE_CEILING
+from sqfpairs.ntcore import BudgetError, budget_scope, factorize, mobius, primes_upto, tau
 
 
 class TestLambdaPSquared:
@@ -235,6 +237,18 @@ class TestRhoFourier:
         with pytest.raises(ValueError):
             rho_fourier(1.5, 0.3)
 
+    def test_within_rounding_of_the_exact_series_near_integers(self):
+        # near an integer t the series is steep, and a phase angle
+        # 2*pi*n*t rounded at |t| ~ 4 is off by up to 2e-13 at D = 1000;
+        # running products of e(t - round(t)) keep the angle exact
+        ts = np.array([4.000257853022156, -2.9996, 0.0007, 1.5003, -4.9991, 3.25, 4.9993])
+        got = rho_fourier(1000, ts)
+        with mpmath.workdps(30):
+            for t, value in zip(ts.tolist(), got.tolist()):
+                want = mpmath.fsum(mpmath.sin(2 * mpmath.pi * n * mpmath.mpf(t)) / (mpmath.pi * n)
+                                   for n in range(1, 1001))
+                assert abs(value - float(want)) < 2e-14, t
+
     def test_array_t_equals_the_scalar_calls(self):
         t = np.random.default_rng(8).uniform(-5, 5, size=(3, 7))
         for D in (2, 10, 1000):
@@ -255,6 +269,14 @@ class TestRhoFourier:
         monkeypatch.setattr(np, "conj", leaky)
         with pytest.raises(ArithmeticError, match="failed to cancel"):
             rho_fourier(10, np.array([0.1, 0.3, 0.7]))
+
+
+def _stated_bytes(q, D):
+    """The bytes harmonic_lambda_sums(q, D) states to the budget, read off
+    its refusal under a budget that admits only the per-residue tables."""
+    with budget_scope(128 * q), pytest.raises(BudgetError) as refusal:
+        harmonic_lambda_sums(q, D)
+    return int(re.search(r"needs (\d+) bytes", str(refusal.value)).group(1))
 
 
 class TestHarmonicSums:
@@ -291,8 +313,10 @@ class TestHarmonicSums:
             harmonic_lambda_sums(3, 1)
 
     def test_rejects_modulus_above_table_limit(self):
-        with pytest.raises(BudgetError):
-            harmonic_lambda_sums(4099, 10)
+        # the per-residue ceiling of the Kloosterman rows' tables
+        q = DEFAULT_SOLVE_CEILING + 1
+        with pytest.raises(BudgetError, match="ceiling"):
+            harmonic_lambda_sums(q, 10)
 
     def test_array_of_D_equals_loop(self):
         Ds = np.array([2, 7, 10, 100, 1000])
@@ -310,8 +334,8 @@ class TestHarmonicSums:
 
     @pytest.mark.parametrize("q", [130, 147, 193])
     def test_slabs_match_the_full_table(self, q):
-        # more than one slab of residues n: the sums over slabs equal the
-        # sums over the whole q x q table of |lam|
+        # the sums over gcd classes and square sums equal the sums over the
+        # whole q x q table of |lam|
         from sqfpairs.lambdasums import lambda_any_table
 
         mags = np.abs(lambda_any_table(q))
@@ -325,15 +349,15 @@ class TestHarmonicSums:
             assert abs(v - w @ mags @ w) <= 1e-12 * v
 
     def test_no_q_by_q_table_is_held(self):
-        # a q x q table of lam at q = 489 alone is 3.6 MiB, and the table
-        # with its temporaries peaked at 11.2 MiB
+        # a q x q table of lam at q = 489 alone is 3.6 MiB, and of |lam|
+        # 1.8 MiB; the table with its temporaries peaked at 11.2 MiB
         tracemalloc.start()
         try:
             harmonic_lambda_sums(489, np.array([2, 10, 100, 1000]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 2**20
+        assert peak <= 2**20
 
     def test_array_D_containing_one_rejected(self):
         with pytest.raises(ValueError):
@@ -342,12 +366,64 @@ class TestHarmonicSums:
     def test_array_D_budget_checked_before_table(self, monkeypatch):
         from sqfpairs import asymptotic
 
-        def refuse(q, n, m):
-            raise AssertionError("table built before the budget check")
+        def refuse(q, n=1):
+            raise AssertionError("row built before the budget check")
 
-        monkeypatch.setattr(asymptotic, "lambda_any", refuse)
-        with pytest.raises(BudgetError):
-            harmonic_lambda_sums(4099, np.array([2, 10, 100]))
+        D = np.array([2, 10, 100])
+        need = _stated_bytes(4099, D)
+        monkeypatch.setattr(asymptotic, "kloosterman_row", refuse)
+        with budget_scope(need - 1), pytest.raises(BudgetError):
+            harmonic_lambda_sums(4099, D)
+
+    @pytest.mark.parametrize("q", [q for q in range(1, 65) if q % 8])
+    def test_matches_the_direct_table(self, q):
+        # lambda_direct_table, the 2-D FFT of the solution set, shares no
+        # code with the Kloosterman rows and the square-sum convolutions
+        from sqfpairs.lambdasums import lambda_direct_table
+
+        mags = np.abs(lambda_direct_table(q))
+        Ds = np.array([2, 7, 64, 1000])
+        U, V = harmonic_lambda_sums(q, Ds)
+        for D, u, v in zip(Ds.tolist(), U.tolist(), V.tolist()):
+            n = np.arange(1, D + 1)
+            w = np.zeros(q)
+            np.add.at(w, n % q, 1.0 / n)
+            u_want, v_want = w @ mags[:, 0], w @ mags @ w
+            assert abs(u - u_want) <= 1e-12 * max(1.0, u_want), (D, u, u_want)
+            assert abs(v - v_want) <= 1e-12 * max(1.0, v_want), (D, v, v_want)
+
+    @pytest.mark.parametrize("q,Ds", [(4099, [2, 7, 40]), (100003, [2, 5])])
+    def test_moduli_past_the_old_grid_ceiling(self, q, Ds):
+        # admitted now; at D < q each sum is a few direct circle sums
+        from sqfpairs.lambdasums import lambda_direct
+
+        U, V = harmonic_lambda_sums(q, np.array(Ds))
+        for D, u, v in zip(Ds, U.tolist(), V.tolist()):
+            n = np.arange(1, D + 1)
+            u_want = np.abs(lambda_direct(q, n, 0)) @ (1.0 / n)
+            v_want = (1.0 / n) @ np.abs(lambda_direct(q, n[:, None], n[None, :])) @ (1.0 / n)
+            assert abs(u - u_want) <= 1e-12 * max(1.0, u_want), (D, u, u_want)
+            assert abs(v - v_want) <= 1e-12 * max(1.0, v_want), (D, v, v_want)
+
+    def test_refused_just_below_the_stated_bytes(self):
+        # refused before allocating; admitted at the stated bytes, which
+        # bound what the sums hold
+        D = np.array([2, 10, 100, 1000])
+        need = _stated_bytes(4099, D)
+        assert need < 128 * 4099 + 4 * 2**20  # O(q len(D)), not q**2
+        tracemalloc.start()
+        try:
+            with budget_scope(need - 1), pytest.raises(BudgetError, match="harmonic_lambda_sums"):
+                harmonic_lambda_sums(4099, D)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with budget_scope(need):
+                harmonic_lambda_sums(4099, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused_peak < 2**20
+        assert peak <= need
 
 
 class TestErrorScan:

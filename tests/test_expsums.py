@@ -132,6 +132,15 @@ class TestGaussClosedOdd:
         assert_close_elementwise(got, [[gauss_direct(q, a, b) for b in m.tolist()]
                                        for a in n.tolist()], tol=1e-9)
 
+    @pytest.mark.parametrize("q", [343, 675, 1155])
+    def test_every_unit_row_equals_the_direct_grid(self, q):
+        # past the verify suite's q <= 301: the symbol from the Legendre
+        # tables of q's odd-exponent primes, inv(4n) from the unit table
+        n = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        got = gauss_closed_odd(q, n[:, None], np.arange(q))
+        want = gauss_direct_table(q, n)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
     def test_shapes_and_scalar_type(self):
         assert type(gauss_closed_odd(13, 2, 3)) is complex
         assert type(gauss_closed_odd(13, np.int64(2), np.int64(3))) is complex

@@ -559,15 +559,14 @@ class TestTableLifetime:
             evaluate(q, 1, 2)
 
     @pytest.mark.parametrize("name", ["gauss_direct_table", "lambda_direct_table",
-                                      "lambda_any_table", "harmonic_lambda_sums"])
+                                      "lambda_any_table"])
     def test_grid_refused_above_the_ceiling_before_allocating(self, name):
         # q^2 residue pairs just above the ceiling; the grid would take ~256 MiB
         q = math.isqrt(lambdasums.DEFAULT_SOLVE_CEILING) + 1
         assert q == 4097
         build = {"gauss_direct_table": expsums.gauss_direct_table,
                  "lambda_direct_table": lambda_direct_table,
-                 "lambda_any_table": lambda_any_table,
-                 "harmonic_lambda_sums": lambda q: harmonic_lambda_sums(q, np.array([2, 10]))}[name]
+                 "lambda_any_table": lambda_any_table}[name]
 
         def evaluate():
             with pytest.raises(BudgetError, match="ceiling"):

@@ -9,6 +9,7 @@ import pytest
 from sqfpairs import asymptotic, counting, expsums, lambdasums, ntcore
 from sqfpairs.verify import (
     _Recorder,
+    suite_congruent_bound,
     suite_gauss_closed,
     suite_gauss_reduce,
     suite_lambda_any,
@@ -310,3 +311,27 @@ def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
                    else ("sample", *map(int, sample.groups())))
     assert result.failed == result.checked == len(want)
     assert got == want
+
+
+def test_congruent_bound_solves_each_circle_once(monkeypatch):
+    calls = []
+    solve = lambdasums.solve_circle
+
+    def spy(q):
+        calls.append(q)
+        return solve(q)
+
+    monkeypatch.setattr(lambdasums, "solve_circle", spy)
+    result = suite_congruent_bound()
+    assert result.ok and result.checked == 525
+    assert calls == [q for q in range(1, 201) if q % 8]
+
+
+def test_congruent_bound_checks_in_height_order(monkeypatch):
+    # with every T out of range, the failures come H by H, q by q
+    monkeypatch.setattr(counting, "congruent_pair_count", lambda H, q: -1)
+    result = suite_congruent_bound(qmax=10)
+    qs = [q for q in range(1, 11) if q % 8]
+    assert result.failures == [
+        f"T({H},{q})=-1 outside [0, {len(lambdasums.solve_circle(q)) * (H / q + 1) ** 2:.2f}]"
+        for H in (10, 50, 100) for q in qs]
