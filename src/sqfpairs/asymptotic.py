@@ -207,7 +207,8 @@ def rho_fourier(D: float, t):
 
 
 # Bytes harmonic_lambda_sums states per (D value, residue): the weights,
-# and one class's square histograms, spectra and pair counts.
+# and one class's square histograms, spectra and pair counts; and per
+# value n of a chunk of the weights' sums.
 _HARMONIC_BYTES = 64
 
 
@@ -239,9 +240,9 @@ def harmonic_lambda_sums(q: int, D):
     arrays with one entry per D; the weights are summed CHUNK_ENTRIES
     values n at a time.  The modulus is checked against the per-residue
     ceiling, then sigma(q) complex class values, the rows' tables at
-    RESIDUE_BYTES a residue and _HARMONIC_BYTES per (D, residue) are
-    stated to the budget before anything is allocated; no q x q array is
-    held.
+    RESIDUE_BYTES a residue, and _HARMONIC_BYTES per (D, residue) and
+    per n of a chunk are stated to the budget before anything is
+    allocated; no q x q array is held.
     """
     q = _check_modulus(q)
     Ds = np.asarray(D)
