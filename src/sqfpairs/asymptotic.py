@@ -227,7 +227,7 @@ def harmonic_lambda_sums(q: int, D):
         q (-1)**((l-1)/2) / l * K(l; 1, -inv(4) * s * (s*t mod q/g)),
 
     so each class g takes its values Lam_g(t) from the FFT rows
-    `kloosterman_row(l, 1)`, each read once.  U sums w(g a) |Lam_g(a^2)|
+    `kloosterman_row(l)`, each read once.  U sums w(g a) |Lam_g(a^2)|
     over the a coprime to q/g.  V weighs every |Lam_g(t)| by the weight of
     the pairs (a, b) with a^2 + b^2 = t (mod q/g) and gcd(a, b, q/g) = 1:
     a cyclic convolution, by `np.fft.rfft`, of the weights binned by
@@ -284,7 +284,7 @@ def _odd_harmonic_sums(q: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndar
     lam = {g: np.zeros(q // g, dtype=complex) for g in divs}  # Lam_g(t), t in [0, q/g)
     for l in divs:
         r = q // l
-        row = kloosterman_row(l, 1)
+        row = kloosterman_row(l)
         row *= q * _sign(l) / l
         c = -pow(4, -1, l) % l  # 0 at l = 1
         for g in divs:

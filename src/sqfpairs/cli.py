@@ -20,7 +20,7 @@ import sys
 
 from . import asymptotic, counting, lambdasums, verify
 from .lambdasums import LAMBDA_TOLERANCE
-from .ntcore import BudgetError, budget_scope, memory_budget
+from .ntcore import BudgetError, _check_modulus, budget_scope, memory_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,16 +39,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sqfpairs", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output-format", choices=("text", "csv", "json"), default="text")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
     common.add_argument("--memory-budget", type=int, default=None,
                         help="byte budget of every large allocation (sieves, "
                              "per-residue tables), a positive integer (default: "
                              "SQFPAIRS_MEMORY_BUDGET or 2 GiB)")
 
+    probe = argparse.ArgumentParser(add_help=False)  # for the commands that probe pairs
+    probe.add_argument("--threads", type=int, default=None,
+                       help="worker threads, at most one per CPU (default: SQFPAIRS_THREADS or 1)")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[common], help="exact S(H)")
+    p_count = sub.add_parser("count", parents=[common, probe], help="exact S(H)")
     p_count.add_argument("--H", type=int, required=True)
     p_count.add_argument("--method", choices=("value-sieve", "mobius-identity", "both"),
                          default="both")
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constant", parents=[common], help="Euler product constant")
     p_const.add_argument("--P", type=int, required=True)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="error-term ladder")
+    p_scan = sub.add_parser("scan", parents=[common, probe], help="error-term ladder")
     p_scan.add_argument("--H-ladder", type=_int_list, required=True,
                         help="comma-separated increasing H values")
     p_scan.add_argument("--P", type=int, default=10**5)
@@ -183,7 +185,7 @@ def _cmd_verify(args) -> int:
         for name in verify.ALL_SUITES:
             print(name)
         return EXIT_OK
-    results = verify.run_suites(args.suites, seed=args.seed, threads=args.threads)
+    results = verify.run_suites(args.suites, seed=args.seed)
     if args.output_format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in results]))
     elif args.output_format == "csv":
@@ -206,10 +208,10 @@ def main(argv=None) -> int:
         code = exc.code
         return EXIT_OK if code in (None, 0) else EXIT_USAGE
     try:
-        if args.threads is None:
-            args.threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
-        if args.threads < 1:
-            raise ValueError(f"threads must be positive, got {args.threads}")
+        if "threads" in args:  # count and scan: the flag, else SQFPAIRS_THREADS, else 1
+            if args.threads is None:
+                args.threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
+            _check_modulus(args.threads, "threads")
         # resolved once; a budget <= 0 is a usage error for every command
         budget = memory_budget() if args.memory_budget is None else args.memory_budget
         with budget_scope(budget):

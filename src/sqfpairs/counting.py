@@ -13,7 +13,7 @@ Two independent routes compute the same integer:
   windows instead).  A ladder of heights is probed once, up to its top,
   and each S(H) is read off as the running sum over the bands, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
-  sum over squarefree d of T(H, d^2), the number of pairs with
+  sum over odd squarefree d of T(H, d^2), the number of pairs with
   d^2 | x^2 + y^2 + 1, each T counted by matching the squares x^2 mod d^2
   against -y^2 - 1 in one sorted array.
 
@@ -25,6 +25,7 @@ separately for studying the tail of the identity.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import heapq
 import itertools
 import math
@@ -389,7 +390,7 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     N = 2 * top**2 + 1
     if sieve is not None and sieve.limit < N:
         raise ValueError(f"provided sieve covers {sieve.limit} < {N}")
-    workers = min(max(1, int(threads)), os.cpu_count() or 1)
+    workers = min(_check_modulus(threads, "threads"), os.cpu_count() or 1)
     step = 2 * max(1, _PROBE_VALUES // max(1, _BLOCK_ROWS // 2))  # x advance per column chunk
     half = (min(_BLOCK_ROWS, top) + 1) // 2  # rows of one parity in a block
     values = half * max(half, min(step // 2, top // 2 + 1))  # a chunk's or a tile's, at most
@@ -433,9 +434,9 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     bounds = [0] + cuts + [None]
     runs = list(zip(bounds, bounds[1:]))
     # the first run goes in this thread, so one worker starts no thread
-    # (and no second malloc arena)
+    # (and no second malloc arena); the others run in copies of its context
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in runs[1:]]
+        futures = [pool.submit(contextvars.copy_context().run, run, lo, hi) for lo, hi in runs[1:]]
         results = [run(*runs[0])] + [fut.result() for fut in futures]
     reports, S, elapsed = [], 0, 0.0
     for band, H in enumerate(H_values):
@@ -469,9 +470,9 @@ def count_pairs_ladder(
     below) is done.  With more than one worker the ordered rectangles are
     cut into one run per worker of about equal work, each with its own
     window; there are min(threads, cpu count) workers, the calling
-    thread and a pool of the others.  Integer
-    subtotals are summed per band, so the result does not depend on the
-    worker count.
+    thread and a pool of the others, under its `budget_scope`; `threads`
+    is a positive integer, else ValueError.  Integer subtotals are summed
+    per band, so the result does not depend on the worker count.
     """
     return _probe_ladder(H_values, sieve, threads)[0]
 
@@ -517,18 +518,19 @@ def congruent_pair_count(H: int, q: int) -> int:
 
 def _mobius_sum(H: int, dmax: int) -> int:
     # congruent_pair_count's 48 bytes per x, checked before the sieve is
-    # built; the d are read off the sieve one at a time, with no list
+    # built; the d are read off the sieve one at a time, with no list,
+    # and only the odd d (T(H, d^2) = 0 for even d, see count_pairs_mobius)
     check_bytes(48 * H, f"congruent_pair_count({H}, d^2)")
     mu = mobius_sieve(dmax)
-    return sum(int(mu[d]) * congruent_pair_count(H, d * d) for d in range(1, dmax + 1) if mu[d])
+    return sum(int(mu[d]) * congruent_pair_count(H, d * d) for d in range(1, dmax + 1, 2) if mu[d])
 
 
 def count_pairs_mobius(H: int) -> PairCountReport:
     """Exact S(H) via the identity sum_{d^2 | n} mu(d) = mu^2(n).
 
-    Sums mu(d) * T(H, d^2) over every d up to sqrt(2H^2 + 1) (values of
-    x^2 + y^2 + 1 never exceed 2H^2 + 1, so the sum is complete and the
-    result is an exact integer, not an approximation).
+    Sums mu(d) * T(H, d^2) over every odd d up to sqrt(2H^2 + 1) (values of
+    x^2 + y^2 + 1 never exceed 2H^2 + 1 and are never 0 mod 4, so the sum
+    is complete and the result is an exact integer, not an approximation).
     """
     if H < 1:
         raise ValueError(f"H must be positive, got {H}")

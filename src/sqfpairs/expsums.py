@@ -13,8 +13,8 @@ arguments costs one call per modulus.  `kloosterman_direct` sums up to
 CHUNK_ENTRIES (pair, unit) entries in one step and more a chunk of that
 size at a time, so beside its tables and its result it holds under 1 MiB
 however many pairs and units it sums.  The FFT helpers evaluate the
-direct sums for many arguments at once: `kloosterman_row` for every m at
-one n, and `gauss_direct_table` for every m at the rows n it is given
+direct sums for many arguments at once: `kloosterman_row` for every c at
+n = 1, and `gauss_direct_table` for every m at the rows n it is given
 (all of [0, q) by default), so a verification sweep builds only the rows
 it compares, a slab at a time.
 
@@ -349,15 +349,14 @@ def gauss_direct_table(q: int, rows=None) -> np.ndarray:
     return np.fft.ifft(grid, axis=-1, norm="forward", out=grid)
 
 
-def kloosterman_row(q: int, n: int = 1) -> np.ndarray:
-    """kloosterman_direct(q, n, c) for every c in [0, q), as a length-q array.
+def kloosterman_row(q: int) -> np.ndarray:
+    """kloosterman_direct(q, 1, c) for every c in [0, q), as a length-q array.
 
     Batched direct summation: substituting y = inv(x) turns the sum into
-    a 1-D inverse DFT of y -> e_q(n * inv(y)) over the units y.
+    a 1-D inverse DFT of y -> e_q(inv(y)) over the units y.
     """
     q = _check_modulus(q)
-    n = int(_reduce(q, n))
     units, invs = unit_table(q)
     v = np.zeros(q, dtype=complex)
-    v[units % q] = phase_table(q)[(n * invs) % q]
+    v[units % q] = phase_table(q)[invs]
     return np.fft.ifft(v) * q

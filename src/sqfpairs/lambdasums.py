@@ -182,7 +182,7 @@ def lambda_fast_odd(q: int, n, m):
 
     since u mod l meets every unit mod l phi(q)/phi(l) times, inv(u) mod l
     is its inverse, and e_l(t) = e_q(r*t).  Otherwise every divisor reads
-    its c from the FFT row `kloosterman_row(l, 1)`, which serves any
+    its c from the FFT row `kloosterman_row(l)`, which serves any
     number of pairs in O(l log l).  So a call builds the unit and phase
     tables mod q once, a few pairs mod a small q (the sampled entries the
     verify suites check) sum directly, and a grid, or a few pairs mod a
@@ -209,7 +209,7 @@ def lambda_fast_odd(q: int, n, m):
     total = np.array((n == 0) & (m == 0), dtype=complex)
 
     def read_row(l, served, c):
-        k = kloosterman_row(l, 1)[c]
+        k = kloosterman_row(l)[c]
         k *= _sign(l) / l
         total[served] += k
 

@@ -39,9 +39,9 @@ __all__ = [
 ]
 
 # Default memory budget in bytes, the one limit on every checked
-# allocation.  2 GiB is 2**34 bits, one per odd n, so the packed value
-# sieve covers the odd n <= 2H^2 + 1 up to H = 131,071 (H = 16000 takes
-# 32 MB); at 128 bytes per residue it admits tables of 2**24 residues.
+# allocation.  The pair probe states its windows, scratch and schedule,
+# 6.3 MB at H = 16000 and 744 MB on one worker at its top H = 2,809,682;
+# at 128 bytes per residue 2 GiB admits tables of 2**24 residues.
 DEFAULT_MEMORY_BUDGET = 2**31
 
 _BUDGET: contextvars.ContextVar[int | None] = contextvars.ContextVar("budget", default=None)
@@ -68,7 +68,8 @@ def memory_budget() -> int:
 def budget_scope(nbytes: int):
     """Run the body under a budget of nbytes (ValueError on entry if it is
     not positive).  The budget is a context variable: threads started
-    inside the body do not see it."""
+    inside the body do not see it unless they run in a copy of the
+    context, as the pair probe's workers do."""
     token = _BUDGET.set(int(nbytes))
     try:
         memory_budget()  # a budget <= 0 raises here, on entry

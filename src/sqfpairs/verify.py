@@ -493,13 +493,13 @@ def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
 # counting
 # ---------------------------------------------------------------------------
 
-def suite_count_oracle(seed=DEFAULT_SEED, H_values=None, threads=1) -> SuiteResult:
+def suite_count_oracle(seed=DEFAULT_SEED, H_values=None) -> SuiteResult:
     """Value sieve and congruence identity give the same exact S(H)."""
     rec = _Recorder("count-oracle-equivalence")
     if H_values is None:
         H_values = list(range(1, 51)) + [100, 150, 200]
     ladder = sorted(set(H_values))
-    direct = {r.H: r.S for r in counting.count_pairs_ladder(ladder, threads=threads)}
+    direct = {r.H: r.S for r in counting.count_pairs_ladder(ladder)}
     for H in H_values:
         ident = counting.count_pairs_mobius(H)
         rec.check(direct[H] == ident.S, "H={H}: sieve={a} identity={b}", H=H, a=direct[H], b=ident.S)
@@ -542,22 +542,22 @@ def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6) -> SuiteResult:
 
 
 def suite_truncation_report(seed=DEFAULT_SEED, H_values=(50, 100, 150, 200), epsilon=0.1) -> SuiteResult:
-    """Report the tail dropped by truncating at z = H^(2/3), and check it
-    equals the dropped terms mu(d) * T(H, d^2), int(z) < d <= sqrt(2H^2 + 1)."""
+    """Report the tail dropped by truncating at z = H^(2/3), and check that
+    S(H) by the value sieve minus the truncated identity sum S_z equals the
+    dropped terms mu(d) * T(H, d^2), int(z) < d <= sqrt(2H^2 + 1)."""
     rec = _Recorder("truncation-report")
+    S = {r.H: r.S for r in counting.count_pairs_ladder(sorted(set(H_values)))}
     lines = []
     for H in H_values:
         z = H ** (2.0 / 3.0)
-        exact = counting.count_pairs_mobius(H).S
-        trunc = counting.count_pairs_mobius_truncated(H, z)
+        tail = S[H] - counting.count_pairs_mobius_truncated(H, z)
         dropped = 0
         for d in range(int(z) + 1, math.isqrt(2 * H * H + 1) + 1):
             sign = ntcore.mobius(d)
             if sign:  # 8 | d^2 only when mu(d) = 0
                 dropped += sign * counting.congruent_pair_count(H, d * d)
-        rec.check(exact - trunc == dropped, "H={H}: S - S_z = {a} != dropped {b}",
-                  H=H, a=exact - trunc, b=dropped)
-        dev = abs(exact - trunc)
+        rec.check(tail == dropped, "H={H}: S - S_z = {a} != dropped {b}", H=H, a=tail, b=dropped)
+        dev = abs(tail)
         c_fit = dev * z / H ** (2 + epsilon)
         lines.append(f"H={H} z={int(z)} |S - S_z|={dev} C={c_fit:.4f}")
     return rec.result(notes="; ".join(lines))
@@ -651,10 +651,10 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> Suit
 SCAN_LADDER = (250, 500, 1000, 2000, 4000)
 
 
-def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5, threads=1) -> SuiteResult:
+def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5) -> SuiteResult:
     """Every |E(H)| under 5 * H^1.5 and the fitted exponent at most 1.6."""
     rec = _Recorder("scan-envelope")
-    result = asymptotic.error_scan(ladder, P, threads=threads)
+    result = asymptotic.error_scan(ladder, P)
     for row in result.rows:
         cap = 5.0 * row.H**1.5
         rec.check(abs(row.E) <= cap, "H={H}: |E|={E:.1f} > {cap:.1f}", H=row.H, E=abs(row.E), cap=cap)
@@ -698,15 +698,12 @@ ALL_SUITES = {
 }
 
 
-def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
+def run_suites(names=None, seed=DEFAULT_SEED) -> list[SuiteResult]:
     """Run the named suites (all, in registry order, when names is None).
 
-    `threads` goes to the suites that take it: the ones that probe pairs.
     Each result records the process's peak RSS after its suite, so the
     steps between results show which suite raised it.
     """
-    import inspect
-
     if names is None:
         names = list(ALL_SUITES)
     unknown = [n for n in names if n not in ALL_SUITES]
@@ -714,9 +711,7 @@ def run_suites(names=None, seed=DEFAULT_SEED, threads=1) -> list[SuiteResult]:
         raise ValueError(f"unknown suites: {', '.join(unknown)}; known: {', '.join(ALL_SUITES)}")
     results = []
     for name in names:
-        fn = ALL_SUITES[name]
-        kwargs = {"threads": threads} if "threads" in inspect.signature(fn).parameters else {}
-        result = fn(seed=seed, **kwargs)
+        result = ALL_SUITES[name](seed=seed)
         result.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         results.append(result)
     return results

@@ -366,7 +366,7 @@ class TestHarmonicSums:
     def test_array_D_budget_checked_before_table(self, monkeypatch):
         from sqfpairs import asymptotic
 
-        def refuse(q, n=1):
+        def refuse(q):
             raise AssertionError("row built before the budget check")
 
         D = np.array([2, 10, 100])

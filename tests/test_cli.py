@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from sqfpairs import lambdasums
-from sqfpairs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from sqfpairs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, build_parser, main
 from sqfpairs.counting import DEFAULT_MEMORY_BUDGET
 from sqfpairs.expsums import RESIDUE_BYTES
 
@@ -343,6 +344,30 @@ class TestUsage:
         code, out, _ = run(capsys, "count", "--H", "5", "--method", "value-sieve")
         assert code == EXIT_OK and "S(5) = 20" in out
 
+    def test_threads_only_where_pairs_are_probed(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        takes = {name for name, p in sub.choices.items()
+                 if any("--threads" in a.option_strings for a in p._actions)}
+        assert set(sub.choices) == {"count", "lambda", "constant", "scan", "verify"}
+        assert takes == {"count", "scan"}
+
+    @pytest.mark.parametrize("argv", [
+        ("lambda", "--q", "15", "--n", "0", "--m", "0"),
+        ("constant", "--P", "100"),
+        ("verify", "--suite", "residue-count"),
+    ])
+    def test_threads_is_a_usage_error_elsewhere(self, capsys, argv):
+        assert main([*argv, "--threads", "2"]) == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("count", "--H", "5", "--method", "value-sieve"),
+                                      ("scan", "--H-ladder", "20,40", "--P", "100")])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_is_usage_error(self, capsys, argv, threads):
+        code, _, err = run(capsys, *argv, "--threads", threads)
+        assert code == EXIT_USAGE
+        assert "threads must be a positive integer" in err
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "1000")
         code, _, err = run(capsys, "count", "--H", "100000", "--method", "value-sieve")
@@ -374,6 +399,16 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    def test_budget_flag_reaches_the_probe_threads(self, capsys, monkeypatch):
+        # the pool's threads run under the flag's budget, not the environment's
+        from sqfpairs import counting
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "500")
+        code, out, err = run(capsys, "count", "--H", "300", "--method", "value-sieve",
+                             "--threads", "2", "--memory-budget", "100000000")
+        assert (code, err) == (EXIT_OK, "")
+        assert "S(300) = 70263" in out
 
     def test_env_budget_leaves_import_alone(self):
         # the import-time prime table must not be refused by a small budget

@@ -308,6 +308,14 @@ class TestCountPairsLadder:
         assert recorded_pools[1].tasks == 2
         assert recorded_pools[0].tasks == recorded_pools[2].tasks == 0
 
+    @pytest.mark.parametrize("threads", [0, -2, True, False, 1.0, 2.5, "2", None])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        for count in (lambda: count_pairs_ladder([10], threads=threads),
+                      lambda: count_pairs_direct(10, threads=threads)):
+            with pytest.raises(ValueError, match="threads must be a positive integer"):
+                count()
+        assert count_pairs_ladder([10], threads=np.int64(2))[0].S == brute_pair_count(10)
+
     def test_elapsed_non_decreasing(self):
         reps = count_pairs_ladder([5, 50, 100, 400])
         times = [r.elapsed for r in reps]
@@ -684,6 +692,22 @@ class TestCountPairsMobius:
     def test_scan_ladder(self, H, S):
         # the S(H) that the value sieve gives over the whole scan ladder
         assert count_pairs_mobius(H).S == S
+
+    @pytest.mark.parametrize("H", [2, 7, 60, 301])
+    def test_even_squarefree_moduli_count_no_pairs(self, H):
+        # 4 | d^2 for even d, and x^2 + y^2 + 1 is never 0 mod 4
+        even = [d for d in range(2, math.isqrt(2 * H * H + 1) + 1, 2) if mobius(d)]
+        assert even and all(congruent_pair_count(H, d * d) == 0 for d in even)
+
+    def test_sums_odd_moduli_only(self, monkeypatch):
+        from sqfpairs import counting
+        seen = []
+        count = counting.congruent_pair_count
+        monkeypatch.setattr(counting, "congruent_pair_count",
+                            lambda H, q: seen.append(q) or count(H, q))
+        assert count_pairs_mobius(60).S == count_pairs_direct(60).S
+        dmax = math.isqrt(2 * 60 * 60 + 1)
+        assert seen == [d * d for d in range(1, dmax + 1, 2) if mobius(d)]
 
     def test_builds_no_solution_set(self, monkeypatch):
         def refuse(q):

@@ -335,7 +335,7 @@ class TestBatchHelpers:
 
     @pytest.mark.parametrize("q", [1, 2, 5, 9, 12, 30, 49])
     def test_kloosterman_row_matches_scalar(self, q):
-        row = kloosterman_row(q, 1)
+        row = kloosterman_row(q)
         for c in range(q):
             assert complex_close(complex(row[c]), kloosterman_direct(q, 1, c))
 

@@ -203,7 +203,7 @@ class TestLambdaFastOdd:
         routes = []
         row, direct = lambdasums.kloosterman_row, lambdasums.kloosterman_direct
         monkeypatch.setattr(lambdasums, "kloosterman_row",
-                            lambda l, n: routes.append(("row", l)) or row(l, n))
+                            lambda l: routes.append(("row", l)) or row(l))
         monkeypatch.setattr(
             lambdasums, "kloosterman_direct",
             lambda l, n, c: routes.append(("direct", l, np.size(n))) or direct(l, n, c))
@@ -254,7 +254,7 @@ class TestLambdaFastOdd:
         routes = []
         row, direct = lambdasums.kloosterman_row, lambdasums.kloosterman_direct
         monkeypatch.setattr(lambdasums, "kloosterman_row",
-                            lambda l, n: routes.append(("row", l)) or row(l, n))
+                            lambda l: routes.append(("row", l)) or row(l))
         monkeypatch.setattr(lambdasums, "kloosterman_direct",
                             lambda l, n, c: routes.append(("direct", l)) or direct(l, n, c))
         n = np.arange(5)
@@ -465,7 +465,7 @@ EVALUATORS = {
     "gauss_closed_odd": lambda q, n=2, m=3: expsums.gauss_closed_odd(q, n, m),
     "kloosterman_direct": lambda q, n=2, m=3: expsums.kloosterman_direct(q, n, m),
     "gauss_direct_table": lambda q: expsums.gauss_direct_table(q),
-    "kloosterman_row": lambda q, n=2: expsums.kloosterman_row(q, n),
+    "kloosterman_row": lambda q: expsums.kloosterman_row(q),
     "solve_circle": lambda q: solve_circle(q).pairs(),
     "lambda_direct": lambda q, n=2, m=3: lambda_direct(q, n, m),
     "lambda_fast_odd": lambda q, n=2, m=3: lambda_fast_odd(q, n, m),
@@ -476,8 +476,7 @@ EVALUATORS = {
     "harmonic_lambda_sums": lambda q: harmonic_lambda_sums(q, 10),
 }
 WITH_ARGUMENTS = ["gauss_direct", "gauss_reduce", "gauss_closed_odd", "kloosterman_direct",
-                  "kloosterman_row", "lambda_direct", "lambda_fast_odd", "lambda_any",
-                  "lambda_multiplicative"]
+                  "lambda_direct", "lambda_fast_odd", "lambda_any", "lambda_multiplicative"]
 
 
 class TestEvaluatorArguments:
@@ -497,9 +496,8 @@ class TestEvaluatorArguments:
         for bad in (1.5, 2.0, np.float64(2.0), np.array([2.0]), True, "2"):
             with pytest.raises(ValueError, match="integers or integer arrays"):
                 evaluate(15, n=bad)
-        if name != "kloosterman_row":
-            with pytest.raises(ValueError, match="integers or integer arrays"):
-                evaluate(15, m=1.5)
+        with pytest.raises(ValueError, match="integers or integer arrays"):
+            evaluate(15, m=1.5)
         big = 15 * 10**30 + 2  # beyond int64, reduces to n = 2
         np.testing.assert_array_equal(evaluate(15, n=big), evaluate(15))
         np.testing.assert_array_equal(evaluate(15, n=np.int32(2)), evaluate(15))
@@ -510,6 +508,7 @@ TABLE_BUILDERS = {
     "phase_table": expsums.phase_table,
     "unit_table": expsums.unit_table,
     "solve_circle": solve_circle,
+    "kloosterman_row": expsums.kloosterman_row,
     **{name: EVALUATORS[name] for name in WITH_ARGUMENTS},
 }
 

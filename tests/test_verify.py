@@ -65,6 +65,18 @@ def test_truncation_report_checks_the_dropped_terms(monkeypatch):
     assert (result.checked, result.failed) == (2, 2)
 
 
+def test_truncation_report_counts_each_term_once(monkeypatch):
+    # S(H) comes from the value sieve, so every T(H, d^2) is counted once,
+    # either in the truncated sum or among the dropped terms
+    seen = []
+    count = counting.congruent_pair_count
+    monkeypatch.setattr(counting, "congruent_pair_count",
+                        lambda H, q: seen.append((H, q)) or count(H, q))
+    monkeypatch.setattr(counting, "count_pairs_mobius", None)
+    assert suite_truncation_report(H_values=(10, 20)).ok
+    assert seen and len(seen) == len(set(seen))
+
+
 def _too_large(q, n, m):
     # every value exceeds any bound, so each check fails and names its (q, n, m)
     return np.full(np.broadcast(n, m).shape, 1e9 + 0j)
