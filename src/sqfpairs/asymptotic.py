@@ -17,6 +17,7 @@ counting pipeline never consumes them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,14 +75,19 @@ class EulerProductEstimate:
     tail_bound: float
 
 
+# Primes whose factors `constant_c` evaluates at a time; eight float64
+# arrays over one chunk bound its scratch.
+_CHUNK_PRIMES = 1 << 12
+
+
 def _check_cutoff(P) -> int:
     """P as an int, checked before anything is allocated: ValueError for a
     bool, a float or P < 2, BudgetError if 4 bytes per unit of P (the
-    prime sieve, then float arrays over the primes) are over budget."""
+    prime sieve and the primes) and one chunk's scratch are over budget."""
     P = _check_modulus(P, "cutoff")
     if P < 2:
         raise ValueError(f"cutoff must be >= 2, got {P}")
-    check_bytes(4 * P, f"constant_c({P})")
+    check_bytes(4 * P + 64 * _CHUNK_PRIMES, f"constant_c({P})")
     return P
 
 
@@ -102,12 +108,20 @@ def constant_c(P: int) -> EulerProductEstimate:
     For p >= 3, |t_p| < 1.17/p^5, |log(1 + t)| <= |t|/(1 - |t|) and
     sum_{n > P} n^-5 <= 1/(4 P^4), so the omitted factors move log c by
     at most 0.3/P^4; `tail_bound` adds the float-rounding allowance.
+    The log1p(t_p) are evaluated _CHUNK_PRIMES primes at a time and fed
+    to one `math.fsum`, which is exact in any order, so the scratch stays
+    one chunk's whatever P.
     """
     P = _check_cutoff(P)
-    p = primes_upto(P)[1:].astype(float)
-    chi = np.where(p % 4 == 1, 1.0, -1.0)
-    t = chi / (p**5 * (1.0 - p**-2) * (1.0 + chi * p**-3))
-    value = _CLOSED_FORM * math.exp(math.fsum(np.log1p(t)))
+    primes = primes_upto(P)[1:]
+
+    def log_factors(lo):
+        p = primes[lo : lo + _CHUNK_PRIMES].astype(float)
+        chi = np.where(p % 4 == 1, 1.0, -1.0)
+        return np.log1p(chi / (p**5 * (1.0 - p**-2) * (1.0 + chi * p**-3)))
+
+    chunks = map(log_factors, range(0, primes.size, _CHUNK_PRIMES))
+    value = _CLOSED_FORM * math.exp(math.fsum(itertools.chain.from_iterable(chunks)))
     return EulerProductEstimate(P, value, 0.3 / P**4 + _ROUNDING)
 
 

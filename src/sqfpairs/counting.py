@@ -309,13 +309,16 @@ class _Window:
     `_Segments` sieves them and a given `SquarefreeSieve` copies them.
     Segments are appended as the rectangles reach them, and when the
     buffer is full the bytes below the current rectangle's first index are
-    dropped with one move.  Rectangles come in increasing order of first
-    index, so no later one reads a dropped byte.  A buffer of
-    2 * (widest rectangle + one segment) bytes always holds the current
-    rectangle, and the move never overlaps itself: the bytes kept are at
-    most the widest rectangle and a segment, and the shift is more.  The
-    buffer holds fewer than 2^32 bits (`_probe_ladder` refuses a larger
-    one), so every index into it fits a uint32.
+    dropped with one move, or all of them when it starts past the end.
+    Rectangles come in increasing order of first index, so no later one
+    reads a dropped byte.  A buffer of the widest rectangle plus two
+    segments always holds the current rectangle: after a move the window
+    starts at its first byte and ends less than a segment past its last,
+    and after a jump it starts less than a segment before its first.  The
+    move may overlap itself, which is safe: numpy copies a forward 1-D
+    slice assignment in place, without a temporary.  The buffer holds
+    fewer than 2^32 bits (`_probe_ladder` refuses a larger one), so every
+    index into it fits a uint32.
     """
 
     def __init__(self, buffer, nbytes, source, values):
@@ -370,12 +373,11 @@ class _Window:
 
 
 def _check_ladder(H_values) -> list[int]:
-    """The ladder as ints: non-empty, positive and strictly increasing."""
-    H_values = [int(h) for h in H_values]
+    """The ladder as ints: non-empty, each a positive integer (an int or
+    numpy integer, not a bool or a float) and strictly increasing."""
+    H_values = [_check_modulus(h, "H") for h in H_values]
     if not H_values:
         raise ValueError("need at least one H value")
-    if any(h < 1 for h in H_values):
-        raise ValueError(f"H values must be positive: {H_values}")
     if any(b <= a for a, b in zip(H_values, H_values[1:])):
         raise ValueError(f"H values must be strictly increasing: {H_values}")
     return H_values
@@ -401,7 +403,7 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     rows_span = span(_BLOCK_ROWS - 2)
     widest = (max(span(step - 2), rows_span) + rows_span) // 8 + 1
     nbytes = ((N + 1) // 2 + 7) // 8
-    window = min(nbytes, 2 * (widest + _SEGMENT_BITS // 8))
+    window = min(nbytes, widest + 2 * (_SEGMENT_BITS // 8))
     if 8 * window >= 2**32:
         raise ValueError(f"pair probe to H = {top} needs a window of {window} bytes, "
                          "2^32 bits or more, past its uint32 indices")
@@ -458,12 +460,14 @@ def count_pairs_ladder(
     chunk of columns, per parity quadrant), in increasing order of their
     smallest sieve index, through a window of the sieve: its segments are
     built as the probe reaches them and dropped once it has passed, so
-    the window holds a few widest rectangles' worth of bytes (about
-    3.3 MB at H = 16000, where the whole sieve is 32 MB).  With a sieve
-    given, the windows copy its segments instead.  A top H above
-    2,809,682, whose window would reach 2^32 bits (its indices are
-    uint32), is refused with ValueError; then the window, the scratch and
-    the schedule are stated to `check_bytes`, before any allocation.
+    the window holds the widest rectangle and two segments (about 1.8 MB
+    at H = 16000, where the whole sieve is 32 MB).  With a sieve given,
+    the windows copy its segments instead.  A top H above 5,619,152,
+    whose window would reach 2^32 bits (its indices are uint32), is
+    refused with ValueError; then the window, the scratch and the
+    schedule are stated to `check_bytes`, before any allocation.  Each H
+    must be a positive integer (an int or numpy integer, not a bool or a
+    float), else ValueError.
 
     S(H_k) is S(H_{k-1}) plus the band H_{k-1} < y <= H_k, and a row's
     `elapsed` runs until the last rectangle of its band (and of the bands
@@ -531,9 +535,10 @@ def count_pairs_mobius(H: int) -> PairCountReport:
     Sums mu(d) * T(H, d^2) over every odd d up to sqrt(2H^2 + 1) (values of
     x^2 + y^2 + 1 never exceed 2H^2 + 1 and are never 0 mod 4, so the sum
     is complete and the result is an exact integer, not an approximation).
+    H must be a positive integer (an int or numpy integer, not a bool or
+    a float).
     """
-    if H < 1:
-        raise ValueError(f"H must be positive, got {H}")
+    H = _check_modulus(H, "H")
     start = time.perf_counter()
     dmax = math.isqrt(2 * H * H + 1)
     total = _mobius_sum(H, dmax)
@@ -543,9 +548,8 @@ def count_pairs_mobius(H: int) -> PairCountReport:
 def count_pairs_mobius_truncated(H: int, z: float) -> int:
     """The identity sum truncated to d <= z (z < sqrt(2H^2+1) drops tail
     terms, so this is generally not equal to S(H); see the verify suite
-    for the measured deviation)."""
-    if H < 1:
-        raise ValueError(f"H must be positive, got {H}")
+    for the measured deviation).  H is checked as in `count_pairs_mobius`."""
+    H = _check_modulus(H, "H")
     if z < 1:
         raise ValueError(f"z must be >= 1, got {z}")
     dmax = min(int(z), math.isqrt(2 * H * H + 1))

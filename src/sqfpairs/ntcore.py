@@ -40,7 +40,7 @@ __all__ = [
 
 # Default memory budget in bytes, the one limit on every checked
 # allocation.  The pair probe states its windows, scratch and schedule,
-# 6.3 MB at H = 16000 and 744 MB on one worker at its top H = 2,809,682;
+# 4.8 MB at H = 16000 and 949 MB on one worker at its top H = 5,619,152;
 # at 128 bytes per residue 2 GiB admits tables of 2**24 residues.
 DEFAULT_MEMORY_BUDGET = 2**31
 

@@ -471,10 +471,10 @@ class TestErrorScan:
         assert times == sorted(times)
 
     def test_peak_is_the_larger_stage_not_their_sum(self):
-        # the probe (a 2.6 MB window and its scratch, a 4.6 MB peak at
-        # H = 12000) is done and freed before constant_c sieves the primes
-        # up to 5e6 (a 13 MB peak)
-        ladder, P = [12000], 5_000_000
+        # the probe (a 2.2 MB window and its scratch, a 4.8 MB peak at
+        # H = 20000) is done and freed before constant_c sieves the primes
+        # up to 5e6 (a 7.8 MB peak)
+        ladder, P = [20000], 5_000_000
 
         def peak(fn, *args):
             tracemalloc.start()
@@ -506,6 +506,14 @@ class TestErrorScan:
             error_scan([100, 100], 100)
         with pytest.raises(ValueError):
             error_scan([200, 100], 100)
+        for ladder in ([2.5], [True, 3], [0, 4]):
+            with pytest.raises(ValueError, match="H must be a positive integer"):
+                error_scan(ladder, 100)
+
+    def test_numpy_heights_are_reported_as_ints(self):
+        res = error_scan(np.array([10, 20]), 100)
+        assert [(type(r.H), r.H, r.S) for r in res.rows] == [
+            (int, r.H, r.S) for r in error_scan([10, 20], 100).rows]
 
 
 def test_scan_row_is_frozen():

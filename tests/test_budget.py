@@ -46,10 +46,15 @@ def _congruent_pair_count(H):
     (ntcore.primes_upto, 10**6),
     (ntcore.primes_upto, 10**7),
     (ntcore.mobius_sieve, 10**6),
+    (asymptotic.constant_c, 10**4),  # one chunk's scratch is over 4 bytes per unit of P
     (asymptotic.constant_c, 10**6),
+    (asymptotic.constant_c, 5 * 10**6),
     (_congruent_pair_count, 10**6),
     (counting.count_pairs_direct, 300),
+    (counting.count_pairs_direct, 4000),
     (counting.count_pairs_direct, 8000),
+    pytest.param(lambda H: counting.count_pairs_ladder([H // 4, H // 2, H]), 16000,
+                 id="count_pairs_ladder-16000"),
 ])
 def test_peak_is_within_the_stated_bytes(monkeypatch, allocate, n):
     stated = []

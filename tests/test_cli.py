@@ -54,8 +54,8 @@ class TestCount:
         assert all(set(r) == {"H", "S", "method", "elapsed"} for r in payload)
 
     def test_invalid_H(self, capsys):
-        # 3,000,000 needs a probe window of 2^32 bits or more
-        for H in ("0", "3000000"):
+        # 6,000,000 needs a probe window of 2^32 bits or more
+        for H in ("0", "6000000"):
             code, _, err = run(capsys, "count", "--H", H)
             assert code == EXIT_USAGE
             assert "error" in err

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -322,7 +324,7 @@ class TestCountPairsLadder:
         assert times[0] >= 0 and times == sorted(times)
 
     def test_rejects_bad_ladders(self):
-        for ladder in ([], [5, 5], [10, 3], [0, 4], [-2]):
+        for ladder in ([], [5, 5], [10, 3], [0, 4], [-2], [2.5], [True, 3], [1, 2.5, 4]):
             with pytest.raises(ValueError):
                 count_pairs_ladder(ladder)
 
@@ -464,6 +466,44 @@ class TestValueWindows:
             bases.add(8 * win.b0)
         assert min(bases) >= 2**33 + 2**32 and len(bases) > 1  # the window moved
 
+    def test_window_compacts_over_itself_in_place(self):
+        # A buffer of the widest rectangle (three segments) plus two
+        # segments, read through rectangles whose moves keep more bytes
+        # than they shift by, so each move overlaps itself.  The counts
+        # must be what the source's bytes flag, and a move must copy in
+        # place: a temporary would trace the kept bytes, over 2**18.
+        from sqfpairs import counting
+        seg = counting._SEGMENT_BITS // 8
+        data = np.random.default_rng(11).integers(0, 256, 12 * seg, dtype=np.uint8)
+
+        class Source:
+            def fill(self, lo, out):
+                out[:] = data[lo >> 3 : (lo >> 3) + out.size]
+
+        rng = np.random.default_rng(12)
+        win = counting._Window(np.empty(5 * seg, dtype=np.uint8), data.size, Source(), 3 * 200)
+        moves = []
+        # each rectangle's first and last byte, in segments
+        for first, last in [(0, 2.5), (2, 4.5), (2.2, 5.1), (2.5, 5.4), (4, 6.9), (4.5, 7.3),
+                            (9.3, 9.5)]:
+            lo, hi = int(8 * seg * first), int(8 * seg * last)
+            cols = np.unique(np.r_[0, rng.integers(0, hi - lo - 10, 198), hi - lo - 10])
+            rows = lo + np.array([0, 3, 10])
+            b0, end = win.b0, win.end
+            tracemalloc.start()
+            try:
+                got = win.count(lo, hi, cols.astype(np.uint32), rows.astype(np.uint32), None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            index = (cols[:, None] + rows).ravel().tolist()
+            assert got == 2 * sum(int(data[i >> 3]) >> (i & 7) & 1 for i in index)
+            if 0 < win.b0 - b0 < end - win.b0:
+                moves.append((end - win.b0, win.b0 - b0))  # (kept, shift)
+                assert peak < 2**13
+        assert len(moves) == 2 and all(kept > 2**18 for kept, _ in moves)
+        assert win.b0 == 9 * seg  # the last rectangle starts past the end: a jump
+
     def test_schedule_exact_past_two_to_the_32(self, monkeypatch):
         # h[x] passes 2**32 at x = 92,682: the rectangles to H = 100,000
         # still come in increasing order of their exact first index, weigh
@@ -549,7 +589,7 @@ def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch):
 
 def test_probe_past_uint32_windows_refused(monkeypatch):
     # Window indices are uint32, so the window must hold fewer than 2^32
-    # bits: H = 2,809,682 is the largest top admitted, and H = 3,000,000
+    # bits: H = 5,619,152 is the largest top admitted, and H = 6,000,000
     # (a 547 MiB window, within the default budget) is refused before any
     # allocation.  A probe the budget admits stops at once.
     from sqfpairs import counting
@@ -564,7 +604,7 @@ def test_probe_past_uint32_windows_refused(monkeypatch):
 
     def refused():
         with pytest.raises(ValueError, match="uint32"):
-            count_pairs_direct(3_000_000)
+            count_pairs_direct(6_000_000)
 
     monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
     monkeypatch.setattr(counting, "check_bytes", check_then_stop)
@@ -576,9 +616,9 @@ def test_probe_past_uint32_windows_refused(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**16
     with pytest.raises(Admitted):
-        count_pairs_direct(2_809_682)
+        count_pairs_direct(5_619_152)
     with pytest.raises(ValueError, match="uint32"):
-        count_pairs_direct(2_809_683)
+        count_pairs_direct(5_619_153)
 
 
 class TestResidueCount:
@@ -730,6 +770,26 @@ class TestCountPairsMobius:
             count_pairs_mobius(0)
         with pytest.raises(ValueError):
             count_pairs_mobius_truncated(10, 0.5)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda H: count_pairs_ladder([H])[0], id="ladder"),
+    pytest.param(count_pairs_direct, id="direct"),
+    pytest.param(count_pairs_mobius, id="mobius"),
+    pytest.param(lambda H: count_pairs_mobius_truncated(H, 3), id="truncated"),
+])
+def test_heights_are_checked_not_truncated(entry):
+    # a float or a bool is refused, not read as int(H); a numpy integer
+    # is counted, and reported, as the int it holds
+    for H in (2.5, True, 0):
+        with pytest.raises(ValueError, match="H must be a positive integer"):
+            entry(H)
+    got, want = entry(np.int64(10)), entry(10)
+    if isinstance(got, PairCountReport):
+        assert type(got.H) is int
+        assert json.loads(json.dumps(dataclasses.asdict(got)))["H"] == 10
+        got, want = got.S, want.S
+    assert got == want
 
 
 def test_default_budget_is_two_gib():
