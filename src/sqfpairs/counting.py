@@ -52,11 +52,15 @@ __all__ = [
     "DEFAULT_MEMORY_BUDGET",
 ]
 
-_SEGMENT_BITS = 1 << 20  # flags sieved per segment (a multiple of 8)
-# Squares whose odd multiples are struck once, into a pattern each segment
+_SEGMENT_BITS = 1 << 20  # flags packed per segment (a multiple of 8)
+_PIECE_BITS = 1 << 18  # flags a segment is sieved in at a time (a multiple of 8)
+# Squares whose odd multiples are struck once, into a pattern each piece
 # is copied from; in index space the pattern repeats with their product, 11025.
 _WHEEL_SQUARES = (9, 25, 49)
 _WHEEL_PERIOD = math.prod(_WHEEL_SQUARES)
+# A square with more multiples than this in a piece strikes them by one
+# strided slice; the others are struck together, through the strike table.
+_STRIDED_MULTIPLES = 128
 _COUNT_CHUNK = 1 << 20  # packed bytes popcounted at a time
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -110,61 +114,113 @@ class _Segments:
 
     Bit i stands for n = 2i + 1, so the odd multiples of p^2 are the
     indices (p^2 - 1)/2 + k*p^2: stride p^2 from offset (p^2 - 1)/2.  A
-    segment, small enough to stay in cache, starts as copies of one period
-    (11025 flags) of a pattern with the odd multiples of 9, 25 and 49
-    already struck.  The other squares below _SEGMENT_BITS strike theirs
-    by strided slices.  A larger square has at most one multiple in a
-    segment, at offset (first - lo) mod p^2 from the segment's start lo:
-    those offsets are computed for all the large squares at once, and the
-    ones past the segment land on a sentinel flag after it.  A sieve
-    shorter than one segment sizes the segment to its own whole bytes.
+    segment is sieved in pieces of at most _PIECE_BITS flags, each staged
+    as bools small enough to stay in cache and then packed into its bytes.
+    A piece starts as copies of one period (11025 flags) of a pattern with
+    the odd multiples of 9, 25 and 49 already struck.  The squares with
+    more than _STRIDED_MULTIPLES multiples in a piece (121 to 1849) strike
+    theirs by strided slices.
+
+    The larger squares strike through one table.  A square p^2 with at
+    most c = ceil(piece / p^2) multiples in a piece has c entries, and
+    entry j holds the multiples j, j + c, j + 2c, ..: the index of the
+    first and the span c*p^2, which is at least a piece.  So each entry
+    strikes at most once per piece, at its position counted from the
+    piece's start.  Past the piece the position is struck on a sentinel
+    flag after it, and one assignment strikes every entry.  Then the
+    positions move on by the piece, and an entry whose strike is passed
+    adds its span.  A fill that does not start where the last one stopped
+    counts the positions afresh, (first - lo) mod span.  A sieve shorter
+    than one piece sizes the piece to its own whole bytes.
     """
 
     def __init__(self, N: int):
         self.nbits = (N + 1) // 2
-        seg_bits = min(_SEGMENT_BITS, (self.nbits + 7) // 8 * 8)  # a short sieve needs no more
+        piece = self._piece_bits(N)
         squares = primes_upto(math.isqrt(N)) ** 2
         squares = squares[squares > _WHEEL_SQUARES[-1]]
-        self.small = squares[squares < _SEGMENT_BITS].tolist()
-        self.large = squares[squares >= _SEGMENT_BITS]
-        self.large_first = (self.large - 1) // 2
-        self.offsets = np.empty_like(self.large)
+        strided = squares * _STRIDED_MULTIPLES < piece
+        self.strided = squares[strided].tolist()
+        squares = squares[~strided]
+        counts = -(-piece // squares)  # the most multiples of each square in a piece
+        self.first = np.arange(counts.sum(), dtype=np.int64)
+        self.first -= np.repeat(np.cumsum(counts) - counts, counts)  # j, from 0 per square
+        self.first *= np.repeat(squares, counts)
+        self.first += np.repeat((squares - 1) // 2, counts)
+        self.span = np.repeat(counts * squares, counts)
+        self.positions = np.empty_like(self.first)
+        self.clamped = np.empty_like(self.first)
+        self.next = None  # the flag the positions count from
         self.pattern = np.ones(2 * _WHEEL_PERIOD, dtype=bool)  # any period's worth from any offset
         for sq in _WHEEL_SQUARES:
             self.pattern[(sq - 1) // 2 :: sq] = False
-        self.buffer = np.empty(seg_bits + 1, dtype=bool)  # the last flag is the sentinel
+        self.buffer = np.empty(piece + 1, dtype=bool)  # the last flag is the sentinel
+
+    @staticmethod
+    def _piece_bits(N: int) -> int:
+        """Flags per piece: _PIECE_BITS, or a segment's or the whole
+        sieve's bytes' worth when that is fewer."""
+        return min(_PIECE_BITS, _SEGMENT_BITS, ((N + 1) // 2 + 7) // 8 * 8)
 
     @staticmethod
     def scratch_bytes(N: int) -> int:
-        """A bound on the bytes `_Segments(N)` holds: the pattern, the
-        segment with its packed copy, and 24 per large square (there are
-        fewer than sqrt(N)/2 + 1 of them)."""
-        seg_bits = min(_SEGMENT_BITS, ((N + 1) // 2 + 7) // 8 * 8)
-        return 2 * _WHEEL_PERIOD + seg_bits + seg_bits // 8 + 24 * (math.isqrt(N) // 2 + 1)
+        """A bound on the bytes `_Segments(N)` holds while it fills: the
+        pattern, the staging piece, its packed copy, 16 KiB for the arrays'
+        headers and np.packbits' scratch (5.3 KiB), the prime sieve's
+        flags, 48 per square while the table is built and 32 per table
+        entry.  There are fewer than 1.25506 x / ln x primes up to
+        x = sqrt(N) (Rosser and Schoenfeld).  A table square p^2 has
+        ceil(piece / p^2) entries, and p is odd and at least
+        m = ceil(sqrt(piece / 128)) (and 11), so there are fewer entries
+        than squares plus piece / (2(m - 2)): the sum of 1/n^2 over the odd
+        n >= m is below 1/(2(m - 2))."""
+        piece = _Segments._piece_bits(N)
+        root = math.isqrt(N)
+        squares = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
+        least = max(11, math.isqrt(-(-piece // _STRIDED_MULTIPLES) - 1) + 1)
+        entries = squares + piece // (2 * (least - 2)) + 1
+        return (2 * _WHEEL_PERIOD + piece + 1 + piece // 8 + (1 << 14) + root + 1
+                + 48 * squares + 32 * entries)
 
     def fill(self, lo: int, out: np.ndarray) -> None:
         """Packs the flags lo, lo + 1, .. into the bytes `out`, at most
-        _SEGMENT_BITS of them; bits past the sieve's last flag are 0."""
-        hi = min(lo + _SEGMENT_BITS, self.nbits)
-        seg = self.buffer[: out.size * 8]
+        _SEGMENT_BITS of them, one piece at a time; bits past the sieve's
+        last flag are 0."""
+        if lo != self.next:
+            np.subtract(self.first, lo, out=self.positions)
+            np.remainder(self.positions, self.span, out=self.positions)
+        piece = self.buffer.size - 1
+        for start in range(0, 8 * out.size, piece):
+            size = min(piece, 8 * out.size - start)
+            self._sieve(lo + start, size)
+            out[start >> 3 : (start + size) >> 3] = np.packbits(self.buffer[:size],
+                                                                  bitorder="little")
+        self.next = lo + 8 * out.size
+
+    def _sieve(self, lo: int, size: int) -> None:
+        """Stages the flags lo .. lo + size - 1 in the buffer's first size
+        bools, and moves the table's positions on to lo + size."""
+        stage = self.buffer[:size]
         offset = lo % _WHEEL_PERIOD
-        done = min(_WHEEL_PERIOD, seg.size)
-        seg[:done] = self.pattern[offset : offset + done]
-        while done < seg.size:  # the copied periods double each pass
-            more = min(done, seg.size - done)
-            seg[done : done + more] = seg[:more]
+        done = min(_WHEEL_PERIOD, size)
+        stage[:done] = self.pattern[offset : offset + done]
+        while done < size:  # the copied periods double each pass
+            more = min(done, size - done)
+            stage[done : done + more] = stage[:more]
             done += more
-        seg[hi - lo :] = False
-        for sq in self.small:
+        hi = min(lo + size, self.nbits)
+        stage[hi - lo :] = False
+        for sq in self.strided:
             first = (sq - 1) // 2
             if first >= hi:
                 break
-            seg[(first - lo) % sq :: sq] = False
-        np.subtract(self.large_first, lo, out=self.offsets)
-        np.remainder(self.offsets, self.large, out=self.offsets)
-        np.minimum(self.offsets, self.buffer.size - 1, out=self.offsets)
-        self.buffer[self.offsets] = False
-        out[:] = np.packbits(seg, bitorder="little")
+            stage[(first - lo) % sq :: sq] = False
+        np.minimum(self.positions, self.buffer.size - 1, out=self.clamped)
+        self.buffer[self.clamped] = False
+        self.positions -= size
+        np.right_shift(self.positions, 63, out=self.clamped)  # -1 where passed, else 0
+        self.clamped &= self.span
+        self.positions += self.clamped
 
 
 def build_sieve(N: int) -> SquarefreeSieve:
@@ -548,9 +604,13 @@ def count_pairs_mobius(H: int) -> PairCountReport:
 def count_pairs_mobius_truncated(H: int, z: float) -> int:
     """The identity sum truncated to d <= z (z < sqrt(2H^2+1) drops tail
     terms, so this is generally not equal to S(H); see the verify suite
-    for the measured deviation).  H is checked as in `count_pairs_mobius`."""
+    for the measured deviation).  H is checked as in `count_pairs_mobius`.
+    z is an int or a float (numpy's too), not a bool and not NaN, and
+    z >= 1, else ValueError; any z >= sqrt(2H^2 + 1), inf included, gives
+    the complete sum."""
     H = _check_modulus(H, "H")
-    if z < 1:
-        raise ValueError(f"z must be >= 1, got {z}")
-    dmax = min(int(z), math.isqrt(2 * H * H + 1))
-    return _mobius_sum(H, dmax)
+    if (not isinstance(z, (int, float, np.integer, np.floating)) or isinstance(z, bool)
+            or not z >= 1):  # NaN compares false
+        raise ValueError(f"z must be an int or float >= 1, got {z!r}")
+    full = math.isqrt(2 * H * H + 1)
+    return _mobius_sum(H, full if z >= full else int(z))

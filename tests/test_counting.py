@@ -113,15 +113,22 @@ class TestBuildSieve:
         for probe in (n, n - 1, edge - 1, edge, edge + 1, edge + 2, 12345):
             assert read_flag(sieve, probe) == is_squarefree_oracle(probe)
 
-    @pytest.mark.parametrize("segment", [None, 64, 1024])
-    def test_packed_bytes_match_oracle(self, segment, monkeypatch):
+    @pytest.mark.parametrize("segment,piece", [(None, None), (64, None), (1024, None),
+                                               (None, 1024), (1024, 64)],
+                             ids=["None", "64", "1024", "piece1024", "1024-piece64"])
+    def test_packed_bytes_match_oracle(self, segment, piece, monkeypatch):
         # Bit i is the odd n = 2i + 1.  At 64 and 1024 flags per segment
-        # the wheel copy, the strided squares (121..961 at 1024) and the
-        # indexed large squares (121 and up at 64) all run across many
-        # segments; the wheel repeats every 11025 flags (n = 22050).
+        # (so per piece) the wheel copy and the strike table run across
+        # many segments.  At pieces of 1024 and 64 flags one fill spans
+        # many pieces, the table's entries (9 for 121 at 1024) strike
+        # across piece boundaries and a sieve's last piece is partial.  The
+        # default pieces also strike 121..1849 by strided slices.  The
+        # wheel repeats every 11025 flags (n = 22050).
         from sqfpairs import counting
         if segment is not None:
             monkeypatch.setattr(counting, "_SEGMENT_BITS", segment)
+        if piece is not None:
+            monkeypatch.setattr(counting, "_PIECE_BITS", piece)
         past_boundary = 2 * (2 * counting._SEGMENT_BITS + 8)
         limits = list(range(1, 201)) + [22049, 22050, 22051, 22052, 44101]
         limits += [past_boundary + r for r in range(16)]  # every flag count mod 8
@@ -133,6 +140,19 @@ class TestBuildSieve:
             want[:nbits] = want_all[1 : N + 1 : 2]
             assert got.size == (nbits + 7) // 8 * 8
             assert np.array_equal(got, want), N
+
+    def test_fills_in_any_order_give_the_same_bytes(self, monkeypatch):
+        # the table's positions carry on from one fill to the next; a fill
+        # anywhere else, back, forward or again, counts them afresh
+        from sqfpairs import counting
+        monkeypatch.setattr(counting, "_SEGMENT_BITS", 1024)
+        monkeypatch.setattr(counting, "_PIECE_BITS", 64)
+        N = 2 * 40 * 1024 - 1  # 40 whole segments
+        want = build_sieve(N)._bytes.reshape(40, 128)
+        segments, out = counting._Segments(N), np.empty(128, dtype=np.uint8)
+        for k in [39, 3, 4, 1, 1, 0, 2, 38, 12, 13]:
+            segments.fill(1024 * k, out)
+            assert np.array_equal(out, want[k]), k
 
     def test_count_prefix_across_chunks(self, monkeypatch):
         from sqfpairs import counting
@@ -771,6 +791,18 @@ class TestCountPairsMobius:
         with pytest.raises(ValueError):
             count_pairs_mobius_truncated(10, 0.5)
 
+    @pytest.mark.parametrize("z", [True, float("nan"), "3", 0.5])
+    def test_truncation_point_must_be_a_number_from_one(self, z):
+        with pytest.raises(ValueError, match="z must be"):
+            count_pairs_mobius_truncated(10, z)
+
+    @pytest.mark.parametrize("H", [10, 50])
+    def test_truncation_past_the_last_modulus_is_the_complete_sum(self, H):
+        exact = count_pairs_mobius(H).S
+        for z in (float("inf"), 10**9, np.float64("inf"), np.int64(10**9)):
+            assert count_pairs_mobius_truncated(H, z) == exact, z
+        assert count_pairs_mobius_truncated(H, 2.5) == count_pairs_mobius_truncated(H, 2)
+
 
 @pytest.mark.parametrize("entry", [
     pytest.param(lambda H: count_pairs_ladder([H])[0], id="ladder"),
@@ -822,6 +854,23 @@ def test_default_budget_admits_the_largest_height(monkeypatch):
         tracemalloc.stop()
     assert admitted.value.args[0] == (H * H + 8) // 8 <= 2**31
     assert peak < 2**16  # checked, not allocated
+
+
+@pytest.mark.parametrize("N", [10**3, 10**6, 2 * 16000**2 + 1, 2 * 65535**2 + 1])
+def test_segments_trace_within_their_stated_bytes(N):
+    # building the strike table and filling a segment, then the next one
+    from sqfpairs import counting
+    nbits = (N + 1) // 2
+    out = np.empty(min(counting._SEGMENT_BITS, nbits + 7) // 8, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        segments = counting._Segments(N)
+        for lo in range(0, min(2 * 8 * out.size, nbits), 8 * out.size):
+            segments.fill(lo, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= counting._Segments.scratch_bytes(N)
 
 
 def test_sieve_scratch_is_sized_to_a_short_sieve():
