@@ -7,7 +7,7 @@ Two independent routes compute the same integer:
   0 mod 4, and when even it is twice an odd number), probed for the
   pairs x <= y only (x^2 + y^2 + 1 is symmetric, so an off-diagonal pair
   counts twice).  The pairs are read in increasing order of their sieve
-  index through a window a few widest rectangles long, whose segments are
+  index through a window of the widest rectangle and two segments,
   built as the probe reaches them, so the sieve is never held whole (a
   whole one, from `build_sieve`, can be passed in and is copied into the
   windows instead).  A ladder of heights is probed once, up to its top,
@@ -52,16 +52,14 @@ __all__ = [
     "DEFAULT_MEMORY_BUDGET",
 ]
 
-_SEGMENT_BITS = 1 << 20  # flags packed per segment (a multiple of 8)
-_PIECE_BITS = 1 << 18  # flags a segment is sieved in at a time (a multiple of 8)
-# Squares whose odd multiples are struck once, into a pattern each piece
+_SEGMENT_BITS = 1 << 18  # flags sieved and packed at a time (a multiple of 8)
+# Squares whose odd multiples are struck once, into a pattern each segment
 # is copied from; in index space the pattern repeats with their product, 11025.
 _WHEEL_SQUARES = (9, 25, 49)
 _WHEEL_PERIOD = math.prod(_WHEEL_SQUARES)
-# A square with more multiples than this in a piece strikes them by one
+# A square with more multiples than this in a segment strikes them by one
 # strided slice; the others are struck together, through the strike table.
 _STRIDED_MULTIPLES = 128
-_COUNT_CHUNK = 1 << 20  # packed bytes popcounted at a time
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
@@ -87,12 +85,12 @@ class SquarefreeSieve:
 
     def _count_bits(self, nbits: int) -> int:
         """Set bits among the first nbits.  Whole bytes are popcounted by
-        table, _COUNT_CHUNK bytes at a time, so the scratch memory stays
+        table, one segment's bytes at a time, so the scratch memory stays
         bounded for any prefix."""
         full, rest = divmod(nbits, 8)
-        total = 0
-        for lo in range(0, full, _COUNT_CHUNK):
-            total += int(_POPCOUNT[self._bytes[lo : min(lo + _COUNT_CHUNK, full)]].sum())
+        total, seg = 0, _SEGMENT_BITS // 8
+        for lo in range(0, full, seg):
+            total += int(_POPCOUNT[self._bytes[lo : min(lo + seg, full)]].sum())
         if rest:
             tail = np.unpackbits(self._bytes[full : full + 1], bitorder="little")
             total += int(tail[:rest].sum())
@@ -108,41 +106,40 @@ class SquarefreeSieve:
 
 
 class _Segments:
-    """Packs the squarefree flags of the odd n <= N, at most _SEGMENT_BITS
-    flags at a time; `build_sieve` and the probe's windows both fill their
-    bytes through `fill`.
+    """Packs the squarefree flags of the odd n <= N, one segment of at
+    most _SEGMENT_BITS flags at a time; `build_sieve` and the probe's
+    windows both fill their bytes through `fill`.
 
     Bit i stands for n = 2i + 1, so the odd multiples of p^2 are the
     indices (p^2 - 1)/2 + k*p^2: stride p^2 from offset (p^2 - 1)/2.  A
-    segment is sieved in pieces of at most _PIECE_BITS flags, each staged
-    as bools small enough to stay in cache and then packed into its bytes.
-    A piece starts as copies of one period (11025 flags) of a pattern with
-    the odd multiples of 9, 25 and 49 already struck.  The squares with
-    more than _STRIDED_MULTIPLES multiples in a piece (121 to 1849) strike
-    theirs by strided slices.
+    segment is staged as bools small enough to stay in cache (256 KB) and
+    then packed into its bytes.  It starts as copies of one period (11025
+    flags) of a pattern with the odd multiples of 9, 25 and 49 already
+    struck.  The squares with more than _STRIDED_MULTIPLES multiples in a
+    segment (121 to 1849) strike theirs by strided slices.
 
     The larger squares strike through one table.  A square p^2 with at
-    most c = ceil(piece / p^2) multiples in a piece has c entries, and
+    most c = ceil(segment / p^2) multiples in a segment has c entries, and
     entry j holds the multiples j, j + c, j + 2c, ..: the index of the
-    first and the span c*p^2, which is at least a piece.  So each entry
-    strikes at most once per piece, at its position counted from the
-    piece's start.  Past the piece the position is struck on a sentinel
-    flag after it, and one assignment strikes every entry.  Then the
-    positions move on by the piece, and an entry whose strike is passed
-    adds its span.  A fill that does not start where the last one stopped
-    counts the positions afresh, (first - lo) mod span.  A sieve shorter
-    than one piece sizes the piece to its own whole bytes.
+    first and the span c*p^2, which is at least a segment.  So each entry
+    strikes at most once per segment, at its position counted from the
+    segment's start.  Past the segment the position is struck on a
+    sentinel flag after it, and one assignment strikes every entry.  Then
+    the positions move on by the segment, and an entry whose strike is
+    passed adds its span.  A fill that does not start where the last one
+    stopped counts the positions afresh, (first - lo) mod span.  A sieve
+    shorter than one segment sizes the segment to its own whole bytes.
     """
 
     def __init__(self, N: int):
         self.nbits = (N + 1) // 2
-        piece = self._piece_bits(N)
+        segment = self._segment_bits(N)
         squares = primes_upto(math.isqrt(N)) ** 2
         squares = squares[squares > _WHEEL_SQUARES[-1]]
-        strided = squares * _STRIDED_MULTIPLES < piece
+        strided = squares * _STRIDED_MULTIPLES < segment
         self.strided = squares[strided].tolist()
         squares = squares[~strided]
-        counts = -(-piece // squares)  # the most multiples of each square in a piece
+        counts = -(-segment // squares)  # the most multiples of each square in a segment
         self.first = np.arange(counts.sum(), dtype=np.int64)
         self.first -= np.repeat(np.cumsum(counts) - counts, counts)  # j, from 0 per square
         self.first *= np.repeat(squares, counts)
@@ -154,52 +151,43 @@ class _Segments:
         self.pattern = np.ones(2 * _WHEEL_PERIOD, dtype=bool)  # any period's worth from any offset
         for sq in _WHEEL_SQUARES:
             self.pattern[(sq - 1) // 2 :: sq] = False
-        self.buffer = np.empty(piece + 1, dtype=bool)  # the last flag is the sentinel
+        self.buffer = np.empty(segment + 1, dtype=bool)  # the last flag is the sentinel
 
     @staticmethod
-    def _piece_bits(N: int) -> int:
-        """Flags per piece: _PIECE_BITS, or a segment's or the whole
-        sieve's bytes' worth when that is fewer."""
-        return min(_PIECE_BITS, _SEGMENT_BITS, ((N + 1) // 2 + 7) // 8 * 8)
+    def _segment_bits(N: int) -> int:
+        """Flags per segment: _SEGMENT_BITS, or the whole sieve's bytes'
+        worth when that is fewer."""
+        return min(_SEGMENT_BITS, ((N + 1) // 2 + 7) // 8 * 8)
 
     @staticmethod
     def scratch_bytes(N: int) -> int:
         """A bound on the bytes `_Segments(N)` holds while it fills: the
-        pattern, the staging piece, its packed copy, 16 KiB for the arrays'
+        pattern, the staged segment, its packed copy, 16 KiB for the arrays'
         headers and np.packbits' scratch (5.3 KiB), the prime sieve's
         flags, 48 per square while the table is built and 32 per table
         entry.  There are fewer than 1.25506 x / ln x primes up to
         x = sqrt(N) (Rosser and Schoenfeld).  A table square p^2 has
-        ceil(piece / p^2) entries, and p is odd and at least
-        m = ceil(sqrt(piece / 128)) (and 11), so there are fewer entries
-        than squares plus piece / (2(m - 2)): the sum of 1/n^2 over the odd
-        n >= m is below 1/(2(m - 2))."""
-        piece = _Segments._piece_bits(N)
+        ceil(segment / p^2) entries, and p is odd and at least
+        m = ceil(sqrt(segment / 128)) (and 11), so there are fewer entries
+        than squares plus segment / (2(m - 2)): the sum of 1/n^2 over the
+        odd n >= m is below 1/(2(m - 2))."""
+        segment = _Segments._segment_bits(N)
         root = math.isqrt(N)
         squares = int(1.25506 * root / math.log(root)) + 1 if root > 1 else 0
-        least = max(11, math.isqrt(-(-piece // _STRIDED_MULTIPLES) - 1) + 1)
-        entries = squares + piece // (2 * (least - 2)) + 1
-        return (2 * _WHEEL_PERIOD + piece + 1 + piece // 8 + (1 << 14) + root + 1
+        least = max(11, math.isqrt(-(-segment // _STRIDED_MULTIPLES) - 1) + 1)
+        entries = squares + segment // (2 * (least - 2)) + 1
+        return (2 * _WHEEL_PERIOD + segment + 1 + segment // 8 + (1 << 14) + root + 1
                 + 48 * squares + 32 * entries)
 
     def fill(self, lo: int, out: np.ndarray) -> None:
-        """Packs the flags lo, lo + 1, .. into the bytes `out`, at most
-        _SEGMENT_BITS of them, one piece at a time; bits past the sieve's
-        last flag are 0."""
+        """Packs the flags lo, lo + 1, .. into the bytes `out`, at most a
+        segment of them, staged in the buffer's first bools; bits past the
+        sieve's last flag are 0.  The table's positions move on to the
+        segment's end."""
         if lo != self.next:
             np.subtract(self.first, lo, out=self.positions)
             np.remainder(self.positions, self.span, out=self.positions)
-        piece = self.buffer.size - 1
-        for start in range(0, 8 * out.size, piece):
-            size = min(piece, 8 * out.size - start)
-            self._sieve(lo + start, size)
-            out[start >> 3 : (start + size) >> 3] = np.packbits(self.buffer[:size],
-                                                                  bitorder="little")
-        self.next = lo + 8 * out.size
-
-    def _sieve(self, lo: int, size: int) -> None:
-        """Stages the flags lo .. lo + size - 1 in the buffer's first size
-        bools, and moves the table's positions on to lo + size."""
+        size = 8 * out.size
         stage = self.buffer[:size]
         offset = lo % _WHEEL_PERIOD
         done = min(_WHEEL_PERIOD, size)
@@ -221,6 +209,8 @@ class _Segments:
         np.right_shift(self.positions, 63, out=self.clamped)  # -1 where passed, else 0
         self.clamped &= self.span
         self.positions += self.clamped
+        out[:] = np.packbits(stage, bitorder="little")
+        self.next = lo + size
 
 
 def build_sieve(N: int) -> SquarefreeSieve:
@@ -280,20 +270,22 @@ def _quadrant(sid, band, terms, rows, x0, lo, tile, weights, step, start):
     then the tile's columns, the slice `tile`, weighted.  Rectangles whose
     first index is below `start` are skipped.
 
-    The column `terms` come as a pair, exact and mod 2^32, and the `rows`
-    as the exact first and last row terms and all of them mod 2^32.  The
-    exact terms give the first and last indices, which order the probe,
-    and the rectangle carries the terms mod 2^32, which index the window."""
-    (a, a32), (r0, r1, rows) = terms, rows
+    The column `terms` come as the terms mod 2^32 and their exact-term
+    function, and the `rows` as the exact first and last row terms and all
+    of them mod 2^32.  The exact terms give the first and last indices,
+    which order the probe, and the rectangle carries the terms mod 2^32,
+    which index the window."""
+    (a, exact), (r0, r1, rows) = terms, rows
     xs = range(x0, lo, step)
-    skip = bisect.bisect_left(xs, start - r0, key=lambda x: int(a[x])) if start else 0
+    skip = bisect.bisect_left(xs, start - r0, key=exact) if start else 0
     for x in xs[skip:]:
-        cols = slice(x, min(x + step, lo), 2)
-        yield int(a[x]) + r0, sid, int(a[cols][-1]) + r1, band, a32[cols], rows, None
-    exact = a[tile]
-    if exact.size and int(exact[0]) + r0 >= start:
-        yield (int(exact[0]) + r0, sid, int(exact[-1]) + r1, band, a32[tile], rows,
-               weights[: exact.size, : rows.size])
+        last = min(x + step, lo) - 1
+        last -= (last - x) % 2  # the chunk's last column
+        yield exact(x) + r0, sid, exact(last) + r1, band, a[x : last + 1 : 2], rows, None
+    cols = range(tile.start, tile.stop, 2)
+    if cols and exact(cols[0]) + r0 >= start:
+        yield (exact(cols[0]) + r0, sid, exact(cols[-1]) + r1, band, a[tile], rows,
+               weights[: len(cols), : rows.size])
 
 
 def _block_streams(sid, band, lo, hi, f, h, step, start):
@@ -306,19 +298,20 @@ def _block_streams(sid, band, lo, hi, f, h, step, start):
     parities differ it is twice the odd number at index f[x] + f[y].  So
     each value costs one add.  Same-parity pairs index near (x^2 + y^2)/2
     and mixed ones near (x^2 + y^2)/4, which is why each quadrant of the
-    diagonal tile is a rectangle of its own.  f and h are pairs: the exact
-    terms and the terms mod 2^32."""
+    diagonal tile is a rectangle of its own.  f and h are pairs: the terms
+    mod 2^32 and the function giving a term exactly."""
     even, odd = slice(lo + lo % 2, hi, 2), slice(lo + 1 - lo % 2, hi, 2)
     # (terms, first column, column slice of the tile, row slice, added to the row terms)
     quadrants = ((h, 2, even, even, 0), (f, 2, even, odd, 0),
                  (f, 1, odd, even, 0), (h, 1, odd, odd, 1))
     streams = []
-    for (a, a32), x0, cols, rows, plus in quadrants:
+    for (a, exact), x0, cols, rows, plus in quadrants:
         if rows.start < hi:
             weights = _TILE[cols.start - lo :: 2, rows.start - lo :: 2]
-            rows32 = a32[rows] + plus if plus else a32[rows]  # a view when nothing is added
-            row_terms = int(a[rows][0]) + plus, int(a[rows][-1]) + plus, rows32
-            streams.append(_quadrant(sid + len(streams), band, (a, a32), row_terms, x0, lo,
+            ys = range(rows.start, hi, 2)
+            row_terms = (exact(ys[0]) + plus, exact(ys[-1]) + plus,
+                         a[rows] + plus if plus else a[rows])  # a view when nothing is added
+            streams.append(_quadrant(sid + len(streams), band, (a, exact), row_terms, x0, lo,
                                      cols, weights, step, start))
     return streams
 
@@ -467,14 +460,17 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     # per worker: the window, the segment scratch, and per value the uint32
     # index, its bit, its byte index (intp), the flag, a copy of the flags
     # made by np.take and the tile's weighted flags, plus 128 KiB for the
-    # buffers of numpy's casting loops; then f and h, exact and mod 2^32,
+    # buffers of numpy's casting loops; then f and h, 8 bytes per x held
+    # (uint32, mod 2^32) and 12 while f is built from its uint64 scratch;
     # and the streams of the merge (one block's more for the merge itself)
     check_bytes(workers * (window + _Segments.scratch_bytes(N) + 16 * values + (1 << 17))
-                + 24 * (top + 1) + 4 * (blocks + 1) * _STREAM_BYTES,
+                + 12 * (top + 1) + 4 * (blocks + 1) * _STREAM_BYTES,
                 f"pair probe to H = {top}")
-    f = np.arange(top + 1, dtype=np.uint64) ** 2 >> 2
-    h = f << 1
-    f, h = (f, f.astype(np.uint32)), (h, h.astype(np.uint32))  # exact, and mod 2^32
+    f = np.arange(top + 1, dtype=np.uint64)  # x, then x^2 >> 2 (past 2^32) in place
+    f *= f
+    f >>= 2
+    f = f.astype(np.uint32)  # mod 2^32; the uint64 scratch is freed
+    f, h = (f, lambda x: x * x >> 2), (f << 1, lambda x: x * x >> 2 << 1)  # with exact terms
 
     def run(lo, hi):
         win = _Window(np.empty(window, dtype=np.uint8), nbytes, sieve or _Segments(N), values)
@@ -516,14 +512,16 @@ def count_pairs_ladder(
     chunk of columns, per parity quadrant), in increasing order of their
     smallest sieve index, through a window of the sieve: its segments are
     built as the probe reaches them and dropped once it has passed, so
-    the window holds the widest rectangle and two segments (about 1.8 MB
+    the window holds the widest rectangle and two segments (about 1.6 MB
     at H = 16000, where the whole sieve is 32 MB).  With a sieve given,
-    the windows copy its segments instead.  A top H above 5,619,152,
-    whose window would reach 2^32 bits (its indices are uint32), is
-    refused with ValueError; then the window, the scratch and the
-    schedule are stated to `check_bytes`, before any allocation.  Each H
-    must be a positive integer (an int or numpy integer, not a bool or a
-    float), else ValueError.
+    the windows copy its segments instead.  The terms x^2 >> 2 and twice
+    them are held mod 2^32 only, 8 bytes per x; the rectangles' exact
+    first and last indices, which order the probe, come from Python ints.
+    A top H above 5,621,211, whose window would reach 2^32 bits (its
+    indices are uint32), is refused with ValueError; then the window, the
+    scratch, the terms and the schedule are stated to `check_bytes`,
+    before any allocation.  Each H must be a positive integer (an int or
+    numpy integer, not a bool or a float), else ValueError.
 
     S(H_k) is S(H_{k-1}) plus the band H_{k-1} < y <= H_k, and a row's
     `elapsed` runs until the last rectangle of its band (and of the bands

@@ -17,6 +17,7 @@ import contextlib
 import contextvars
 import math
 import os
+from array import array
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
 
 # Default memory budget in bytes, the one limit on every checked
 # allocation.  The pair probe states its windows, scratch and schedule,
-# 4.8 MB at H = 16000 and 949 MB on one worker at its top H = 5,619,152;
+# 3.6 MB at H = 16000 and 843 MB on one worker at its top H = 5,621,211;
 # at 128 bytes per residue 2 GiB admits tables of 2**24 residues.
 DEFAULT_MEMORY_BUDGET = 2**31
 
@@ -58,7 +59,10 @@ def memory_budget() -> int:
     budget = _BUDGET.get()
     if budget is None:
         env = os.environ.get("SQFPAIRS_MEMORY_BUDGET")
-        budget = int(env) if env else DEFAULT_MEMORY_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_MEMORY_BUDGET
+        except ValueError:
+            raise ValueError(f"SQFPAIRS_MEMORY_BUDGET must be an integer, got {env!r}") from None
     if budget <= 0:
         raise ValueError(f"memory budget must be positive, got {budget}")
     return budget
@@ -66,10 +70,13 @@ def memory_budget() -> int:
 
 @contextlib.contextmanager
 def budget_scope(nbytes: int):
-    """Run the body under a budget of nbytes (ValueError on entry if it is
-    not positive).  The budget is a context variable: threads started
-    inside the body do not see it unless they run in a copy of the
-    context, as the pair probe's workers do."""
+    """Run the body under a budget of nbytes, an int or numpy integer
+    (ValueError on entry if it is not positive, or a bool, a float or a
+    string).  The budget is a context variable: threads started inside
+    the body do not see it unless they run in a copy of the context, as
+    the pair probe's workers do."""
+    if not isinstance(nbytes, (int, np.integer)) or isinstance(nbytes, bool):
+        raise ValueError(f"memory budget must be an integer, got {nbytes!r}")
     token = _BUDGET.set(int(nbytes))
     try:
         memory_budget()  # a budget <= 0 raises here, on entry
@@ -106,9 +113,9 @@ def primes_upto(limit: int) -> np.ndarray:
 # Every composite n < 2**32 has a prime factor below 2**16.
 _FACTOR_LIMIT = 1 << 32
 # Built under the default budget, so that importing the package never
-# depends on SQFPAIRS_MEMORY_BUDGET.
+# depends on SQFPAIRS_MEMORY_BUDGET; packed, as each fits a uint16.
 with budget_scope(DEFAULT_MEMORY_BUDGET):
-    _TRIAL_PRIMES = tuple(primes_upto(1 << 16).tolist())
+    _TRIAL_PRIMES = array("H", primes_upto(1 << 16).astype(np.uint16).tobytes())
 
 
 @lru_cache(maxsize=1 << 16)

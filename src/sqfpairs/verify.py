@@ -322,7 +322,7 @@ def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
         # the evaluator at sampled (n, m) pairs, not on a grid of rows, in one call
         n, m = _columns([(units[rng.randrange(units.size)], rng.randrange(q)) for _ in range(3)])
         rec.check(complex_close(expsums.gauss_closed_odd(q, n, m), _gauss_entries(q, n, m)),
-                  "scalar closed mismatch at ({q};{n},{m})", q=q, n=n, m=m)
+                  "sampled closed mismatch at ({q};{n},{m})", q=q, n=n, m=m)
     return rec.result()
 
 

@@ -471,10 +471,10 @@ class TestErrorScan:
         assert times == sorted(times)
 
     def test_peak_is_the_larger_stage_not_their_sum(self):
-        # the probe (a 2.3 MB window and its scratch, a 4.3 MB peak at
-        # H = 22000) is done and freed before constant_c sieves the primes
+        # the probe (a 2.5 MB window and its scratch, a 4.4 MB peak at
+        # H = 26000) is done and freed before constant_c sieves the primes
         # up to 5e6 (a 7.8 MB peak)
-        ladder, P = [22000], 5_000_000
+        ladder, P = [26000], 5_000_000
 
         def peak(fn, *args):
             tracemalloc.start()

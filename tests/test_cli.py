@@ -421,6 +421,12 @@ class TestUsage:
         assert proc.returncode == EXIT_BUDGET
         assert "budget" in proc.stderr
 
+    def test_non_integer_env_budget_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "5e3")
+        code, _, err = run(capsys, "count", "--H", "10", "--method", "value-sieve")
+        assert code == EXIT_USAGE
+        assert "SQFPAIRS_MEMORY_BUDGET" in err and "'5e3'" in err
+
     def test_non_positive_env_budget_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SQFPAIRS_MEMORY_BUDGET", "-5")
         code, _, err = run(capsys, "count", "--H", "10", "--method", "value-sieve")

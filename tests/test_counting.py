@@ -113,22 +113,17 @@ class TestBuildSieve:
         for probe in (n, n - 1, edge - 1, edge, edge + 1, edge + 2, 12345):
             assert read_flag(sieve, probe) == is_squarefree_oracle(probe)
 
-    @pytest.mark.parametrize("segment,piece", [(None, None), (64, None), (1024, None),
-                                               (None, 1024), (1024, 64)],
-                             ids=["None", "64", "1024", "piece1024", "1024-piece64"])
-    def test_packed_bytes_match_oracle(self, segment, piece, monkeypatch):
+    @pytest.mark.parametrize("segment", [None, 64, 1024])
+    def test_packed_bytes_match_oracle(self, segment, monkeypatch):
         # Bit i is the odd n = 2i + 1.  At 64 and 1024 flags per segment
-        # (so per piece) the wheel copy and the strike table run across
-        # many segments.  At pieces of 1024 and 64 flags one fill spans
-        # many pieces, the table's entries (9 for 121 at 1024) strike
-        # across piece boundaries and a sieve's last piece is partial.  The
-        # default pieces also strike 121..1849 by strided slices.  The
-        # wheel repeats every 11025 flags (n = 22050).
+        # the wheel copy and the strike table run across many segments,
+        # the table's entries (9 for 121 at 1024) strike across segment
+        # boundaries and a sieve's last segment is partial.  The default
+        # segments also strike 121..1849 by strided slices.  The wheel
+        # repeats every 11025 flags (n = 22050).
         from sqfpairs import counting
         if segment is not None:
             monkeypatch.setattr(counting, "_SEGMENT_BITS", segment)
-        if piece is not None:
-            monkeypatch.setattr(counting, "_PIECE_BITS", piece)
         past_boundary = 2 * (2 * counting._SEGMENT_BITS + 8)
         limits = list(range(1, 201)) + [22049, 22050, 22051, 22052, 44101]
         limits += [past_boundary + r for r in range(16)]  # every flag count mod 8
@@ -146,7 +141,6 @@ class TestBuildSieve:
         # anywhere else, back, forward or again, counts them afresh
         from sqfpairs import counting
         monkeypatch.setattr(counting, "_SEGMENT_BITS", 1024)
-        monkeypatch.setattr(counting, "_PIECE_BITS", 64)
         N = 2 * 40 * 1024 - 1  # 40 whole segments
         want = build_sieve(N)._bytes.reshape(40, 128)
         segments, out = counting._Segments(N), np.empty(128, dtype=np.uint8)
@@ -159,7 +153,7 @@ class TestBuildSieve:
         N = 1000
         prefix = np.cumsum(oracle_flags(N))
         sieve = build_sieve(N)
-        monkeypatch.setattr(counting, "_COUNT_CHUNK", 3)  # 24 odd flags, n < 48, per chunk
+        monkeypatch.setattr(counting, "_SEGMENT_BITS", 24)  # 3 bytes: n < 48, per segment
         for upto in [1, 2, 46, 47, 48, 49, 50, 94, 95, 96, 97, 98, 99, 143, 144, 145,
                      191, 192, 193, 194, 999, 1000]:
             assert sieve.count_squarefree(upto) == prefix[upto], upto
@@ -486,13 +480,15 @@ class TestValueWindows:
             bases.add(8 * win.b0)
         assert min(bases) >= 2**33 + 2**32 and len(bases) > 1  # the window moved
 
-    def test_window_compacts_over_itself_in_place(self):
+    def test_window_compacts_over_itself_in_place(self, monkeypatch):
         # A buffer of the widest rectangle (three segments) plus two
         # segments, read through rectangles whose moves keep more bytes
         # than they shift by, so each move overlaps itself.  The counts
         # must be what the source's bytes flag, and a move must copy in
-        # place: a temporary would trace the kept bytes, over 2**18.
+        # place: a temporary would trace the kept bytes, over 2**18.  The
+        # geometry is in segments of 2**20 flags.
         from sqfpairs import counting
+        monkeypatch.setattr(counting, "_SEGMENT_BITS", 1 << 20)
         seg = counting._SEGMENT_BITS // 8
         data = np.random.default_rng(11).integers(0, 256, 12 * seg, dtype=np.uint8)
 
@@ -609,7 +605,7 @@ def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch):
 
 def test_probe_past_uint32_windows_refused(monkeypatch):
     # Window indices are uint32, so the window must hold fewer than 2^32
-    # bits: H = 5,619,152 is the largest top admitted, and H = 6,000,000
+    # bits: H = 5,621,211 is the largest top admitted, and H = 6,000,000
     # (a 547 MiB window, within the default budget) is refused before any
     # allocation.  A probe the budget admits stops at once.
     from sqfpairs import counting
@@ -636,9 +632,9 @@ def test_probe_past_uint32_windows_refused(monkeypatch):
         tracemalloc.stop()
     assert peak < 2**16
     with pytest.raises(Admitted):
-        count_pairs_direct(5_619_152)
+        count_pairs_direct(5_621_211)
     with pytest.raises(ValueError, match="uint32"):
-        count_pairs_direct(5_619_153)
+        count_pairs_direct(5_621_212)
 
 
 class TestResidueCount:
@@ -871,6 +867,30 @@ def test_segments_trace_within_their_stated_bytes(N):
     finally:
         tracemalloc.stop()
     assert peak <= counting._Segments.scratch_bytes(N)
+
+
+@pytest.mark.parametrize("ladder", [[300], [4000], [16000], [2000, 4000, 8000, 16000]])
+def test_probe_traces_within_its_stated_bytes(monkeypatch, ladder):
+    # the window, segment and lookup scratch, the terms and the schedule
+    # the probe states to the budget bound what it allocates, all of it
+    from sqfpairs import counting
+    from sqfpairs.ntcore import check_bytes
+    stated = []
+
+    def record(nbytes, what):
+        check_bytes(nbytes, what)
+        if what.startswith("pair probe"):
+            stated.append(nbytes)
+
+    monkeypatch.setattr(counting, "check_bytes", record)
+    tracemalloc.start()
+    try:
+        count_pairs_ladder(ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stated) == 1
+    assert peak <= stated[0]
 
 
 def test_sieve_scratch_is_sized_to_a_short_sieve():

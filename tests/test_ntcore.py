@@ -335,6 +335,17 @@ class TestBudget:
         with pytest.raises(ValueError, match="memory budget must be positive"):
             ntcore.check_bytes(1, "one byte")
 
+    @pytest.mark.parametrize("budget", [True, 2.7, "4096"])
+    def test_non_integer_budget_is_a_value_error(self, budget):
+        # taken as given, not truncated by int(): True is not a budget of 1
+        with pytest.raises(ValueError, match="memory budget must be an integer"):
+            with ntcore.budget_scope(budget):
+                pass
+
+    def test_numpy_integer_budget_is_accepted(self):
+        with ntcore.budget_scope(np.int64(300)):
+            assert ntcore.memory_budget() == 300
+
     def test_check_bytes_refuses_only_above_the_budget(self):
         with ntcore.budget_scope(100):
             ntcore.check_bytes(100, "a table")

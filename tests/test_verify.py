@@ -318,7 +318,7 @@ def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
     got = []
     for f in result.failures:
         row = re.match(r"q=(\d+) n=(\d+) max err", f)
-        sample = re.match(r"scalar closed mismatch at \((\d+);(\d+),(\d+)\)", f)
+        sample = re.match(r"sampled closed mismatch at \((\d+);(\d+),(\d+)\)", f)
         got.append(("row", *map(int, row.groups())) if row
                    else ("sample", *map(int, sample.groups())))
     assert result.failed == result.checked == len(want)
