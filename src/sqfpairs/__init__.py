@@ -6,7 +6,30 @@ Kloosterman and circle-congruence exponential sums with their classical
 bounds as testable properties, the Euler-product density constant with
 an explicit tail bound, and a scanner that measures the growth exponent
 of the error term S(H) - c*H^2.
+
+The exponential-sum modules (`expsums`, `lambdasums`, `verify`) are
+loaded lazily: each one runs, and is compiled, when one of its
+attributes is first read, so the counting commands never load them.
 """
+
+import importlib.util
+import sys
+
+
+def _lazy(name):
+    """The submodule `name`, registered in sys.modules but executed only
+    when one of its attributes is first read (importlib's LazyLoader,
+    which is not thread-safe: no pool worker may be the first to read)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# before `asymptotic`, whose `from . import expsums, lambdasums` must find these
+expsums, lambdasums, verify = (_lazy(name) for name in ("expsums", "lambdasums", "verify"))
 
 from .ntcore import (
     BudgetError,
@@ -19,21 +42,6 @@ from .ntcore import (
     primes_upto,
     sqrt_mod,
     tau,
-)
-from .expsums import (
-    complex_close,
-    gauss_closed_odd,
-    gauss_direct,
-    gauss_reduce,
-    kloosterman_direct,
-)
-from .lambdasums import (
-    SolutionSet,
-    lambda_any,
-    lambda_direct,
-    lambda_fast_odd,
-    lambda_multiplicative,
-    solve_circle,
 )
 from .counting import (
     PairCountReport,
@@ -57,6 +65,14 @@ from .asymptotic import (
     rho,
     rho_fourier,
 )
+
+# the names re-exported from the lazy modules, read through __getattr__
+_DEFERRED = {
+    **dict.fromkeys(("complex_close", "gauss_closed_odd", "gauss_direct", "gauss_reduce",
+                     "kloosterman_direct"), expsums),
+    **dict.fromkeys(("SolutionSet", "lambda_any", "lambda_direct", "lambda_fast_odd",
+                     "lambda_multiplicative", "solve_circle"), lambdasums),
+}
 
 __version__ = "0.1.0"
 
@@ -101,3 +117,14 @@ __all__ = [
     "sqrt_mod",
     "tau",
 ]
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -26,8 +26,7 @@ import numpy as np
 from .ntcore import (_check_modulus, _mod_in_place, check_bytes, divisors, is_prime, mobius,
                      mobius_sieve, primes_upto)
 from .counting import _check_ladder, _probe_ladder
-from .expsums import CHUNK_ENTRIES, RESIDUE_BYTES, _check_table, kloosterman_row
-from .lambdasums import _sign
+from . import expsums, lambdasums  # read at call time, so `scan` never loads them
 
 __all__ = [
     "EulerProductEstimate",
@@ -264,11 +263,12 @@ def harmonic_lambda_sums(q: int, D):
         raise ValueError(f"D must be an int or a 1-D array of ints >= 2, got {D}")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    _check_table(q, "harmonic_lambda_sums")  # the rows' tables, before q is factored
+    expsums._check_table(q, "harmonic_lambda_sums")  # the rows' tables, before q is factored
     half = q % 2 == 0  # q = 2 q1: the weights split by parity
     q1 = q // 2 if half else q
-    check_bytes(16 * sum(divisors(q1)) + RESIDUE_BYTES * q1 + _HARMONIC_BYTES * Ds.size * q
-                + _HARMONIC_BYTES * min(CHUNK_ENTRIES, int(Ds.max())),
+    chunk = expsums.CHUNK_ENTRIES
+    check_bytes(16 * sum(divisors(q1)) + expsums.RESIDUE_BYTES * q1
+                + _HARMONIC_BYTES * (Ds.size * q + min(chunk, int(Ds.max()))),
                 f"harmonic_lambda_sums({q}) on {Ds.size} values of D")
     U, V = np.zeros(Ds.size), np.zeros(Ds.size)
     if q % 4:
@@ -277,8 +277,8 @@ def harmonic_lambda_sums(q: int, D):
         weights = np.zeros((Ds.size, q))
         twist = pow(2, -1, q1) if half else 1
         for row, d in zip(weights, Ds.ravel().tolist()):
-            for lo in range(1, d + 1, CHUNK_ENTRIES):
-                n = np.arange(lo, min(lo + CHUNK_ENTRIES, d + 1), dtype=np.int64)
+            for lo in range(1, d + 1, chunk):
+                n = np.arange(lo, min(lo + chunk, d + 1), dtype=np.int64)
                 key = _mod_in_place(n % q1 * twist, q1)
                 if half:
                     key += (n & 1) * q1
@@ -298,8 +298,8 @@ def _odd_harmonic_sums(q: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndar
     lam = {g: np.zeros(q // g, dtype=complex) for g in divs}  # Lam_g(t), t in [0, q/g)
     for l in divs:
         r = q // l
-        row = kloosterman_row(l)
-        row *= q * _sign(l) / l
+        row = expsums.kloosterman_row(l)
+        row *= q * lambdasums._sign(l) / l
         c = -pow(4, -1, l) % l  # 0 at l = 1
         for g in divs:
             if g % r:

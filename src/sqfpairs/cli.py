@@ -18,8 +18,7 @@ import json
 import os
 import sys
 
-from . import asymptotic, counting, lambdasums, verify
-from .lambdasums import LAMBDA_TOLERANCE
+from . import asymptotic, counting, lambdasums, verify  # the last two load on first use
 from .ntcore import BudgetError, _check_modulus, budget_scope, memory_budget
 
 EXIT_OK = 0
@@ -72,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="cross-oracle suites")
     p_verify.add_argument("--suite", action="append", dest="suites", metavar="NAME",
                           help="run only this suite (repeatable); default: all")
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help="seed of the sampled suites (default: verify.DEFAULT_SEED)")
     p_verify.add_argument("--list", action="store_true", help="list suite names and exit")
     return parser
 
@@ -115,7 +115,7 @@ def _cmd_lambda(args) -> int:
     elif q % 8 != 0:
         values.append(("any", lambdasums.lambda_any(q, n, m)))
     ref = values[0][1]
-    agree = all(abs(v - ref) <= LAMBDA_TOLERANCE * q for _, v in values)
+    agree = all(abs(v - ref) <= lambdasums.LAMBDA_TOLERANCE * q for _, v in values)
     if args.output_format == "json":
         print(json.dumps({
             "q": q, "n": n, "m": m,
@@ -185,7 +185,8 @@ def _cmd_verify(args) -> int:
         for name in verify.ALL_SUITES:
             print(name)
         return EXIT_OK
-    results = verify.run_suites(args.suites, seed=args.seed)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_suites(args.suites, seed=seed)
     if args.output_format == "json":
         print(json.dumps([dataclasses.asdict(r) for r in results]))
     elif args.output_format == "csv":
@@ -209,8 +210,12 @@ def main(argv=None) -> int:
         return EXIT_OK if code in (None, 0) else EXIT_USAGE
     try:
         if "threads" in args:  # count and scan: the flag, else SQFPAIRS_THREADS, else 1
-            if args.threads is None:
-                args.threads = int(os.environ.get("SQFPAIRS_THREADS", "1"))
+            if args.threads is None:  # an empty variable counts as unset
+                env = os.environ.get("SQFPAIRS_THREADS")
+                try:
+                    args.threads = int(env) if env else 1
+                except ValueError:
+                    raise ValueError(f"SQFPAIRS_THREADS must be an integer, got {env!r}") from None
             _check_modulus(args.threads, "threads")
         # resolved once; a budget <= 0 is a usage error for every command
         budget = memory_budget() if args.memory_budget is None else args.memory_budget

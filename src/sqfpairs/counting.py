@@ -31,7 +31,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -487,11 +486,18 @@ def _probe_ladder(H_values, sieve=None, threads=1):
         cuts = _split(_schedule(H_values, f, h, step), total, workers, N)
     bounds = [0] + cuts + [None]
     runs = list(zip(bounds, bounds[1:]))
-    # the first run goes in this thread, so one worker starts no thread
-    # (and no second malloc arena); the others run in copies of its context
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, lo, hi) for lo, hi in runs[1:]]
-        results = [run(*runs[0])] + [fut.result() for fut in futures]
+    # the first run goes in this thread, so one run starts no thread (and
+    # no second malloc arena, and does not import the pool); the others run
+    # in copies of its context
+    if len(runs) == 1:
+        results = [run(*runs[0])]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=len(runs) - 1) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, run, lo, hi)
+                       for lo, hi in runs[1:]]
+            results = [run(*runs[0])] + [fut.result() for fut in futures]
     reports, S, elapsed = [], 0, 0.0
     for band, H in enumerate(H_values):
         S += sum(totals[band] for totals, _, _ in results)

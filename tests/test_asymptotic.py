@@ -364,14 +364,14 @@ class TestHarmonicSums:
             harmonic_lambda_sums(3, np.array([10, 1, 100]))
 
     def test_array_D_budget_checked_before_table(self, monkeypatch):
-        from sqfpairs import asymptotic
+        from sqfpairs import expsums
 
         def refuse(q):
             raise AssertionError("row built before the budget check")
 
         D = np.array([2, 10, 100])
         need = _stated_bytes(4099, D)
-        monkeypatch.setattr(asymptotic, "kloosterman_row", refuse)
+        monkeypatch.setattr(expsums, "kloosterman_row", refuse)
         with budget_scope(need - 1), pytest.raises(BudgetError):
             harmonic_lambda_sums(4099, D)
 
@@ -485,7 +485,7 @@ class TestErrorScan:
                 tracemalloc.stop()
 
         stages = peak(count_pairs_ladder, ladder), peak(constant_c, P)
-        assert min(stages) > 2**22  # each stage alone is larger than the slack
+        assert max(stages) + 2**20 < sum(stages)  # the slack is below the smaller stage
         assert peak(error_scan, ladder, P) <= max(stages) + 2**20
 
     @pytest.mark.parametrize("P", [1e3, 2.5, True])

@@ -325,6 +325,14 @@ class TestVerify:
                              "--output-format", "csv")
         assert code1 == code2 == EXIT_OK
 
+    @pytest.mark.parametrize("argv, seed", [((), 12345), (("--seed", "7"), 7)])
+    def test_seed_reaches_the_suites(self, capsys, monkeypatch, argv, seed):
+        from sqfpairs import verify
+        seeds = []
+        monkeypatch.setattr(verify, "run_suites", lambda names, seed: seeds.append(seed) or [])
+        assert run(capsys, "verify", *argv)[0] == EXIT_OK
+        assert seeds == [seed] and verify.DEFAULT_SEED == 12345
+
 
 class TestUsage:
     def test_missing_subcommand(self, capsys):
@@ -341,6 +349,18 @@ class TestUsage:
 
     def test_env_thread_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SQFPAIRS_THREADS", "2")
+        code, out, _ = run(capsys, "count", "--H", "5", "--method", "value-sieve")
+        assert code == EXIT_OK and "S(5) = 20" in out
+
+    @pytest.mark.parametrize("value", ["2.5", "True"])
+    def test_non_integer_env_threads_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SQFPAIRS_THREADS", value)
+        code, _, err = run(capsys, "count", "--H", "10", "--method", "value-sieve")
+        assert code == EXIT_USAGE
+        assert f"SQFPAIRS_THREADS must be an integer, got '{value}'" in err
+
+    def test_empty_env_threads_counts_as_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("SQFPAIRS_THREADS", "")
         code, out, _ = run(capsys, "count", "--H", "5", "--method", "value-sieve")
         assert code == EXIT_OK and "S(5) = 20" in out
 
