@@ -95,10 +95,9 @@ class SquarefreeSieve:
             total += int(tail[:rest].sum())
         return total
 
-    def count_squarefree(self, upto: int | None = None) -> int:
-        """Number of squarefree n with 1 <= n <= upto (default: limit): the
-        odd ones, plus one 2m for each squarefree odd m <= upto/2."""
-        upto = self.limit if upto is None else upto
+    def count_squarefree(self, upto: int) -> int:
+        """Number of squarefree n with 1 <= n <= upto: the odd ones, plus
+        one 2m for each squarefree odd m <= upto/2."""
         if not 1 <= upto <= self.limit:
             raise ValueError(f"upto must be in [1, {self.limit}], got {upto}")
         return self._count_bits((upto + 1) // 2) + self._count_bits((upto // 2 + 1) // 2)
@@ -433,7 +432,7 @@ def _check_ladder(H_values) -> list[int]:
 
 def _probe_ladder(H_values, sieve=None, threads=1):
     """`count_pairs_ladder`'s reports, and the seconds spent filling
-    windows, summed over the runs."""
+    windows, summed over the runs (`sieve`, `threads`: `count_pairs_direct`)."""
     H_values = _check_ladder(H_values)
     start = time.perf_counter()
     top = H_values[-1]
@@ -448,7 +447,7 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     def span(d):  # the widest h[x] - h[x - d], at the top (h is convex)
         return 2 * (top * top >> 2) - 2 * (max(top - d, 0) ** 2 >> 2)
 
-    rows_span = span(_BLOCK_ROWS - 2)
+    rows_span = span((_BLOCK_ROWS - 1) // 2 * 2)  # a block's rows of one parity
     widest = (max(span(step - 2), rows_span) + rows_span) // 8 + 1
     nbytes = ((N + 1) // 2 + 7) // 8
     window = min(nbytes, widest + 2 * (_SEGMENT_BITS // 8))
@@ -506,11 +505,7 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     return reports, sum(seconds for _, _, seconds in results)
 
 
-def count_pairs_ladder(
-    H_values,
-    sieve: SquarefreeSieve | None = None,
-    threads: int = 1,
-) -> list[PairCountReport]:
+def count_pairs_ladder(H_values) -> list[PairCountReport]:
     """Exact S(H) for every H of a strictly increasing ladder, by one probe
     of the value sieve over the pairs x <= y up to the largest H.
 
@@ -519,26 +514,20 @@ def count_pairs_ladder(
     smallest sieve index, through a window of the sieve: its segments are
     built as the probe reaches them and dropped once it has passed, so
     the window holds the widest rectangle and two segments (about 1.6 MB
-    at H = 16000, where the whole sieve is 32 MB).  With a sieve given,
-    the windows copy its segments instead.  The terms x^2 >> 2 and twice
-    them are held mod 2^32 only, 8 bytes per x; the rectangles' exact
-    first and last indices, which order the probe, come from Python ints.
-    A top H above 5,621,211, whose window would reach 2^32 bits (its
-    indices are uint32), is refused with ValueError; then the window, the
-    scratch, the terms and the schedule are stated to `check_bytes`,
+    at H = 16000, where the whole sieve is 32 MB).  The terms x^2 >> 2 and
+    twice them are held mod 2^32 only, 8 bytes per x; the rectangles'
+    exact first and last indices, which order the probe, come from Python
+    ints.  A top H above 5,621,211, whose window would reach 2^32 bits
+    (its indices are uint32), is refused with ValueError; then the window,
+    the scratch, the terms and the schedule are stated to `check_bytes`,
     before any allocation.  Each H must be a positive integer (an int or
     numpy integer, not a bool or a float), else ValueError.
 
     S(H_k) is S(H_{k-1}) plus the band H_{k-1} < y <= H_k, and a row's
     `elapsed` runs until the last rectangle of its band (and of the bands
-    below) is done.  With more than one worker the ordered rectangles are
-    cut into one run per worker of about equal work, each with its own
-    window; there are min(threads, cpu count) workers, the calling
-    thread and a pool of the others, under its `budget_scope`; `threads`
-    is a positive integer, else ValueError.  Integer subtotals are summed
-    per band, so the result does not depend on the worker count.
+    below) is done.  For a given sieve or threads, see `count_pairs_direct`.
     """
-    return _probe_ladder(H_values, sieve, threads)[0]
+    return _probe_ladder(H_values)[0]
 
 
 def count_pairs_direct(
@@ -546,8 +535,14 @@ def count_pairs_direct(
     sieve: SquarefreeSieve | None = None,
     threads: int = 1,
 ) -> PairCountReport:
-    """Exact S(H) by the value sieve: `count_pairs_ladder` on the ladder [H]."""
-    return count_pairs_ladder([H], sieve, threads)[0]
+    """Exact S(H) by the value sieve: `count_pairs_ladder`'s probe of [H].
+    A given sieve, covering 2H^2 + 1 (else ValueError), is copied into the
+    windows.  The probe runs on min(threads, cpu count) workers (threads a
+    positive integer, else ValueError): the calling thread and a pool of
+    the others, under its `budget_scope`, each over a run of about equal
+    work with a window of its own.  Their integer subtotals are summed, so
+    S does not depend on the worker count."""
+    return _probe_ladder([H], sieve, threads)[0][0]
 
 
 def residue_count(H: int, q: int, x: int) -> int:

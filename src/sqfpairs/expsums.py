@@ -14,9 +14,8 @@ CHUNK_ENTRIES (pair, unit) entries in one step and more a chunk of that
 size at a time, so beside its tables and its result it holds under 1 MiB
 however many pairs and units it sums.  The FFT helpers evaluate the
 direct sums for many arguments at once: `kloosterman_row` for every c at
-n = 1, and `gauss_direct_table` for every m at the rows n it is given
-(all of [0, q) by default), so a verification sweep builds only the rows
-it compares, a slab at a time.
+n = 1, and `gauss_direct_table` for every m at the rows n it is given, so
+a verification sweep builds only the rows it compares, a slab at a time.
 
 The per-modulus tables take O(q) numpy passes.  `phase_table` takes
 cosines and sines over half a turn and mirrors the rest by conjugation.
@@ -39,7 +38,8 @@ Each call builds the per-residue tables it reads (`phase_table`,
 `unit_table`) and keeps none, and a table whose RESIDUE_BYTES per entry
 exceed the memory budget raises BudgetError before it is allocated; so
 does a broadcast direct sum whose pairs, at PAIR_BYTES each, and largest
-chunk, at GRID_BYTES per entry, exceed it.
+chunk, at GRID_BYTES per entry, exceed it, and a broadcast closed form or
+decomposition whose pairs exceed BROADCAST_BYTES each.
 """
 
 from __future__ import annotations
@@ -82,14 +82,18 @@ GRID_BYTES = 32
 # Bytes stated per pair of a direct sum: the flattened arguments and the
 # sums, 16 each, and a block's partial sums, 16.
 PAIR_BYTES = 48
+# Bytes stated per pair of `gauss_closed_odd`, `lambda_fast_odd` and
+# `lambda_any`, which sum no terms per pair: traced, 200,000 pairs mod 101
+# to 60,062 peak at 57-67, 57-61 and 73-77 bytes a pair.
+BROADCAST_BYTES = 96
 
 
-def complex_close(a, b, tol: float = TOLERANCE):
-    """True where a and b agree within tol * max(1, |a|, |b|) and both are
-    finite: a bool for scalars, a bool array (elementwise) for arrays."""
+def complex_close(a, b):
+    """True where a and b are finite and agree within TOLERANCE * max(1,
+    |a|, |b|): a bool for scalars, a bool array (elementwise) for arrays."""
     a, b = np.asarray(a), np.asarray(b)
     with np.errstate(invalid="ignore"):  # inf - inf; rejected by isfinite below
-        close = np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+        close = np.abs(a - b) <= TOLERANCE * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
     close &= np.isfinite(a) & np.isfinite(b)
     return bool(close) if close.ndim == 0 else close
 
@@ -205,6 +209,13 @@ def _check_grid(n, m, terms: int, what: str) -> None:
     check_bytes(PAIR_BYTES * pairs + GRID_BYTES * chunk, f"{what} on {pairs} pairs x {terms} terms")
 
 
+def _check_pairs(n, m, what: str) -> None:
+    """BudgetError, before anything beside the reduced n and m is allocated,
+    if their broadcast pairs at BROADCAST_BYTES each exceed the budget."""
+    pairs = np.broadcast(n, m).size
+    check_bytes(BROADCAST_BYTES * pairs, f"{what} on {pairs} pairs")
+
+
 def gauss_direct(q: int, n: int, m: int) -> complex:
     """Sum of exp(2*pi*i*(n*x^2 + m*x)/q) over x = 1..q by direct summation."""
     q = _check_modulus(q)
@@ -251,6 +262,7 @@ def gauss_closed_odd(q: int, n, m):
     """
     q = _check_table(q, "gauss_closed_odd")
     n, m = _reduce(q, n), _reduce(q, m)
+    _check_pairs(n, m, f"gauss_closed_odd({q})")
     if q % 2 == 0 or np.any(np.gcd(n, q) != 1):
         raise ValueError(f"need gcd(q, 2n) = 1 for every n, got q={q}, n={n}")
     units, invs = unit_table(q)
@@ -317,10 +329,9 @@ def kloosterman_direct(q: int, n, m):
     return complex(total[0]) if shape == () else total.reshape(shape)
 
 
-def gauss_direct_table(q: int, rows=None) -> np.ndarray:
+def gauss_direct_table(q: int, rows) -> np.ndarray:
     """gauss_direct(q, n, m) for every n in `rows` and every m in [0, q),
-    as an array of shape rows.shape + (q,); with rows None, every n in
-    [0, q), as a (q, q) array.
+    as an array of shape rows.shape + (q,).
 
     rows is an int or an integer array, reduced mod q, in any order and
     with repeats.  Batched direct summation: row n is the unnormalised
@@ -333,7 +344,7 @@ def gauss_direct_table(q: int, rows=None) -> np.ndarray:
     """
     q = _check_table(q, "gauss_direct_table")
     x = np.arange(q, dtype=np.int64)
-    n = x if rows is None else _reduce(q, rows)
+    n = _reduce(q, rows)
     check_bytes(RESIDUE_BYTES * n.size * q, f"gauss_direct_table({q}) on {n.size} rows x {q} "
                 f"residues, past the ceiling of budget/{RESIDUE_BYTES} residues,")
     # the roots over half a turn, mirrored by conjugation

@@ -10,8 +10,9 @@ divisible by 8, taking the 2-part in closed form.  `lambda_direct`,
 m may be ints or integer arrays, and one call evaluates every pair.
 `lambda_direct` states its pairs and its largest chunk to the budget
 before it solves the circle, and sums up to CHUNK_ENTRIES (pair,
-solution) entries at a time.  `solve_circle` sorts the squares mod q
-stably, as 16-bit keys (numpy's radix sort) when q <= 2**16.
+solution) entries at a time; `lambda_fast_odd` and `lambda_any` state
+their reduced pairs, `expsums.BROADCAST_BYTES` each.  `solve_circle` sorts
+the squares mod q stably, as 16-bit keys (numpy's radix sort) when q <= 2**16.
 `lambda_fast_odd` sums the Kloosterman sums of all its divisors l
 directly, in one `kloosterman_direct` call over the units mod q, while
 that call stays small (each l serving at most l pairs, and at most
@@ -39,7 +40,7 @@ import numpy as np
 from .ntcore import (REMAINDER_ENTRIES, _check_modulus, _mod_in_place, _reduce, divisors,
                      factorize, mod_inverse)
 from .expsums import (DEFAULT_SOLVE_CEILING,  # the ceiling solve_circle applies by default
-                      CHUNK_ENTRIES, _check_grid, _check_table, kloosterman_direct,
+                      CHUNK_ENTRIES, _check_grid, _check_pairs, _check_table, kloosterman_direct,
                       kloosterman_row, phase_table)
 
 __all__ = [
@@ -196,6 +197,7 @@ def lambda_fast_odd(q: int, n, m):
         raise ValueError(f"modulus must be odd, got {q}")
     _check_table(q, "lambda_fast_odd")  # the l = q term's tables, before divisors(q)
     n, m = _reduce(q, n), _reduce(q, m)
+    _check_pairs(n, m, f"lambda_fast_odd({q})")
     primes = [p for p, _ in factorize(q)]
 
     def phi(l):
@@ -281,6 +283,7 @@ def lambda_any(q: int, n, m):
     if q % 2 == 1:
         return lambda_fast_odd(q, n, m)
     n, m = _reduce(q, n), _reduce(q, m)
+    _check_pairs(n, m, f"lambda_any({q})")
     if q % 4 == 0:
         total = np.zeros(np.broadcast_shapes(n.shape, m.shape), dtype=complex)
     else:

@@ -18,7 +18,6 @@ import contextvars
 import math
 import os
 from array import array
-from functools import lru_cache
 
 import numpy as np
 
@@ -118,7 +117,6 @@ with budget_scope(DEFAULT_MEMORY_BUDGET):
     _TRIAL_PRIMES = array("H", primes_upto(1 << 16).astype(np.uint16).tobytes())
 
 
-@lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     """Primality of an integer n < 2**32 (False below 2), by the trial
     division of `factorize`; ValueError for n >= 2**32."""

@@ -116,6 +116,23 @@ def test_broadcast_direct_sums_state_their_grid(evaluate, m):
         assert evaluate(20011, np.arange(200), m).shape == (200,)
 
 
+@pytest.mark.parametrize("evaluate,q", [(expsums.gauss_closed_odd, 101),
+                                        (lambdasums.lambda_fast_odd, 101),
+                                        (lambdasums.lambda_any, 202)])
+def test_broadcast_evaluators_state_their_pairs(evaluate, q):
+    # 200,000 pairs took 10.8-13.7 MiB; refused, they hold only their
+    # reduced arguments (3.1 MiB)
+    rng = np.random.default_rng(q)
+    n = rng.integers(1, 101, size=200_000)  # units mod 101
+    m = rng.integers(0, q, size=200_000)
+
+    def refused():
+        with budget_scope(200_000), pytest.raises(ntcore.BudgetError, match="200000 pairs"):
+            evaluate(q, n, m)
+
+    assert _traced_peak(refused) < 4 * 2**20
+
+
 def test_lambda_fast_odd_reads_the_row_for_few_pairs_mod_a_large_l():
     def run():
         with budget_scope(_TABLES_MOD_20011):
@@ -151,6 +168,16 @@ def test_dirichlet_float_arrays_are_stated(evaluate, units, dmax):
     assert _traced_peak(refused) < 2**20
 
 
+def _on_pairs(evaluate):
+    """evaluate(q, n, m) on 50,000 pairs, every n a unit mod q: far more
+    pairs than residues, so the pairs' statement is the larger."""
+    def run(q):
+        rng = np.random.default_rng(q)
+        units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+        evaluate(q, units[rng.integers(0, units.size, 50_000)], rng.integers(0, q, 50_000))
+    return run
+
+
 @pytest.mark.parametrize("allocate,n", [
     (asymptotic.dirichlet_tail_bound, 10**4),
     (asymptotic.dirichlet_partial_sum, 10**5),
@@ -158,6 +185,10 @@ def test_dirichlet_float_arrays_are_stated(evaluate, units, dmax):
                  id="kloosterman_direct-grid"),
     pytest.param(lambda q: lambdasums.lambda_direct(q, np.arange(100), 0), 2003,
                  id="lambda_direct-grid"),
+    *[pytest.param(_on_pairs(evaluate), q, id=f"{evaluate.__name__}-{q}")
+      for evaluate, q in [(expsums.gauss_closed_odd, 315), (expsums.gauss_closed_odd, 3465),
+                          (lambdasums.lambda_fast_odd, 315), (lambdasums.lambda_fast_odd, 3465),
+                          (lambdasums.lambda_any, 630), (lambdasums.lambda_any, 6930)]],
 ])
 def test_grids_and_float_arrays_within_the_stated_bytes(monkeypatch, allocate, n):
     stated = []

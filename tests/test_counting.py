@@ -7,11 +7,13 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqfpairs.counting import (
     DEFAULT_MEMORY_BUDGET,
     PairCountReport,
     SquarefreeSieve,
+    _probe_ladder,
     build_sieve,
     congruent_pair_count,
     count_pairs_direct,
@@ -22,7 +24,7 @@ from sqfpairs.counting import (
 )
 from sqfpairs import lambdasums
 from sqfpairs.lambdasums import solve_circle
-from sqfpairs.ntcore import BudgetError, budget_scope, mobius
+from sqfpairs.ntcore import BudgetError, budget_scope, mobius, mobius_sieve
 
 
 def is_squarefree_oracle(n):
@@ -80,7 +82,7 @@ class TestBuildSieve:
     def test_single_entry(self):
         sieve = build_sieve(1)
         assert read_flag(sieve, 1)
-        assert sieve.count_squarefree() == 1
+        assert sieve.count_squarefree(1) == 1
 
     def test_matches_mobius_square(self):
         sieve = build_sieve(10**5)
@@ -157,7 +159,6 @@ class TestBuildSieve:
         for upto in [1, 2, 46, 47, 48, 49, 50, 94, 95, 96, 97, 98, 99, 143, 144, 145,
                      191, 192, 193, 194, 999, 1000]:
             assert sieve.count_squarefree(upto) == prefix[upto], upto
-        assert sieve.count_squarefree() == prefix[N]
 
 
 class TestCountPairsDirect:
@@ -297,7 +298,7 @@ class TestCountPairsLadder:
                 return count(window, first, last, cols, rows, weights)
 
             monkeypatch.setattr(counting._Window, "count", spy)
-            assert [r.S for r in count_pairs_ladder(ladder, sieve=wide)] == want
+            assert [r.S for r in _probe_ladder(ladder, wide)[0]] == want
             assert dtypes == {(np.dtype(np.uint32),) * 3}
 
     def test_threads_do_not_change_result(self, monkeypatch):
@@ -306,15 +307,14 @@ class TestCountPairsLadder:
         monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
         ladder = [1, 2, 3, 6, 7, 40, 41, 300]
         sieve = build_sieve(2 * 300 * 300 + 1)
-        runs = [[r.S for r in count_pairs_ladder(ladder, sieve=sieve, threads=t)]
-                for t in (1, 3, 8)]
+        runs = [[r.S for r in _probe_ladder(ladder, sieve, t)[0]] for t in (1, 3, 8)]
         assert runs[0] == runs[1] == runs[2] == full_square_counts(ladder)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch, recorded_pools):
         from sqfpairs import counting
         want = [r.S for r in count_pairs_ladder([20, 90])]
         monkeypatch.setattr(counting.os, "cpu_count", lambda: 3)
-        assert [r.S for r in count_pairs_ladder([20, 90], threads=100_000)] == want
+        assert [r.S for r in _probe_ladder([20, 90], threads=100_000)[0]] == want
         monkeypatch.setattr(counting.os, "cpu_count", lambda: None)
         assert count_pairs_direct(90, threads=64).S == want[-1]
         # one run per worker of the capped count, each over a stretch of
@@ -325,11 +325,11 @@ class TestCountPairsLadder:
 
     @pytest.mark.parametrize("threads", [0, -2, True, False, 1.0, 2.5, "2", None])
     def test_threads_must_be_a_positive_integer(self, threads):
-        for count in (lambda: count_pairs_ladder([10], threads=threads),
+        for count in (lambda: _probe_ladder([10], threads=threads),
                       lambda: count_pairs_direct(10, threads=threads)):
             with pytest.raises(ValueError, match="threads must be a positive integer"):
                 count()
-        assert count_pairs_ladder([10], threads=np.int64(2))[0].S == brute_pair_count(10)
+        assert count_pairs_direct(10, threads=np.int64(2)).S == brute_pair_count(10)
 
     def test_elapsed_non_decreasing(self):
         reps = count_pairs_ladder([5, 50, 100, 400])
@@ -343,9 +343,11 @@ class TestCountPairsLadder:
 
     def test_sieve_must_cover_top_of_ladder(self):
         sieve = build_sieve(2 * 30 * 30 + 1)
-        assert count_pairs_ladder([10, 30], sieve=sieve)[-1].S == count_pairs_direct(30).S
+        assert _probe_ladder([10, 30], sieve)[0][-1].S == count_pairs_direct(30).S
         with pytest.raises(ValueError):
-            count_pairs_ladder([10, 31], sieve=sieve)
+            _probe_ladder([10, 31], sieve)
+        with pytest.raises(ValueError, match="covers"):
+            count_pairs_direct(31, sieve)
 
 
 @pytest.fixture
@@ -389,7 +391,7 @@ class TestValueWindows:
         monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
         want = full_square_counts(ladder)
         for threads in (1, 3, 8):
-            assert [r.S for r in count_pairs_ladder(ladder, threads=threads)] == want
+            assert [r.S for r in _probe_ladder(ladder, threads=threads)[0]] == want
 
     def test_default_windows_cut_blocks_and_chunks(self, monkeypatch):
         # bands end one row into a block, one row short of one, and on its
@@ -399,7 +401,7 @@ class TestValueWindows:
         ladder = [255, 257, 511, 512, 800, 1025]
         want = full_square_counts(ladder)
         for threads in (1, 3, 8):
-            assert [r.S for r in count_pairs_ladder(ladder, threads=threads)] == want
+            assert [r.S for r in _probe_ladder(ladder, threads=threads)[0]] == want
 
     @pytest.mark.parametrize("ladder", LADDERS)
     def test_a_given_sieve_matches_built_windows(self, tiny_windows, ladder):
@@ -411,7 +413,7 @@ class TestValueWindows:
         for extra in (0, 1000):
             tiny_windows.clear()
             sieve = build_sieve(2 * ladder[-1] ** 2 + 1 + extra)
-            given = count_pairs_ladder(ladder, sieve=sieve)
+            given = _probe_ladder(ladder, sieve)[0]
             assert [r.S for r in given] == [r.S for r in built]
             assert tiny_windows == states
 
@@ -560,6 +562,35 @@ class TestValueWindows:
         # S(100,000) as the probe with uint64 index terms gave it; the top
         # index, 10^10, is past 2^33
         assert count_pairs_direct(100_000).S == 7_806_983_582
+
+
+@pytest.fixture(scope="module")
+def mu_to_200():
+    return mobius_sieve(2 * 200**2 + 1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(segment=st.integers(1, 300), block=st.integers(1, 256), values=st.integers(1, 600),
+       strided=st.integers(1, 10**6),
+       ladder=st.lists(st.integers(1, 200), min_size=1, max_size=5, unique=True).map(sorted),
+       threads=st.integers(1, 4), given_sieve=st.booleans())
+def test_probe_geometry_against_mobius(mu_to_200, segment, block, values, strided, ladder,
+                                       threads, given_sieve):
+    # any segment of 8 to 2400 flags, block of rows (odd ones too), chunk
+    # of values and strided-square cut, on 1 to 4 workers, built or given,
+    # counts mu^2(x^2 + y^2 + 1) over the square
+    from sqfpairs import counting
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_SEGMENT_BITS", 8 * segment)
+        patch.setattr(counting, "_BLOCK_ROWS", block)
+        patch.setattr(counting, "_PROBE_VALUES", values)
+        patch.setattr(counting, "_STRIDED_MULTIPLES", strided)
+        patch.setattr(counting.os, "cpu_count", lambda: 4)
+        sieve = build_sieve(2 * ladder[-1] ** 2 + 1) if given_sieve else None
+        got = [r.S for r in _probe_ladder(ladder, sieve, threads)[0]]
+    squares = np.arange(1, ladder[-1] + 1) ** 2
+    want = [int(np.count_nonzero(mu_to_200[squares[:H, None] + squares[:H] + 1])) for H in ladder]
+    assert got == want
 
 
 def test_probe_refused_before_its_window():

@@ -300,7 +300,7 @@ class TestKloostermanBroadcast:
 class TestBatchHelpers:
     @pytest.mark.parametrize("q", [1, 2, 3, 8, 12, 25, 37, 60])
     def test_gauss_table_matches_scalar(self, q):
-        table = gauss_direct_table(q)
+        table = gauss_direct_table(q, np.arange(q))
         for n in range(q):
             for m in range(q):
                 assert complex_close(complex(table[n, m]), gauss_direct(q, n, m)), (n, m)
@@ -310,7 +310,7 @@ class TestBatchHelpers:
         # full grid's bit for bit, in any order and with repeats
         rng = np.random.default_rng(7)
         for q in range(1, 65):
-            full = gauss_direct_table(q)
+            full = gauss_direct_table(q, np.arange(q))
             rows = rng.integers(0, q, size=2 * q + 6)  # unsorted, with repeats
             np.testing.assert_array_equal(gauss_direct_table(q, rows), full[rows])
             np.testing.assert_array_equal(gauss_direct_table(q, rows - 5 * q), full[rows])
@@ -321,7 +321,7 @@ class TestBatchHelpers:
     def test_one_gauss_row_admitted_where_the_grid_is_refused(self):
         # 5000^2 entries at RESIDUE_BYTES pass the 2 GiB default; one row does not
         with pytest.raises(BudgetError, match="5000 rows x 5000"):
-            gauss_direct_table(5000)
+            gauss_direct_table(5000, np.arange(5000))
         row = gauss_direct_table(5000, np.array([3]))
         assert row.shape == (1, 5000)
         for m in (0, 1, 2499, 4999):

@@ -464,7 +464,7 @@ EVALUATORS = {
     "gauss_reduce": lambda q, n=2, m=3: expsums.gauss_reduce(q, n, m),
     "gauss_closed_odd": lambda q, n=2, m=3: expsums.gauss_closed_odd(q, n, m),
     "kloosterman_direct": lambda q, n=2, m=3: expsums.kloosterman_direct(q, n, m),
-    "gauss_direct_table": lambda q: expsums.gauss_direct_table(q),
+    "gauss_direct_table": lambda q: expsums.gauss_direct_table(q, 2),
     "kloosterman_row": lambda q: expsums.kloosterman_row(q),
     "solve_circle": lambda q: solve_circle(q).pairs(),
     "lambda_direct": lambda q, n=2, m=3: lambda_direct(q, n, m),
@@ -527,7 +527,7 @@ def _traced(call):
 
 class TestTableLifetime:
     def test_no_table_outlives_a_call(self):
-        primes = (199999, 200003, 200009)  # nothing to warm up: ntcore caches only is_prime
+        primes = (199999, 200003, 200009)  # nothing to warm up: the package caches nothing
 
         def evaluate_all():
             for p in primes:
@@ -563,7 +563,7 @@ class TestTableLifetime:
         # q^2 residue pairs just above the ceiling; the grid would take ~256 MiB
         q = math.isqrt(lambdasums.DEFAULT_SOLVE_CEILING) + 1
         assert q == 4097
-        build = {"gauss_direct_table": expsums.gauss_direct_table,
+        build = {"gauss_direct_table": lambda q: expsums.gauss_direct_table(q, np.arange(q)),
                  "lambda_direct_table": lambda_direct_table,
                  "lambda_any_table": lambda_any_table}[name]
 

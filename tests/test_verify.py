@@ -135,17 +135,31 @@ def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry, qmax):
     # gcd(n, 262) = 2.
     table = expsums.gauss_direct_table
 
-    def perturbed(k, rows=None):
+    def perturbed(k, rows):
         grid = table(k, rows)
         if k == q:
-            n = np.arange(k) if rows is None else np.asarray(rows) % k
-            grid[n == entry[0], entry[1]] += 1.0
+            grid[np.asarray(rows) % k == entry[0], entry[1]] += 1.0
         return grid
 
     monkeypatch.setattr(expsums, "gauss_direct_table", perturbed)
     result = suite_gauss_reduce(seed=3, qmax=qmax)
     assert not result.ok
     assert any(f.startswith(f"q={qmax} max err") for f in result.failures)
+
+
+def test_gauss_reduce_checks_the_scalar_reduction(monkeypatch):
+    # a reduction that drops every sum with gcd(n, q) > 1 disagrees with
+    # the sampled direct sums of the grid
+    reduce = expsums.gauss_reduce
+
+    def broken(q, n, m):
+        return 0j if math.gcd(n, q) > 1 else reduce(q, n, m)
+
+    monkeypatch.setattr(expsums, "gauss_reduce", broken)
+    result = suite_gauss_reduce()
+    assert not result.ok and result.checked == 1200
+    assert result.failures and all(f.startswith("batch/scalar mismatch")
+                                   for f in result.failures)
 
 
 @pytest.mark.parametrize("suite", [suite_gauss_reduce, suite_gauss_closed])
