@@ -200,10 +200,11 @@ def rho_fourier(D: float, t):
     of its shape; the terms of every t are summed in one pass, so the
     caller bounds the (t x D) phases it asks for.  Both halves of each
     sum are evaluated and the imaginary part is checked to cancel at every
-    entry (the n and -n terms are conjugate), then dropped.
-    """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
+    entry (the n and -n terms are conjugate), then dropped.  D is a finite
+    number >= 2 (not a bool), else ValueError."""
+    if (not isinstance(D, (int, float, np.integer, np.floating)) or isinstance(D, bool)
+            or not 2 <= D < math.inf):
+        raise ValueError(f"D must be a finite number >= 2, got {D!r}")
     n = np.arange(1, int(D) + 1)
     t = np.asarray(t, dtype=float)
     # e(nt) as the running product of e(t) along n: one exp per t, of

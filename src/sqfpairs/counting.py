@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ntcore import (DEFAULT_MEMORY_BUDGET,  # re-exported
-                     _check_modulus, check_bytes, mobius_sieve, primes_upto)
+                     _check_integers, _check_modulus, check_bytes, mobius_sieve, primes_upto)
 
 __all__ = [
     "SquarefreeSieve",
@@ -219,8 +219,7 @@ def build_sieve(N: int) -> SquarefreeSieve:
     States its packed bytes to `check_bytes`, so an N over the memory
     budget is refused before anything is allocated.
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    N = _check_modulus(N, "N")
     nbytes = ((N + 1) // 2 + 7) // 8
     check_bytes(nbytes, f"sieve of {N}")
     segments = _Segments(N)
@@ -549,10 +548,11 @@ def residue_count(H: int, q: int, x: int) -> int:
     """M(H, q, x): how many h in [1, H] have h = x (mod q).
 
     Computed as floor((H - x)/q) - floor(-x/q); always within 1 of H/q.
-    x may also be an integer array, which is counted elementwise.  H and
-    q must be positive integers (ints or numpy integers, not bools).
+    x is an integer or an integer array, counted elementwise, and H and q
+    positive integers (ints or numpy integers, not bools), else ValueError.
     """
     H, q = _check_modulus(H, "H"), _check_modulus(q, "q")
+    x = _check_integers(x, "x")
     return (H - x) // q - (-x) // q
 
 

@@ -1,9 +1,11 @@
 """Elementary and modular number theory primitives.
 
 Factorization, the Moebius and divisor-count functions, Jacobi symbols,
-modular inverses and square roots modulo odd prime powers.  Factoring
-and primality take n < 2**32, which covers every modulus the package
-tabulates under the default budget; larger n raise ValueError.
+modular inverses and square roots modulo odd prime powers.  Integer
+arguments are ints or numpy integers; a bool or a float raises
+ValueError naming the argument.  Factoring and primality take n < 2**32,
+which covers every modulus the package tabulates under the default
+budget; larger n raise ValueError.
 `sqrt_mod` broadcasts over an integer array of residues, so one call
 solves every a mod p**e, in int64 arithmetic for p**e < 2**31.
 Everything here is a pure function of its arguments; returned arrays and
@@ -67,6 +69,15 @@ def memory_budget() -> int:
     return budget
 
 
+def _integer(n, name: str) -> int:
+    """n as an int (an int as it is, or a numpy integer); ValueError naming `name` otherwise."""
+    if type(n) is int:
+        return n
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 @contextlib.contextmanager
 def budget_scope(nbytes: int):
     """Run the body under a budget of nbytes, an int or numpy integer
@@ -74,9 +85,7 @@ def budget_scope(nbytes: int):
     string).  The budget is a context variable: threads started inside
     the body do not see it unless they run in a copy of the context, as
     the pair probe's workers do."""
-    if not isinstance(nbytes, (int, np.integer)) or isinstance(nbytes, bool):
-        raise ValueError(f"memory budget must be an integer, got {nbytes!r}")
-    token = _BUDGET.set(int(nbytes))
+    token = _BUDGET.set(_integer(nbytes, "memory budget"))
     try:
         memory_budget()  # a budget <= 0 raises here, on entry
         yield
@@ -98,6 +107,7 @@ def primes_upto(limit: int) -> np.ndarray:
     Sieves one byte per value; states 2 bytes per value to `check_bytes`,
     which bounds the flags plus the returned primes.
     """
+    limit = _integer(limit, "limit")
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     check_bytes(2 * (limit + 1), f"primes_upto({limit})")
@@ -120,6 +130,7 @@ with budget_scope(DEFAULT_MEMORY_BUDGET):
 def is_prime(n: int) -> bool:
     """Primality of an integer n < 2**32 (False below 2), by the trial
     division of `factorize`; ValueError for n >= 2**32."""
+    n = _integer(n, "n")
     return n >= 2 and factorize(n)[0][0] == n
 
 
@@ -130,8 +141,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Trial division by the primes below 2**16 is exact for 1 <= n < 2**32,
     and n outside that range raises ValueError.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"expected a positive integer, got {n!r}")
+    n = _integer(n, "n")
     if n < 1 or n >= _FACTOR_LIMIT:
         raise ValueError(f"n must satisfy 1 <= n < 2**32, got {n}")
     factors: list[tuple[int, int]] = []
@@ -164,8 +174,7 @@ def mobius_sieve(N: int) -> np.ndarray:
     States 3 bytes per value to `check_bytes`: the int8 result plus the
     scratch of `primes_upto(N)`.
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    N = _check_modulus(N, "N")
     check_bytes(3 * (N + 1), f"mobius_sieve({N})")
     mu = np.ones(N + 1, dtype=np.int8)
     mu[0] = 0
@@ -186,9 +195,8 @@ def tau(n: int) -> int:
 
 
 def mod_inverse(k: int, q: int) -> int:
-    """The r in [0, q) with k*r = 1 (mod q); requires gcd(k, q) = 1."""
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
+    """The r in [0, q) with k*r = 1 (mod q); requires q >= 1 and gcd(k, q) = 1."""
+    k, q = _integer(k, "k"), _check_modulus(q, "q")
     g = math.gcd(k, q)
     if g != 1:
         raise ValueError(f"{k} is not invertible modulo {q} (gcd = {g})")
@@ -196,8 +204,7 @@ def mod_inverse(k: int, q: int) -> int:
 
 
 def _check_modulus(q, name: str = "modulus") -> int:
-    """q as an int: a positive int or numpy integer, not a bool or a
-    float; ValueError naming `name` otherwise."""
+    """q as a positive int, taken as `_integer` takes it; ValueError naming `name` otherwise."""
     if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or q < 1:
         raise ValueError(f"{name} must be a positive integer, got {q!r}")
     return int(q)
@@ -211,10 +218,15 @@ def _reduce(q: int, a) -> np.ndarray:
     never in place, so a Python int beyond int64 is accepted and the
     caller's array is not modified.
     """
+    return np.asarray(_check_integers(a, "arguments") % q, dtype=np.int64)
+
+
+def _check_integers(a, name: str):
+    """a, an integer or an integer array; ValueError naming `name` otherwise."""
     if not ((isinstance(a, (int, np.integer)) and not isinstance(a, bool))
             or (isinstance(a, np.ndarray) and a.dtype.kind in "iu")):
-        raise ValueError(f"arguments must be integers or integer arrays, got {a!r}")
-    return np.asarray(a % q, dtype=np.int64)
+        raise ValueError(f"{name} must be integers or integer arrays, got {a!r}")
+    return a
 
 
 # Below this many entries one int64 `%` is faster than the floor division,
@@ -253,13 +265,8 @@ def _powmod(base: np.ndarray, exp: int, m: int) -> np.ndarray:
 
 
 def jacobi(a: int, q: int) -> int:
-    """Jacobi symbol (a/q) for odd q >= 1; 0 iff gcd(a, q) > 1.
-
-    a and q are ints or numpy integers; bools and floats raise ValueError.
-    """
-    for v in (a, q):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise ValueError(f"arguments must be integers, got {v!r}")
+    """Jacobi symbol (a/q) for odd q >= 1; 0 iff gcd(a, q) > 1."""
+    a, q = _integer(a, "a"), _integer(q, "q")
     if q < 1 or q % 2 == 0:
         raise ValueError(f"modulus must be an odd positive integer, got {q}")
     a %= q
@@ -329,9 +336,7 @@ def sqrt_mod(a, p: int, e: int = 1) -> list:
         raise ValueError("p = 2 not supported; scan the 2-power modulus directly")
     if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    if not isinstance(e, (int, np.integer)) or isinstance(e, bool) or e < 1:
-        raise ValueError(f"exponent must be an integer >= 1, got {e!r}")
-    e = int(e)
+    e = _check_modulus(e, "e")
     modulus = p**e
     if modulus >= _SQRT_MODULUS_LIMIT:
         raise ValueError(f"p**e must be below 2**31, got {p}**{e}")

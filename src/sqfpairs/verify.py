@@ -3,8 +3,8 @@
 Each suite pits an evaluator against an independent route to the same
 quantity (direct summation, exhaustive enumeration, a proved bound) over
 a fixed grid plus seeded random samples, and reports how many checks ran
-and which failed.  The CLI `verify` command runs these; the acceptance
-tests call them with the parameters they guarantee.
+and which failed.  A suite takes its seed alone and fixes its sweep in
+its body, so the CLI `verify` command and the tests run the same checks.
 
 A suite records its checks through one call, `check(ok, message, **fields)`.
 `ok` is a bool or a bool array, one check per entry, so a sweep over a
@@ -100,9 +100,10 @@ class _Recorder:
 # number theory primitives
 # ---------------------------------------------------------------------------
 
-def suite_mobius_identity(seed=DEFAULT_SEED, limit=10_000) -> SuiteResult:
+def suite_mobius_identity(seed=DEFAULT_SEED) -> SuiteResult:
     """sum of mu(d) over d^2 | n equals mu(n)^2, per-value mu as oracle."""
     rec = _Recorder("mobius-identity")
+    limit = 10_000
     mu_small = ntcore.mobius_sieve(math.isqrt(limit))
     acc = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
@@ -113,11 +114,11 @@ def suite_mobius_identity(seed=DEFAULT_SEED, limit=10_000) -> SuiteResult:
     return rec.result()
 
 
-def suite_inverse_involution(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
+def suite_inverse_involution(seed=DEFAULT_SEED) -> SuiteResult:
     """mod_inverse applied twice returns to the start."""
     rec = _Recorder("inverse-involution")
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(500):
         q = rng.randrange(2, 10**6)
         k = rng.randrange(1, q)
         while math.gcd(k, q) != 1:
@@ -128,7 +129,7 @@ def suite_inverse_involution(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
     return rec.result()
 
 
-def suite_jacobi(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
+def suite_jacobi(seed=DEFAULT_SEED) -> SuiteResult:
     """Complete multiplicativity, plus the per-prime Euler-criterion oracle."""
     rec = _Recorder("jacobi")
     rng = random.Random(seed)
@@ -139,16 +140,14 @@ def suite_jacobi(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
         t = pow(a, (p - 1) // 2, p)
         return -1 if t == p - 1 else t
 
-    for _ in range(trials):
+    for _ in range(500):
         q = 2 * rng.randrange(0, 5 * 10**4) + 1
         a = rng.randrange(-(10**5), 10**5)
         b = rng.randrange(-(10**5), 10**5)
         lhs = ntcore.jacobi(a, q) * ntcore.jacobi(b, q)
         rhs = ntcore.jacobi(a * b, q)
         rec.check(lhs == rhs, "({a}/{q})({b}/{q}) != ({ab}/{q})", a=a, b=b, q=q, ab=a * b)
-    for p in ntcore.primes_upto(311).tolist():
-        if p == 2:
-            continue
+    for p in ntcore.primes_upto(311)[1:].tolist():
         for _ in range(40):
             a = rng.randrange(-3 * p, 3 * p)
             rec.check(ntcore.jacobi(a, p) == euler(a, p),
@@ -156,14 +155,12 @@ def suite_jacobi(seed=DEFAULT_SEED, trials=500) -> SuiteResult:
     return rec.result()
 
 
-def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
-    """sqrt_mod returns exactly the exhaustive root set for all p^e <= limit."""
+def suite_sqrt_mod(seed=DEFAULT_SEED) -> SuiteResult:
+    """sqrt_mod returns exactly the exhaustive root set for all odd p^e <= 2000."""
     rec = _Recorder("sqrt-mod-exhaustive")
-    for p in ntcore.primes_upto(limit).tolist():
-        if p == 2:
-            continue
+    for p in ntcore.primes_upto(2000)[1:].tolist():
         e = 1
-        while p**e <= limit:
+        while p**e <= 2000:
             m = p**e
             # every y in [0, m) by its square mod m, in increasing y within
             # a square: the roots of a are the run of `count[a]` y from
@@ -192,14 +189,20 @@ def suite_sqrt_mod(seed=DEFAULT_SEED, limit=2000) -> SuiteResult:
 _TAU_SLAB = 1 << 14
 
 
-def suite_tau_growth(seed=DEFAULT_SEED, lo=10_000, hi=100_000) -> SuiteResult:
-    """tau(n) <= n everywhere and tau(n) <= n**0.6 beyond 1e4."""
-    rec = _Recorder("tau-growth")
-    # divisors in pairs d < n/d, plus d = n/d when n is a square
+def _divisor_counts(hi):
+    """tau(n) for n <= hi (0 at n = 0), by divisor pairs d < n/d and d = n/d."""
     counts = np.zeros(hi + 1, dtype=np.int32)
     for d in range(1, math.isqrt(hi) + 1):
         counts[d * (d + 1) :: d] += 2
         counts[d * d] += 1
+    return counts
+
+
+def suite_tau_growth(seed=DEFAULT_SEED) -> SuiteResult:
+    """tau(n) <= n everywhere and tau(n) <= n**0.6 beyond 1e4."""
+    rec = _Recorder("tau-growth")
+    lo, hi = 10_000, 100_000
+    counts = _divisor_counts(hi)
     worst = 0.0
     for start in range(1, hi + 1, _TAU_SLAB):
         n = np.arange(start, min(start + _TAU_SLAB, hi + 1))
@@ -221,14 +224,14 @@ def _columns(pairs):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
-def suite_weil_bound(seed=DEFAULT_SEED, qmax=2000, per_q=20) -> SuiteResult:
+def suite_weil_bound(seed=DEFAULT_SEED) -> SuiteResult:
     """|K(q;n,m)| <= tau(q) sqrt(q) sqrt(gcd(q,n,m)), random arguments."""
     rec = _Recorder("weil-bound")
     rng = random.Random(seed)
-    for q in range(1, qmax + 1):
+    for q in range(1, 2001):
         tq = ntcore.tau(q)
         n, m = _columns([(rng.randrange(-3 * q, 3 * q + 1), rng.randrange(-3 * q, 3 * q + 1))
-                         for _ in range(per_q)])
+                         for _ in range(20)])
         val = np.abs(expsums.kloosterman_direct(q, n, m))
         bound = tq * math.sqrt(q) * np.sqrt(np.gcd(np.gcd(n, m), q))
         rec.check(val <= bound + 1e-7, "|K({q};{n},{m})|={v:.6f} > {b:.6f}",
@@ -236,10 +239,10 @@ def suite_weil_bound(seed=DEFAULT_SEED, qmax=2000, per_q=20) -> SuiteResult:
     return rec.result()
 
 
-def suite_gauss_square(seed=DEFAULT_SEED, qmax=2001) -> SuiteResult:
+def suite_gauss_square(seed=DEFAULT_SEED) -> SuiteResult:
     """G(q;1,0)^2 = (-1)**((q-1)/2) * q for odd q, within 1e-6 relative."""
     rec = _Recorder("gauss-square")
-    for q in range(1, qmax + 1, 2):
+    for q in range(1, 2002, 2):
         g = expsums.gauss_direct(q, 1, 0)
         target = complex(q if q % 4 == 1 else -q)
         rec.check(abs(g * g - target) <= 1e-6 * q, "G({q};1)^2 = {g2:.8f}, want {t}",
@@ -262,11 +265,11 @@ def _gauss_entries(q, n, m):
     return expsums.gauss_direct_table(q, n)[np.arange(n.size), m]
 
 
-def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
+def suite_gauss_reduce(seed=DEFAULT_SEED) -> SuiteResult:
     """gcd-reduction evaluator equals direct summation for all (n, m)."""
     rec = _Recorder("gauss-reduce-vs-direct")
     rng = random.Random(seed)
-    for q in range(1, qmax + 1):
+    for q in range(1, 301):
         gcds = np.gcd(np.arange(q), q)
         n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(3)])
         sampled = _gauss_entries(q, n, m)
@@ -295,11 +298,11 @@ def suite_gauss_reduce(seed=DEFAULT_SEED, qmax=300) -> SuiteResult:
     return rec.result()
 
 
-def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
+def suite_gauss_closed(seed=DEFAULT_SEED) -> SuiteResult:
     """Closed-form odd-q evaluator equals direct summation for all valid (n, m)."""
     rec = _Recorder("gauss-closed-vs-direct")
     rng = random.Random(seed)
-    for q in range(1, qmax + 1, 2):
+    for q in range(1, 302, 2):
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
         err = []
         for ns in _slabs(units):  # each slab of unit rows builds its own rows of G(q)
@@ -318,11 +321,11 @@ def suite_gauss_closed(seed=DEFAULT_SEED, qmax=301) -> SuiteResult:
     return rec.result()
 
 
-def suite_kloosterman_real(seed=DEFAULT_SEED, qmax=500) -> SuiteResult:
+def suite_kloosterman_real(seed=DEFAULT_SEED) -> SuiteResult:
     """K(q;n,n) is real: pairing x with inv(x) conjugates the terms."""
     rec = _Recorder("kloosterman-diagonal-real")
     rng = random.Random(seed)
-    for q in range(1, qmax + 1):
+    for q in range(1, 501):
         n = np.array([0, 1, rng.randrange(q) if q > 1 else 0])
         val = expsums.kloosterman_direct(q, n, n)
         rec.check(np.abs(val.imag) <= 1e-7 * np.maximum(1.0, np.abs(val)),
@@ -338,15 +341,15 @@ def _random_nm(rng, q):
     return rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-2 * q, 2 * q + 1)
 
 
-def suite_lambda_bound(seed=DEFAULT_SEED, qmax=1500, per_q=20) -> SuiteResult:
+def suite_lambda_bound(seed=DEFAULT_SEED) -> SuiteResult:
     """|lam(q;n,m)| <= 16 tau(q)^2 sqrt(q) sqrt(gcd(q,n,m)) for 8 not | q."""
     rec = _Recorder("lambda-bound")
     rng = random.Random(seed)
-    for q in range(1, qmax + 1):
+    for q in range(1, 1501):
         if q % 8 == 0:
             continue
         tq = ntcore.tau(q)
-        n, m = _columns([_random_nm(rng, q) for _ in range(per_q)])
+        n, m = _columns([_random_nm(rng, q) for _ in range(20)])
         val = np.abs(lambdasums.lambda_direct(q, n, m))
         bound = 16 * tq * tq * math.sqrt(q) * np.sqrt(np.gcd(np.gcd(n, m), q))
         rec.check(val <= bound + 1e-7, "|lam({q};{n},{m})|={v:.4f} > {b:.4f}",
@@ -354,11 +357,11 @@ def suite_lambda_bound(seed=DEFAULT_SEED, qmax=1500, per_q=20) -> SuiteResult:
     return rec.result()
 
 
-def suite_lambda_growth(seed=DEFAULT_SEED, lo=500, hi=1500) -> SuiteResult:
+def suite_lambda_growth(seed=DEFAULT_SEED) -> SuiteResult:
     """Solution counts grow subquadratically: max lam(q)/q**1.2 < 1."""
     rec = _Recorder("lambda-growth")
     worst = 0.0
-    for q in range(lo + 1, hi + 1):
+    for q in range(501, 1501):
         if q % 8 == 0:
             continue
         ratio = len(lambdasums.solve_circle(q)) / q**1.2
@@ -367,17 +370,17 @@ def suite_lambda_growth(seed=DEFAULT_SEED, lo=500, hi=1500) -> SuiteResult:
     return rec.result(notes=f"max lam(q)/q^1.2 = {worst:.3f}")
 
 
-def _lambda_agreement(name, evaluate, message, seed, qmax, per_q, step=1) -> SuiteResult:
+def _lambda_agreement(name, evaluate, message, seed, step) -> SuiteResult:
     """`evaluate` equals direct summation within LAMBDA_TOLERANCE * q at
-    (0, 0) and `per_q` seeded (n, m) for each q in range(1, qmax + 1, step)
-    with 8 not | q.  `message` may use q, n, m, a (the evaluator), b
-    (direct) and s (their spread)."""
+    (0, 0) and 10 seeded (n, m) for each q in range(1, 602, step) with
+    8 not | q.  `message` may use q, n, m, a (the evaluator), b (direct)
+    and s (their spread)."""
     rec = _Recorder(name)
     rng = random.Random(seed)
-    for q in range(1, qmax + 1, step):
+    for q in range(1, 602, step):
         if q % 8 == 0:
             continue
-        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(per_q)])
+        n, m = _columns([(0, 0)] + [_random_nm(rng, q) for _ in range(10)])
         got = evaluate(q, n, m)
         direct = lambdasums.lambda_direct(q, n, m)
         spread = np.abs(got - direct)
@@ -385,33 +388,33 @@ def _lambda_agreement(name, evaluate, message, seed, qmax, per_q, step=1) -> Sui
     return rec.result()
 
 
-def suite_lambda_fast(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
+def suite_lambda_fast(seed=DEFAULT_SEED) -> SuiteResult:
     """Kloosterman-decomposition evaluator equals direct summation (odd q)."""
     return _lambda_agreement("lambda-fast-vs-direct", lambdasums.lambda_fast_odd,
-                             "fast({q};{n},{m})={a:.6f} direct={b:.6f}", seed, qmax, per_q, step=2)
+                             "fast({q};{n},{m})={a:.6f} direct={b:.6f}", seed, step=2)
 
 
-def suite_lambda_any(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
+def suite_lambda_any(seed=DEFAULT_SEED) -> SuiteResult:
     """Composite evaluator equals direct summation for every q with 8 not | q."""
     return _lambda_agreement("lambda-any-vs-direct", lambdasums.lambda_any,
-                             "any({q};{n},{m})={a:.6f} direct={b:.6f}", seed, qmax, per_q)
+                             "any({q};{n},{m})={a:.6f} direct={b:.6f}", seed, step=1)
 
 
-def suite_lambda_triple(seed=DEFAULT_SEED, qmax=601, per_q=10) -> SuiteResult:
+def suite_lambda_triple(seed=DEFAULT_SEED) -> SuiteResult:
     """All applicable evaluators agree pairwise within 1e-5 * q.  For odd q
     lambda_any is lambda_fast_odd, so each q compares two evaluations."""
     return _lambda_agreement("lambda-triple-agreement", lambdasums.lambda_any,
-                             "({q};{n},{m}): evaluator spread {s:.2e}", seed, qmax, per_q)
+                             "({q};{n},{m}): evaluator spread {s:.2e}", seed, step=1)
 
 
-def suite_lambda_multiplicative(seed=DEFAULT_SEED, trials=100, product_max=10_000) -> SuiteResult:
+def suite_lambda_multiplicative(seed=DEFAULT_SEED) -> SuiteResult:
     """Coprime splitting equals direct summation on the product modulus."""
     rec = _Recorder("lambda-multiplicative")
     rng = random.Random(seed)
     done = 0
-    while done < trials:
+    while done < 100:
         q1 = rng.randrange(1, 101)
-        q2 = rng.randrange(1, product_max // q1 + 1)
+        q2 = rng.randrange(1, 10_000 // q1 + 1)
         if math.gcd(q1, q2) != 1:
             continue
         q = q1 * q2
@@ -424,14 +427,14 @@ def suite_lambda_multiplicative(seed=DEFAULT_SEED, trials=100, product_max=10_00
     return rec.result()
 
 
-def suite_lambda_symmetry(seed=DEFAULT_SEED, qmax=300, per_q=5) -> SuiteResult:
+def suite_lambda_symmetry(seed=DEFAULT_SEED) -> SuiteResult:
     """Exact q-periodicity in n and m; conjugation under (n,m) -> (-n,-m)."""
     rec = _Recorder("lambda-symmetry")
     rng = random.Random(seed)
-    for q in range(1, qmax + 1):
+    for q in range(1, 301):
         if q % 8 == 0:
             continue
-        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(per_q)])
+        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(5)])
         base, n_shift, m_shift, negated = lambdasums.lambda_direct(
             q, np.stack([n, n + q, n, -n]), np.stack([m, m, m + q, -m]))
         rec.check((n_shift == base) & (m_shift == base),
@@ -441,14 +444,12 @@ def suite_lambda_symmetry(seed=DEFAULT_SEED, qmax=300, per_q=5) -> SuiteResult:
     return rec.result()
 
 
-def suite_lambda_lift(seed=DEFAULT_SEED, pmax=47) -> SuiteResult:
+def suite_lambda_lift(seed=DEFAULT_SEED) -> SuiteResult:
     """lam(p^2) = p * lam(p) by enumeration for odd p <= 47, and lam(4) = 0."""
     rec = _Recorder("lambda-prime-square")
     rec.check(len(lambdasums.solve_circle(4)) == 0, "lam(4) != 0")
     rec.check(asymptotic.lambda_p_squared(2) == 0, "lambda_p_squared(2) != 0")
-    for p in ntcore.primes_upto(pmax).tolist():
-        if p == 2:
-            continue
+    for p in ntcore.primes_upto(47)[1:].tolist():
         lp = len(lambdasums.solve_circle(p))
         lp2 = len(lambdasums.solve_circle(p * p))
         closed = p * (p - 1) if p % 4 == 1 else p * (p + 1)
@@ -459,21 +460,21 @@ def suite_lambda_lift(seed=DEFAULT_SEED, pmax=47) -> SuiteResult:
     return rec.result()
 
 
-def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
+def suite_lambda_table(seed=DEFAULT_SEED) -> SuiteResult:
     """The two batched grids agree, and sampled entries agree with the
     batch evaluators.  The decomposition grid reads its large Kloosterman
     sums from FFT rows and the few samples sum them directly, so the
     samples compare the FFT-row route with the direct-sum route."""
     rec = _Recorder("lambda-table-consistency")
     rng = random.Random(seed)
-    for q in list(range(1, 36)) + [rng.randrange(36, qmax + 1) for _ in range(20)]:
+    for q in list(range(1, 36)) + [rng.randrange(36, 151) for _ in range(20)]:
         if q % 8 == 0:
             continue
         direct = lambdasums.lambda_direct_table(q)
         fast = lambdasums.lambda_any_table(q)
         err = np.abs(direct - fast).max()
         rec.check(err <= LAMBDA_TOLERANCE * q, "q={q} table err {e:.2e}", q=q, e=err)
-        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(samples)])
+        n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(8)])
         rec.check(complex_close(direct[n, m], lambdasums.lambda_direct(q, n, m))
                   & (np.abs(fast[n, m] - lambdasums.lambda_any(q, n, m)) <= LAMBDA_TOLERANCE * q),
                   "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
@@ -484,16 +485,12 @@ def suite_lambda_table(seed=DEFAULT_SEED, qmax=150, samples=8) -> SuiteResult:
 # counting
 # ---------------------------------------------------------------------------
 
-def suite_count_oracle(seed=DEFAULT_SEED, H_values=None) -> SuiteResult:
+def suite_count_oracle(seed=DEFAULT_SEED) -> SuiteResult:
     """Value sieve and congruence identity give the same exact S(H)."""
     rec = _Recorder("count-oracle-equivalence")
-    if H_values is None:
-        H_values = list(range(1, 51)) + [100, 150, 200]
-    ladder = sorted(set(H_values))
-    direct = {r.H: r.S for r in counting.count_pairs_ladder(ladder)}
-    for H in H_values:
-        ident = counting.count_pairs_mobius(H)
-        rec.check(direct[H] == ident.S, "H={H}: sieve={a} identity={b}", H=H, a=direct[H], b=ident.S)
+    for row in counting.count_pairs_ladder([*range(1, 51), 100, 150, 200]):
+        ident = counting.count_pairs_mobius(row.H)
+        rec.check(row.S == ident.S, "H={H}: sieve={a} identity={b}", H=row.H, a=row.S, b=ident.S)
     return rec.result()
 
 
@@ -511,10 +508,10 @@ def suite_residue_count(seed=DEFAULT_SEED) -> SuiteResult:
     return rec.result()
 
 
-def suite_congruent_bound(seed=DEFAULT_SEED, qmax=200) -> SuiteResult:
+def suite_congruent_bound(seed=DEFAULT_SEED) -> SuiteResult:
     """0 <= T(H, q) <= lam(q) * (H/q + 1)^2 on a grid."""
     rec = _Recorder("congruent-pair-bound")
-    lam = {q: len(lambdasums.solve_circle(q)) for q in range(1, qmax + 1) if q % 8}
+    lam = {q: len(lambdasums.solve_circle(q)) for q in range(1, 201) if q % 8}
     for H in (10, 50, 100):
         for q, lam_q in lam.items():
             t = counting.congruent_pair_count(H, q)
@@ -523,34 +520,32 @@ def suite_congruent_bound(seed=DEFAULT_SEED, qmax=200) -> SuiteResult:
     return rec.result()
 
 
-def suite_squarefree_density(seed=DEFAULT_SEED, N=10**6) -> SuiteResult:
+def suite_squarefree_density(seed=DEFAULT_SEED) -> SuiteResult:
     """Squarefree density over [1, N] approaches 6/pi^2."""
     rec = _Recorder("squarefree-density")
-    sieve = counting.build_sieve(N)
-    density = sieve.count_squarefree(N) / N
+    N = 10**6
+    density = counting.build_sieve(N).count_squarefree(N) / N
     rec.check(abs(density - 0.607927) <= 0.01, "density {d:.6f}", d=density)
     return rec.result(notes=f"density = {density:.6f}")
 
 
-def suite_truncation_report(seed=DEFAULT_SEED, H_values=(50, 100, 150, 200), epsilon=0.1) -> SuiteResult:
+def suite_truncation_report(seed=DEFAULT_SEED) -> SuiteResult:
     """Report the tail dropped by truncating at z = H^(2/3), and check that
     S(H) by the value sieve minus the truncated identity sum S_z equals the
     dropped terms mu(d) * T(H, d^2), int(z) < d <= sqrt(2H^2 + 1)."""
     rec = _Recorder("truncation-report")
-    S = {r.H: r.S for r in counting.count_pairs_ladder(sorted(set(H_values)))}
     lines = []
-    for H in H_values:
+    for row in counting.count_pairs_ladder([50, 100, 150, 200]):
+        H = row.H
         z = H ** (2.0 / 3.0)
-        tail = S[H] - counting.count_pairs_mobius_truncated(H, z)
+        tail = row.S - counting.count_pairs_mobius_truncated(H, z)
         dropped = 0
         for d in range(int(z) + 1, math.isqrt(2 * H * H + 1) + 1):
             sign = ntcore.mobius(d)
             if sign:  # 8 | d^2 only when mu(d) = 0
                 dropped += sign * counting.congruent_pair_count(H, d * d)
         rec.check(tail == dropped, "H={H}: S - S_z = {a} != dropped {b}", H=H, a=tail, b=dropped)
-        dev = abs(tail)
-        c_fit = dev * z / H ** (2 + epsilon)
-        lines.append(f"H={H} z={int(z)} |S - S_z|={dev} C={c_fit:.4f}")
+        lines.append(f"H={H} z={int(z)} |S - S_z|={abs(tail)} C={abs(tail) * z / H**2.1:.4f}")
     return rec.result(notes="; ".join(lines))
 
 
@@ -558,11 +553,11 @@ def suite_truncation_report(seed=DEFAULT_SEED, H_values=(50, 100, 150, 200), eps
 # constant and error term
 # ---------------------------------------------------------------------------
 
-def suite_constant_consistency(seed=DEFAULT_SEED, cutoffs=(100, 1000, 10_000)) -> SuiteResult:
+def suite_constant_consistency(seed=DEFAULT_SEED) -> SuiteResult:
     """Doubling the cutoff moves the product by less than the tail bound."""
     rec = _Recorder("constant-consistency")
     tails = []
-    for P in cutoffs:
+    for P in (100, 1000, 10_000):
         lo = asymptotic.constant_c(P)
         hi = asymptotic.constant_c(2 * P)
         tails.append(lo.tail_bound)
@@ -571,41 +566,40 @@ def suite_constant_consistency(seed=DEFAULT_SEED, cutoffs=(100, 1000, 10_000)) -
         rec.check(0.0 < lo.value < 1.0, "c({P}) = {v} outside (0,1)", P=P, v=lo.value)
     rec.check(all(b < a for a, b in zip(tails, tails[1:])),
               "tail bounds not decreasing: {tails}", tails=tuple(tails))
-    return rec.result(notes=f"c({cutoffs[-1]}) = {asymptotic.constant_c(cutoffs[-1]).value:.9f}")
+    return rec.result(notes=f"c({P}) = {lo.value:.9f}")
 
 
-def suite_dirichlet_form(seed=DEFAULT_SEED, dmax=500, P=10_000) -> SuiteResult:
+def suite_dirichlet_form(seed=DEFAULT_SEED) -> SuiteResult:
     """Series and product forms of the constant agree within combined tails."""
     rec = _Recorder("dirichlet-form")
-    series = asymptotic.dirichlet_partial_sum(dmax)
-    prod = asymptotic.constant_c(P)
-    budget = asymptotic.dirichlet_tail_bound(dmax) + prod.tail_bound
+    series = asymptotic.dirichlet_partial_sum(500)
+    prod = asymptotic.constant_c(10_000)
+    budget = asymptotic.dirichlet_tail_bound(500) + prod.tail_bound
     gap = abs(series - prod.value)
     rec.check(gap <= budget, "|series - product| = {gap:.3e} > {budget:.3e}", gap=gap, budget=budget)
     return rec.result(notes=f"gap {gap:.2e} within {budget:.2e}")
 
 
 # suite_rho_envelope evaluates at most _RHO_SLAB draws t per rho_fourier
-# call, and at most _RHO_PHASES (t, n) phases: 64 KiB of them, which the
-# allocator serves from its heap; the 512 KiB arrays of 32 t by D = 1000
-# terms were mapped afresh, and faulted in, on every call.
+# call, and at most _RHO_PHASES (t, n) phases: 64 KiB, which the allocator
+# serves from its heap instead of mapping it afresh on every call.
 _RHO_SLAB = 32
 _RHO_PHASES = 1 << 12
 
 
-def suite_rho_envelope(seed=DEFAULT_SEED, D_values=(10, 100, 1000), trials=1000) -> SuiteResult:
+def suite_rho_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     """Sawtooth Fourier truncation error under 3 * min(1, 1/(D||t||))."""
     rec = _Recorder("rho-envelope")
     rng = random.Random(seed)
-    for D in D_values:
+    for D in (10, 100, 1000):
         ts = []
-        for _ in range(trials):
+        for _ in range(1000):
             t = rng.uniform(-5.0, 5.0)
             if min(t % 1.0, 1.0 - t % 1.0) < 1e-3:
                 t += 2e-3
             ts.append(t)
-        width = max(1, min(_RHO_SLAB, _RHO_PHASES // int(D)))
-        for lo in range(0, trials, width):
+        width = min(_RHO_SLAB, _RHO_PHASES // D)
+        for lo in range(0, len(ts), width):
             t = np.array(ts[lo : lo + width])
             dist = np.minimum(t % 1.0, 1.0 - t % 1.0)
             err = np.abs(asymptotic.rho(t) - asymptotic.rho_fourier(D, t))
@@ -623,15 +617,13 @@ ENVELOPE_Q_GRID = [q for q in range(1, 49) if q % 8] + [
 ENVELOPE_D_GRID = (2, 10, 100, 1000)
 
 
-def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> SuiteResult:
+def suite_harmonic_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     """U/(q^0.7 D^0.2) and V/(q^0.7 D^0.2) stay below 20 on the grid."""
     rec = _Recorder("harmonic-envelope")
-    q_grid = ENVELOPE_Q_GRID if q_grid is None else q_grid
-    D_grid = ENVELOPE_D_GRID if D_grid is None else D_grid
-    D = np.array(D_grid)
-    D_scale = np.array([d**0.2 for d in D_grid])
+    D = np.array(ENVELOPE_D_GRID)
+    D_scale = np.array([d**0.2 for d in ENVELOPE_D_GRID])
     worst_u = worst_v = 0.0
-    for q in q_grid:
+    for q in ENVELOPE_Q_GRID:
         U, V = asymptotic.harmonic_lambda_sums(q, D)
         u, v = U / (q**0.7 * D_scale), V / (q**0.7 * D_scale)
         worst_u, worst_v = max(worst_u, u.max()), max(worst_v, v.max())
@@ -642,10 +634,11 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED, q_grid=None, D_grid=None) -> Suit
 SCAN_LADDER = (250, 500, 1000, 2000, 4000)
 
 
-def suite_scan_envelope(seed=DEFAULT_SEED, ladder=SCAN_LADDER, P=10**5) -> SuiteResult:
+def suite_scan_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     """Every |E(H)| under 5 * H^1.5 and the fitted exponent at most 1.6."""
     rec = _Recorder("scan-envelope")
-    result = asymptotic.error_scan(ladder, P)
+    P = 10**5
+    result = asymptotic.error_scan(SCAN_LADDER, P)
     for row in result.rows:
         cap = 5.0 * row.H**1.5
         rec.check(abs(row.E) <= cap, "H={H}: |E|={E:.1f} > {cap:.1f}", H=row.H, E=abs(row.E), cap=cap)

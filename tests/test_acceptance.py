@@ -1,18 +1,16 @@
 """Acceptance gate: every promised criterion at its stated tolerance.
 
-Each test drives the corresponding verification suite with the
-promised parameters and prints one PASS/FAIL line (visible with
+Each test reads the verification suites behind its criterion from the
+session's one run of all suites at seed 12345 (the `suite_results`
+fixture).  The suites take a seed alone, so the sizes quoted in the
+comments below are the suites' own sweeps, the ones the benchmark's
+VERIFY_CHECKS pins.  Each test prints one PASS/FAIL line (visible with
 pytest -s; the test outcome itself carries the same verdict either way).
 Run on its own via:  pytest tests/test_acceptance.py -v -s
 """
 
-from sqfpairs import asymptotic, verify
-from sqfpairs.lambdasums import solve_circle
-
 
 def _report(number, label, results):
-    if not isinstance(results, list):
-        results = [results]
     ok = all(r.ok for r in results)
     checked = sum(r.checked for r in results)
     elapsed = sum(r.elapsed for r in results)
@@ -28,86 +26,65 @@ def _report(number, label, results):
     )
 
 
-def test_criterion_01_oracle_equivalence():
+def test_criterion_01_oracle_equivalence(suite_results):
     # exact integer agreement of the two counting routes on
     # H in {1..50, 100, 150, 200}
-    h_values = list(range(1, 51)) + [100, 150, 200]
-    result = verify.suite_count_oracle(H_values=h_values)
-    _report(1, "count_pairs_mobius == count_pairs_direct", result)
+    _report(1, "count_pairs_mobius == count_pairs_direct",
+            [suite_results["count-oracle-equivalence"]])
 
 
-def test_criterion_02_lambda_triple_agreement():
+def test_criterion_02_lambda_triple_agreement(suite_results):
     # direct, fast-odd (odd q) and any agree pairwise within 1e-5 * q for
     # all q <= 601 with 8 not dividing q, at (0,0) plus 10 random pairs per q
-    result = verify.suite_lambda_triple(qmax=601, per_q=10)
-    _report(2, "lambda evaluator triple agreement (q <= 601)", result)
+    _report(2, "lambda evaluator triple agreement (q <= 601)",
+            [suite_results["lambda-triple-agreement"]])
 
 
-def test_criterion_03_bound_suites():
+def test_criterion_03_bound_suites(suite_results):
     # Weil bound up to q = 2000; circle-sum bound up to q = 1500, 8 not | q;
-    # zero violations allowed
-    results = [
-        verify.suite_weil_bound(qmax=2000, per_q=20),
-        verify.suite_lambda_bound(qmax=1500, per_q=20),
-    ]
-    _report(3, "Weil and circle-sum bounds", results)
+    # 20 random pairs per q, zero violations allowed
+    _report(3, "Weil and circle-sum bounds",
+            [suite_results["weil-bound"], suite_results["lambda-bound"]])
 
 
-def test_criterion_04_gauss_identities():
-    # reduction and closed-form evaluators match direct summation on the
-    # full stated ranges; square identity for all odd q <= 2001 within
-    # 1e-6 relative
-    results = [
-        verify.suite_gauss_reduce(qmax=300),
-        verify.suite_gauss_closed(qmax=301),
-        verify.suite_gauss_square(qmax=2001),
-    ]
-    _report(4, "Gauss sum identities", results)
+def test_criterion_04_gauss_identities(suite_results):
+    # reduction (q <= 300) and closed-form (odd q <= 301) evaluators match
+    # direct summation; square identity for all odd q <= 2001 within 1e-6
+    # relative
+    _report(4, "Gauss sum identities",
+            [suite_results[name] for name in
+             ("gauss-reduce-vs-direct", "gauss-closed-vs-direct", "gauss-square")])
 
 
-def test_criterion_05_multiplicativity():
+def test_criterion_05_multiplicativity(suite_results):
     # 100 random coprime pairs with product <= 1e4
-    result = verify.suite_lambda_multiplicative(trials=100, product_max=10_000)
-    _report(5, "coprime multiplicativity", result)
+    _report(5, "coprime multiplicativity", [suite_results["lambda-multiplicative"]])
 
 
-def test_criterion_06_constant_self_consistency():
-    # |c(2e4) - c(1e4)| <= tail_bound(1e4); series form within combined tails
-    lo = asymptotic.constant_c(10_000)
-    hi = asymptotic.constant_c(20_000)
-    gap = abs(hi.value - lo.value)
-    series = asymptotic.dirichlet_partial_sum(500)
-    series_budget = asymptotic.dirichlet_tail_bound(500) + lo.tail_bound
-    series_gap = abs(series - lo.value)
-    ok = gap <= lo.tail_bound and series_gap <= series_budget
-    print(f"[criterion  6] constant self-consistency: {'PASS' if ok else 'FAIL'} "
-          f"(doubling gap {gap:.3e} <= {lo.tail_bound:.3e}, "
-          f"series gap {series_gap:.3e} <= {series_budget:.3e})")
-    assert gap <= lo.tail_bound
-    assert series_gap <= series_budget
+def test_criterion_06_constant_self_consistency(suite_results):
+    # |c(2P) - c(P)| <= tail_bound(P) for P up to 1e4; the series form to
+    # d = 500 within the combined tails of c(1e4)
+    _report(6, "constant self-consistency",
+            [suite_results["constant-consistency"], suite_results["dirichlet-form"]])
 
 
-def test_criterion_07_asymptotic_scan():
+def test_criterion_07_asymptotic_scan(suite_results):
     # ladder 250..4000 with c from P = 1e5: |E(H)| <= 5 * H**1.5 per row
     # and fitted exponent alpha <= 1.6
-    result = verify.suite_scan_envelope(ladder=(250, 500, 1000, 2000, 4000), P=10**5)
-    _report(7, "asymptotic error scan", result)
+    _report(7, "asymptotic error scan", [suite_results["scan-envelope"]])
 
 
-def test_criterion_08_rho_truncation():
-    # sawtooth truncation under 3 * min(1, 1/(D * dist)) on the full grid
-    result = verify.suite_rho_envelope(D_values=(10, 100, 1000), trials=1000)
-    _report(8, "sawtooth Fourier truncation envelope", result)
+def test_criterion_08_rho_truncation(suite_results):
+    # sawtooth truncation under 3 * min(1, 1/(D * dist)) for D in
+    # (10, 100, 1000), 1000 draws each
+    _report(8, "sawtooth Fourier truncation envelope", [suite_results["rho-envelope"]])
 
 
-def test_criterion_09_harmonic_envelope():
+def test_criterion_09_harmonic_envelope(suite_results):
     # U and V with exponents 0.7 / 0.2 and constant 20 on the full grid
-    result = verify.suite_harmonic_envelope()
-    _report(9, "harmonic sum envelope", result)
+    _report(9, "harmonic sum envelope", [suite_results["harmonic-envelope"]])
 
 
-def test_criterion_10_prime_square_lift():
+def test_criterion_10_prime_square_lift(suite_results):
     # lift law matches enumeration for all primes p <= 47; lam(4) = 0
-    result = verify.suite_lambda_lift(pmax=47)
-    assert len(solve_circle(4)) == 0
-    _report(10, "prime-square lift law", result)
+    _report(10, "prime-square lift law", [suite_results["lambda-prime-square"]])

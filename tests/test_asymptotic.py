@@ -59,6 +59,12 @@ class TestLambdaPSquared:
         with pytest.raises(ValueError):
             lambda_p_squared(10)
 
+    def test_takes_numpy_integers(self):
+        assert lambda_p_squared(np.int64(5)) == lambda_p_squared(np.uint16(5)) == 20
+        assert type(lambda_p_squared(np.int64(7))) is int
+        with pytest.raises(ValueError):
+            lambda_p_squared(True)
+
 
 @pytest.fixture(scope="module")
 def mp_c():
@@ -236,6 +242,14 @@ class TestRhoFourier:
     def test_rejects_small_D(self):
         with pytest.raises(ValueError):
             rho_fourier(1.5, 0.3)
+
+    @pytest.mark.parametrize("D", [math.inf, math.nan, -math.inf, np.float64("nan"), True, "10"])
+    def test_rejects_non_finite_D(self, D):
+        with pytest.raises(ValueError, match="D must be a finite number >= 2"):
+            rho_fourier(D, 0.3)
+
+    def test_takes_numpy_numbers_as_D(self):
+        assert rho_fourier(np.int64(10), 0.3) == rho_fourier(np.float64(10.5), 0.3) == rho_fourier(10, 0.3)
 
     def test_within_rounding_of_the_exact_series_near_integers(self):
         # near an integer t the series is steep, and a phase angle

@@ -2,8 +2,8 @@
 
 `perfbench/run.py` is loaded by path, as `test_traced_names.py` loads the
 tracer, so a change that renames, reorders or resizes a verify suite
-fails here rather than in a benchmark run.  The five slowest suites are
-left to the benchmark itself; the others take about 2 s together.
+fails here rather than in a benchmark run.  Every suite's count is read
+from the session's one run of all 29 (the `suite_results` fixture).
 The ladder probe must also give the gated scan counts SCAN_S at all four
 heights (about 1 s, up to H = 16000), so a probe that miscounts fails here
 too.
@@ -19,9 +19,7 @@ from sqfpairs import verify
 from sqfpairs.counting import count_pairs_ladder
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
-SEED = 12345
-SLOWEST = {"weil-bound", "gauss-reduce-vs-direct", "gauss-closed-vs-direct",
-           "lambda-bound", "harmonic-envelope"}
+SEED = 12345  # the seed of the suite_results fixture
 
 
 def _load_run():
@@ -39,12 +37,12 @@ def test_gated_suites_are_the_verify_suites_in_order():
     assert list(BENCH.VERIFY_CHECKS) == list(verify.ALL_SUITES)
 
 
-@pytest.mark.parametrize("name", [n for n in verify.ALL_SUITES if n not in SLOWEST])
-def test_suite_gives_its_gated_check_count(name):
+@pytest.mark.parametrize("name", list(verify.ALL_SUITES))
+def test_suite_gives_its_gated_check_count(name, suite_results):
     want = BENCH.VERIFY_CHECKS[name]
     if want is None:
         want = BENCH._lambda_table_checks(SEED)
-    (result,) = verify.run_suites([name], seed=SEED)
+    result = suite_results[name]
     assert result.ok, result.line()
     assert result.checked == want
 

@@ -79,6 +79,15 @@ class TestBuildSieve:
         got = {n for n in range(1, 11) if read_flag(sieve, n)}
         assert got == {1, 2, 3, 5, 6, 7, 10}
 
+    @pytest.mark.parametrize("bad", [True, 10.5, 10.0, 0])
+    def test_refuses_bools_and_floats(self, bad):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            build_sieve(bad)
+
+    def test_takes_numpy_integers(self):
+        sieve = build_sieve(np.int64(10))
+        assert type(sieve.limit) is int and sieve.count_squarefree(10) == 7
+
     def test_single_entry(self):
         sieve = build_sieve(1)
         assert read_flag(sieve, 1)
@@ -693,6 +702,13 @@ class TestResidueCount:
             with pytest.raises(ValueError, match="must be a positive integer"):
                 residue_count(*args)
         assert residue_count(np.int64(10), np.int64(3), 1) == 4
+
+    @pytest.mark.parametrize("x", [2.5, 1.0, True, np.array([1.0, 2.0]), np.array([True])])
+    def test_rejects_non_integer_residues(self, x):
+        with pytest.raises(ValueError, match="x must be integers or integer arrays"):
+            residue_count(10, 3, x)
+        assert residue_count(10, 3, np.int64(1)) == 4
+        assert residue_count(10, 3, np.array([1, 2, 3])).tolist() == [4, 3, 3]
 
     def test_partition_and_deviation(self):
         for H, q in [(10, 3), (100, 7), (55, 56), (1000, 13)]:

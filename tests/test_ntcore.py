@@ -393,3 +393,52 @@ class TestPrimesAndDivisors:
         mu = mobius_sieve(100)
         assert mu.dtype == np.int8
         assert mu[0] == 0
+
+
+class TestIntegerArguments:
+    # numpy integers are integers here, as they are to every evaluator's
+    # modulus; bools and floats are refused, naming the argument
+
+    def test_factoring_helpers_take_numpy_integers(self):
+        assert factorize(np.int64(12)) == factorize(np.uint32(12)) == [(2, 2), (3, 1)]
+        assert tau(np.int64(12)) == 6
+        assert mobius(np.int64(6)) == 1 and mobius(np.int32(12)) == 0
+        assert divisors(np.int64(12)) == (1, 2, 3, 4, 6, 12)
+        assert is_prime(np.int64(7)) is True and is_prime(np.int16(9)) is False
+        assert all(type(p) is int and type(e) is int for p, e in factorize(np.int64(2**32 - 1)))
+
+    def test_numpy_integers_keep_the_factoring_range(self):
+        assert [is_prime(np.int64(n)) for n in (-3, 0, 1, 2)] == [False, False, False, True]
+        assert factorize(np.uint64(2**32 - 5)) == [(2**32 - 5, 1)]
+        for bad in (np.int64(0), np.int64(-12), np.int64(2**32), np.uint64(2**63)):
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                factorize(bad)
+
+    @pytest.mark.parametrize("call", [factorize, is_prime, mobius, tau, divisors])
+    @pytest.mark.parametrize("bad", [True, False, 7.0, np.float64(7.0), "7"])
+    def test_factoring_helpers_refuse_bools_and_floats(self, call, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call(bad)
+
+    def test_mod_inverse_takes_numpy_integers(self):
+        assert mod_inverse(np.int64(3), 7) == mod_inverse(3, np.int32(7)) == 5
+        assert type(mod_inverse(np.int64(3), np.int64(7))) is int
+
+    @pytest.mark.parametrize("k,q,name", [(True, 7, "k"), (3.0, 7, "k"), (3, 7.0, "q"),
+                                          (3, True, "q"), (3, 0, "q")])
+    def test_mod_inverse_refuses_bools_and_floats(self, k, q, name):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            mod_inverse(k, q)
+
+    def test_primes_upto_refuses_bools_and_floats(self):
+        assert primes_upto(np.int64(10)).tolist() == [2, 3, 5, 7]
+        assert primes_upto(-5).size == primes_upto(np.int64(1)).size == 0  # empty below 2
+        for bad in (True, False, 10.5, 10.0):
+            with pytest.raises(ValueError, match="limit must be an integer"):
+                primes_upto(bad)
+
+    def test_mobius_sieve_refuses_bools_and_floats(self):
+        assert mobius_sieve(np.int64(4)).tolist() == [0, 1, -1, -1, 0]
+        for bad in (True, 2.5, 4.0, 0):
+            with pytest.raises(ValueError, match="N must be a positive integer"):
+                mobius_sieve(bad)

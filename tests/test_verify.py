@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 import re
@@ -8,6 +9,9 @@ import pytest
 
 from sqfpairs import asymptotic, counting, expsums, lambdasums, ntcore
 from sqfpairs.verify import (
+    ALL_SUITES,
+    DEFAULT_SEED,
+    _divisor_counts,
     _Recorder,
     suite_congruent_bound,
     suite_gauss_closed,
@@ -22,6 +26,14 @@ from sqfpairs.verify import (
     suite_truncation_report,
     suite_weil_bound,
 )
+
+
+def test_every_suite_takes_the_seed_alone():
+    # each suite's sweep is fixed in its body; a call can set only the seed
+    for name, suite in ALL_SUITES.items():
+        params = inspect.signature(suite).parameters
+        assert list(params) == ["seed"], name
+        assert params["seed"].default == DEFAULT_SEED, name
 
 
 def test_failure_count_beyond_stored_samples():
@@ -56,13 +68,13 @@ def test_array_check_formats_each_failing_entry_in_order():
                                "q=7 n=5 v=2.5 roots=[]"]
 
 
-def test_truncation_report_checks_the_dropped_terms(monkeypatch):
-    assert suite_truncation_report(H_values=(10, 20)).ok
+def test_truncation_report_checks_the_dropped_terms(monkeypatch, suite_results):
+    assert suite_results["truncation-report"].ok
     truncated = counting.count_pairs_mobius_truncated
     monkeypatch.setattr(counting, "count_pairs_mobius_truncated",
                         lambda H, z: truncated(H, z) + 1)
-    result = suite_truncation_report(H_values=(10, 20))
-    assert (result.checked, result.failed) == (2, 2)
+    result = suite_truncation_report()
+    assert (result.checked, result.failed) == (4, 4)
 
 
 def test_truncation_report_counts_each_term_once(monkeypatch):
@@ -73,7 +85,7 @@ def test_truncation_report_counts_each_term_once(monkeypatch):
     monkeypatch.setattr(counting, "congruent_pair_count",
                         lambda H, q: seen.append((H, q)) or count(H, q))
     monkeypatch.setattr(counting, "count_pairs_mobius", None)
-    assert suite_truncation_report(H_values=(10, 20)).ok
+    assert suite_truncation_report().ok
     assert seen and len(seen) == len(set(seen))
 
 
@@ -86,48 +98,51 @@ def _named_arguments(result, pattern):
     return [tuple(map(int, re.match(pattern, f).groups())) for f in result.failures]
 
 
+# _Recorder keeps the first 1000 failure messages
+STORED = 1000
+
+
 def test_weil_bound_draws_are_the_scalar_order(monkeypatch):
     monkeypatch.setattr(expsums, "kloosterman_direct", _too_large)
-    result = suite_weil_bound(seed=5, qmax=30, per_q=3)
+    result = suite_weil_bound(seed=5)
     rng = random.Random(5)
     want = []
-    for q in range(1, 31):
-        for _ in range(3):
+    for q in range(1, 2001):
+        for _ in range(20):
             n = rng.randrange(-3 * q, 3 * q + 1)
             m = rng.randrange(-3 * q, 3 * q + 1)
             want.append((q, n, m))
-    assert result.failed == result.checked == 90
-    assert _named_arguments(result, r"\|K\((\d+);(-?\d+),(-?\d+)\)\|") == want
+    assert result.failed == result.checked == len(want) == 40_000
+    assert _named_arguments(result, r"\|K\((\d+);(-?\d+),(-?\d+)\)\|") == want[:STORED]
 
 
 def test_lambda_bound_draws_are_the_scalar_order(monkeypatch):
     monkeypatch.setattr(lambdasums, "lambda_direct", _too_large)
-    result = suite_lambda_bound(seed=5, qmax=30, per_q=3)
+    result = suite_lambda_bound(seed=5)
     rng = random.Random(5)
     want = []
-    for q in range(1, 31):
+    for q in range(1, 1501):
         if q % 8 == 0:
             continue
-        for _ in range(3):
+        for _ in range(20):
             n = rng.randrange(-2 * q, 2 * q + 1)
             m = rng.randrange(-2 * q, 2 * q + 1)
             want.append((q, n, m))
-    assert result.failed == result.checked == len(want) == 81
-    assert _named_arguments(result, r"\|lam\((\d+);(-?\d+),(-?\d+)\)\|") == want
+    assert result.failed == result.checked == len(want) == 26_260
+    assert _named_arguments(result, r"\|lam\((\d+);(-?\d+),(-?\d+)\)\|") == want[:STORED]
 
 
-@pytest.mark.parametrize("qmax", [1, 2, 41, 64])
-def test_gauss_reduce_keeps_every_grid_it_reads(qmax):
-    # every gcd class finds the grid of q/d it reads
-    result = suite_gauss_reduce(seed=3, qmax=qmax)
+def test_gauss_reduce_keeps_every_grid_it_reads(suite_results):
+    # every gcd class of every q <= 300 finds the grid of q/d it reads
+    result = suite_results["gauss-reduce-vs-direct"]
     assert result.ok
-    assert (result.checked, result.failed) == (4 * qmax, 0)
+    assert (result.checked, result.failed) == (1200, 0)
 
 
-@pytest.mark.parametrize("q,entry,qmax", [pytest.param(5, (1, 1), 10, id="5-entry0"),
-                                          pytest.param(10, (2, 1), 10, id="10-entry1"),
-                                          pytest.param(131, (130, 1), 262, id="131-third-slab")])
-def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry, qmax):
+@pytest.mark.parametrize("q,entry,failing", [pytest.param(5, (1, 1), 10, id="5-entry0"),
+                                             pytest.param(10, (2, 1), 10, id="10-entry1"),
+                                             pytest.param(131, (130, 1), 262, id="131-third-slab")])
+def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry, failing):
     # G(5) is the reduced grid of the rows gcd(n, 10) = 2, and G(10)[2, 1]
     # is a column 2 does not divide, where the reduction is 0: either
     # perturbation fails the grid check of q = 10.  Row 130 of G(131) is
@@ -142,9 +157,9 @@ def test_gauss_reduce_compares_every_gcd_class(monkeypatch, q, entry, qmax):
         return grid
 
     monkeypatch.setattr(expsums, "gauss_direct_table", perturbed)
-    result = suite_gauss_reduce(seed=3, qmax=qmax)
+    result = suite_gauss_reduce(seed=3)
     assert not result.ok
-    assert any(f.startswith(f"q={qmax} max err") for f in result.failures)
+    assert any(f.startswith(f"q={failing} max err") for f in result.failures)
 
 
 def test_gauss_reduce_checks_the_scalar_reduction(monkeypatch):
@@ -194,21 +209,28 @@ def test_suites_work_in_slabs(suite, cap, checks):
 
 @pytest.mark.parametrize("hi", [36, 100, 2520, 3000, 2**14, 2**14 + 1, 3 * 2**14 + 5])
 def test_tau_growth_counts_every_divisor(hi):
-    # the suite counts divisors in pairs; with lo = hi - 1 its verdict and
-    # note read the count at n = hi alone
-    result = suite_tau_growth(lo=hi - 1, hi=hi)
-    assert result.checked == hi
-    assert result.ok == (ntcore.tau(hi) <= hi**0.6)
-    assert result.notes == f"max tau(n)/n^0.6 = {ntcore.tau(hi) / hi**0.6:.3f}"
+    # the suite counts divisors in pairs d < n/d, plus d = n/d at squares
+    counts = _divisor_counts(hi)
+    assert counts.shape == (hi + 1,) and counts[0] == 0
+    assert counts[1:].tolist() == [ntcore.tau(n) for n in range(1, hi + 1)]
 
 
-def _drawn_with_origin(seed, moduli, per_q):
+def test_tau_growth_note_reads_tau(suite_results):
+    # every n <= 1e5 is checked, and the note is the largest
+    # tau(n)/n^0.6 beyond 1e4, read off ntcore.tau
+    result = suite_results["tau-growth"]
+    worst = max(ntcore.tau(n) / n**0.6 for n in range(10_001, 100_001))
+    assert result.ok and result.checked == 100_000
+    assert result.notes == f"max tau(n)/n^0.6 = {worst:.3f}"
+
+
+def _drawn_with_origin(seed, moduli):
     # the (q, n, m) of the lambda agreement suites, in the order drawn
     rng = random.Random(seed)
     want = []
     for q in moduli:
         want.append((q, 0, 0))
-        for _ in range(per_q):
+        for _ in range(10):
             n = rng.randrange(-2 * q, 2 * q + 1)
             m = rng.randrange(-2 * q, 2 * q + 1)
             want.append((q, n, m))
@@ -217,26 +239,27 @@ def _drawn_with_origin(seed, moduli, per_q):
 
 def test_lambda_fast_draws_are_the_scalar_order(monkeypatch):
     monkeypatch.setattr(lambdasums, "lambda_fast_odd", _too_large)
-    result = suite_lambda_fast(seed=5, qmax=31, per_q=3)
-    want = _drawn_with_origin(5, range(1, 32, 2), 3)
-    assert result.failed == result.checked == len(want) == 64
-    assert _named_arguments(result, r"fast\((\d+);(-?\d+),(-?\d+)\)") == want
+    result = suite_lambda_fast(seed=5)
+    want = _drawn_with_origin(5, range(1, 602, 2))
+    assert result.failed == result.checked == len(want) == 3311
+    assert _named_arguments(result, r"fast\((\d+);(-?\d+),(-?\d+)\)") == want[:STORED]
 
 
 def test_lambda_any_draws_are_the_scalar_order(monkeypatch):
     monkeypatch.setattr(lambdasums, "lambda_any", _too_large)
-    result = suite_lambda_any(seed=5, qmax=30, per_q=3)
-    want = _drawn_with_origin(5, [q for q in range(1, 31) if q % 8], 3)
-    assert result.failed == result.checked == len(want) == 108
-    assert _named_arguments(result, r"any\((\d+);(-?\d+),(-?\d+)\)") == want
+    result = suite_lambda_any(seed=5)
+    want = _drawn_with_origin(5, [q for q in range(1, 602) if q % 8])
+    assert result.failed == result.checked == len(want) == 5786
+    assert _named_arguments(result, r"any\((\d+);(-?\d+),(-?\d+)\)") == want[:STORED]
 
 
 def test_lambda_triple_draws_are_the_scalar_order(monkeypatch):
     monkeypatch.setattr(lambdasums, "lambda_any", _too_large)
-    result = suite_lambda_triple(seed=5, qmax=30, per_q=3)
-    want = _drawn_with_origin(5, [q for q in range(1, 31) if q % 8], 3)
-    assert result.failed == result.checked == len(want) == 108
-    assert _named_arguments(result, r"\((\d+);(-?\d+),(-?\d+)\): evaluator spread") == want
+    result = suite_lambda_triple(seed=5)
+    want = _drawn_with_origin(5, [q for q in range(1, 602) if q % 8])
+    assert result.failed == result.checked == len(want) == 5786
+    assert (_named_arguments(result, r"\((\d+);(-?\d+),(-?\d+)\): evaluator spread")
+            == want[:STORED])
 
 
 def test_lambda_triple_evaluates_the_odd_part_once(monkeypatch):
@@ -250,9 +273,9 @@ def test_lambda_triple_evaluates_the_odd_part_once(monkeypatch):
         return fast(q, n, m)
 
     monkeypatch.setattr(lambdasums, "lambda_fast_odd", spy)
-    result = suite_lambda_triple(seed=5, qmax=30, per_q=3)
-    assert result.ok and result.checked == 108
-    assert calls == [q if q % 2 else q // 2 for q in range(1, 31) if q % 4]
+    result = suite_lambda_triple(seed=5)
+    assert result.ok and result.checked == 5786
+    assert calls == [q if q % 2 else q // 2 for q in range(1, 602) if q % 4]
 
 
 def test_sqrt_mod_is_one_call_per_prime_power(monkeypatch):
@@ -282,47 +305,48 @@ def test_sqrt_mod_failures_are_counted_and_named(monkeypatch):
         return got
 
     monkeypatch.setattr(ntcore, "sqrt_mod", stub)
-    result = suite_sqrt_mod(limit=30)
-    assert (result.checked, result.failed) == (sum(p**e for p in (3, 5, 7, 11, 13, 17, 19, 23, 29)
-                                                   for e in (1, 2, 3) if p**e <= 30), 3)
+    result = suite_sqrt_mod()
+    assert (result.checked, result.failed) == (288_805, 3)
     assert result.failures == ["sqrt_mod(0,3,2)=[0, 3, 7] want [0, 3, 6]",
                                "sqrt_mod(1,5,1)=[1] want [1, 4]",
                                "sqrt_mod(4,5,1)=[2, 4] want [2, 3]"]
 
 
 def test_rho_envelope_checks_every_draw_in_bounded_slabs(monkeypatch):
-    # with the series wrong everywhere, every check fails, in the order of
-    # the scalar draws; each call takes at most 32 t and 2**12 phases
-    shapes = []
+    # with the series wrong everywhere, every check fails; the series sees
+    # every draw in the scalar order, at most 32 t and 2**12 phases a call
+    calls = []
 
     def wrong(D, t):
-        shapes.append((D, t.size))
+        calls.append((D, t.tolist()))
         return asymptotic.rho(t) + 10.0
 
     monkeypatch.setattr(asymptotic, "rho_fourier", wrong)
-    result = suite_rho_envelope(seed=5, D_values=(10, 1000), trials=100)
+    result = suite_rho_envelope(seed=5)
     rng = random.Random(5)
     want = []
-    for D in (10, 1000):
-        for _ in range(100):
+    for D in (10, 100, 1000):
+        for _ in range(1000):
             t = rng.uniform(-5.0, 5.0)
             if min(t % 1.0, 1.0 - t % 1.0) < 1e-3:
                 t += 2e-3
-            want.append((D, f"{t:.6f}"))
-    assert result.failed == result.checked == 200
+            want.append((D, t))
+    assert result.failed == result.checked == len(want) == 3000
+    assert [(D, t) for D, ts in calls for t in ts] == want
     assert [re.match(r"D=(\d+) t=(\S+):", f).groups() for f in result.failures] == [
-        (str(D), t) for D, t in want]
-    assert shapes == [(10, 32)] * 3 + [(10, 4)] + [(1000, 4)] * 25
+        (str(D), f"{t:.6f}") for D, t in want[:STORED]]
+    assert [(D, len(ts)) for D, ts in calls] == ([(10, 32)] * 31 + [(10, 8)] + [(100, 32)] * 31
+                                                 + [(100, 8)] + [(1000, 4)] * 250)
 
 
 def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
     # with the evaluator wrong everywhere, every check fails: no entry is
     # compared against a closed form computed by the suite itself
     monkeypatch.setattr(expsums, "gauss_closed_odd", _too_large)
-    result = suite_gauss_closed(seed=5, qmax=21)
+    result = suite_gauss_closed(seed=5)
     rng = random.Random(5)
     want = []
-    for q in range(1, 22, 2):
+    for q in range(1, 302, 2):
         units = [n for n in range(q) if math.gcd(q, n) == 1] or [0]
         want += [("row", q, n) for n in units]
         if q > 1:
@@ -335,8 +359,8 @@ def test_gauss_closed_checks_only_the_evaluator(monkeypatch):
         sample = re.match(r"sampled closed mismatch at \((\d+);(\d+),(\d+)\)", f)
         got.append(("row", *map(int, row.groups())) if row
                    else ("sample", *map(int, sample.groups())))
-    assert result.failed == result.checked == len(want)
-    assert got == want
+    assert result.failed == result.checked == len(want) == 18_935
+    assert got == want[:STORED]
 
 
 def test_congruent_bound_solves_each_circle_once(monkeypatch):
@@ -356,8 +380,9 @@ def test_congruent_bound_solves_each_circle_once(monkeypatch):
 def test_congruent_bound_checks_in_height_order(monkeypatch):
     # with every T out of range, the failures come H by H, q by q
     monkeypatch.setattr(counting, "congruent_pair_count", lambda H, q: -1)
-    result = suite_congruent_bound(qmax=10)
-    qs = [q for q in range(1, 11) if q % 8]
+    result = suite_congruent_bound()
+    qs = [q for q in range(1, 201) if q % 8]
+    assert result.failed == result.checked == 525
     assert result.failures == [
         f"T({H},{q})=-1 outside [0, {len(lambdasums.solve_circle(q)) * (H / q + 1) ** 2:.2f}]"
         for H in (10, 50, 100) for q in qs]
