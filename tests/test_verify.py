@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqfpairs import asymptotic, counting, expsums, lambdasums, ntcore
+from sqfpairs import asymptotic, counting, expsums, lambdasums, ntcore, verify
 from sqfpairs.verify import (
     ALL_SUITES,
     DEFAULT_SEED,
@@ -132,11 +132,46 @@ def test_lambda_bound_draws_are_the_scalar_order(monkeypatch):
     assert _named_arguments(result, r"\|lam\((\d+);(-?\d+),(-?\d+)\)\|") == want[:STORED]
 
 
-def test_gauss_reduce_keeps_every_grid_it_reads(suite_results):
-    # every gcd class of every q <= 300 finds the grid of q/d it reads
-    result = suite_results["gauss-reduce-vs-direct"]
-    assert result.ok
-    assert (result.checked, result.failed) == (1200, 0)
+@pytest.fixture(scope="module")
+def gauss_reduce_reads():
+    """suite_gauss_reduce at seed 3 and, for each modulus q it sweeps, the
+    (k, rows) of every gauss_direct_table call it makes for q, in order."""
+    table, entries = expsums.gauss_direct_table, verify._gauss_entries
+    reads = {}
+
+    def entries_of(q, n, m):
+        # the suite's first read for each q is its sampled entries
+        reads[q] = []
+        return entries(q, n, m)
+
+    def recorded(k, rows):
+        reads[next(reversed(reads))].append((k, np.array(rows)))
+        return table(k, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_gauss_entries", entries_of)
+        mp.setattr(expsums, "gauss_direct_table", recorded)
+        result = suite_gauss_reduce(seed=3)
+    return result, reads
+
+
+@pytest.mark.parametrize("q", [1, 2, 41, 64])
+def test_gauss_reduce_keeps_every_grid_it_reads(gauss_reduce_reads, suite_results, q):
+    # every gcd class d > 1 of q finds the grid of q/d it reads: the rows
+    # gcd(n, q) > 1 of G(q) once each, and the rows n/d of G(q/d) once each
+    for result in (gauss_reduce_reads[0], suite_results["gauss-reduce-vs-direct"]):
+        assert result.ok
+        assert (result.checked, result.failed) == (1200, 0)
+    (k, sampled), *grids = gauss_reduce_reads[1][q]
+    assert k == q and sampled.shape == (3,)
+    gcds = np.gcd(np.arange(q), q)
+    read = {}
+    for k, rows in grids:
+        read.setdefault(k, []).extend(rows.tolist())
+    want = {q: sorted(np.flatnonzero(gcds > 1).tolist())} if q > 1 else {}
+    for d in np.unique(gcds[gcds > 1]).tolist():
+        want[q // d] = (np.flatnonzero(gcds == d) // d).tolist()
+    assert {k: sorted(rows) for k, rows in read.items()} == want
 
 
 @pytest.mark.parametrize("q,entry,failing", [pytest.param(5, (1, 1), 10, id="5-entry0"),
