@@ -196,12 +196,12 @@ def rho_fourier(D: float, t):
     """Truncated Fourier series of the sawtooth: sum over 1 <= |n| <= D
     of e(nt) / (2*pi*i*n).
 
-    t is a float, giving a float, or an array of floats, giving an array
-    of its shape; the terms of every t are summed in one pass, so the
-    caller bounds the (t x D) phases it asks for.  Both halves of each
-    sum are evaluated and the imaginary part is checked to cancel at every
-    entry (the n and -n terms are conjugate), then dropped.  D is a finite
-    number >= 2 (not a bool), else ValueError."""
+    The n and -n terms are conjugate, so each pair adds up to the real
+    sin(2*pi*n*t) / (pi*n), and the series is summed as that sine series
+    over 1 <= n <= D.  t is a float, giving a float, or an array of
+    floats, giving an array of its shape; the terms of every t are summed
+    in one pass, so the caller bounds the (t x D) phases it asks for.  D
+    is a finite number >= 2 (not a bool), else ValueError."""
     if (not isinstance(D, (int, float, np.integer, np.floating)) or isinstance(D, bool)
             or not 2 <= D < math.inf):
         raise ValueError(f"D must be a finite number >= 2, got {D!r}")
@@ -212,12 +212,8 @@ def rho_fourier(D: float, t):
     phase = np.empty(t.shape + n.shape, dtype=complex)
     phase[...] = np.exp(2j * np.pi * (t - np.round(t)))[..., None]
     np.multiply.accumulate(phase, axis=-1, out=phase)
-    total = (phase / (2j * np.pi * n)).sum(axis=-1)
-    total += (np.conj(phase) / (-2j * np.pi * n)).sum(axis=-1)
-    leak = np.abs(total.imag) > 1e-9 * np.maximum(1.0, np.abs(total.real))
-    if leak.any():
-        raise ArithmeticError(f"imaginary part failed to cancel: {total[leak].flat[0]}")
-    return float(total.real) if total.ndim == 0 else total.real
+    total = (phase.imag / (np.pi * n)).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 # Bytes harmonic_lambda_sums states per (D value, residue): the weights,

@@ -83,16 +83,15 @@ class SquarefreeSieve:
         out[:] = self._bytes[lo >> 3 : (lo >> 3) + out.size]
 
     def _count_bits(self, nbits: int) -> int:
-        """Set bits among the first nbits.  Whole bytes are popcounted by
-        table, one segment's bytes at a time, so the scratch memory stays
-        bounded for any prefix."""
+        """Set bits among the first nbits.  Bytes are popcounted by table,
+        one segment's bytes at a time, so the scratch memory stays bounded
+        for any prefix; a last partial byte is masked to its low bits."""
         full, rest = divmod(nbits, 8)
         total, seg = 0, _SEGMENT_BITS // 8
         for lo in range(0, full, seg):
             total += int(_POPCOUNT[self._bytes[lo : min(lo + seg, full)]].sum())
         if rest:
-            tail = np.unpackbits(self._bytes[full : full + 1], bitorder="little")
-            total += int(tail[:rest].sum())
+            total += int(_POPCOUNT[self._bytes[full] & ((1 << rest) - 1)])
         return total
 
     def count_squarefree(self, upto: int) -> int:

@@ -3,7 +3,7 @@ stated bytes that bound what each allocator really holds at its peak."""
 
 import ast
 import math
-import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +50,10 @@ def _congruent_pair_count(H):
     (asymptotic.constant_c, 10**6),
     (asymptotic.constant_c, 5 * 10**6),
     (_congruent_pair_count, 10**6),
-    (counting.count_pairs_direct, 300),
-    (counting.count_pairs_direct, 4000),
-    (counting.count_pairs_direct, 8000),
-    pytest.param(lambda H: counting.count_pairs_ladder([H // 4, H // 2, H]), 16000,
-                 id="count_pairs_ladder-16000"),
 ])
-def test_peak_is_within_the_stated_bytes(monkeypatch, allocate, n):
+def test_peak_is_within_the_stated_bytes(monkeypatch, traced_peak, allocate, n):
+    # the pair probe's own statement bounds its trace in
+    # tests/test_counting.py::test_probe_traces_within_its_stated_bytes
     stated = []
 
     def record(nbytes, what):
@@ -65,13 +62,9 @@ def test_peak_is_within_the_stated_bytes(monkeypatch, allocate, n):
 
     for module in (ntcore, counting, asymptotic):
         monkeypatch.setattr(module, "check_bytes", record)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         allocate(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert stated and peak <= max(stated)
+    assert stated and traced.peak <= max(stated)
 
 
 def test_a_larger_budget_raises_the_ceiling(monkeypatch):
@@ -83,31 +76,20 @@ def test_a_larger_budget_raises_the_ceiling(monkeypatch):
         assert expsums._check_table(q, "solve_circle") == q
 
 
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # Admits every per-residue table mod 20011 (a prime), and little more.
 _TABLES_MOD_20011 = 128 * 20011 + 1000
 
 
 @pytest.mark.parametrize("evaluate,m", [(lambdasums.lambda_direct, 0),
                                         (expsums.kloosterman_direct, 1)])
-def test_broadcast_direct_sums_state_their_grid(evaluate, m):
+def test_broadcast_direct_sums_state_their_grid(traced_peak, evaluate, m):
     # 20,000 pairs mod 101 hold 48 bytes a pair and one chunk of 20,000
     # pairs x 1 term at 32 bytes an entry, far more than their tables
     n, stated = np.arange(20_000), 1_600_000
-
-    def refused():
-        with budget_scope(stated - 1), pytest.raises(ntcore.BudgetError, match="20000 pairs"):
-            evaluate(101, n, m)
-
-    assert _traced_peak(refused) < 2**20
+    with traced_peak() as traced, budget_scope(stated - 1), \
+            pytest.raises(ntcore.BudgetError, match="20000 pairs"):
+        evaluate(101, n, m)
+    assert traced.peak < 2**20
     with budget_scope(stated):
         assert evaluate(101, n, m).shape == n.shape
     # the whole grid of 200 pairs x about 20011 residues (92 MiB) is never
@@ -119,78 +101,78 @@ def test_broadcast_direct_sums_state_their_grid(evaluate, m):
 @pytest.mark.parametrize("evaluate,q", [(expsums.gauss_closed_odd, 101),
                                         (lambdasums.lambda_fast_odd, 101),
                                         (lambdasums.lambda_any, 202)])
-def test_broadcast_evaluators_state_their_pairs(evaluate, q):
+def test_broadcast_evaluators_state_their_pairs(traced_peak, evaluate, q):
     # 200,000 pairs took 10.8-13.7 MiB; refused, they hold only their
     # reduced arguments (3.1 MiB)
     rng = np.random.default_rng(q)
     n = rng.integers(1, 101, size=200_000)  # units mod 101
     m = rng.integers(0, q, size=200_000)
-
-    def refused():
-        with budget_scope(200_000), pytest.raises(ntcore.BudgetError, match="200000 pairs"):
-            evaluate(q, n, m)
-
-    assert _traced_peak(refused) < 4 * 2**20
+    with traced_peak() as traced, budget_scope(200_000), \
+            pytest.raises(ntcore.BudgetError, match="200000 pairs"):
+        evaluate(q, n, m)
+    assert traced.peak < 4 * 2**20
 
 
-def test_lambda_fast_odd_reads_the_row_for_few_pairs_mod_a_large_l():
-    def run():
-        with budget_scope(_TABLES_MOD_20011):
-            lambdasums.lambda_fast_odd(20011, np.arange(200), 0)
-
-    assert _traced_peak(run) < 4 * 2**20
+def test_lambda_fast_odd_reads_the_row_for_few_pairs_mod_a_large_l(traced_peak):
+    n = np.arange(200)
+    with traced_peak() as traced, budget_scope(_TABLES_MOD_20011):
+        lambdasums.lambda_fast_odd(20011, n, 0)
+    assert traced.peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("count", [
     counting.count_pairs_mobius,
     pytest.param(lambda H: counting.count_pairs_mobius_truncated(H, 2 * H * H), id="truncated"),
 ])
-def test_mobius_identity_refused_before_its_sieve(count):
+def test_mobius_identity_refused_before_its_sieve(traced_peak, count):
     # the Moebius sieve to sqrt(2H^2 + 1) and its list of d took 8.1 MiB
     H = 200_000
-
-    def refused():
-        with budget_scope(48 * H - 1), pytest.raises(ntcore.BudgetError):
-            count(H)
-
-    assert _traced_peak(refused) < 2**20
+    with traced_peak() as traced, budget_scope(48 * H - 1), pytest.raises(ntcore.BudgetError):
+        count(H)
+    assert traced.peak < 2**20
 
 
 @pytest.mark.parametrize("evaluate,units,dmax", [(asymptotic.dirichlet_tail_bound, 20, 10**4),
                                                  (asymptotic.dirichlet_partial_sum, 1, 10**5)])
-def test_dirichlet_float_arrays_are_stated(evaluate, units, dmax):
+def test_dirichlet_float_arrays_are_stated(traced_peak, evaluate, units, dmax):
     # the Moebius sieve's 3 bytes per value fit this budget; the float
     # arrays beside it do not
-    def refused():
-        with budget_scope(3 * (units * dmax + 1)), pytest.raises(ntcore.BudgetError):
-            evaluate(dmax)
-
-    assert _traced_peak(refused) < 2**20
+    with traced_peak() as traced, budget_scope(3 * (units * dmax + 1)), \
+            pytest.raises(ntcore.BudgetError):
+        evaluate(dmax)
+    assert traced.peak < 2**20
 
 
 def _on_pairs(evaluate):
-    """evaluate(q, n, m) on 50,000 pairs, every n a unit mod q: far more
-    pairs than residues, so the pairs' statement is the larger."""
-    def run(q):
+    """For q, evaluate(q, n, m) on 50,000 pairs, every n a unit mod q: far
+    more pairs than residues, so the pairs' statement is the larger.  The
+    pairs are the caller's, so they are drawn before the call is traced."""
+    def prepare(q):
         rng = np.random.default_rng(q)
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
-        evaluate(q, units[rng.integers(0, units.size, 50_000)], rng.integers(0, q, 50_000))
-    return run
+        return partial(evaluate, q, units[rng.integers(0, units.size, 50_000)],
+                       rng.integers(0, q, 50_000))
+    return prepare
 
 
-@pytest.mark.parametrize("allocate,n", [
-    (asymptotic.dirichlet_tail_bound, 10**4),
-    (asymptotic.dirichlet_partial_sum, 10**5),
-    pytest.param(lambda q: expsums.kloosterman_direct(q, np.arange(100), 1), 2003,
+@pytest.mark.parametrize("prepare,n", [
+    pytest.param(lambda n: partial(asymptotic.dirichlet_tail_bound, n), 10**4,
+                 id="dirichlet_tail_bound-10000"),
+    pytest.param(lambda n: partial(asymptotic.dirichlet_partial_sum, n), 10**5,
+                 id="dirichlet_partial_sum-100000"),
+    pytest.param(lambda q: partial(expsums.kloosterman_direct, q, np.arange(100), 1), 2003,
                  id="kloosterman_direct-grid"),
-    pytest.param(lambda q: lambdasums.lambda_direct(q, np.arange(100), 0), 2003,
+    pytest.param(lambda q: partial(lambdasums.lambda_direct, q, np.arange(100), 0), 2003,
                  id="lambda_direct-grid"),
     *[pytest.param(_on_pairs(evaluate), q, id=f"{evaluate.__name__}-{q}")
       for evaluate, q in [(expsums.gauss_closed_odd, 315), (expsums.gauss_closed_odd, 3465),
                           (lambdasums.lambda_fast_odd, 315), (lambdasums.lambda_fast_odd, 3465),
-                          (lambdasums.lambda_any, 630), (lambdasums.lambda_any, 6930)]],
+                          (lambdasums.lambda_any, 630), (lambdasums.lambda_any, 6930),
+                          (lambdasums.lambda_any, 60062)]],
 ])
-def test_grids_and_float_arrays_within_the_stated_bytes(monkeypatch, allocate, n):
+def test_grids_and_float_arrays_within_the_stated_bytes(monkeypatch, traced_peak, prepare, n):
+    # prepare(n) builds the arguments and returns the call; only the call
+    # is traced
     stated = []
 
     def record(nbytes, what):
@@ -199,8 +181,10 @@ def test_grids_and_float_arrays_within_the_stated_bytes(monkeypatch, allocate, n
 
     for module in (ntcore, expsums, asymptotic):
         monkeypatch.setattr(module, "check_bytes", record)
-    peak = _traced_peak(lambda: allocate(n))
-    assert stated and peak <= max(stated)
+    call = prepare(n)
+    with traced_peak() as traced:
+        call()
+    assert stated and traced.peak <= max(stated)
 
 
 def _kloosterman_grid(q, n, m):
@@ -224,7 +208,7 @@ def _lambda_grid(q, n, m):
     (40_009, 2),  # one block of pairs, chunks of terms
     (2003, 100),  # one block of 100 pairs, 327 terms per chunk
 ])
-def test_direct_sums_in_chunks(evaluate, whole, q, pairs):
+def test_direct_sums_in_chunks(traced_peak, evaluate, whole, q, pairs):
     rng = np.random.default_rng(q)
     n = rng.integers(0, q, size=pairs)
     m = rng.integers(0, q, size=pairs)
@@ -235,4 +219,6 @@ def test_direct_sums_in_chunks(evaluate, whole, q, pairs):
     # the flat arguments and the sums (48 bytes), a chunk's at most
     # CHUNK_ENTRIES phases and their indices take under 1 MiB; the whole
     # grid of 100 pairs mod 2003 took 4.6 MiB
-    assert _traced_peak(lambda: evaluate(q, n, m)) <= 128 * q + 48 * pairs + 2**20
+    with traced_peak() as traced:
+        evaluate(q, n, m)
+    assert traced.peak <= 128 * q + 48 * pairs + 2**20

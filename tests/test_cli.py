@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -105,30 +104,22 @@ class TestLambda:
         assert all(abs(e["re"] - 4.0) < 1e-6 for e in payload["evaluations"])
 
     @pytest.mark.parametrize("q", [lambdasums.DEFAULT_SOLVE_CEILING + 1, 99999989])
-    def test_budget_exit_above_the_solve_ceiling(self, capsys, q):
+    def test_budget_exit_above_the_solve_ceiling(self, capsys, traced_peak, q):
         # every table is refused before it is allocated
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             code, _, err = run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert code == EXIT_BUDGET
         assert "ceiling" in err
-        assert peak < 2**20
+        assert traced.peak < 2**20
 
-    def test_budget_exit_under_a_given_budget(self, capsys):
+    def test_budget_exit_under_a_given_budget(self, capsys, traced_peak):
         # q = 999983 needs ~128 MB at 128 bytes per residue; nothing is built
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             code, _, err = run(capsys, "lambda", "--q", "999983", "--n", "0", "--m", "0",
                                "--memory-budget", "1000000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert code == EXIT_BUDGET
         assert "budget" in err
-        assert peak < 2**20
+        assert traced.peak < 2**20
 
     @pytest.mark.parametrize("budget,code", [(128 * 101, EXIT_OK), (128 * 101 - 1, EXIT_BUDGET)])
     def test_budget_admits_128_bytes_per_residue(self, capsys, budget, code):
@@ -160,18 +151,15 @@ class TestLambda:
         if q % 2:
             assert rows["any"] == rows["fast-odd"]
 
-    def test_solve_ceiling_keeps_the_command_within_the_budget(self, capsys):
+    def test_solve_ceiling_keeps_the_command_within_the_budget(self, capsys, traced_peak):
         # The ceiling allows DEFAULT_MEMORY_BUDGET // DEFAULT_SOLVE_CEILING
         # bytes per residue.  q is a prime no other test solves, so every
         # table is built inside the traced run.
         q = 200017
-        tracemalloc.start()
-        try:
-            assert run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")[0] == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= DEFAULT_MEMORY_BUDGET // lambdasums.DEFAULT_SOLVE_CEILING * q
+        with traced_peak() as traced:
+            code = run(capsys, "lambda", "--q", str(q), "--n", "0", "--m", "0")[0]
+        assert code == EXIT_OK
+        assert traced.peak <= DEFAULT_MEMORY_BUDGET // lambdasums.DEFAULT_SOLVE_CEILING * q
 
 
 class TestConstant:

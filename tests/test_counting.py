@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import random
-import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -443,17 +442,13 @@ class TestValueWindows:
                 want[(first - n[0]) // 2 :: p * p] = False
         np.testing.assert_array_equal(np.unpackbits(out, bitorder="little").astype(bool), want)
 
-    def test_window_is_a_fraction_of_the_sieve(self):
+    def test_window_is_a_fraction_of_the_sieve(self, traced_peak):
         # the packed sieve to H = 12000 is 18 MB; its windows, segment and
         # probe scratch stay under 8 MB
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             S = count_pairs_direct(12_000).S
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert S == 112_421_433
-        assert peak <= 8 * 10**6
+        assert traced.peak <= 8 * 10**6
 
     def test_window_indices_past_two_to_the_32(self):
         # A window near bit 2**33 + 2**32, read through rectangles whose
@@ -490,7 +485,7 @@ class TestValueWindows:
             bases.add(8 * win.b0)
         assert min(bases) >= 2**33 + 2**32 and len(bases) > 1  # the window moved
 
-    def test_window_compacts_over_itself_in_place(self, monkeypatch):
+    def test_window_compacts_over_itself_in_place(self, monkeypatch, traced_peak):
         # A buffer of the widest rectangle (three segments) plus two
         # segments, read through rectangles whose moves keep more bytes
         # than they shift by, so each move overlaps itself.  The counts
@@ -516,17 +511,13 @@ class TestValueWindows:
             cols = np.unique(np.r_[0, rng.integers(0, hi - lo - 10, 198), hi - lo - 10])
             rows = lo + np.array([0, 3, 10])
             b0, end = win.b0, win.end
-            tracemalloc.start()
-            try:
+            with traced_peak() as traced:
                 got = win.count(lo, hi, cols.astype(np.uint32), rows.astype(np.uint32), None)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
             index = (cols[:, None] + rows).ravel().tolist()
             assert got == 2 * sum(int(data[i >> 3]) >> (i & 7) & 1 for i in index)
             if 0 < win.b0 - b0 < end - win.b0:
                 moves.append((end - win.b0, win.b0 - b0))  # (kept, shift)
-                assert peak < 2**13
+                assert traced.peak < 2**13
         assert len(moves) == 2 and all(kept > 2**18 for kept, _ in moves)
         assert win.b0 == 9 * seg  # the last rectangle starts past the end: a jump
 
@@ -555,16 +546,12 @@ class TestValueWindows:
         assert sum(pairs) == H * H
 
     @pytest.mark.slow
-    def test_probe_to_65535_in_a_bounded_window(self):
+    def test_probe_to_65535_in_a_bounded_window(self, traced_peak):
         # S(65,535) as the whole 512 MiB sieve gave it
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             S = count_pairs_direct(65_535).S
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert S == 3_352_980_264
-        assert peak < 64 * 2**20
+        assert traced.peak < 64 * 2**20
 
     @pytest.mark.slow
     def test_probe_to_100000(self):
@@ -602,21 +589,14 @@ def test_probe_geometry_against_mobius(mu_to_200, segment, block, values, stride
     assert got == want
 
 
-def test_probe_refused_before_its_window():
-    def refused():
-        with budget_scope(10**5), pytest.raises(BudgetError, match="pair probe"):
-            count_pairs_direct(16_000)
-
-    tracemalloc.start()
-    try:
-        refused()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16
+def test_probe_refused_before_its_window(traced_peak):
+    with traced_peak() as traced, budget_scope(10**5), \
+            pytest.raises(BudgetError, match="pair probe"):
+        count_pairs_direct(16_000)
+    assert traced.peak < 2**16
 
 
-def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch):
+def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch, traced_peak):
     # the whole sieve to H = 200,000 would be 5 GB, over the 2 GiB default;
     # the probe states its windows, scratch and schedule instead
     from sqfpairs import counting
@@ -631,18 +611,13 @@ def test_default_budget_admits_a_probe_past_the_whole_sieve(monkeypatch):
 
     monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
     monkeypatch.setattr(counting, "check_bytes", check_then_stop)
-    tracemalloc.start()
-    try:
-        with pytest.raises(Admitted) as admitted:
-            count_pairs_direct(200_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with traced_peak() as traced, pytest.raises(Admitted) as admitted:
+        count_pairs_direct(200_000)
     assert admitted.value.args[0] < 2**26
-    assert peak < 2**16
+    assert traced.peak < 2**16
 
 
-def test_probe_past_uint32_windows_refused(monkeypatch):
+def test_probe_past_uint32_windows_refused(monkeypatch, traced_peak):
     # Window indices are uint32, so the window must hold fewer than 2^32
     # bits: H = 5,621,211 is the largest top admitted, and H = 6,000,000
     # (a 547 MiB window, within the default budget) is refused before any
@@ -657,19 +632,11 @@ def test_probe_past_uint32_windows_refused(monkeypatch):
         check_bytes(nbytes, what)
         raise Admitted(nbytes)
 
-    def refused():
-        with pytest.raises(ValueError, match="uint32"):
-            count_pairs_direct(6_000_000)
-
     monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
     monkeypatch.setattr(counting, "check_bytes", check_then_stop)
-    tracemalloc.start()
-    try:
-        refused()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**16
+    with traced_peak() as traced, pytest.raises(ValueError, match="uint32"):
+        count_pairs_direct(6_000_000)
+    assert traced.peak < 2**16
     with pytest.raises(Admitted):
         count_pairs_direct(5_621_211)
     with pytest.raises(ValueError, match="uint32"):
@@ -870,7 +837,7 @@ def test_default_budget_is_two_gib():
     assert DEFAULT_MEMORY_BUDGET == 2**31
 
 
-def test_default_budget_admits_the_largest_height(monkeypatch):
+def test_default_budget_admits_the_largest_height(monkeypatch, traced_peak):
     # 2H^2 + 1 holds H^2 + 1 odd values, one bit each: 2 GiB covers H = 131,071
     from sqfpairs import counting
     from sqfpairs.ntcore import check_bytes
@@ -885,38 +852,30 @@ def test_default_budget_admits_the_largest_height(monkeypatch):
     monkeypatch.delenv("SQFPAIRS_MEMORY_BUDGET", raising=False)
     monkeypatch.setattr(counting, "check_bytes", check_then_stop)
     H = 131_071
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(Admitted) as admitted:
             build_sieve(2 * H * H + 1)
         with pytest.raises(BudgetError):
             build_sieve(2 * (H + 1) ** 2 + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert admitted.value.args[0] == (H * H + 8) // 8 <= 2**31
-    assert peak < 2**16  # checked, not allocated
+    assert traced.peak < 2**16  # checked, not allocated
 
 
 @pytest.mark.parametrize("N", [10**3, 10**6, 2 * 16000**2 + 1, 2 * 65535**2 + 1])
-def test_segments_trace_within_their_stated_bytes(N):
+def test_segments_trace_within_their_stated_bytes(traced_peak, N):
     # building the strike table and filling a segment, then the next one
     from sqfpairs import counting
     nbits = (N + 1) // 2
     out = np.empty(min(counting._SEGMENT_BITS, nbits + 7) // 8, dtype=np.uint8)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         segments = counting._Segments(N)
         for lo in range(0, min(2 * 8 * out.size, nbits), 8 * out.size):
             segments.fill(lo, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= counting._Segments.scratch_bytes(N)
+    assert traced.peak <= counting._Segments.scratch_bytes(N)
 
 
 @pytest.mark.parametrize("ladder", [[300], [4000], [16000], [2000, 4000, 8000, 16000]])
-def test_probe_traces_within_its_stated_bytes(monkeypatch, ladder):
+def test_probe_traces_within_its_stated_bytes(monkeypatch, traced_peak, ladder):
     # the window, segment and lookup scratch, the terms and the schedule
     # the probe states to the budget bound what it allocates, all of it
     from sqfpairs import counting
@@ -929,24 +888,16 @@ def test_probe_traces_within_its_stated_bytes(monkeypatch, ladder):
             stated.append(nbytes)
 
     monkeypatch.setattr(counting, "check_bytes", record)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         count_pairs_ladder(ladder)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert len(stated) == 1
-    assert peak <= stated[0]
+    assert traced.peak <= stated[0]
 
 
-def test_sieve_scratch_is_sized_to_a_short_sieve():
+def test_sieve_scratch_is_sized_to_a_short_sieve(traced_peak):
     # N = 1e6 has 5e5 flags in 62,500 packed bytes; a full segment's
     # buffer and pattern alone would take 2 MiB
     N = 10**6
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         build_sieve(N)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * (N // 2)
+    assert traced.peak <= 2.5 * (N // 2)

@@ -513,42 +513,27 @@ TABLE_BUILDERS = {
 }
 
 
-def _traced(call):
-    """(current bytes held after call() minus before, peak bytes during)."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return current - start, peak - start
-
-
 class TestTableLifetime:
     def test_no_table_outlives_a_call(self):
         primes = (199999, 200003, 200009)  # nothing to warm up: the package caches nothing
-
-        def evaluate_all():
+        tracemalloc.start()
+        try:
             for p in primes:
                 for build in TABLE_BUILDERS.values():
                     build(p)
-
-        held, _ = _traced(evaluate_all)
+            held = tracemalloc.get_traced_memory()[0]  # current, not peak, bytes
+        finally:
+            tracemalloc.stop()
         assert held < 2**20
 
     @pytest.mark.parametrize("name", TABLE_BUILDERS)
-    def test_refused_above_the_ceiling_before_allocating(self, name):
+    def test_refused_above_the_ceiling_before_allocating(self, traced_peak, name):
         q = 99999989  # prime, above DEFAULT_SOLVE_CEILING
         assert q > lambdasums.DEFAULT_SOLVE_CEILING
         divisors(q)
-
-        def evaluate():
-            with pytest.raises(BudgetError, match="ceiling"):
-                TABLE_BUILDERS[name](q)
-
-        _, peak = _traced(evaluate)
-        assert peak < 2**20
+        with traced_peak() as traced, pytest.raises(BudgetError, match="ceiling"):
+            TABLE_BUILDERS[name](q)
+        assert traced.peak < 2**20
 
     @pytest.mark.parametrize("evaluate,q", [(lambda_fast_odd, 2**33 + 1),
                                             (lambda_any, 2 * (2**33 + 1))])
@@ -559,17 +544,13 @@ class TestTableLifetime:
 
     @pytest.mark.parametrize("name", ["gauss_direct_table", "lambda_direct_table",
                                       "lambda_any_table"])
-    def test_grid_refused_above_the_ceiling_before_allocating(self, name):
+    def test_grid_refused_above_the_ceiling_before_allocating(self, traced_peak, name):
         # q^2 residue pairs just above the ceiling; the grid would take ~256 MiB
         q = math.isqrt(lambdasums.DEFAULT_SOLVE_CEILING) + 1
         assert q == 4097
         build = {"gauss_direct_table": lambda q: expsums.gauss_direct_table(q, np.arange(q)),
                  "lambda_direct_table": lambda_direct_table,
                  "lambda_any_table": lambda_any_table}[name]
-
-        def evaluate():
-            with pytest.raises(BudgetError, match="ceiling"):
-                build(q)
-
-        _, peak = _traced(evaluate)
-        assert peak < 2**20
+        with traced_peak() as traced, pytest.raises(BudgetError, match="ceiling"):
+            build(q)
+        assert traced.peak < 2**20

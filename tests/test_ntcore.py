@@ -1,6 +1,5 @@
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,15 +357,11 @@ class TestPrimesAndDivisors:
         assert primes_upto(1).size == 0
         assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
-    def test_primes_upto_peak_is_flags_and_primes(self):
+    def test_primes_upto_peak_is_flags_and_primes(self, traced_peak):
         limit = 4_000_000
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             primes = primes_upto(limit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (limit + 1) + primes.nbytes + 2**20
+        assert traced.peak < (limit + 1) + primes.nbytes + 2**20
 
     def test_primes_upto_rejects_limit_beyond_budget(self):
         with pytest.raises(BudgetError):

@@ -2,7 +2,6 @@ import inspect
 import math
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,34 +211,19 @@ def test_gauss_reduce_checks_the_scalar_reduction(monkeypatch):
                                    for f in result.failures)
 
 
-@pytest.mark.parametrize("suite", [suite_gauss_reduce, suite_gauss_closed])
-def test_gauss_suites_hold_no_second_grid(suite):
-    # at the default qmax the q x q grid of G(q) is the one grid held; the
-    # reduced grid and the full closed-form rows peaked at 6.3 and 7.0 MiB
-    tracemalloc.start()
-    try:
-        assert suite().ok
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 2**20
-
-
 @pytest.mark.parametrize("suite,cap,checks", [(suite_gauss_reduce, 2 * 2**20, 1200),
                                               (suite_gauss_closed, 2 * 2**20, 18935),
                                               (suite_tau_growth, 1.5 * 2**20, 100_000)])
-def test_suites_work_in_slabs(suite, cap, checks):
+def test_suites_work_in_slabs(traced_peak, suite, cap, checks):
     # the Gauss suites build only the rows of each slab they compare, and
     # tau-growth checks 2^14 values per step, with every check still made;
-    # with whole grids and whole arrays they peaked at 4.2, 4.7 and 2.7 MiB
-    tracemalloc.start()
-    try:
+    # with whole grids and whole arrays they peaked at 4.2, 4.7 and 2.7
+    # MiB, and with a second grid (the reduced grid of G(q/d), the full
+    # closed-form rows) at 6.3 and 7.0 MiB
+    with traced_peak() as traced:
         result = suite()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert result.ok and result.checked == checks
-    assert peak <= cap
+    assert traced.peak <= cap
 
 
 @pytest.mark.parametrize("hi", [36, 100, 2520, 3000, 2**14, 2**14 + 1, 3 * 2**14 + 5])
