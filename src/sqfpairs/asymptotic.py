@@ -247,8 +247,8 @@ def harmonic_lambda_sums(q: int, D):
     twisted by inv(2) mod q1; for 4 | q, lam vanishes and so do U and V.
 
     D is an int, giving floats U and V, or a 1-D integer array, giving
-    arrays with one entry per D; the weights are summed CHUNK_ENTRIES
-    values n at a time.  The modulus is checked against the per-residue
+    arrays with one entry per D (empty for an empty D); the weights are
+    summed CHUNK_ENTRIES values n at a time.  The modulus is checked against the per-residue
     ceiling, then sigma(q) complex class values, the rows' tables at
     RESIDUE_BYTES a residue, and _HARMONIC_BYTES per (D, residue) and
     per n of a chunk are stated to the budget before anything is
@@ -265,10 +265,10 @@ def harmonic_lambda_sums(q: int, D):
     q1 = q // 2 if half else q
     chunk = expsums.CHUNK_ENTRIES
     check_bytes(16 * sum(divisors(q1)) + expsums.RESIDUE_BYTES * q1
-                + _HARMONIC_BYTES * (Ds.size * q + min(chunk, int(Ds.max()))),
+                + _HARMONIC_BYTES * (Ds.size * q + min(chunk, int(Ds.max(initial=0)))),
                 f"harmonic_lambda_sums({q}) on {Ds.size} values of D")
     U, V = np.zeros(Ds.size), np.zeros(Ds.size)
-    if q % 4:
+    if q % 4 and Ds.size:
         # row i holds w for D[i], or [W_0 | W_1] when half: W_p(a) sums the
         # 1/n with n = p (mod 2) and inv(2) n = a (mod q1)
         weights = np.zeros((Ds.size, q))

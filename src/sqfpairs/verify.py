@@ -608,22 +608,16 @@ def suite_rho_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     return rec.result()
 
 
-# Harmonic-sum envelope grid: every modulus up to 48 not divisible by 8,
-# a spread of larger ones up to 500, and D spanning three orders of
-# magnitude.
-ENVELOPE_Q_GRID = [q for q in range(1, 49) if q % 8] + [
-    q for q in range(55, 501, 7) if q % 8
-]
-ENVELOPE_D_GRID = (2, 10, 100, 1000)
-
-
 def suite_harmonic_envelope(seed=DEFAULT_SEED) -> SuiteResult:
-    """U/(q^0.7 D^0.2) and V/(q^0.7 D^0.2) stay below 20 on the grid."""
+    """U/(q^0.7 D^0.2) and V/(q^0.7 D^0.2) stay below 20 on the grid:
+    every modulus up to 48 not divisible by 8, a spread of larger ones up
+    to 500, and D spanning three orders of magnitude."""
     rec = _Recorder("harmonic-envelope")
-    D = np.array(ENVELOPE_D_GRID)
-    D_scale = np.array([d**0.2 for d in ENVELOPE_D_GRID])
+    grid = (2, 10, 100, 1000)
+    D = np.array(grid)
+    D_scale = np.array([d**0.2 for d in grid])
     worst_u = worst_v = 0.0
-    for q in ENVELOPE_Q_GRID:
+    for q in [q for q in range(1, 49) if q % 8] + [q for q in range(55, 501, 7) if q % 8]:
         U, V = asymptotic.harmonic_lambda_sums(q, D)
         u, v = U / (q**0.7 * D_scale), V / (q**0.7 * D_scale)
         worst_u, worst_v = max(worst_u, u.max()), max(worst_v, v.max())
@@ -631,14 +625,11 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     return rec.result(notes=f"max U ratio {worst_u:.2f}, max V ratio {worst_v:.2f}")
 
 
-SCAN_LADDER = (250, 500, 1000, 2000, 4000)
-
-
 def suite_scan_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     """Every |E(H)| under 5 * H^1.5 and the fitted exponent at most 1.6."""
     rec = _Recorder("scan-envelope")
     P = 10**5
-    result = asymptotic.error_scan(SCAN_LADDER, P)
+    result = asymptotic.error_scan((250, 500, 1000, 2000, 4000), P)
     for row in result.rows:
         cap = 5.0 * row.H**1.5
         rec.check(abs(row.E) <= cap, "H={H}: |E|={E:.1f} > {cap:.1f}", H=row.H, E=abs(row.E), cap=cap)

@@ -338,6 +338,15 @@ class TestHarmonicSums:
         U, V = harmonic_lambda_sums(9, 12)
         assert type(U) is float and type(V) is float
 
+    @pytest.mark.parametrize("q", [1, 4, 9, 10, 25])
+    def test_empty_D_gives_empty_arrays(self, q):
+        # as the other broadcast evaluators give an empty result for an
+        # empty argument; the modulus is still checked
+        U, V = harmonic_lambda_sums(q, np.array([], dtype=int))
+        assert U.shape == V.shape == (0,) and U.dtype == V.dtype == float
+        with pytest.raises(ValueError):
+            harmonic_lambda_sums(8, np.array([], dtype=int))
+
     @pytest.mark.parametrize("q", [130, 147, 193])
     def test_slabs_match_the_full_table(self, q):
         # the sums over gcd classes and square sums equal the sums over the
