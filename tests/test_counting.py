@@ -589,6 +589,50 @@ def test_probe_geometry_against_mobius(mu_to_200, segment, block, values, stride
     assert got == want
 
 
+@st.composite
+def window_walks(draw):
+    """Segment bytes, the widest rectangle's bytes, the sieve's bytes, and
+    (first, last) rectangles in increasing order of first index, each
+    spanning at most the widest's bytes."""
+    seg, widest, nbytes = draw(st.integers(1, 64)), draw(st.integers(1, 200)), draw(st.integers(1, 3000))
+    firsts = sorted(draw(st.lists(st.integers(0, 8 * nbytes - 1), min_size=1, max_size=30)))
+    return seg, widest, nbytes, [
+        (first, draw(st.integers(first, min(8 * ((first >> 3) + widest), 8 * nbytes) - 1)))
+        for first in firsts]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(walk=window_walks())
+def test_window_reads_every_rectangle_and_no_dropped_byte_again(walk):
+    # a buffer of the widest rectangle and two segments (the whole sieve
+    # when that is smaller), as _probe_ladder sizes it: each rectangle lies
+    # in the window and counts what the source's bytes flag at every index
+    # from its first to its last, and the recording source fills each
+    # byte once, in order, so no byte the window dropped is wanted again
+    from sqfpairs import counting
+    seg, widest, nbytes, rects = walk
+    data = np.random.default_rng(nbytes).integers(0, 256, nbytes, dtype=np.uint8)
+    flags = np.unpackbits(data, bitorder="little")
+    filled = []
+
+    class Source:
+        def fill(self, lo, out):
+            assert lo % 8 == 0
+            filled.extend(range(lo >> 3, (lo >> 3) + out.size))
+            out[:] = data[lo >> 3 : (lo >> 3) + out.size]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_SEGMENT_BITS", 8 * seg)
+        buffer = np.empty(min(nbytes, widest + 2 * seg), dtype=np.uint8)
+        win = counting._Window(buffer, nbytes, Source(), 8 * widest)
+        for first, last in rects:
+            cols = np.arange(last - first + 1, dtype=np.uint32)
+            got = win.count(first, last, cols, np.array([first], dtype=np.uint32), None)
+            assert 8 * win.b0 <= first and last >> 3 < win.end <= win.b0 + buffer.size
+            assert got == 2 * int(flags[first : last + 1].sum())
+    assert filled == sorted(set(filled))
+
+
 def test_probe_refused_before_its_window(traced_peak):
     with traced_peak() as traced, budget_scope(10**5), \
             pytest.raises(BudgetError, match="pair probe"):

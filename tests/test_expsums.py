@@ -17,7 +17,7 @@ from sqfpairs.expsums import (
     phase_table,
     unit_table,
 )
-from sqfpairs.ntcore import BudgetError, budget_scope, tau
+from sqfpairs.ntcore import BudgetError, budget_scope
 
 
 def gauss_oracle(q, n, m):
@@ -160,14 +160,6 @@ class TestGaussClosedOdd:
         assert gauss_closed_odd(11, big, -big) == gauss_closed_odd(11, big % 11, -big % 11)
 
 
-class TestGaussSquareIdentity:
-    def test_square_identity_sample(self):
-        for q in range(1, 402, 2):
-            g = gauss_direct(q, 1, 0)
-            target = q if q % 4 == 1 else -q
-            assert abs(g * g - target) <= 1e-6 * q
-
-
 class TestKloosterman:
     def test_modulus_one(self):
         assert kloosterman_direct(1, 5, -3) == 1
@@ -189,14 +181,6 @@ class TestKloosterman:
             q = rng.randrange(1, 60)
             n, m = rng.randrange(-q, q + 1), rng.randrange(-q, q + 1)
             assert complex_close(kloosterman_direct(q, n, m), kloosterman_oracle(q, n, m))
-
-    def test_weil_bound_sample(self):
-        rng = random.Random(43)
-        for _ in range(300):
-            q = rng.randrange(1, 500)
-            n, m = rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-2 * q, 2 * q + 1)
-            bound = tau(q) * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
-            assert abs(kloosterman_direct(q, n, m)) <= bound + 1e-7
 
     def test_diagonal_is_real(self):
         for q in range(1, 120):

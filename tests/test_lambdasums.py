@@ -437,26 +437,6 @@ class TestBatchTables:
                 assert err <= LAMBDA_TOLERANCE * q, (q, err)
 
 
-class TestBounds:
-    def test_divisor_bound_sample(self):
-        from sqfpairs.ntcore import tau
-        rng = random.Random(121)
-        for _ in range(300):
-            q = rng.randrange(1, 400)
-            if q % 8 == 0:
-                continue
-            n, m = rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-2 * q, 2 * q + 1)
-            bound = 16 * tau(q) ** 2 * math.sqrt(q) * math.sqrt(math.gcd(q, n, m))
-            assert abs(lambda_direct(q, n, m)) <= bound + 1e-7
-
-    def test_prime_square_lift(self):
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            lp = len(solve_circle(p))
-            lp2 = len(solve_circle(p * p))
-            assert lp2 == p * lp
-            assert lp == p - (1 if p % 4 == 1 else -1)
-
-
 # Every evaluator, called with modulus q and valid arguments n = 2, m = 3
 # (q = 15 is odd, so every contract admits it).
 EVALUATORS = {

@@ -207,13 +207,6 @@ class TestJacobi:
                 a = rng.randrange(-5 * p, 5 * p)
                 assert jacobi(a, p) == euler_criterion(a, p)
 
-    def test_multiplicative_in_numerator(self):
-        rng = random.Random(6)
-        for _ in range(500):
-            q = 2 * rng.randrange(0, 10**4) + 1
-            a, b = rng.randrange(-10**4, 10**4), rng.randrange(-10**4, 10**4)
-            assert jacobi(a, q) * jacobi(b, q) == jacobi(a * b, q)
-
     def test_factors_through_prime_decomposition(self):
         rng = random.Random(13)
         for _ in range(200):
