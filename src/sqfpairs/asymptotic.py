@@ -201,12 +201,14 @@ def rho_fourier(D: float, t):
     over 1 <= n <= D.  t is a float, giving a float, or an array of
     floats, giving an array of its shape; the terms of every t are summed
     in one pass, so the caller bounds the (t x D) phases it asks for.  D
-    is a finite number >= 2 (not a bool), else ValueError."""
+    is a finite number >= 2 (not a bool), else ValueError.  States 32
+    bytes per (t, n) phase plus 16 per n to `check_bytes`."""
     if (not isinstance(D, (int, float, np.integer, np.floating)) or isinstance(D, bool)
             or not 2 <= D < math.inf):
         raise ValueError(f"D must be a finite number >= 2, got {D!r}")
-    n = np.arange(1, int(D) + 1)
     t = np.asarray(t, dtype=float)
+    check_bytes((32 * t.size + 16) * int(D), f"rho_fourier({int(D)}) at {t.size} points")
+    n = np.arange(1, int(D) + 1)
     # e(nt) as the running product of e(t) along n: one exp per t, of
     # t - round(t), which is exact and keeps the angle's rounding small
     phase = np.empty(t.shape + n.shape, dtype=complex)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import asymptotic, counting, lambdasums, verify  # the last two load on first use
-from .ntcore import BudgetError, _check_modulus, budget_scope, memory_budget
+from .ntcore import BudgetError, _check_modulus, _env_integer, budget_scope, memory_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,12 +209,8 @@ def main(argv=None) -> int:
         return EXIT_OK if code in (None, 0) else EXIT_USAGE
     try:
         if "threads" in args:  # count and scan: the flag, else SQFPAIRS_THREADS, else 1
-            if args.threads is None:  # an empty variable counts as unset
-                env = os.environ.get("SQFPAIRS_THREADS")
-                try:
-                    args.threads = int(env) if env else 1
-                except ValueError:
-                    raise ValueError(f"SQFPAIRS_THREADS must be an integer, got {env!r}") from None
+            if args.threads is None:
+                args.threads = _env_integer("SQFPAIRS_THREADS", 1)
             _check_modulus(args.threads, "threads")
         # resolved once; a budget <= 0 is a usage error for every command
         budget = memory_budget() if args.memory_budget is None else args.memory_budget

@@ -97,7 +97,8 @@ class SquarefreeSieve:
     def count_squarefree(self, upto: int) -> int:
         """Number of squarefree n with 1 <= n <= upto: the odd ones, plus
         one 2m for each squarefree odd m <= upto/2."""
-        if not 1 <= upto <= self.limit:
+        upto = _check_modulus(upto, "upto")
+        if upto > self.limit:
             raise ValueError(f"upto must be in [1, {self.limit}], got {upto}")
         return self._count_bits((upto + 1) // 2) + self._count_bits((upto // 2 + 1) // 2)
 

@@ -59,14 +59,20 @@ def memory_budget() -> int:
     raises ValueError."""
     budget = _BUDGET.get()
     if budget is None:
-        env = os.environ.get("SQFPAIRS_MEMORY_BUDGET")
-        try:
-            budget = int(env) if env else DEFAULT_MEMORY_BUDGET
-        except ValueError:
-            raise ValueError(f"SQFPAIRS_MEMORY_BUDGET must be an integer, got {env!r}") from None
+        budget = _env_integer("SQFPAIRS_MEMORY_BUDGET", DEFAULT_MEMORY_BUDGET)
     if budget <= 0:
         raise ValueError(f"memory budget must be positive, got {budget}")
     return budget
+
+
+def _env_integer(name: str, default: int) -> int:
+    """The environment variable `name` as an int, `default` when it is
+    unset or empty; ValueError naming it when it is not an integer."""
+    env = os.environ.get(name)
+    try:
+        return int(env) if env else default
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {env!r}") from None
 
 
 def _integer(n, name: str) -> int:

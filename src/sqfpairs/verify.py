@@ -5,6 +5,9 @@ quantity (direct summation, exhaustive enumeration, a proved bound) over
 a fixed grid plus seeded random samples, and reports how many checks ran
 and which failed.  A suite takes its seed alone and fixes its sweep in
 its body, so the CLI `verify` command and the tests run the same checks.
+A suite is declared once, as `@_suite(name)` on a body `(rec, rng)` that
+records into `rec`, draws from `rng` (seeded by the suite's seed) and
+returns its notes, if any; ALL_SUITES lists the suites in declaration order.
 
 A suite records its checks through one call, `check(ok, message, **fields)`.
 `ok` is a bool or a bool array, one check per entry, so a sweep over a
@@ -96,13 +99,35 @@ class _Recorder:
         )
 
 
+# suite name -> suite, in declaration order; filled by _suite
+ALL_SUITES = {}
+
+
+def _suite(name):
+    """Declare `body(rec, rng)` as the suite `name`: `suite(seed)` records
+    into `_Recorder(name)` with `random.Random(seed)` and returns its
+    result, with the notes `body` returns (if any).  The suite keeps the
+    body's name and docstring and joins ALL_SUITES."""
+    def declare(body):
+        def suite(seed=DEFAULT_SEED) -> SuiteResult:
+            rec = _Recorder(name)
+            return rec.result(body(rec, random.Random(seed)) or "")
+
+        # no functools.wraps: its __wrapped__ would give the suite the
+        # body's (rec, rng) signature
+        suite.__name__, suite.__qualname__, suite.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        ALL_SUITES[name] = suite
+        return suite
+    return declare
+
+
 # ---------------------------------------------------------------------------
 # number theory primitives
 # ---------------------------------------------------------------------------
 
-def suite_mobius_identity(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("mobius-identity")
+def suite_mobius_identity(rec, rng):
     """sum of mu(d) over d^2 | n equals mu(n)^2, per-value mu as oracle."""
-    rec = _Recorder("mobius-identity")
     limit = 10_000
     mu_small = ntcore.mobius_sieve(math.isqrt(limit))
     acc = np.zeros(limit + 1, dtype=np.int64)
@@ -111,13 +136,11 @@ def suite_mobius_identity(seed=DEFAULT_SEED) -> SuiteResult:
     expect = np.array([ntcore.mobius(n) ** 2 for n in range(1, limit + 1)])
     rec.check(acc[1:] == expect, "n={n}: sum={s} mu^2={e}",
               n=np.arange(1, limit + 1), s=acc[1:], e=expect)
-    return rec.result()
 
 
-def suite_inverse_involution(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("inverse-involution")
+def suite_inverse_involution(rec, rng):
     """mod_inverse applied twice returns to the start."""
-    rec = _Recorder("inverse-involution")
-    rng = random.Random(seed)
     for _ in range(500):
         q = rng.randrange(2, 10**6)
         k = rng.randrange(1, q)
@@ -126,13 +149,11 @@ def suite_inverse_involution(seed=DEFAULT_SEED) -> SuiteResult:
         r = ntcore.mod_inverse(k, q)
         rec.check(k * r % q == 1 and ntcore.mod_inverse(r, q) == k % q,
                   "k={k} q={q} inv={r}", k=k, q=q, r=r)
-    return rec.result()
 
 
-def suite_jacobi(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("jacobi")
+def suite_jacobi(rec, rng):
     """Complete multiplicativity, plus the per-prime Euler-criterion oracle."""
-    rec = _Recorder("jacobi")
-    rng = random.Random(seed)
 
     def euler(a, p):
         if a % p == 0:
@@ -152,12 +173,11 @@ def suite_jacobi(seed=DEFAULT_SEED) -> SuiteResult:
             a = rng.randrange(-3 * p, 3 * p)
             rec.check(ntcore.jacobi(a, p) == euler(a, p),
                       "jacobi({a},{p}) != euler criterion", a=a, p=p)
-    return rec.result()
 
 
-def suite_sqrt_mod(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("sqrt-mod-exhaustive")
+def suite_sqrt_mod(rec, rng):
     """sqrt_mod returns exactly the exhaustive root set for all odd p^e <= 2000."""
-    rec = _Recorder("sqrt-mod-exhaustive")
     for p in ntcore.primes_upto(2000)[1:].tolist():
         e = 1
         while p**e <= 2000:
@@ -182,7 +202,6 @@ def suite_sqrt_mod(seed=DEFAULT_SEED) -> SuiteResult:
                 ok = np.array([g == w for g, w in zip(got, want)])
             rec.check(ok, "sqrt_mod({a},{p},{e})={g} want {w}", a=y, p=p, e=e, g=got, w=want)
             e += 1
-    return rec.result()
 
 
 # Values n checked per step by suite_tau_growth.
@@ -198,9 +217,9 @@ def _divisor_counts(hi):
     return counts
 
 
-def suite_tau_growth(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("tau-growth")
+def suite_tau_growth(rec, rng):
     """tau(n) <= n everywhere and tau(n) <= n**0.6 beyond 1e4."""
-    rec = _Recorder("tau-growth")
     lo, hi = 10_000, 100_000
     counts = _divisor_counts(hi)
     worst = 0.0
@@ -211,7 +230,7 @@ def suite_tau_growth(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check((t <= n) & ((n <= lo) | (t <= cap)), "tau({n})={t}", n=n, t=t)
         beyond = n > lo
         worst = max(worst, (t[beyond] / cap[beyond]).max(initial=0.0))
-    return rec.result(notes=f"max tau(n)/n^0.6 = {worst:.3f}")
+    return f"max tau(n)/n^0.6 = {worst:.3f}"
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +243,9 @@ def _columns(pairs):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
-def suite_weil_bound(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("weil-bound")
+def suite_weil_bound(rec, rng):
     """|K(q;n,m)| <= tau(q) sqrt(q) sqrt(gcd(q,n,m)), random arguments."""
-    rec = _Recorder("weil-bound")
-    rng = random.Random(seed)
     for q in range(1, 2001):
         tq = ntcore.tau(q)
         n, m = _columns([(rng.randrange(-3 * q, 3 * q + 1), rng.randrange(-3 * q, 3 * q + 1))
@@ -236,18 +254,16 @@ def suite_weil_bound(seed=DEFAULT_SEED) -> SuiteResult:
         bound = tq * math.sqrt(q) * np.sqrt(np.gcd(np.gcd(n, m), q))
         rec.check(val <= bound + 1e-7, "|K({q};{n},{m})|={v:.6f} > {b:.6f}",
                   q=q, n=n, m=m, v=val, b=bound)
-    return rec.result()
 
 
-def suite_gauss_square(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("gauss-square")
+def suite_gauss_square(rec, rng):
     """G(q;1,0)^2 = (-1)**((q-1)/2) * q for odd q, within 1e-6 relative."""
-    rec = _Recorder("gauss-square")
     for q in range(1, 2002, 2):
         g = expsums.gauss_direct(q, 1, 0)
         target = complex(q if q % 4 == 1 else -q)
         rec.check(abs(g * g - target) <= 1e-6 * q, "G({q};1)^2 = {g2:.8f}, want {t}",
                   q=q, g2=g * g, t=int(target.real))
-    return rec.result()
 
 
 # Rows n of a Gauss grid built and compared per step by the Gauss suites.
@@ -265,10 +281,9 @@ def _gauss_entries(q, n, m):
     return expsums.gauss_direct_table(q, n)[np.arange(n.size), m]
 
 
-def suite_gauss_reduce(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("gauss-reduce-vs-direct")
+def suite_gauss_reduce(rec, rng):
     """gcd-reduction evaluator equals direct summation for all (n, m)."""
-    rec = _Recorder("gauss-reduce-vs-direct")
-    rng = random.Random(seed)
     for q in range(1, 301):
         gcds = np.gcd(np.arange(q), q)
         n, m = _columns([(rng.randrange(q), rng.randrange(q)) for _ in range(3)])
@@ -295,13 +310,11 @@ def suite_gauss_reduce(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check(complex_close(sampled, [expsums.gauss_direct(q, *nm) for nm in pairs])
                   & complex_close(sampled, [expsums.gauss_reduce(q, *nm) for nm in pairs]),
                   "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
-    return rec.result()
 
 
-def suite_gauss_closed(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("gauss-closed-vs-direct")
+def suite_gauss_closed(rec, rng):
     """Closed-form odd-q evaluator equals direct summation for all valid (n, m)."""
-    rec = _Recorder("gauss-closed-vs-direct")
-    rng = random.Random(seed)
     for q in range(1, 302, 2):
         units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # [0] for q = 1
         err = []
@@ -318,19 +331,16 @@ def suite_gauss_closed(seed=DEFAULT_SEED) -> SuiteResult:
         n, m = _columns([(units[rng.randrange(units.size)], rng.randrange(q)) for _ in range(3)])
         rec.check(complex_close(expsums.gauss_closed_odd(q, n, m), _gauss_entries(q, n, m)),
                   "sampled closed mismatch at ({q};{n},{m})", q=q, n=n, m=m)
-    return rec.result()
 
 
-def suite_kloosterman_real(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("kloosterman-diagonal-real")
+def suite_kloosterman_real(rec, rng):
     """K(q;n,n) is real: pairing x with inv(x) conjugates the terms."""
-    rec = _Recorder("kloosterman-diagonal-real")
-    rng = random.Random(seed)
     for q in range(1, 501):
         n = np.array([0, 1, rng.randrange(q) if q > 1 else 0])
         val = expsums.kloosterman_direct(q, n, n)
         rec.check(np.abs(val.imag) <= 1e-7 * np.maximum(1.0, np.abs(val)),
                   "K({q};{n},{n}) = {v}", q=q, n=n, v=val)
-    return rec.result()
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +351,9 @@ def _random_nm(rng, q):
     return rng.randrange(-2 * q, 2 * q + 1), rng.randrange(-2 * q, 2 * q + 1)
 
 
-def suite_lambda_bound(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-bound")
+def suite_lambda_bound(rec, rng):
     """|lam(q;n,m)| <= 16 tau(q)^2 sqrt(q) sqrt(gcd(q,n,m)) for 8 not | q."""
-    rec = _Recorder("lambda-bound")
-    rng = random.Random(seed)
     for q in range(1, 1501):
         if q % 8 == 0:
             continue
@@ -354,12 +363,11 @@ def suite_lambda_bound(seed=DEFAULT_SEED) -> SuiteResult:
         bound = 16 * tq * tq * math.sqrt(q) * np.sqrt(np.gcd(np.gcd(n, m), q))
         rec.check(val <= bound + 1e-7, "|lam({q};{n},{m})|={v:.4f} > {b:.4f}",
                   q=q, n=n, m=m, v=val, b=bound)
-    return rec.result()
 
 
-def suite_lambda_growth(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-growth")
+def suite_lambda_growth(rec, rng):
     """Solution counts grow subquadratically: max lam(q)/q**1.2 < 1."""
-    rec = _Recorder("lambda-growth")
     worst = 0.0
     for q in range(501, 1501):
         if q % 8 == 0:
@@ -367,16 +375,14 @@ def suite_lambda_growth(seed=DEFAULT_SEED) -> SuiteResult:
         ratio = len(lambdasums.solve_circle(q)) / q**1.2
         worst = max(worst, ratio)
         rec.check(ratio < 1.0, "lam({q})/q^1.2 = {r:.3f}", q=q, r=ratio)
-    return rec.result(notes=f"max lam(q)/q^1.2 = {worst:.3f}")
+    return f"max lam(q)/q^1.2 = {worst:.3f}"
 
 
-def _lambda_agreement(name, evaluate, message, seed, step) -> SuiteResult:
+def _lambda_agreement(rec, rng, evaluate, message, step):
     """`evaluate` equals direct summation within LAMBDA_TOLERANCE * q at
     (0, 0) and 10 seeded (n, m) for each q in range(1, 602, step) with
     8 not | q.  `message` may use q, n, m, a (the evaluator), b (direct)
     and s (their spread)."""
-    rec = _Recorder(name)
-    rng = random.Random(seed)
     for q in range(1, 602, step):
         if q % 8 == 0:
             continue
@@ -385,32 +391,33 @@ def _lambda_agreement(name, evaluate, message, seed, step) -> SuiteResult:
         direct = lambdasums.lambda_direct(q, n, m)
         spread = np.abs(got - direct)
         rec.check(spread <= LAMBDA_TOLERANCE * q, message, q=q, n=n, m=m, a=got, b=direct, s=spread)
-    return rec.result()
 
 
-def suite_lambda_fast(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-fast-vs-direct")
+def suite_lambda_fast(rec, rng):
     """Kloosterman-decomposition evaluator equals direct summation (odd q)."""
-    return _lambda_agreement("lambda-fast-vs-direct", lambdasums.lambda_fast_odd,
-                             "fast({q};{n},{m})={a:.6f} direct={b:.6f}", seed, step=2)
+    _lambda_agreement(rec, rng, lambdasums.lambda_fast_odd,
+                      "fast({q};{n},{m})={a:.6f} direct={b:.6f}", step=2)
 
 
-def suite_lambda_any(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-any-vs-direct")
+def suite_lambda_any(rec, rng):
     """Composite evaluator equals direct summation for every q with 8 not | q."""
-    return _lambda_agreement("lambda-any-vs-direct", lambdasums.lambda_any,
-                             "any({q};{n},{m})={a:.6f} direct={b:.6f}", seed, step=1)
+    _lambda_agreement(rec, rng, lambdasums.lambda_any,
+                      "any({q};{n},{m})={a:.6f} direct={b:.6f}", step=1)
 
 
-def suite_lambda_triple(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-triple-agreement")
+def suite_lambda_triple(rec, rng):
     """All applicable evaluators agree pairwise within 1e-5 * q.  For odd q
     lambda_any is lambda_fast_odd, so each q compares two evaluations."""
-    return _lambda_agreement("lambda-triple-agreement", lambdasums.lambda_any,
-                             "({q};{n},{m}): evaluator spread {s:.2e}", seed, step=1)
+    _lambda_agreement(rec, rng, lambdasums.lambda_any,
+                      "({q};{n},{m}): evaluator spread {s:.2e}", step=1)
 
 
-def suite_lambda_multiplicative(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-multiplicative")
+def suite_lambda_multiplicative(rec, rng):
     """Coprime splitting equals direct summation on the product modulus."""
-    rec = _Recorder("lambda-multiplicative")
-    rng = random.Random(seed)
     done = 0
     while done < 100:
         q1 = rng.randrange(1, 101)
@@ -424,13 +431,11 @@ def suite_lambda_multiplicative(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check(abs(a - b) <= LAMBDA_TOLERANCE * q, "mult({q1},{q2};{n},{m})={a:.6f} direct={b:.6f}",
                   q1=q1, q2=q2, n=n, m=m, a=a, b=b)
         done += 1
-    return rec.result()
 
 
-def suite_lambda_symmetry(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-symmetry")
+def suite_lambda_symmetry(rec, rng):
     """Exact q-periodicity in n and m; conjugation under (n,m) -> (-n,-m)."""
-    rec = _Recorder("lambda-symmetry")
-    rng = random.Random(seed)
     for q in range(1, 301):
         if q % 8 == 0:
             continue
@@ -441,12 +446,11 @@ def suite_lambda_symmetry(seed=DEFAULT_SEED) -> SuiteResult:
                   "periodicity broke at ({q};{n},{m})", q=q, n=n, m=m)
         rec.check(complex_close(negated, base.conjugate()),
                   "conjugation broke at ({q};{n},{m})", q=q, n=n, m=m)
-    return rec.result()
 
 
-def suite_lambda_lift(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-prime-square")
+def suite_lambda_lift(rec, rng):
     """lam(p^2) = p * lam(p) by enumeration for odd p <= 47, and lam(4) = 0."""
-    rec = _Recorder("lambda-prime-square")
     rec.check(len(lambdasums.solve_circle(4)) == 0, "lam(4) != 0")
     rec.check(asymptotic.lambda_p_squared(2) == 0, "lambda_p_squared(2) != 0")
     for p in ntcore.primes_upto(47)[1:].tolist():
@@ -457,16 +461,14 @@ def suite_lambda_lift(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check(lp2 == closed, "lam({p}^2)={a} != closed {c}", p=p, a=lp2, c=closed)
         rec.check(asymptotic.lambda_p_squared(p) == lp2,
                   "lambda_p_squared({p}) != enumeration", p=p)
-    return rec.result()
 
 
-def suite_lambda_table(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("lambda-table-consistency")
+def suite_lambda_table(rec, rng):
     """The two batched grids agree, and sampled entries agree with the
     batch evaluators.  The decomposition grid reads its large Kloosterman
     sums from FFT rows and the few samples sum them directly, so the
     samples compare the FFT-row route with the direct-sum route."""
-    rec = _Recorder("lambda-table-consistency")
-    rng = random.Random(seed)
     for q in list(range(1, 36)) + [rng.randrange(36, 151) for _ in range(20)]:
         if q % 8 == 0:
             continue
@@ -478,26 +480,23 @@ def suite_lambda_table(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check(complex_close(direct[n, m], lambdasums.lambda_direct(q, n, m))
                   & (np.abs(fast[n, m] - lambdasums.lambda_any(q, n, m)) <= LAMBDA_TOLERANCE * q),
                   "batch/scalar mismatch at ({q};{n},{m})", q=q, n=n, m=m)
-    return rec.result()
 
 
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
 
-def suite_count_oracle(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("count-oracle-equivalence")
+def suite_count_oracle(rec, rng):
     """Value sieve and congruence identity give the same exact S(H)."""
-    rec = _Recorder("count-oracle-equivalence")
     for row in counting.count_pairs_ladder([*range(1, 51), 100, 150, 200]):
         ident = counting.count_pairs_mobius(row.H)
         rec.check(row.S == ident.S, "H={H}: sieve={a} identity={b}", H=row.H, a=row.S, b=ident.S)
-    return rec.result()
 
 
-def suite_residue_count(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("residue-count")
+def suite_residue_count(rec, rng):
     """Residue counters partition [1, H] and stay within 1 of H/q."""
-    rec = _Recorder("residue-count")
-    rng = random.Random(seed)
     grid = [(H, q) for H in (1, 5, 10, 37, 100, 1000) for q in (1, 2, 3, 7, 10, 64, 97, 360)]
     grid += [(rng.randrange(1, 2000), rng.randrange(1, 500)) for _ in range(100)]
     for H, q in grid:
@@ -505,35 +504,33 @@ def suite_residue_count(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check(counts.sum() == H, "residue counts for (H={H}, q={q}) miss H", H=H, q=q)
         rec.check(np.all(np.abs(counts - H / q) <= 1),
                   "(H={H}, q={q}): some count strays beyond H/q +- 1", H=H, q=q)
-    return rec.result()
 
 
-def suite_congruent_bound(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("congruent-pair-bound")
+def suite_congruent_bound(rec, rng):
     """0 <= T(H, q) <= lam(q) * (H/q + 1)^2 on a grid."""
-    rec = _Recorder("congruent-pair-bound")
     lam = {q: len(lambdasums.solve_circle(q)) for q in range(1, 201) if q % 8}
     for H in (10, 50, 100):
         for q, lam_q in lam.items():
             t = counting.congruent_pair_count(H, q)
             cap = lam_q * (H / q + 1) ** 2
             rec.check(0 <= t <= cap, "T({H},{q})={t} outside [0, {cap:.2f}]", H=H, q=q, t=t, cap=cap)
-    return rec.result()
 
 
-def suite_squarefree_density(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("squarefree-density")
+def suite_squarefree_density(rec, rng):
     """Squarefree density over [1, N] approaches 6/pi^2."""
-    rec = _Recorder("squarefree-density")
     N = 10**6
     density = counting.build_sieve(N).count_squarefree(N) / N
     rec.check(abs(density - 0.607927) <= 0.01, "density {d:.6f}", d=density)
-    return rec.result(notes=f"density = {density:.6f}")
+    return f"density = {density:.6f}"
 
 
-def suite_truncation_report(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("truncation-report")
+def suite_truncation_report(rec, rng):
     """Report the tail dropped by truncating at z = H^(2/3), and check that
     S(H) by the value sieve minus the truncated identity sum S_z equals the
     dropped terms mu(d) * T(H, d^2), int(z) < d <= sqrt(2H^2 + 1)."""
-    rec = _Recorder("truncation-report")
     lines = []
     for row in counting.count_pairs_ladder([50, 100, 150, 200]):
         H = row.H
@@ -546,16 +543,16 @@ def suite_truncation_report(seed=DEFAULT_SEED) -> SuiteResult:
                 dropped += sign * counting.congruent_pair_count(H, d * d)
         rec.check(tail == dropped, "H={H}: S - S_z = {a} != dropped {b}", H=H, a=tail, b=dropped)
         lines.append(f"H={H} z={int(z)} |S - S_z|={abs(tail)} C={abs(tail) * z / H**2.1:.4f}")
-    return rec.result(notes="; ".join(lines))
+    return "; ".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # constant and error term
 # ---------------------------------------------------------------------------
 
-def suite_constant_consistency(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("constant-consistency")
+def suite_constant_consistency(rec, rng):
     """Doubling the cutoff moves the product by less than the tail bound."""
-    rec = _Recorder("constant-consistency")
     tails = []
     for P in (100, 1000, 10_000):
         lo = asymptotic.constant_c(P)
@@ -566,18 +563,18 @@ def suite_constant_consistency(seed=DEFAULT_SEED) -> SuiteResult:
         rec.check(0.0 < lo.value < 1.0, "c({P}) = {v} outside (0,1)", P=P, v=lo.value)
     rec.check(all(b < a for a, b in zip(tails, tails[1:])),
               "tail bounds not decreasing: {tails}", tails=tuple(tails))
-    return rec.result(notes=f"c({P}) = {lo.value:.9f}")
+    return f"c({P}) = {lo.value:.9f}"
 
 
-def suite_dirichlet_form(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("dirichlet-form")
+def suite_dirichlet_form(rec, rng):
     """Series and product forms of the constant agree within combined tails."""
-    rec = _Recorder("dirichlet-form")
     series = asymptotic.dirichlet_partial_sum(500)
     prod = asymptotic.constant_c(10_000)
     budget = asymptotic.dirichlet_tail_bound(500) + prod.tail_bound
     gap = abs(series - prod.value)
     rec.check(gap <= budget, "|series - product| = {gap:.3e} > {budget:.3e}", gap=gap, budget=budget)
-    return rec.result(notes=f"gap {gap:.2e} within {budget:.2e}")
+    return f"gap {gap:.2e} within {budget:.2e}"
 
 
 # suite_rho_envelope evaluates at most _RHO_SLAB draws t per rho_fourier
@@ -587,10 +584,9 @@ _RHO_SLAB = 32
 _RHO_PHASES = 1 << 12
 
 
-def suite_rho_envelope(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("rho-envelope")
+def suite_rho_envelope(rec, rng):
     """Sawtooth Fourier truncation error under 3 * min(1, 1/(D||t||))."""
-    rec = _Recorder("rho-envelope")
-    rng = random.Random(seed)
     for D in (10, 100, 1000):
         ts = []
         for _ in range(1000):
@@ -605,14 +601,13 @@ def suite_rho_envelope(seed=DEFAULT_SEED) -> SuiteResult:
             err = np.abs(asymptotic.rho(t) - asymptotic.rho_fourier(D, t))
             cap = 3.0 * np.minimum(1.0, 1.0 / (D * dist))
             rec.check(err <= cap, "D={D} t={t:.6f}: err {e:.4f} > {c:.4f}", D=D, t=t, e=err, c=cap)
-    return rec.result()
 
 
-def suite_harmonic_envelope(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("harmonic-envelope")
+def suite_harmonic_envelope(rec, rng):
     """U/(q^0.7 D^0.2) and V/(q^0.7 D^0.2) stay below 20 on the grid:
     every modulus up to 48 not divisible by 8, a spread of larger ones up
     to 500, and D spanning three orders of magnitude."""
-    rec = _Recorder("harmonic-envelope")
     grid = (2, 10, 100, 1000)
     D = np.array(grid)
     D_scale = np.array([d**0.2 for d in grid])
@@ -622,12 +617,12 @@ def suite_harmonic_envelope(seed=DEFAULT_SEED) -> SuiteResult:
         u, v = U / (q**0.7 * D_scale), V / (q**0.7 * D_scale)
         worst_u, worst_v = max(worst_u, u.max()), max(worst_v, v.max())
         rec.check((u <= 20) & (v <= 20), "q={q} D={D}: U/s={u:.2f} V/s={v:.2f}", q=q, D=D, u=u, v=v)
-    return rec.result(notes=f"max U ratio {worst_u:.2f}, max V ratio {worst_v:.2f}")
+    return f"max U ratio {worst_u:.2f}, max V ratio {worst_v:.2f}"
 
 
-def suite_scan_envelope(seed=DEFAULT_SEED) -> SuiteResult:
+@_suite("scan-envelope")
+def suite_scan_envelope(rec, rng):
     """Every |E(H)| under 5 * H^1.5 and the fitted exponent at most 1.6."""
-    rec = _Recorder("scan-envelope")
     P = 10**5
     result = asymptotic.error_scan((250, 500, 1000, 2000, 4000), P)
     for row in result.rows:
@@ -637,40 +632,7 @@ def suite_scan_envelope(seed=DEFAULT_SEED) -> SuiteResult:
     if result.alpha is not None:
         rec.check(result.alpha <= 1.6, "alpha = {a:.4f} > 1.6", a=result.alpha)
     alpha = "n/a" if result.alpha is None else f"{result.alpha:.4f}"
-    return rec.result(notes=f"alpha = {alpha}, c = {result.c:.9f} (P = {P})")
-
-
-ALL_SUITES = {
-    "mobius-identity": suite_mobius_identity,
-    "inverse-involution": suite_inverse_involution,
-    "jacobi": suite_jacobi,
-    "sqrt-mod-exhaustive": suite_sqrt_mod,
-    "tau-growth": suite_tau_growth,
-    "weil-bound": suite_weil_bound,
-    "gauss-square": suite_gauss_square,
-    "gauss-reduce-vs-direct": suite_gauss_reduce,
-    "gauss-closed-vs-direct": suite_gauss_closed,
-    "kloosterman-diagonal-real": suite_kloosterman_real,
-    "lambda-bound": suite_lambda_bound,
-    "lambda-growth": suite_lambda_growth,
-    "lambda-fast-vs-direct": suite_lambda_fast,
-    "lambda-any-vs-direct": suite_lambda_any,
-    "lambda-triple-agreement": suite_lambda_triple,
-    "lambda-multiplicative": suite_lambda_multiplicative,
-    "lambda-symmetry": suite_lambda_symmetry,
-    "lambda-prime-square": suite_lambda_lift,
-    "lambda-table-consistency": suite_lambda_table,
-    "count-oracle-equivalence": suite_count_oracle,
-    "residue-count": suite_residue_count,
-    "congruent-pair-bound": suite_congruent_bound,
-    "squarefree-density": suite_squarefree_density,
-    "truncation-report": suite_truncation_report,
-    "constant-consistency": suite_constant_consistency,
-    "dirichlet-form": suite_dirichlet_form,
-    "rho-envelope": suite_rho_envelope,
-    "harmonic-envelope": suite_harmonic_envelope,
-    "scan-envelope": suite_scan_envelope,
-}
+    return f"alpha = {alpha}, c = {result.c:.9f} (P = {P})"
 
 
 def run_suites(names=None, seed=DEFAULT_SEED) -> list[SuiteResult]:

@@ -50,6 +50,7 @@ def _congruent_pair_count(H):
     (asymptotic.constant_c, 10**6),
     (asymptotic.constant_c, 5 * 10**6),
     (_congruent_pair_count, 10**6),
+    pytest.param(partial(asymptotic.rho_fourier, t=np.zeros(16)), 10**4, id="rho_fourier-10000"),
 ])
 def test_peak_is_within_the_stated_bytes(monkeypatch, traced_peak, allocate, n):
     # the pair probe's own statement bounds its trace in
@@ -65,6 +66,19 @@ def test_peak_is_within_the_stated_bytes(monkeypatch, traced_peak, allocate, n):
     with traced_peak() as traced:
         allocate(n)
     assert stated and traced.peak <= max(stated)
+
+
+@pytest.mark.parametrize("budget,D,t", [
+    pytest.param(10**5, 10**4, np.zeros(16), id="D10000-16-points"),
+    pytest.param(ntcore.DEFAULT_MEMORY_BUDGET, 10**12, 0.3, id="D1e12"),
+])
+def test_rho_fourier_refused_before_its_phases(traced_peak, budget, D, t):
+    # unrefused, the first ran on 4 MB of phases and the second ended in
+    # numpy's MemoryError
+    with traced_peak() as traced, budget_scope(budget), \
+            pytest.raises(ntcore.BudgetError, match="rho_fourier"):
+        asymptotic.rho_fourier(D, t)
+    assert traced.peak < 64 * 2**10
 
 
 def test_a_larger_budget_raises_the_ceiling(monkeypatch):

@@ -82,10 +82,13 @@ class TestBuildSieve:
     def test_refuses_bools_and_floats(self, bad):
         with pytest.raises(ValueError, match="N must be a positive integer"):
             build_sieve(bad)
+        with pytest.raises(ValueError, match="upto must be a positive integer"):
+            build_sieve(10).count_squarefree(bad)
 
     def test_takes_numpy_integers(self):
         sieve = build_sieve(np.int64(10))
         assert type(sieve.limit) is int and sieve.count_squarefree(10) == 7
+        assert sieve.count_squarefree(np.int64(10)) == 7
 
     def test_single_entry(self):
         sieve = build_sieve(1)
