@@ -141,6 +141,7 @@ class ScanResult:
     rows: list[ScanRow]
     alpha: float | None  # least-squares slope of log|E| vs log H
     c: float
+    c_tail_bound: float  # bounds |log(c / the true c)|, from `constant_c`
     cutoff: int
     excluded: list[int]  # H values dropped from the fit because E = 0
     sieve_elapsed: float  # seconds spent building sieve segments, summed over the probe's runs
@@ -160,8 +161,8 @@ def error_scan(
     S(H) comes from one probe of the value sieve up to the largest H (see
     `count_pairs_ladder`), which builds the sieve a window at a time as it
     reads it; `sieve_elapsed` is the time spent building those windows,
-    and is also part of each row's `elapsed`.  c comes from
-    `constant_c(P)`.  The fitted exponent is the least-squares
+    and is also part of each row's `elapsed`.  c and `c_tail_bound` come
+    from `constant_c(P)`.  The fitted exponent is the least-squares
     slope of log|E| against log H; rows with E = 0 are excluded and
     reported, and the fit is skipped (alpha None) below 4 usable rows.
     P is checked first; the probe's windows are freed before `constant_c`
@@ -170,8 +171,9 @@ def error_scan(
     H_values = _check_ladder(H_values)
     P = _check_cutoff(P)
     reports, sieve_elapsed = _probe_ladder(H_values, threads=threads)
-    c = constant_c(P).value
-    rows = [ScanRow(rep.H, rep.S, rep.S - c * rep.H * rep.H, rep.elapsed) for rep in reports]
+    est = constant_c(P)
+    rows = [ScanRow(rep.H, rep.S, rep.S - est.value * rep.H * rep.H, rep.elapsed)
+            for rep in reports]
     usable = [r for r in rows if r.E != 0.0]
     excluded = [r.H for r in rows if r.E == 0.0]
     if len(usable) >= _MIN_FIT_ROWS:
@@ -184,7 +186,7 @@ def error_scan(
         alpha = float((dx * dy).sum() / (dx * dx).sum())
     else:
         alpha = None
-    return ScanResult(rows, alpha, c, P, excluded, sieve_elapsed)
+    return ScanResult(rows, alpha, est.value, est.tail_bound, P, excluded, sieve_elapsed)
 
 
 def rho(t: float) -> float:

@@ -157,6 +157,7 @@ def _cmd_scan(args) -> int:
             "rows": [dataclasses.asdict(r) for r in result.rows],
             "alpha": alpha,
             "c": result.c,
+            "c_tail_bound": result.c_tail_bound,
             "P": result.cutoff,
             "excluded": result.excluded,
             "sieve_seconds": result.sieve_elapsed,
@@ -211,6 +212,8 @@ def main(argv=None) -> int:
         if "threads" in args:  # count and scan: the flag, else SQFPAIRS_THREADS, else 1
             if args.threads is None:
                 args.threads = _env_integer("SQFPAIRS_THREADS", 1)
+            elif args.command == "count" and args.method == "mobius-identity":
+                raise ValueError("--threads does not apply to --method mobius-identity")
             _check_modulus(args.threads, "threads")
         # resolved once; a budget <= 0 is a usage error for every command
         budget = memory_budget() if args.memory_budget is None else args.memory_budget

@@ -4,13 +4,13 @@ Two independent routes compute the same integer:
 
 * the value sieve (`count_pairs_direct`, `count_pairs_ladder`): packed
   squarefree bits for the odd n <= 2*H^2 + 1 (x^2 + y^2 + 1 is never
-  0 mod 4, and when even it is twice an odd number), probed for the
-  pairs x <= y only (x^2 + y^2 + 1 is symmetric, so an off-diagonal pair
-  counts twice).  The pairs are read in increasing order of their sieve
-  index through a window of the widest rectangle and two segments,
-  built as the probe reaches them, so the sieve is never held whole (a
-  whole one, from `build_sieve`, can be passed in and is copied into the
-  windows instead).  A ladder of heights is probed once, up to its top,
+  0 mod 4, and when even it is twice an odd number), probed for half
+  the pairs (x^2 + y^2 + 1 is symmetric; see `_block_streams`).  The
+  pairs are read in increasing order of their sieve index through a
+  window of the widest rectangle and two segments, built as the probe
+  reaches them, so the sieve is never held whole (a whole one, from
+  `build_sieve`, can be passed in and is copied into the windows
+  instead).  A ladder of heights is probed once, up to its top,
   and each S(H) is read off as the running sum over the bands, and
 * the congruence identity (`count_pairs_mobius`): the Moebius-weighted
   sum over odd squarefree d of T(H, d^2), the number of pairs with
@@ -59,7 +59,6 @@ _WHEEL_PERIOD = math.prod(_WHEEL_SQUARES)
 # A square with more multiples than this in a segment strikes them by one
 # strided slice; the others are struck together, through the strike table.
 _STRIDED_MULTIPLES = 128
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 class SquarefreeSieve:
@@ -83,15 +82,15 @@ class SquarefreeSieve:
         out[:] = self._bytes[lo >> 3 : (lo >> 3) + out.size]
 
     def _count_bits(self, nbits: int) -> int:
-        """Set bits among the first nbits.  Bytes are popcounted by table,
-        one segment's bytes at a time, so the scratch memory stays bounded
-        for any prefix; a last partial byte is masked to its low bits."""
+        """Set bits among the first nbits, popcounted one segment's bytes
+        at a time, so the scratch memory stays bounded for any prefix; a
+        last partial byte is masked to its low bits."""
         full, rest = divmod(nbits, 8)
         total, seg = 0, _SEGMENT_BITS // 8
         for lo in range(0, full, seg):
-            total += int(_POPCOUNT[self._bytes[lo : min(lo + seg, full)]].sum())
+            total += int(np.bitwise_count(self._bytes[lo : min(lo + seg, full)]).sum())
         if rest:
-            total += int(_POPCOUNT[self._bytes[full] & ((1 << rest) - 1)])
+            total += int(np.bitwise_count(self._bytes[full] & ((1 << rest) - 1)))
         return total
 
     def count_squarefree(self, upto: int) -> int:
@@ -250,22 +249,18 @@ _BLOCK_ROWS = 256  # y rows per block of the probe
 # Values per column chunk of a full block: 2^15 uint32 values (128 KB) and
 # the lookup's scratch (intp indices, uint8 bytes and bits) fit a 2 MiB L2.
 _PROBE_VALUES = 1 << 15
-# Weights of the square tile on a block's diagonal, indexed [x - lo, y - lo]:
-# 2 where x < y, 1 on the diagonal, 0 where x > y.
-_TILE = np.triu(np.full((_BLOCK_ROWS, _BLOCK_ROWS), 2, dtype=np.uint8), 1)
-_TILE += np.eye(_BLOCK_ROWS, dtype=np.uint8)
 # Bytes stated per quadrant stream of the schedule (generator, frame and
 # row terms; 1.5-1.6 KB measured from H = 16000 to 100,000).
 _STREAM_BYTES = 2048
 
 
-def _quadrant(sid, band, terms, rows, x0, lo, tile, weights, step, start):
+def _quadrant(sid, band, terms, rows, x0, lo, tile, times, step, start):
     """One quadrant's rectangles, in increasing order of first index, as
-    (first index, sid, last index, band, column terms, row terms, weights):
+    (first index, sid, last index, band, column terms, row terms, times):
     the columns x0, x0 + 2, .. below the block's first row lo in chunks
-    that start every `step` in x (weights None: each pair counts twice),
-    then the tile's columns, the slice `tile`, weighted.  Rectangles whose
-    first index is below `start` are skipped.
+    that start every `step` in x, each pair counted twice, then the tile's
+    columns, the slice `tile`, counted `times` times (0: no tile).
+    Rectangles whose first index is below `start` are skipped.
 
     The column `terms` come as the terms mod 2^32 and their exact-term
     function, and the `rows` as the exact first and last row terms and all
@@ -278,11 +273,10 @@ def _quadrant(sid, band, terms, rows, x0, lo, tile, weights, step, start):
     for x in xs[skip:]:
         last = min(x + step, lo) - 1
         last -= (last - x) % 2  # the chunk's last column
-        yield exact(x) + r0, sid, exact(last) + r1, band, a[x : last + 1 : 2], rows, None
+        yield exact(x) + r0, sid, exact(last) + r1, band, a[x : last + 1 : 2], rows, 2
     cols = range(tile.start, tile.stop, 2)
-    if cols and exact(cols[0]) + r0 >= start:
-        yield (exact(cols[0]) + r0, sid, exact(cols[-1]) + r1, band, a[tile], rows,
-               weights[: len(cols), : rows.size])
+    if times and cols and exact(cols[0]) + r0 >= start:
+        yield exact(cols[0]) + r0, sid, exact(cols[-1]) + r1, band, a[tile], rows, times
 
 
 def _block_streams(sid, band, lo, hi, f, h, step, start):
@@ -295,21 +289,23 @@ def _block_streams(sid, band, lo, hi, f, h, step, start):
     parities differ it is twice the odd number at index f[x] + f[y].  So
     each value costs one add.  Same-parity pairs index near (x^2 + y^2)/2
     and mixed ones near (x^2 + y^2)/4, which is why each quadrant of the
-    diagonal tile is a rectangle of its own.  f and h are pairs: the terms
+    diagonal tile is a rectangle of its own.  By symmetry, a column below
+    the block counts twice, a same-parity tile once, and the even-by-odd
+    tile twice, for the odd-by-even one too.  f and h are pairs: the terms
     mod 2^32 and the function giving a term exactly."""
     even, odd = slice(lo + lo % 2, hi, 2), slice(lo + 1 - lo % 2, hi, 2)
-    # (terms, first column, column slice of the tile, row slice, added to the row terms)
-    quadrants = ((h, 2, even, even, 0), (f, 2, even, odd, 0),
-                 (f, 1, odd, even, 0), (h, 1, odd, odd, 1))
+    # (terms, first column, column slice of the tile, row slice, added to
+    # the row terms, times the tile counts)
+    quadrants = ((h, 2, even, even, 0, 1), (f, 2, even, odd, 0, 2),
+                 (f, 1, odd, even, 0, 0), (h, 1, odd, odd, 1, 1))
     streams = []
-    for (a, exact), x0, cols, rows, plus in quadrants:
+    for (a, exact), x0, cols, rows, plus, times in quadrants:
         if rows.start < hi:
-            weights = _TILE[cols.start - lo :: 2, rows.start - lo :: 2]
             ys = range(rows.start, hi, 2)
             row_terms = (exact(ys[0]) + plus, exact(ys[-1]) + plus,
                          a[rows] + plus if plus else a[rows])  # a view when nothing is added
             streams.append(_quadrant(sid + len(streams), band, (a, exact), row_terms, x0, lo,
-                                     cols, weights, step, start))
+                                     cols, times, step, start))
     return streams
 
 
@@ -397,13 +393,12 @@ class _Window:
             self.build_seconds += time.perf_counter() - started
         return 8 * self.b0
 
-    def count(self, first, last, cols, rows, weights) -> int:
-        """The weighted squarefree flags of the rectangle cols x rows,
-        whose indices cols[i] + rows[j] run from first to last; with no
-        weights each flag counts twice.  The terms come mod 2^32 in uint32,
-        and with 8 * b0 taken off the row terms a lookup still costs one
-        add: the sum, mod 2^32, is the index in the window, which is below
-        2^32."""
+    def count(self, first, last, cols, rows, times) -> int:
+        """The squarefree flags of the rectangle cols x rows, whose indices
+        cols[i] + rows[j] run from first to last, counted `times` times.
+        The terms come mod 2^32 in uint32, and with 8 * b0 taken off the
+        row terms a lookup still costs one add: the sum, mod 2^32, is the
+        index in the window, which is below 2^32."""
         base = self._reach(first, last)
         n = cols.size * rows.size
         index, bit, at, flags = self._index[:n], self._bit[:n], self._at[:n], self._flags[:n]
@@ -413,9 +408,7 @@ class _Window:
         np.take(self.buffer, at, out=flags)
         np.right_shift(flags, bit, out=flags)
         np.bitwise_and(flags, 1, out=flags)
-        if weights is None:
-            return 2 * int(np.count_nonzero(flags))
-        return int((flags.reshape(weights.shape) * weights).sum())
+        return times * int(np.count_nonzero(flags))
 
 
 def _check_ladder(H_values) -> list[int]:
@@ -455,12 +448,12 @@ def _probe_ladder(H_values, sieve=None, threads=1):
                          "2^32 bits or more, past its uint32 indices")
     blocks = sum(1 for _ in _blocks(H_values))
     # per worker: the window, the segment scratch, and per value the uint32
-    # index, its bit, its byte index (intp), the flag, a copy of the flags
-    # made by np.take and the tile's weighted flags, plus 128 KiB for the
-    # buffers of numpy's casting loops; then f and h, 8 bytes per x held
-    # (uint32, mod 2^32) and 12 while f is built from its uint64 scratch;
-    # and the streams of the merge (one block's more for the merge itself)
-    check_bytes(workers * (window + _Segments.scratch_bytes(N) + 16 * values + (1 << 17))
+    # index, its bit, its byte index (intp), the flag and a copy of the
+    # flags made by np.take, plus 128 KiB for the buffers of numpy's casting
+    # loops; then f and h, 8 bytes per x held (uint32, mod 2^32) and 12
+    # while f is built from its uint64 scratch; and the streams of the
+    # merge (one block's more for the merge itself)
+    check_bytes(workers * (window + _Segments.scratch_bytes(N) + 15 * values + (1 << 17))
                 + 12 * (top + 1) + 4 * (blocks + 1) * _STREAM_BYTES,
                 f"pair probe to H = {top}")
     f = np.arange(top + 1, dtype=np.uint64)  # x, then x^2 >> 2 (past 2^32) in place
@@ -472,15 +465,16 @@ def _probe_ladder(H_values, sieve=None, threads=1):
     def run(lo, hi):
         win = _Window(np.empty(window, dtype=np.uint8), nbytes, sieve or _Segments(N), values)
         totals, done = [0] * len(H_values), [0.0] * len(H_values)
-        for first, _, last, band, cols, rows, weights in _schedule(H_values, f, h, step, lo, hi):
-            totals[band] += win.count(first, last, cols, rows, weights)
+        for first, _, last, band, cols, rows, times in _schedule(H_values, f, h, step, lo, hi):
+            totals[band] += win.count(first, last, cols, rows, times)
             done[band] = time.perf_counter() - start
         return totals, done, win.build_seconds
 
     cuts = []
     if workers > 1:
-        # each row of a block reads the lo - 1 columns below it and its tile's hi - lo
-        total = sum((hi - 1) * (hi - lo) for _, lo, hi in _blocks(H_values))
+        # each row of a block reads the lo - 1 columns below it and its tile's
+        # hi - lo, less the odd-by-even tile's #odd * #even = (hi - lo)^2 // 4
+        total = sum((hi - 1) * (hi - lo) - (hi - lo) ** 2 // 4 for _, lo, hi in _blocks(H_values))
         cuts = _split(_schedule(H_values, f, h, step), total, workers, N)
     bounds = [0] + cuts + [None]
     runs = list(zip(bounds, bounds[1:]))
@@ -506,7 +500,7 @@ def _probe_ladder(H_values, sieve=None, threads=1):
 
 def count_pairs_ladder(H_values) -> list[PairCountReport]:
     """Exact S(H) for every H of a strictly increasing ladder, by one probe
-    of the value sieve over the pairs x <= y up to the largest H.
+    of the value sieve over half the pairs up to the largest H.
 
     The pairs are read as rectangles (a block of rows of one band by a
     chunk of columns, per parity quadrant), in increasing order of their

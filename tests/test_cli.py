@@ -218,6 +218,16 @@ class TestScan:
         assert payload["alpha"] is None  # two rows cannot support a fit
         assert payload["sieve_seconds"] >= 0
 
+    def test_json_carries_the_bound_of_c(self, capsys):
+        from sqfpairs.asymptotic import constant_c
+        code, out, _ = run(capsys, "scan", "--H-ladder", "20,40", "--P", "1000",
+                           "--output-format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        est = constant_c(1000)
+        assert payload["c"] == est.value
+        assert payload["c_tail_bound"] == est.tail_bound
+
     def test_sieve_seconds_are_part_of_the_elapsed_time(self, capsys):
         # the segments are built inside the probe, so their summed build
         # time is part of the last row's elapsed time
@@ -367,6 +377,19 @@ class TestUsage:
     def test_threads_is_a_usage_error_elsewhere(self, capsys, argv):
         assert main([*argv, "--threads", "2"]) == EXIT_USAGE
         assert "--threads" in capsys.readouterr().err
+
+    def test_threads_is_a_usage_error_for_the_identity_route(self, capsys, monkeypatch):
+        # the flag sets the value sieve's workers: the identity route alone
+        # refuses it, but reads SQFPAIRS_THREADS as the other methods do
+        code, _, err = run(capsys, "count", "--H", "5", "--method", "mobius-identity",
+                           "--threads", "2")
+        assert code == EXIT_USAGE and "--threads" in err
+        for method in ("value-sieve", "both"):
+            code, out, _ = run(capsys, "count", "--H", "5", "--method", method, "--threads", "2")
+            assert code == EXIT_OK and "S(5) = 20" in out
+        monkeypatch.setenv("SQFPAIRS_THREADS", "2")
+        code, out, _ = run(capsys, "count", "--H", "5", "--method", "mobius-identity")
+        assert code == EXIT_OK and "S(5) = 20" in out
 
     @pytest.mark.parametrize("argv", [("count", "--H", "5", "--method", "value-sieve"),
                                       ("scan", "--H-ladder", "20,40", "--P", "100")])

@@ -304,9 +304,9 @@ class TestCountPairsLadder:
             wide = SquarefreeSieve(limit, sieve._bytes)
             dtypes = set()
 
-            def spy(window, first, last, cols, rows, weights):
+            def spy(window, first, last, cols, rows, times):
                 dtypes.add((cols.dtype, rows.dtype, window._index.dtype))
-                return count(window, first, last, cols, rows, weights)
+                return count(window, first, last, cols, rows, times)
 
             monkeypatch.setattr(counting._Window, "count", spy)
             assert [r.S for r in _probe_ladder(ladder, wide)[0]] == want
@@ -470,20 +470,18 @@ class TestValueWindows:
 
         i, j = np.arange(64, dtype=np.uint64), np.arange(32, dtype=np.uint64)
         cols, rows = 2**33 + 3 * i * i + 5 * i, 2**32 + 11 * j * j + j
-        weights = np.random.default_rng(5).integers(0, 3, (64, 32), dtype=np.uint8)
         buffer = np.empty(2 * (4096 + counting._SEGMENT_BITS // 8), dtype=np.uint8)
         win = counting._Window(buffer, 2**31, Source(), cols.size * rows.size)
         bases = set()
         for t in range(12):
             c = cols + np.uint64(t * 300_007)
-            w = None if t % 2 else weights
+            times = 1 + t % 2
             got = win.count(int(c[0] + rows[0]), int(c[-1] + rows[-1]),
-                            c.astype(np.uint32), rows.astype(np.uint32), w)
+                            c.astype(np.uint32), rows.astype(np.uint32), times)
             want = 0
-            for a, x in enumerate(c.tolist()):
-                for b, y in enumerate(rows.tolist()):
-                    flag = byte((x + y) >> 3) >> ((x + y) & 7) & 1
-                    want += (2 if w is None else int(w[a, b])) * flag
+            for x in c.tolist():
+                for y in rows.tolist():
+                    want += times * (byte((x + y) >> 3) >> ((x + y) & 7) & 1)
             assert got == want, t
             bases.add(8 * win.b0)
         assert min(bases) >= 2**33 + 2**32 and len(bases) > 1  # the window moved
@@ -515,7 +513,7 @@ class TestValueWindows:
             rows = lo + np.array([0, 3, 10])
             b0, end = win.b0, win.end
             with traced_peak() as traced:
-                got = win.count(lo, hi, cols.astype(np.uint32), rows.astype(np.uint32), None)
+                got = win.count(lo, hi, cols.astype(np.uint32), rows.astype(np.uint32), 2)
             index = (cols[:, None] + rows).ravel().tolist()
             assert got == 2 * sum(int(data[i >> 3]) >> (i & 7) & 1 for i in index)
             if 0 < win.b0 - b0 < end - win.b0:
@@ -526,18 +524,17 @@ class TestValueWindows:
 
     def test_schedule_exact_past_two_to_the_32(self, monkeypatch):
         # h[x] passes 2**32 at x = 92,682: the rectangles to H = 100,000
-        # still come in increasing order of their exact first index, weigh
-        # every pair (x, y) of the square once, and carry their terms
-        # mod 2**32
+        # still come in increasing order of their exact first index, count
+        # every pair (x, y) of the square once in all, and carry their
+        # terms mod 2**32
         from sqfpairs import counting
         H, seen = 100_000, []
 
-        def record(window, first, last, cols, rows, weights):
+        def record(window, first, last, cols, rows, times):
             assert cols.dtype == rows.dtype == np.uint32
             assert (int(cols[0]) + int(rows[0]) - first) % 2**32 == 0
             assert (int(cols[-1]) + int(rows[-1]) - last) % 2**32 == 0
-            seen.append((first, last, 2 * cols.size * rows.size if weights is None
-                         else int(weights.sum())))
+            seen.append((first, last, times * cols.size * rows.size))
             return 0
 
         monkeypatch.setattr(counting._Window, "count", record)
@@ -547,6 +544,48 @@ class TestValueWindows:
         assert all(f <= l for f, l in zip(firsts, lasts))
         assert max(lasts) == H * H  # the index of 2 * H^2 + 1, from (H, H)
         assert sum(pairs) == H * H
+
+    @pytest.mark.parametrize("hi", [2, 3, 4, 5, 8])
+    def test_first_block_reads_three_diagonal_tiles(self, hi):
+        # the rows 1 <= y < hi have no columns below them, so their streams
+        # hold only the diagonal tiles: each same-parity tile once, the
+        # even-column by odd-row tile twice and no odd-column by even-row
+        # tile, which together count the whole square
+        from sqfpairs import counting
+        f = (np.arange(hi, dtype=np.uint64) ** 2 >> 2).astype(np.uint32)
+        f, h = (f, lambda x: x * x >> 2), (f << 1, lambda x: x * x >> 2 << 1)
+        rects = [r for s in counting._block_streams(0, 0, 1, hi, f, h, 2, 0) for r in s]
+        assert sorted(times for *_, times in rects) == ([1, 1, 2] if hi > 2 else [1])
+        square = sum(times * cols.size * rows.size for *_, cols, rows, times in rects)
+        assert square == (hi - 1) ** 2
+
+    @pytest.mark.parametrize("block", [None, 4])
+    @pytest.mark.parametrize("ladder", [[1, 2, 3, 255, 256, 257, 700], [2000, 4000, 8000, 16000]])
+    def test_split_total_is_the_schedule_lookups(self, monkeypatch, block, ladder):
+        # the closed-form total _split cuts into runs is the lookups of the
+        # schedule it is given, on ladders that cross blocks and bands and
+        # end in a partial block; a wrong total only unbalances the runs,
+        # so S would not show it
+        from sqfpairs import counting
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def spy(schedule, total, runs, past):
+            seen.append((total, list(schedule)))
+            raise Stop
+
+        if block is not None:
+            monkeypatch.setattr(counting, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(counting, "_split", spy)
+        with pytest.raises(Stop):
+            _probe_ladder(ladder, threads=2)
+        [(total, schedule)] = seen
+        assert total == sum(cols.size * rows.size for *_, cols, rows, _ in schedule)
+        assert sum(t * cols.size * rows.size for *_, cols, rows, t in schedule) == ladder[-1] ** 2
 
     @pytest.mark.slow
     def test_probe_to_65535_in_a_bounded_window(self, traced_peak):
@@ -630,7 +669,7 @@ def test_window_reads_every_rectangle_and_no_dropped_byte_again(walk):
         win = counting._Window(buffer, nbytes, Source(), 8 * widest)
         for first, last in rects:
             cols = np.arange(last - first + 1, dtype=np.uint32)
-            got = win.count(first, last, cols, np.array([first], dtype=np.uint32), None)
+            got = win.count(first, last, cols, np.array([first], dtype=np.uint32), 2)
             assert 8 * win.b0 <= first and last >> 3 < win.end <= win.b0 + buffer.size
             assert got == 2 * int(flags[first : last + 1].sum())
     assert filled == sorted(set(filled))
