@@ -51,7 +51,7 @@ from .counting import (
     count_pairs_direct,
     count_pairs_ladder,
     count_pairs_mobius,
-    count_pairs_mobius_truncated,
+    count_pairs_mobius_ladder,
     residue_count,
 )
 from .asymptotic import (
@@ -91,7 +91,7 @@ __all__ = [
     "count_pairs_direct",
     "count_pairs_ladder",
     "count_pairs_mobius",
-    "count_pairs_mobius_truncated",
+    "count_pairs_mobius_ladder",
     "error_scan",
     "factorize",
     "gauss_closed_odd",

@@ -140,6 +140,7 @@ class ScanRow:
 class ScanResult:
     rows: list[ScanRow]
     alpha: float | None  # least-squares slope of log|E| vs log H
+    alpha_stderr: float | None  # its standard error, sqrt(sum e^2 / (n - 2) / sum dx^2)
     c: float
     c_tail_bound: float  # bounds |log(c / the true c)|, from `constant_c`
     cutoff: int
@@ -163,8 +164,9 @@ def error_scan(
     reads it; `sieve_elapsed` is the time spent building those windows,
     and is also part of each row's `elapsed`.  c and `c_tail_bound` come
     from `constant_c(P)`.  The fitted exponent is the least-squares
-    slope of log|E| against log H; rows with E = 0 are excluded and
-    reported, and the fit is skipped (alpha None) below 4 usable rows.
+    slope of log|E| against log H, with its standard error; rows with
+    E = 0 are excluded and reported, and the fit is skipped (alpha and
+    alpha_stderr None) below 4 usable rows.
     P is checked first; the probe's windows are freed before `constant_c`
     sieves its primes, so the two never share the peak.
     """
@@ -176,17 +178,18 @@ def error_scan(
             for rep in reports]
     usable = [r for r in rows if r.E != 0.0]
     excluded = [r.H for r in rows if r.E == 0.0]
+    alpha = alpha_stderr = None
     if len(usable) >= _MIN_FIT_ROWS:
-        # the least-squares slope in closed form; np.polyfit's first LAPACK
-        # call grows the RSS by about 1.3 MB
+        # the least-squares slope and its standard error in closed form;
+        # np.polyfit's first LAPACK call grows the RSS by about 1.3 MB
         dx = np.log([r.H for r in usable])
         dx -= dx.mean()
         dy = np.log([abs(r.E) for r in usable])
         dy -= dy.mean()
-        alpha = float((dx * dy).sum() / (dx * dx).sum())
-    else:
-        alpha = None
-    return ScanResult(rows, alpha, est.value, est.tail_bound, P, excluded, sieve_elapsed)
+        sxx = (dx * dx).sum()
+        alpha = float((dx * dy).sum() / sxx)
+        alpha_stderr = math.sqrt(((dy - alpha * dx) ** 2).sum() / (len(usable) - 2) / sxx)
+    return ScanResult(rows, alpha, alpha_stderr, est.value, est.tail_bound, P, excluded, sieve_elapsed)
 
 
 def rho(t: float) -> float:

@@ -156,6 +156,7 @@ def _cmd_scan(args) -> int:
         print(json.dumps({
             "rows": [dataclasses.asdict(r) for r in result.rows],
             "alpha": alpha,
+            "alpha_stderr": result.alpha_stderr,
             "c": result.c,
             "c_tail_bound": result.c_tail_bound,
             "P": result.cutoff,

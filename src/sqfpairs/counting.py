@@ -12,14 +12,12 @@ Two independent routes compute the same integer:
   `build_sieve`, can be passed in and is copied into the windows
   instead).  A ladder of heights is probed once, up to its top,
   and each S(H) is read off as the running sum over the bands, and
-* the congruence identity (`count_pairs_mobius`): the Moebius-weighted
-  sum over odd squarefree d of T(H, d^2), the number of pairs with
-  d^2 | x^2 + y^2 + 1, each T counted by matching the squares x^2 mod d^2
-  against -y^2 - 1 in one sorted array.
+* the congruence identity (`count_pairs_mobius_ladder`): the sum over odd
+  squarefree d of mu(d) T(h, d^2), T counting the pairs with
+  d^2 | x^2 + y^2 + 1, at every h up to the top in one pass (`_pair_rows`).
 
 Summed over the full d-range the identity is exact, so the two routes
-must agree as integers; a truncated d <= z variant is exposed
-separately for studying the tail of the identity.
+must agree as integers at every height.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ __all__ = [
     "count_pairs_direct",
     "count_pairs_ladder",
     "count_pairs_mobius",
-    "count_pairs_mobius_truncated",
+    "count_pairs_mobius_ladder",
     "residue_count",
     "congruent_pair_count",
     "DEFAULT_MEMORY_BUDGET",
@@ -550,60 +548,75 @@ def residue_count(H: int, q: int, x: int) -> int:
     return (H - x) // q - (-x) // q
 
 
-def congruent_pair_count(H: int, q: int) -> int:
-    """T(H, q): pairs x, y <= H with q | x^2 + y^2 + 1.
+def _lifted(H: int, nbytes: int, what: str) -> np.ndarray:
+    """x^2 << b | x for x = 1..H, b the bit length of H.  These and the keys
+    (x^2 mod q) << b | x, q <= 2H^2 + 1, fit int64 while 2H^2 + 1 <= 2^42, so a
+    larger H raises ValueError; then `nbytes` + 8 KiB (headers) go to `check_bytes`."""
+    if H > 1_482_910:
+        raise ValueError(f"the identity route takes H up to 1482910, got {H}")
+    check_bytes(nbytes + (1 << 13), what)
+    x = np.arange(1, H + 1, dtype=np.int64)
+    return x * x << H.bit_length() | x
 
-    The squares r = x^2 mod q for x = 1..H are sorted once; each x pairs
-    with the run of y whose r equals -x^2 - 1 mod q, found by two binary
-    searches.  O(H log H) time; 48 bytes per x (int64 squares, sort and
-    searches) are stated to `check_bytes`.  H and q must be positive
-    integers (ints or numpy integers, not bools), and 8 must not divide q.
-    """
+
+def _pair_rows(H: int, q: int, lifted: np.ndarray) -> np.ndarray:
+    """For x = 0..H, the pairs with q | x^2 + y^2 + 1 whose larger
+    coordinate is x, 2 * #{y < x : y^2 = -x^2 - 1 (mod q)} + [q | 2x^2 + 1];
+    their running sum at h is T(h, q).  The keys (x^2 mod q) << b | x,
+    `lifted` mod q << b, are sorted once.  With r = x^2 mod q, x's partners
+    y < x are the keys from (q - 1 - r) << b to (q - 1 - r) << b | x, found
+    by two binary searches.  Holds at most 49 bytes per x."""
+    b = H.bit_length()
+    keys = lifted % (q << b)
+    keys.sort()
+    x = keys & ((1 << b) - 1)
+    want = ((q - 1) << b) - keys + x  # (q - 1 - r) << b
+    below = np.searchsorted(keys, want)
+    want += x
+    pairs = np.searchsorted(keys, want) - below
+    pairs *= 2
+    pairs += keys == want
+    rows = np.zeros(H + 1, dtype=np.int64)
+    rows[x] = pairs
+    return rows
+
+
+def congruent_pair_count(H: int, q: int) -> int:
+    """T(H, q): pairs x, y <= H with q | x^2 + y^2 + 1, the sum of `_pair_rows`
+    (O(H log H) time, 57 bytes per x).  No value passes 2H^2 + 1, so a larger q
+    gives 0 at once.  H and q are positive integers (ints or numpy integers, not
+    bools), H at most 1,482,910 and q not a multiple of 8, else ValueError."""
     H, q = _check_modulus(H, "H"), _check_modulus(q, "q")
     if q % 8 == 0:
         raise ValueError(f"modulus divisible by 8 is out of contract: {q}")
-    check_bytes(48 * H, f"congruent_pair_count({H}, {q})")
-    x = np.arange(1, H + 1, dtype=np.int64)
-    r = np.sort(x * x % q)
-    want = (-r - 1) % q  # over all x, the sorted r are the same multiset
-    return int((np.searchsorted(r, want, "right") - np.searchsorted(r, want, "left")).sum())
+    if q > 2 * H * H + 1:
+        return 0
+    return int(_pair_rows(H, q, _lifted(H, 57 * (H + 1), f"congruent_pair_count({H}, {q})")).sum())
 
 
-def _mobius_sum(H: int, dmax: int) -> int:
-    # congruent_pair_count's 48 bytes per x, checked before the sieve is
-    # built; the d are read off the sieve one at a time, with no list,
-    # and only the odd d (T(H, d^2) = 0 for even d, see count_pairs_mobius)
-    check_bytes(48 * H, f"congruent_pair_count({H}, d^2)")
+def count_pairs_mobius_ladder(H_values) -> list[PairCountReport]:
+    """Exact S(H) for every H of a strictly increasing ladder (checked as in
+    `count_pairs_ladder`, the top at most 1,482,910), by one pass of
+    sum_{d^2 | n} mu(d) = mu^2(n): mu(d) times `_pair_rows` for each odd
+    squarefree d <= sqrt(2H^2 + 1) (no value passes 2H^2 + 1 or is 0 mod 4,
+    so the sum is exact), summed over x and run up to every height.  Every
+    report's `elapsed` is the whole pass.  65 bytes per x and 3 per d are
+    stated before any allocation; nothing is shared with the value sieve."""
+    H_values = _check_ladder(H_values)
+    start = time.perf_counter()
+    top = H_values[-1]
+    dmax = math.isqrt(2 * top * top + 1)
+    lifted = _lifted(top, 65 * (top + 1) + 3 * (dmax + 1), f"identity route to H = {top}")
     mu = mobius_sieve(dmax)
-    return sum(int(mu[d]) * congruent_pair_count(H, d * d) for d in range(1, dmax + 1, 2) if mu[d])
+    S = np.zeros(top + 1, dtype=np.int64)
+    for d in range(1, dmax + 1, 2):
+        if mu[d]:
+            S += mu[d] * _pair_rows(top, d * d, lifted)
+    np.cumsum(S, out=S)
+    elapsed = time.perf_counter() - start
+    return [PairCountReport(H, int(S[H]), "mobius-identity", elapsed) for H in H_values]
 
 
 def count_pairs_mobius(H: int) -> PairCountReport:
-    """Exact S(H) via the identity sum_{d^2 | n} mu(d) = mu^2(n).
-
-    Sums mu(d) * T(H, d^2) over every odd d up to sqrt(2H^2 + 1) (values of
-    x^2 + y^2 + 1 never exceed 2H^2 + 1 and are never 0 mod 4, so the sum
-    is complete and the result is an exact integer, not an approximation).
-    H must be a positive integer (an int or numpy integer, not a bool or
-    a float).
-    """
-    H = _check_modulus(H, "H")
-    start = time.perf_counter()
-    dmax = math.isqrt(2 * H * H + 1)
-    total = _mobius_sum(H, dmax)
-    return PairCountReport(H, total, "mobius-identity", time.perf_counter() - start)
-
-
-def count_pairs_mobius_truncated(H: int, z: float) -> int:
-    """The identity sum truncated to d <= z (z < sqrt(2H^2+1) drops tail
-    terms, so this is generally not equal to S(H); see the verify suite
-    for the measured deviation).  H is checked as in `count_pairs_mobius`.
-    z is an int or a float (numpy's too), not a bool and not NaN, and
-    z >= 1, else ValueError; any z >= sqrt(2H^2 + 1), inf included, gives
-    the complete sum."""
-    H = _check_modulus(H, "H")
-    if (not isinstance(z, (int, float, np.integer, np.floating)) or isinstance(z, bool)
-            or not z >= 1):  # NaN compares false
-        raise ValueError(f"z must be an int or float >= 1, got {z!r}")
-    full = math.isqrt(2 * H * H + 1)
-    return _mobius_sum(H, full if z >= full else int(z))
+    """Exact S(H) by the congruence identity: `count_pairs_mobius_ladder([H])`."""
+    return count_pairs_mobius_ladder([H])[0]

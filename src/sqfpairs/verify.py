@@ -489,8 +489,8 @@ def suite_lambda_table(rec, rng):
 @_suite("count-oracle-equivalence")
 def suite_count_oracle(rec, rng):
     """Value sieve and congruence identity give the same exact S(H)."""
-    for row in counting.count_pairs_ladder([*range(1, 51), 100, 150, 200]):
-        ident = counting.count_pairs_mobius(row.H)
+    ladder = [*range(1, 51), 100, 150, 200]
+    for row, ident in zip(counting.count_pairs_ladder(ladder), counting.count_pairs_mobius_ladder(ladder)):
         rec.check(row.S == ident.S, "H={H}: sieve={a} identity={b}", H=row.H, a=row.S, b=ident.S)
 
 
@@ -535,12 +535,10 @@ def suite_truncation_report(rec, rng):
     for row in counting.count_pairs_ladder([50, 100, 150, 200]):
         H = row.H
         z = H ** (2.0 / 3.0)
-        tail = row.S - counting.count_pairs_mobius_truncated(H, z)
-        dropped = 0
-        for d in range(int(z) + 1, math.isqrt(2 * H * H + 1) + 1):
-            sign = ntcore.mobius(d)
-            if sign:  # 8 | d^2 only when mu(d) = 0
-                dropped += sign * counting.congruent_pair_count(H, d * d)
+        terms = [(d, mu * counting.congruent_pair_count(H, d * d))  # T(H, d^2) = 0 for even d
+                 for d in range(1, math.isqrt(2 * H * H + 1) + 1, 2) if (mu := ntcore.mobius(d))]
+        tail = row.S - sum(t for d, t in terms if d <= z)
+        dropped = sum(t for d, t in terms if d > z)
         rec.check(tail == dropped, "H={H}: S - S_z = {a} != dropped {b}", H=H, a=tail, b=dropped)
         lines.append(f"H={H} z={int(z)} |S - S_z|={abs(tail)} C={abs(tail) * z / H**2.1:.4f}")
     return "; ".join(lines)

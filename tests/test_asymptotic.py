@@ -416,7 +416,7 @@ class TestErrorScan:
         row = res.rows[0]
         assert row.S == count_pairs_direct(100).S
         assert abs(row.E) < 100**2
-        assert res.alpha is None  # fewer than 4 usable rows
+        assert res.alpha is None and res.alpha_stderr is None  # fewer than 4 usable rows
 
     def test_error_matches_definition(self):
         res = error_scan([50, 100], 1000)
@@ -437,6 +437,18 @@ class TestErrorScan:
         assert len(usable) >= 4
         fit = np.polyfit(np.log([r.H for r in usable]), np.log([abs(r.E) for r in usable]), 1)[0]
         assert abs(res.alpha - fit) <= 1e-12
+
+    def test_alpha_stderr_is_the_textbook_standard_error(self):
+        # se(slope) = sqrt(sum of squared residuals / (n - 2)) / sqrt(Sxx),
+        # the residuals taken about np.polyfit's line
+        res = error_scan([50, 100, 200, 400, 800, 1600], 10_000)
+        usable = [r for r in res.rows if r.E != 0.0]
+        x = np.log([r.H for r in usable])
+        y = np.log([abs(r.E) for r in usable])
+        slope, intercept = np.polyfit(x, y, 1)
+        ssr = float(((y - (slope * x + intercept)) ** 2).sum())
+        want = math.sqrt(ssr / (len(x) - 2)) / math.sqrt(float(((x - x.mean()) ** 2).sum()))
+        assert res.alpha_stderr > 0 and abs(res.alpha_stderr - want) <= 1e-12 * want
 
     def test_ladder_fit(self):
         res = error_scan([50, 100, 200, 400, 800], 10_000)

@@ -136,7 +136,7 @@ def test_lambda_fast_odd_reads_the_row_for_few_pairs_mod_a_large_l(traced_peak):
 
 @pytest.mark.parametrize("count", [
     counting.count_pairs_mobius,
-    pytest.param(lambda H: counting.count_pairs_mobius_truncated(H, 2 * H * H), id="truncated"),
+    pytest.param(lambda H: counting.count_pairs_mobius_ladder([H // 2, H]), id="ladder"),
 ])
 def test_mobius_identity_refused_before_its_sieve(traced_peak, count):
     # the Moebius sieve to sqrt(2H^2 + 1) and its list of d took 8.1 MiB

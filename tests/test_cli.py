@@ -216,6 +216,7 @@ class TestScan:
         assert [r["H"] for r in payload["rows"]] == [20, 40]
         assert payload["P"] == 100
         assert payload["alpha"] is None  # two rows cannot support a fit
+        assert payload["alpha_stderr"] is None
         assert payload["sieve_seconds"] >= 0
 
     def test_json_carries_the_bound_of_c(self, capsys):
@@ -227,6 +228,16 @@ class TestScan:
         est = constant_c(1000)
         assert payload["c"] == est.value
         assert payload["c_tail_bound"] == est.tail_bound
+
+    def test_json_carries_the_standard_error_of_alpha(self, capsys):
+        from sqfpairs.asymptotic import error_scan
+        code, out, _ = run(capsys, "scan", "--H-ladder", "50,100,200,400", "--P", "1000",
+                           "--output-format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        want = error_scan([50, 100, 200, 400], 1000)
+        assert (payload["alpha"], payload["alpha_stderr"]) == (want.alpha, want.alpha_stderr)
+        assert payload["alpha_stderr"] > 0
 
     def test_sieve_seconds_are_part_of_the_elapsed_time(self, capsys):
         # the segments are built inside the probe, so their summed build

@@ -18,7 +18,7 @@ from sqfpairs.counting import (
     count_pairs_direct,
     count_pairs_ladder,
     count_pairs_mobius,
-    count_pairs_mobius_truncated,
+    count_pairs_mobius_ladder,
     residue_count,
 )
 from sqfpairs import lambdasums
@@ -818,6 +818,36 @@ class TestCongruentPairCount:
         with pytest.raises(ValueError, match="q must be a positive integer"):
             congruent_pair_count(7, q)
 
+    @pytest.mark.parametrize("q", [2**63 + 1, 10**30 + 1, 2 * 10 * 10 + 3])
+    def test_modulus_past_every_value_counts_no_pair(self, monkeypatch, q):
+        # x^2 + y^2 + 1 <= 2H^2 + 1 = 201; the first two are past int64, where
+        # numpy's arithmetic overflows, and no array is built for any of them
+        from sqfpairs import counting
+        monkeypatch.setattr(counting, "_lifted", None)
+        assert congruent_pair_count(10, q) == 0
+
+    @pytest.mark.parametrize("H", [1, 10, 11])
+    def test_largest_value_is_counted(self, H):
+        # q = 2H^2 + 1 divides one value only, at x = y = H
+        assert congruent_pair_count(H, 2 * H * H + 1) == 1
+
+
+def _brute_rows(H, q):
+    """T(h, q) for h = 0..H by brute force over the square of pairs."""
+    x = np.arange(1, H + 1)
+    hits = (x[:, None] ** 2 + x[None, :] ** 2 + 1) % q == 0
+    return [int(hits[:h, :h].sum()) for h in range(H + 1)]
+
+
+def test_pair_rows_run_up_to_every_brute_force_count():
+    from sqfpairs import counting
+    H = 60
+    lifted = counting._lifted(H, 0, "test")
+    for q in range(1, 401):
+        if q % 8:
+            rows = counting._pair_rows(H, q, lifted)
+            assert np.cumsum(rows).tolist() == _brute_rows(H, q), q
+
 
 class TestCountPairsMobius:
     def test_h_equals_one(self):
@@ -841,12 +871,25 @@ class TestCountPairsMobius:
         # S(2000) of the scan ladder, there found by the value sieve
         assert count_pairs_mobius(2000).S == 3122183
 
+    def test_every_height_to_two_thousand(self):
+        # one identity pass against one value-sieve probe, height by height
+        heights = range(1, 2001)
+        identity = count_pairs_mobius_ladder(heights)
+        assert [r.H for r in identity] == list(heights)
+        assert [r.S for r in identity] == [r.S for r in count_pairs_ladder(heights)]
+
+    def test_ladder_reports_one_pass(self):
+        reports = count_pairs_mobius_ladder([np.int64(100), 200])
+        assert [(r.H, r.S, r.method) for r in reports] == [(100, 7780, "mobius-identity"),
+                                                            (200, 31180, "mobius-identity")]
+        assert type(reports[0].H) is int and reports[0].elapsed == reports[1].elapsed
+
     @pytest.mark.slow
-    @pytest.mark.parametrize("H,S", [(2000, 3122183), (4000, 12490582),
-                                     (8000, 49964328), (16000, 199855421)])
-    def test_scan_ladder(self, H, S):
-        # the S(H) that the value sieve gives over the whole scan ladder
-        assert count_pairs_mobius(H).S == S
+    def test_scan_ladder(self):
+        # the S(H) that the value sieve gives over the whole scan ladder, from
+        # one identity pass up to 16000
+        ladder = {2000: 3122183, 4000: 12490582, 8000: 49964328, 16000: 199855421}
+        assert [r.S for r in count_pairs_mobius_ladder(list(ladder))] == list(ladder.values())
 
     @pytest.mark.parametrize("H", [2, 7, 60, 301])
     def test_even_squarefree_moduli_count_no_pairs(self, H):
@@ -855,14 +898,16 @@ class TestCountPairsMobius:
         assert even and all(congruent_pair_count(H, d * d) == 0 for d in even)
 
     def test_sums_odd_moduli_only(self, monkeypatch):
+        # one pass: each odd squarefree d^2 counted once, at the ladder's top
         from sqfpairs import counting
         seen = []
-        count = counting.congruent_pair_count
-        monkeypatch.setattr(counting, "congruent_pair_count",
-                            lambda H, q: seen.append(q) or count(H, q))
-        assert count_pairs_mobius(60).S == count_pairs_direct(60).S
+        rows = counting._pair_rows
+        monkeypatch.setattr(counting, "_pair_rows",
+                            lambda H, q, lifted: seen.append((H, q)) or rows(H, q, lifted))
+        assert [r.S for r in count_pairs_mobius_ladder([30, 60])] == \
+            [r.S for r in count_pairs_ladder([30, 60])]
         dmax = math.isqrt(2 * 60 * 60 + 1)
-        assert seen == [d * d for d in range(1, dmax + 1, 2) if mobius(d)]
+        assert seen == [(60, d * d) for d in range(1, dmax + 1, 2) if mobius(d)]
 
     def test_builds_no_solution_set(self, monkeypatch):
         def refuse(q):
@@ -870,40 +915,49 @@ class TestCountPairsMobius:
         monkeypatch.setattr(lambdasums, "solve_circle", refuse)
         assert count_pairs_mobius(300).S == 70263
 
-    def test_truncated_variant(self):
-        H = 60
-        exact = count_pairs_mobius(H).S
-        full_z = math.isqrt(2 * H * H + 1)
-        assert count_pairs_mobius_truncated(H, full_z) == exact
-        trunc = count_pairs_mobius_truncated(H, H ** (2 / 3))
-        assert isinstance(trunc, int)
-        # truncation drops tail terms; deviation stays desk-scale small
-        assert abs(trunc - exact) <= 100
-
     def test_rejects_bad_input(self):
+        for bad in ([0], [], [3, 2], [2, 2]):
+            with pytest.raises(ValueError):
+                count_pairs_mobius_ladder(bad)
         with pytest.raises(ValueError):
             count_pairs_mobius(0)
-        with pytest.raises(ValueError):
-            count_pairs_mobius_truncated(10, 0.5)
 
-    @pytest.mark.parametrize("z", [True, float("nan"), "3", 0.5])
-    def test_truncation_point_must_be_a_number_from_one(self, z):
-        with pytest.raises(ValueError, match="z must be"):
-            count_pairs_mobius_truncated(10, z)
+    def test_refuses_a_top_past_the_keys_before_allocating(self, traced_peak):
+        # (x^2 mod q) << 21 | x passes int64 for q = 2H^2 + 1 past 1,482,910
+        for call in (lambda: count_pairs_mobius_ladder([5, 1_482_911]),
+                     lambda: congruent_pair_count(1_482_911, 2 * 1_482_911**2 - 1)):
+            with traced_peak() as traced, pytest.raises(ValueError, match="1482910"):
+                call()
+            assert traced.peak < 2**16
 
-    @pytest.mark.parametrize("H", [10, 50])
-    def test_truncation_past_the_last_modulus_is_the_complete_sum(self, H):
-        exact = count_pairs_mobius(H).S
-        for z in (float("inf"), 10**9, np.float64("inf"), np.int64(10**9)):
-            assert count_pairs_mobius_truncated(H, z) == exact, z
-        assert count_pairs_mobius_truncated(H, 2.5) == count_pairs_mobius_truncated(H, 2)
+    def test_top_at_the_limit_goes_on_to_the_budget(self, traced_peak):
+        for call in (lambda: count_pairs_mobius_ladder([1_482_910]),
+                     lambda: congruent_pair_count(1_482_910, 2 * 1_482_910**2 + 1)):
+            with traced_peak() as traced, budget_scope(10**6), pytest.raises(BudgetError):
+                call()
+            assert traced.peak < 2**16
+
+    @pytest.mark.parametrize("ladder", [[1], [2], [10], [100], [1000], [3000], [1000, 2000, 3000]])
+    def test_traces_within_its_stated_bytes(self, monkeypatch, traced_peak, ladder):
+        from sqfpairs import counting
+        from sqfpairs.ntcore import check_bytes
+        stated = []
+
+        def record(nbytes, what):
+            check_bytes(nbytes, what)
+            stated.append(nbytes)
+
+        monkeypatch.setattr(counting, "check_bytes", record)
+        with traced_peak() as traced:
+            count_pairs_mobius_ladder(ladder)
+        assert len(stated) == 1 and traced.peak <= stated[0]
 
 
 @pytest.mark.parametrize("entry", [
     pytest.param(lambda H: count_pairs_ladder([H])[0], id="ladder"),
     pytest.param(count_pairs_direct, id="direct"),
     pytest.param(count_pairs_mobius, id="mobius"),
-    pytest.param(lambda H: count_pairs_mobius_truncated(H, 3), id="truncated"),
+    pytest.param(lambda H: count_pairs_mobius_ladder([H])[0], id="mobius-ladder"),
 ])
 def test_heights_are_checked_not_truncated(entry):
     # a float or a bool is refused, not read as int(H); a numpy integer

@@ -68,12 +68,16 @@ def test_array_check_formats_each_failing_entry_in_order():
 
 
 def test_truncation_report_checks_the_dropped_terms(monkeypatch, suite_results):
+    # one identity term off by one breaks S - S_z = dropped at every height
+    # whose sum has that term: d = 1; d = 11, kept in S_z at every height;
+    # d = 101, dropped, and only at H >= 100
     assert suite_results["truncation-report"].ok
-    truncated = counting.count_pairs_mobius_truncated
-    monkeypatch.setattr(counting, "count_pairs_mobius_truncated",
-                        lambda H, z: truncated(H, z) + 1)
-    result = suite_truncation_report()
-    assert (result.checked, result.failed) == (4, 4)
+    count = counting.congruent_pair_count
+    for d, failing in [(1, 4), (11, 4), (101, 3)]:
+        monkeypatch.setattr(counting, "congruent_pair_count",
+                            lambda H, q: count(H, q) + (q == d * d))
+        result = suite_truncation_report()
+        assert (result.checked, result.failed) == (4, failing), d
 
 
 def test_truncation_report_counts_each_term_once(monkeypatch):
