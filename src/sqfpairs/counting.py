@@ -549,9 +549,8 @@ def residue_count(H: int, q: int, x: int) -> int:
 
 
 def _lifted(H: int, nbytes: int, what: str) -> np.ndarray:
-    """x^2 << b | x for x = 1..H, b the bit length of H.  These and the keys
-    (x^2 mod q) << b | x, q <= 2H^2 + 1, fit int64 while 2H^2 + 1 <= 2^42, so a
-    larger H raises ValueError; then `nbytes` + 8 KiB (headers) go to `check_bytes`."""
+    """x^2 << b | x for x = 1..H, b the bit length of H: like the keys (x^2 mod q) << b | x,
+    q <= 2H^2 + 1, int64 while 2H^2 + 1 <= 2^42.  `nbytes` + 8 KiB (headers) is stated."""
     if H > 1_482_910:
         raise ValueError(f"the identity route takes H up to 1482910, got {H}")
     check_bytes(nbytes + (1 << 13), what)
@@ -600,13 +599,14 @@ def count_pairs_mobius_ladder(H_values) -> list[PairCountReport]:
     sum_{d^2 | n} mu(d) = mu^2(n): mu(d) times `_pair_rows` for each odd
     squarefree d <= sqrt(2H^2 + 1) (no value passes 2H^2 + 1 or is 0 mod 4,
     so the sum is exact), summed over x and run up to every height.  Every
-    report's `elapsed` is the whole pass.  65 bytes per x and 3 per d are
-    stated before any allocation; nothing is shared with the value sieve."""
+    report's `elapsed` is the whole pass.  65 bytes per x, 3 per d and 200 per
+    report are stated before any allocation; nothing is shared with the value sieve."""
     H_values = _check_ladder(H_values)
     start = time.perf_counter()
     top = H_values[-1]
     dmax = math.isqrt(2 * top * top + 1)
-    lifted = _lifted(top, 65 * (top + 1) + 3 * (dmax + 1), f"identity route to H = {top}")
+    lifted = _lifted(top, 65 * (top + 1) + 3 * (dmax + 1) + 200 * len(H_values),
+                     f"identity route to H = {top}")
     mu = mobius_sieve(dmax)
     S = np.zeros(top + 1, dtype=np.int64)
     for d in range(1, dmax + 1, 2):

@@ -937,7 +937,8 @@ class TestCountPairsMobius:
                 call()
             assert traced.peak < 2**16
 
-    @pytest.mark.parametrize("ladder", [[1], [2], [10], [100], [1000], [3000], [1000, 2000, 3000]])
+    @pytest.mark.parametrize("ladder", [[1], [2], [10], [100], [1000], [3000], [1000, 2000, 3000],
+                                        range(1, 3001)])
     def test_traces_within_its_stated_bytes(self, monkeypatch, traced_peak, ladder):
         from sqfpairs import counting
         from sqfpairs.ntcore import check_bytes
